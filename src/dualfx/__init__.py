@@ -16,15 +16,15 @@ from .errors import (ClaimError, ConditioningError, ConfigError, DualFXError,
                      SchemeUnsupported, StructureError, UnknownModel)
 from .extended import ExtendedValue
 from .sde import (DiffusionModel, DualDiffusion, Estimate, MCConfig,
-                  TerminalBatch, TerminalSample, cross_measure_check,
-                  derive_dual_model, estimate, simulate)
+                  TerminalBatch, cross_measure_check, derive_dual_model,
+                  simulate)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ExtendedValue", "DiffusionModel", "DualDiffusion", "MCConfig",
-    "Estimate", "TerminalBatch", "TerminalSample",
-    "derive_dual_model", "simulate", "estimate", "cross_measure_check",
+    "Estimate", "TerminalBatch",
+    "derive_dual_model", "simulate", "cross_measure_check",
     "catalog", "lattice", "physical", "pricing",
     "DualFXError", "NormalizationError", "StructureError",
     "MeasurabilityError", "ClaimError", "InfinitePrice", "InfeasibleError",

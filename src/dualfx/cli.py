@@ -226,15 +226,13 @@ def _lattice_report(tree: ltree.DualTree, strikes: list[Fraction]) -> dict:
             residuals.append({"check": "bayes", "rho": f"period_{t}",
                               "node": nid, "residual": res})
 
-    claims = {
-        "euro_forward": lpricing.tree_euro_forward(tree),
-        "digital_explosion": lpricing.tree_digital_explosion(tree),
-    }
-    for k in strikes:
-        claims[f"call_{k}"] = lpricing.tree_call(tree, k)
-        claims[f"put_{k}"] = lpricing.tree_put(tree, k)
+    claims = [lpricing.tree_claim(tree, kind)
+              for kind in ("euro_forward", "digital_explosion")]
+    claims += [lpricing.tree_claim(tree, kind, k)
+               for k in strikes for kind in ("call", "put")]
     prices = {}
-    for name, claim in claims.items():
+    for claim in claims:
+        name = claim.kind
         p = lpricing.price_on_tree(tree, claim)
         residuals.append({"check": "price_identity", "claim": name,
                           "residual": p.total_euro

@@ -4,10 +4,8 @@ from .checks import (bayes_check, martingale_transfer_check,
                      verify_numeraire_identity)
 from .pricing import (ParityRow, TreeClaim, TreeDualPrice, TreeStrategy,
                       claim_combine, parity_and_equivalence_report,
-                      price_on_tree, superreplicate_backward, tree_call,
-                      tree_digital_explosion, tree_dollar_call,
-                      tree_dollar_put, tree_euro_forward, tree_put,
-                      tree_self_quantoed, validate_claim, verify_strategy)
+                      price_on_tree, superreplicate_backward, tree_claim,
+                      tree_euro_forward, validate_claim, verify_strategy)
 from .random_trees import (random_claim, random_complete_dual_tree,
                            random_dual_tree, random_rule, random_rule_pair,
                            random_terminal_values)
@@ -27,9 +25,7 @@ __all__ = [
     "verify_numeraire_identity", "bayes_check", "martingale_transfer_check",
     "price_on_tree", "superreplicate_backward",
     "parity_and_equivalence_report", "verify_strategy", "validate_claim",
-    "tree_euro_forward", "tree_call", "tree_put", "tree_dollar_call",
-    "tree_dollar_put", "tree_self_quantoed", "tree_digital_explosion",
-    "claim_combine",
+    "tree_claim", "tree_euro_forward", "claim_combine",
     "random_dual_tree", "random_complete_dual_tree", "random_claim",
     "random_rule", "random_rule_pair", "random_terminal_values",
 ]

@@ -18,12 +18,14 @@ larger, which `test_lattice_pricing` pins down with a counterexample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
 from ..errors import ClaimError, InfeasibleError, InfinitePrice
 from ..extended import ExtendedValue
+from ..pricing import payoff_row
 from .tree import DualTree
 
 EV = ExtendedValue
@@ -58,122 +60,38 @@ def validate_claim(tree: DualTree, claim: TreeClaim) -> None:
                 f"euro leg at {leaf.id!r} is {e}, expected {d}/{leaf.x}")
 
 
-def claim_from_legs(tree: DualTree,
-                    dollar_leg: Callable[[ExtendedValue], ExtendedValue],
-                    euro_leg: Callable[[ExtendedValue], ExtendedValue],
-                    kind: str = "custom") -> TreeClaim:
-    payoffs = {leaf.id: (dollar_leg(leaf.x), euro_leg(leaf.x))
-               for leaf in tree.leaves()}
-    claim = TreeClaim(payoffs, kind)
+def _extended(v) -> ExtendedValue:
+    return EV.infinite() if v == math.inf else EV.of(v)
+
+
+def tree_claim(tree: DualTree, kind: str, strike=None) -> TreeClaim:
+    """Exact leaf payoffs of a claim kind from the `pricing.PAYOFFS` table.
+
+    The strike is read as a Fraction; kinds without a strike ignore it.  The
+    dollar value at an explosion leaf is inf times the euro value there
+    (inf * 0 = 0), which no measure seeing that leaf ever reads.
+    """
+    row, k = payoff_row(kind, strike, Fraction)
+    payoffs = {}
+    for leaf in tree.leaves():
+        x = leaf.x
+        if x.is_finite:
+            payoffs[leaf.id] = (EV.of(row.dollar(x.value, k)),
+                                EV.of(row.euro(x.value, k)))
+        elif x.is_infinite:
+            euro = _extended(row.euro_at_explosion(k))
+            payoffs[leaf.id] = (EV.infinite() * euro, euro)
+        else:
+            payoffs[leaf.id] = (EV.of(row.dollar(Fraction(0), k)),
+                                _extended(row.euro_at_devaluation(k)))
+    claim = TreeClaim(payoffs, kind if k is None else f"{kind}_{k}")
     validate_claim(tree, claim)
     return claim
 
 
-def _pos_part(f: Fraction) -> Fraction:
-    return f if f > 0 else Fraction(0)
-
-
 def tree_euro_forward(tree: DualTree) -> TreeClaim:
     """(X_T, 1): one euro at maturity, under every outcome."""
-    return claim_from_legs(tree, lambda x: x, lambda x: EV.of(1), "euro_forward")
-
-
-def tree_call(tree: DualTree, strike) -> TreeClaim:
-    k = Fraction(strike)
-
-    def dollar(x: EV) -> EV:
-        if x.is_infinite:
-            return EV.infinite()
-        return EV.of(_pos_part(x.fraction - k))
-
-    def euro(x: EV) -> EV:
-        if x.is_infinite:
-            return EV.of(1)
-        if x.is_zero:
-            return EV.zero()
-        return EV.of(_pos_part(1 - k / x.fraction))
-
-    return claim_from_legs(tree, dollar, euro, f"call_{k}")
-
-
-def tree_put(tree: DualTree, strike) -> TreeClaim:
-    k = Fraction(strike)
-
-    def dollar(x: EV) -> EV:
-        if x.is_infinite:
-            return EV.zero()
-        return EV.of(_pos_part(k - x.fraction))
-
-    def euro(x: EV) -> EV:
-        if x.is_infinite:
-            return EV.zero()
-        if x.is_zero:
-            return EV.infinite()
-        return EV.of(_pos_part(k / x.fraction - 1))
-
-    return claim_from_legs(tree, dollar, euro, f"put_{k}")
-
-
-def tree_dollar_call(tree: DualTree, strike) -> TreeClaim:
-    """Call on one dollar, struck in euros: payoff pair ((1-KX)^+, (1/X-K)^+)."""
-    k = Fraction(strike)
-
-    def dollar(x: EV) -> EV:
-        if x.is_infinite:
-            return EV.zero()
-        return EV.of(_pos_part(1 - k * x.fraction))
-
-    def euro(x: EV) -> EV:
-        if x.is_infinite:
-            return EV.zero()
-        if x.is_zero:
-            return EV.infinite()
-        return EV.of(_pos_part(1 / x.fraction - k))
-
-    return claim_from_legs(tree, dollar, euro, f"dollar_call_{k}")
-
-
-def tree_dollar_put(tree: DualTree, strike) -> TreeClaim:
-    k = Fraction(strike)
-
-    def dollar(x: EV) -> EV:
-        if x.is_infinite:
-            return EV.infinite()
-        return EV.of(_pos_part(k * x.fraction - 1))
-
-    def euro(x: EV) -> EV:
-        if x.is_infinite:
-            return EV.of(k)
-        if x.is_zero:
-            return EV.zero()
-        return EV.of(_pos_part(k - 1 / x.fraction))
-
-    return claim_from_legs(tree, dollar, euro, f"dollar_put_{k}")
-
-
-def tree_self_quantoed(tree: DualTree, strike) -> TreeClaim:
-    k = Fraction(strike)
-
-    def dollar(x: EV) -> EV:
-        if x.is_infinite:
-            return EV.infinite()
-        return EV.of(x.fraction * _pos_part(x.fraction - k))
-
-    def euro(x: EV) -> EV:
-        if x.is_infinite:
-            return EV.infinite()
-        if x.is_zero:
-            return EV.zero()
-        return EV.of(_pos_part(x.fraction - k))
-
-    return claim_from_legs(tree, dollar, euro, f"self_quantoed_{k}")
-
-
-def tree_digital_explosion(tree: DualTree) -> TreeClaim:
-    return claim_from_legs(
-        tree, lambda x: EV.zero(),
-        lambda x: EV.of(1) if x.is_infinite else EV.zero(),
-        "digital_explosion")
+    return tree_claim(tree, "euro_forward")
 
 
 def claim_combine(tree: DualTree, c1: TreeClaim, c2: TreeClaim,
@@ -448,10 +366,10 @@ def parity_and_equivalence_report(tree: DualTree,
         k = Fraction(strike)
         if k <= 0:
             raise ClaimError("strikes must be positive")
-        call = price_on_tree(tree, tree_call(tree, k))
-        put = price_on_tree(tree, tree_put(tree, k))
-        d_call = price_on_tree(tree, tree_dollar_call(tree, 1 / k))
-        d_put = price_on_tree(tree, tree_dollar_put(tree, 1 / k))
+        call = price_on_tree(tree, tree_claim(tree, "call", k))
+        put = price_on_tree(tree, tree_claim(tree, "put", k))
+        d_call = price_on_tree(tree, tree_claim(tree, "dollar_call", 1 / k))
+        d_put = price_on_tree(tree, tree_claim(tree, "dollar_put", 1 / k))
         pe_put = d_put.euro_classical + d_put.euro_correction
         pe_call = d_call.euro_classical + d_call.euro_correction
         rows.append(ParityRow(

@@ -78,16 +78,6 @@ class DualTree:
             path.append(self.nodes[path[-1]].parent)
         return path[::-1]
 
-    def descend_leaves(self, node_id: str) -> list[TreeNode]:
-        out = []
-        stack = [node_id]
-        while stack:
-            n = self.nodes[stack.pop()]
-            if n.is_terminal:
-                out.append(n)
-            else:
-                stack.extend(b.child for b in n.branches)
-        return out
 
 # ---------------------------------------------------------------------------
 # construction

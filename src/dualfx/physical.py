@@ -31,10 +31,17 @@ class PhysicalLattice:
     p_dollar: dict[str, Fraction]   # P( . | no explosion)
     p_euro: dict[str, Fraction]     # P( . | no devaluation)
 
-    def cylinder(self, measure: dict[str, Fraction], node_id: str) -> Fraction:
-        return sum((measure[leaf.id]
-                    for leaf in self.tree.descend_leaves(node_id)),
-                   Fraction(0))
+
+def cylinder_masses(tree: DualTree, leaf_mass: dict[str, Fraction]
+                    ) -> dict[str, Fraction]:
+    """Mass of every node's cylinder, summed from the leaves in one bottom-up
+    pass."""
+    mass = dict(leaf_mass)
+    for node in sorted(tree.nodes.values(), key=lambda n: -n.time_index):
+        if not node.is_terminal:
+            mass[node.id] = sum((mass[b.child] for b in node.branches),
+                                Fraction(0))
+    return mass
 
 
 def build_physical(tree: DualTree) -> PhysicalLattice:
@@ -83,14 +90,10 @@ def consistency_checks(pl: PhysicalLattice,
     complete trees both agree by the pricing theorem.
     """
     tree = pl.tree
-    support_ok = True
-    for node in tree.nodes.values():
-        if not node.x.is_finite:
-            continue
-        in_dollar = pl.cylinder(pl.p_dollar, node.id) > 0
-        in_euro = pl.cylinder(pl.p_euro, node.id) > 0
-        if in_dollar != in_euro:
-            support_ok = False
+    dollar_mass = cylinder_masses(tree, pl.p_dollar)
+    euro_mass = cylinder_masses(tree, pl.p_euro)
+    support_ok = all((dollar_mass[node.id] > 0) == (euro_mass[node.id] > 0)
+                     for node in tree.nodes.values() if node.x.is_finite)
 
     e_x = sum((tree.prob_dollar[leaf.id] * leaf.x.fraction
                for leaf in tree.leaves() if leaf.x.is_finite), Fraction(0))
@@ -108,8 +111,10 @@ def consistency_checks(pl: PhysicalLattice,
     if claims is None:
         claims = [tree_euro_forward(tree)]
 
+    p_mass = cylinder_masses(tree, pl.p)
+
     def p_supported(nid: str) -> bool:
-        return pl.cylinder(pl.p, nid) > 0
+        return p_mass[nid] > 0
 
     replication_ok = True
     for claim in claims:

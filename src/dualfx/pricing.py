@@ -20,14 +20,89 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .sde.engine import (Estimate, MCConfig, TerminalBatch, combined_stderr,
-                         dual_seed, estimate_from_values, simulate, z_score)
+from .sde.engine import (Estimate, MCConfig, TerminalBatch, _run_blocks,
+                         combined_stderr, dual_seed, estimate_from_values,
+                         simulate, z_score)
 from .sde.models import DiffusionModel, derive_dual_model
 
 
 # ---------------------------------------------------------------------------
 # claims
 # ---------------------------------------------------------------------------
+
+def _pos(v):
+    """Positive part, on numpy float arrays and on scalars (Fractions)."""
+    return np.maximum(v, 0.0) if isinstance(v, np.ndarray) else max(v, 0)
+
+
+def _const(x, c):
+    """The constant c shaped like x: a float array on arrays, c on scalars."""
+    return np.full_like(x, c) if isinstance(x, np.ndarray) else c
+
+
+@dataclass(frozen=True)
+class Payoff:
+    """One claim kind, written once for numpy float arrays and for Fractions.
+
+    `dollar(x, k)` is the dollar leg on [0, inf) and `euro(x, k)` the euro leg
+    on (0, inf), equal to dollar / x there.  The euro values at explosion and
+    at devaluation are functions of the strike, math.inf for an infinite
+    payoff.  The dollar value at explosion is inf times the euro value there,
+    under inf * 0 = 0.
+    """
+
+    dollar: Callable
+    euro: Callable
+    euro_at_explosion: Callable
+    euro_at_devaluation: Callable
+    takes_strike: bool = True
+
+
+PAYOFFS: dict[str, Payoff] = {
+    "euro_forward": Payoff(lambda x, k: x, lambda x, k: _const(x, 1),
+                           lambda k: 1, lambda k: 1, takes_strike=False),
+    "call": Payoff(lambda x, k: _pos(x - k), lambda x, k: _pos(1 - k / x),
+                   lambda k: 1, lambda k: 0),
+    "put": Payoff(lambda x, k: _pos(k - x), lambda x, k: _pos(k / x - 1),
+                  lambda k: 0, lambda k: math.inf),
+    # call on one dollar, struck in euros
+    "dollar_call": Payoff(lambda x, k: _pos(1 - k * x),
+                          lambda x, k: _pos(1 / x - k),
+                          lambda k: 0, lambda k: math.inf),
+    "dollar_put": Payoff(lambda x, k: _pos(k * x - 1),
+                         lambda x, k: _pos(k - 1 / x),
+                         lambda k: k, lambda k: 0),
+    "self_quantoed": Payoff(lambda x, k: x * _pos(x - k),
+                            lambda x, k: _pos(x - k),
+                            lambda k: math.inf, lambda k: 0),
+    "digital_explosion": Payoff(lambda x, k: _const(x, 0),
+                                lambda x, k: _const(x, 0),
+                                lambda k: 1, lambda k: 0, takes_strike=False),
+}
+
+CLAIM_KINDS = tuple(PAYOFFS)
+
+
+def payoff_row(kind: str, strike, num: type = float) -> tuple[Payoff, object]:
+    """The table row of a claim kind and its strike converted by `num`.
+
+    The strike is None for kinds that take none.  Raises ConfigError for an
+    unknown kind and for a missing, nonpositive, nan or infinite strike.
+    """
+    row = PAYOFFS.get(kind)
+    if row is None:
+        raise ConfigError(f"unknown claim kind {kind!r}; known: {CLAIM_KINDS}")
+    if not row.takes_strike:
+        return row, None
+    try:
+        k = num(strike)
+    except (TypeError, ValueError, OverflowError):
+        k = math.nan   # None, text, or a nan or inf strike read as a Fraction
+    if not 0 < k < math.inf:
+        raise ConfigError(f"claim kind {kind!r} needs a positive finite "
+                          f"strike, got {strike!r}")
+    return row, k
+
 
 @dataclass(frozen=True)
 class Claim:
@@ -46,40 +121,12 @@ class Claim:
     euro_at_explosion: float
 
 
-CLAIM_KINDS = ("euro_forward", "call", "put", "dollar_call", "dollar_put",
-               "self_quantoed", "digital_explosion")
-
-
 def make_claim(kind: str, strike: float | None = None) -> Claim:
-    if kind == "euro_forward":
-        return Claim(kind, None, lambda x: x, lambda x: np.ones_like(x), 1.0)
-    if kind == "digital_explosion":
-        return Claim(kind, None, lambda x: np.zeros_like(x),
-                     lambda x: np.zeros_like(x), 1.0)
-    if strike is None or strike <= 0:
-        raise ConfigError(f"claim kind {kind!r} needs a positive strike")
-    k = float(strike)
-    if kind == "call":
-        return Claim(kind, k,
-                     lambda x: np.maximum(x - k, 0.0),
-                     lambda x: np.maximum(1.0 - k / x, 0.0), 1.0)
-    if kind == "put":
-        return Claim(kind, k,
-                     lambda x: np.maximum(k - x, 0.0),
-                     lambda x: np.maximum(k / x - 1.0, 0.0), 0.0)
-    if kind == "dollar_call":
-        return Claim(kind, k,
-                     lambda x: np.maximum(1.0 - k * x, 0.0),
-                     lambda x: np.maximum(1.0 / x - k, 0.0), 0.0)
-    if kind == "dollar_put":
-        return Claim(kind, k,
-                     lambda x: np.maximum(k * x - 1.0, 0.0),
-                     lambda x: np.maximum(k - 1.0 / x, 0.0), k)
-    if kind == "self_quantoed":
-        return Claim(kind, k,
-                     lambda x: x * np.maximum(x - k, 0.0),
-                     lambda x: np.maximum(x - k, 0.0), math.inf)
-    raise ConfigError(f"unknown claim kind {kind!r}; known: {CLAIM_KINDS}")
+    """Float evaluation of a `PAYOFFS` row; a kind without a strike ignores
+    the one given."""
+    row, k = payoff_row(kind, strike)
+    return Claim(kind, k, lambda x: row.dollar(x, k), lambda x: row.euro(x, k),
+                 float(row.euro_at_explosion(k)))
 
 
 def euro_correction_values(claim: Claim, dual: TerminalBatch) -> np.ndarray:
@@ -185,16 +232,13 @@ def parity_table(model: DiffusionModel, strikes: Sequence[float],
     expl = estimate_from_values(dual.hit_infinity.astype(float), dual.seed)
     rows = []
     for k in strikes:
-        if k < 0:
-            raise ConfigError("strikes must be nonnegative")
-        call = price(model, make_claim("call", k) if k > 0
-                     else make_claim("euro_forward"), cfg, batches)
-        put_claim = make_claim("put", k) if k > 0 else None
-        if put_claim is None:
+        if k == 0:
+            call = price(model, make_claim("euro_forward"), cfg, batches)
             zero = estimate_from_values(np.zeros(len(primal)), primal.seed)
             put = DualPrice("put", 0.0, zero, zero.scale(x0), 0.0, 0.0, {})
         else:
-            put = price(model, put_claim, cfg, batches)
+            call = price(model, make_claim("call", k), cfg, batches)
+            put = price(model, make_claim("put", k), cfg, batches)
         # pathwise residual pieces: the dollar legs difference is x - K
         # sample by sample, the dual legs difference is the explosion mass
         se_dollar = estimate_from_values(primal.x, primal.seed).stderr
@@ -229,43 +273,41 @@ def intl_equivalence_table(model: DiffusionModel, strikes: Sequence[float],
     The z-scores combine each batch's pathwise difference first, so the
     common random numbers cancel exactly where the identity telescopes.
     """
-    batches = make_batches(model, cfg)
-    primal, dual = batches
+    primal, dual = make_batches(model, cfg)
     x0 = model.x0
     rows = []
     for k in strikes:
-        if k <= 0:
-            raise ConfigError("strikes must be positive")
-        j = 1.0 / k
         call = make_claim("call", k)
         put = make_claim("put", k)
-        d_call = make_claim("dollar_call", j)
-        d_put = make_claim("dollar_put", j)
+        d_call = make_claim("dollar_call", 1.0 / k)
+        d_put = make_claim("dollar_put", 1.0 / k)
 
         # p$(C$_K) - x0 K pe(Pe_{1/K}); the dollar-put euro claim has no
         # devaluation correction (its dollar leg vanishes at zero)
         a_call = call.dollar_finite(primal.x)
-        b_call = x0 * (euro_correction_values(call, dual)
-                       - k * euro_leg_values(d_put, dual))
+        corr_call = euro_correction_values(call, dual)
+        euro_d_put = euro_leg_values(d_put, dual)
+        b_call = x0 * (corr_call - k * euro_d_put)
         ea, eb = (estimate_from_values(a_call, primal.seed),
                   estimate_from_values(b_call, dual.seed))
         z_call = z_score(ea, Estimate(-eb.mean, eb.stderr, eb.n, eb.seed))
-        lhs_call = price(model, call, cfg, batches).total_dollar
-        pe_put = price_euro_side(model, d_put, cfg, batches)
-        rhs_call = x0 * k * (pe_put[0].mean + pe_put[1].mean)
+        lhs_call = ea.mean + float(corr_call.mean()) * x0
+        rhs_call = x0 * k * float(euro_d_put.mean())
 
         # p$(P$_K) - x0 K pe(Ce_{1/K}); the dollar-call euro claim pays one
         # dollar on devaluation, hence the primal correction term
-        a_put = (put.dollar_finite(primal.x)
-                 - k * np.where(primal.x == 0.0, 1.0, 0.0))
-        b_put = x0 * (euro_correction_values(put, dual)
-                      - k * euro_leg_values(d_call, dual))
+        dollar_put = put.dollar_finite(primal.x)
+        devalued = np.where(primal.x == 0.0, 1.0, 0.0)
+        a_put = dollar_put - k * devalued
+        corr_put = euro_correction_values(put, dual)
+        euro_d_call = euro_leg_values(d_call, dual)
+        b_put = x0 * (corr_put - k * euro_d_call)
         ea2, eb2 = (estimate_from_values(a_put, primal.seed),
                     estimate_from_values(b_put, dual.seed))
         z_put = z_score(ea2, Estimate(-eb2.mean, eb2.stderr, eb2.n, eb2.seed))
-        lhs_put = price(model, put, cfg, batches).total_dollar
-        pe_call = price_euro_side(model, d_call, cfg, batches)
-        rhs_put = x0 * k * (pe_call[0].mean + pe_call[1].mean)
+        lhs_put = float(dollar_put.mean()) + float(corr_put.mean()) * x0
+        rhs_put = x0 * k * (float(euro_d_call.mean())
+                            + float(devalued.mean()) * (1.0 / x0))
 
         rows.append(EquivalenceRow(float(k), lhs_call, rhs_call, z_call,
                                    lhs_put, rhs_put, z_put))
@@ -318,36 +360,30 @@ def _naive_dual_values(model: DiffusionModel, claim: Claim, n: int,
     the simulated value is still positive.  For nonintegrable euro legs its
     mean diverges as the sampling effort grows.
     """
-    from .sde.engine import block_generator, BLOCK
-
     dual = derive_dual_model(model)
     dt = dual.horizon / steps
     sqdt = math.sqrt(dt)
-    out = np.empty(n)
-    done = 0
-    block = 0
+
+    def body(gen, m):
+        y = np.full(m, dual.y0)
+        for k in range(steps):
+            z = gen.standard_normal(m)
+            # no absorption and no sign handling: this is the estimator a
+            # naive pricer would run; only y == 0 needs a division guard
+            s = np.asarray(dual.sigma(np.where(y == 0.0, 1e-300, y), k * dt),
+                           float)
+            if s.shape != y.shape:
+                s = np.broadcast_to(s, y.shape)
+            y = y + s * sqdt * z
+        vals = np.zeros(m)
+        # overflowed reciprocal rates sit in the devalued region where the
+        # euro legs of interest vanish; count them as zero
+        pos = (y > 0) & np.isfinite(y)
+        vals[pos] = claim.euro_finite(1.0 / y[pos])
+        return (vals,)
+
     with np.errstate(all="ignore"):
-        while done < n:
-            m = min(BLOCK, n - done)
-            gen = block_generator(seed, block)
-            y = np.full(m, dual.y0)
-            for k in range(steps):
-                z = gen.standard_normal(m)
-                # no absorption and no sign handling: this is the estimator a
-                # naive pricer would run; only y == 0 needs a division guard
-                s = np.asarray(dual.sigma(np.where(y == 0.0, 1e-300, y), k * dt),
-                               float)
-                if s.shape != y.shape:
-                    s = np.broadcast_to(s, y.shape)
-                y = y + s * sqdt * z
-            vals = np.zeros(m)
-            # overflowed reciprocal rates sit in the devalued region where the
-            # euro legs of interest vanish; count them as zero
-            pos = (y > 0) & np.isfinite(y)
-            vals[pos] = claim.euro_finite(1.0 / y[pos])
-            out[done:done + m] = vals
-            done += m
-            block += 1
+        (out,) = _run_blocks(n, seed, 1, body)
     return out
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -43,16 +43,6 @@ class MCConfig:
             raise DualFXError("n and steps must be >= 1")
 
 
-@dataclass(frozen=True)
-class TerminalSample:
-    """One simulated terminal state, seen through the exchange rate X."""
-
-    x_t: float                    # may be inf on euro-measure samples
-    hit_zero_time: float | None   # devaluation time, primal simulations only
-    hit_infinity: bool            # explosion event, dual simulations only
-    measure: str
-
-
 @dataclass
 class TerminalBatch:
     measure: str
@@ -68,16 +58,6 @@ class TerminalBatch:
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-    def __getitem__(self, i: int) -> TerminalSample:
-        t = self.hit_zero_time[i]
-        return TerminalSample(float(self.x[i]),
-                              None if math.isnan(t) else float(t),
-                              bool(self.hit_infinity[i]), self.measure)
-
-    def samples(self) -> Iterator[TerminalSample]:
-        for i in range(len(self)):
-            yield self[i]
 
 
 @dataclass(frozen=True)
@@ -100,14 +80,6 @@ def estimate_from_values(values: np.ndarray, seed: int) -> Estimate:
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return Estimate(mean, stderr, n, seed)
-
-
-def estimate(batch: TerminalBatch,
-             functional: Callable[[TerminalSample], float]) -> Estimate:
-    """Mean and standard error of a per-sample functional over a batch."""
-    values = np.fromiter((functional(s) for s in batch.samples()),
-                         dtype=float, count=len(batch))
-    return estimate_from_values(values, batch.seed)
 
 
 def combined_stderr(*estimates: Estimate) -> float:

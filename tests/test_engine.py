@@ -7,7 +7,7 @@ import pytest
 
 from dualfx import (DiffusionModel, InfiniteContribution, MCConfig,
                     NumericalBlowup, SchemeUnsupported, derive_dual_model,
-                    estimate, simulate)
+                    simulate)
 from dualfx.catalog import get_model
 from dualfx.sde import cross_measure_check, dual_seed, estimate_from_values
 from tests.test_oracles import DUAL_ABSORPTION, EXPECTED_X
@@ -132,32 +132,33 @@ def test_qnv_euler_matches_recip_bessel_dynamics():
 def test_estimate_basics_and_infinite_contribution():
     model = get_model("recip_bessel").model
     b = simulate(model, MCConfig(n=500, seed=2))
-    e = estimate(b, lambda s: 1.0)
+    e = estimate_from_values(np.ones(len(b)), b.seed)
     assert e.mean == 1.0 and e.stderr == 0.0 and e.n == 500
     dual = simulate(derive_dual_model(model), MCConfig(n=2000, seed=2))
     with pytest.raises(InfiniteContribution):
-        estimate(dual, lambda s: s.x_t)   # explosions contribute inf
-    # the inf*0 convention applied in the functional keeps it finite
-    e2 = estimate(dual, lambda s: 0.0 if s.hit_infinity else s.x_t)
+        estimate_from_values(dual.x, dual.seed)   # explosions contribute inf
+    # the inf*0 convention applied to the values keeps them finite
+    e2 = estimate_from_values(np.where(dual.hit_infinity, 0.0, dual.x),
+                              dual.seed)
     assert math.isfinite(e2.mean)
 
 
 def test_estimate_dual_absorption_indicator():
     dual = simulate(derive_dual_model(get_model("recip_bessel").model),
                     MCConfig(n=50_000, seed=5))
-    e = estimate(dual, lambda s: float(s.hit_infinity))
+    e = estimate_from_values(dual.hit_infinity.astype(float), dual.seed)
     assert abs(e.mean - DUAL_ABSORPTION) < 4 * e.stderr
 
 
 def test_terminal_sample_view():
     b = simulate(get_model("singular_timechange").model,
                  MCConfig(n=64, seed=5))
-    s = b[0]
-    assert s.x_t == 0.0
-    assert s.measure == "dollar"
-    assert 0.0 < s.hit_zero_time <= 1.0
-    assert not s.hit_infinity
-    assert len(list(b.samples())) == 64
+    assert b.x[0] == 0.0
+    assert b.measure == "dollar"
+    assert 0.0 < b.hit_zero_time[0] <= 1.0
+    assert not b.hit_infinity[0]
+    assert len(b) == len(b.x) == len(b.hit_zero_time) \
+        == len(b.hit_infinity) == 64
 
 
 def test_cross_measure_identity():

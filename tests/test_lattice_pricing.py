@@ -1,8 +1,10 @@
 """Exact pricing, superreplication LP, parity report and their properties."""
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dualfx import ClaimError, InfinitePrice
@@ -10,13 +12,12 @@ from dualfx.lattice import (build_dual_tree, claim_combine,
                             parity_and_equivalence_report, price_on_tree,
                             random_claim, random_complete_dual_tree,
                             random_dual_tree, superreplicate_backward,
-                            tree_call, tree_digital_explosion,
-                            tree_dollar_call, tree_dollar_put,
-                            tree_euro_forward, tree_put, tree_self_quantoed,
+                            tree_claim, tree_euro_forward,
                             two_period_example, validate_claim,
                             verify_strategy)
 from dualfx.lattice.pricing import TreeClaim
 from dualfx.extended import ExtendedValue as EV
+from dualfx.pricing import CLAIM_KINDS, PAYOFFS, make_claim
 
 
 def test_euro_forward_decomposition_on_example():
@@ -31,8 +32,8 @@ def test_euro_forward_decomposition_on_example():
 
 def test_call_put_and_parity_on_example():
     t = two_period_example()
-    call = price_on_tree(t, tree_call(t, Fraction(1, 2)))
-    put = price_on_tree(t, tree_put(t, Fraction(1, 2)))
+    call = price_on_tree(t, tree_claim(t, "call", Fraction(1, 2)))
+    put = price_on_tree(t, tree_claim(t, "put", Fraction(1, 2)))
     assert call.total_dollar == Fraction(3, 4)
     assert call.classical == 0
     assert put.total_dollar == Fraction(1, 4)
@@ -54,13 +55,14 @@ def test_superreplication_examples():
     assert price == 1
     # buy-and-hold one euro at every rebalancing node
     assert all(h == (0, 1) for h in strategy.holdings.values())
-    price_call, _ = superreplicate_backward(t, tree_call(t, Fraction(1, 2)))
+    price_call, _ = superreplicate_backward(
+        t, tree_claim(t, "call", Fraction(1, 2)))
     assert price_call == Fraction(3, 4)
 
 
 def test_digital_explosion_price():
     t = two_period_example()
-    p = price_on_tree(t, tree_digital_explosion(t))
+    p = price_on_tree(t, tree_claim(t, "digital_explosion"))
     assert p.classical == 0
     assert p.total_dollar == Fraction(3, 4)
 
@@ -68,9 +70,9 @@ def test_digital_explosion_price():
 def test_self_quantoed_infinite_on_explosion_tree():
     t = two_period_example()
     with pytest.raises(InfinitePrice):
-        price_on_tree(t, tree_self_quantoed(t, 1))
+        price_on_tree(t, tree_claim(t, "self_quantoed", 1))
     with pytest.raises(InfinitePrice):
-        superreplicate_backward(t, tree_self_quantoed(t, 1))
+        superreplicate_backward(t, tree_claim(t, "self_quantoed", 1))
 
 
 def test_claim_consistency_validated():
@@ -122,7 +124,7 @@ def test_three_branch_node_breaks_tightness():
         {"id": "r", "x": "1",
          "branches": [["a", "1/2"], ["b", "1/4"], ["c", "1/4"]]},
         {"id": "a", "x": "2"}, {"id": "b", "x": "1"}, {"id": "c", "x": "1/2"}]})
-    claim = tree_call(tri, 1)
+    claim = tree_claim(tri, "call", 1)
     assert price_on_tree(tri, claim).total_dollar == Fraction(1, 4)
     price, strategy = superreplicate_backward(tri, claim)
     assert price == Fraction(1, 3)
@@ -201,7 +203,7 @@ def test_parity_report_on_example_tree():
 def test_parity_with_huge_strike_is_pure_correction():
     t = two_period_example()
     k = Fraction(10)   # above every finite terminal rate
-    call = price_on_tree(t, tree_call(t, k))
+    call = price_on_tree(t, tree_claim(t, "call", k))
     assert call.classical == 0
     assert call.total_dollar == call.correction
     assert parity_and_equivalence_report(t, [k])[0].parity_residual == 0
@@ -234,5 +236,45 @@ def test_parity_residuals_on_random_trees():
 
 def test_dollar_claims_consistency():
     t = two_period_example()
-    for claim in (tree_dollar_call(t, 2), tree_dollar_put(t, 2)):
+    for claim in (tree_claim(t, "dollar_call", 2),
+                  tree_claim(t, "dollar_put", 2)):
         validate_claim(t, claim)
+
+
+def test_tree_claim_labels():
+    t = two_period_example()
+    assert tree_claim(t, "call", "1/2").kind == "call_1/2"
+    assert tree_claim(t, "dollar_put", 2).kind == "dollar_put_2"
+    assert tree_claim(t, "euro_forward", 3).kind == "euro_forward"
+
+
+@pytest.mark.parametrize("kind", CLAIM_KINDS)
+def test_table_rational_and_float_evaluations_agree(kind):
+    """The payoff table evaluated in Fractions on a tree and in floats by
+    make_claim agree on every leaf: finite states, explosions, devaluations."""
+    row = PAYOFFS[kind]
+    strikes = ([Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(7, 3)]
+               if row.takes_strike else [None])
+    seen = set()
+    for seed in range(60):
+        tree = random_dual_tree(seed + 500)
+        for k in strikes:
+            exact = tree_claim(tree, kind, k)
+            fk = None if k is None else float(k)
+            approx = make_claim(kind, fk)
+            for leaf in tree.leaves():
+                d, e = exact.payoffs[leaf.id]
+                seen.add(leaf.x.tag)
+                if leaf.x.is_finite:
+                    x = np.array([float(leaf.x.fraction)])
+                    pairs = [(d, approx.dollar_finite(x)[0]),
+                             (e, approx.euro_finite(x)[0])]
+                elif leaf.x.is_infinite:
+                    pairs = [(e, approx.euro_at_explosion)]
+                else:
+                    pairs = [(d, approx.dollar_finite(np.zeros(1))[0]),
+                             (e, float(row.euro_at_devaluation(fk)))]
+                for want, got in pairs:
+                    assert math.isclose(want.as_float(), got, rel_tol=1e-12), \
+                        (kind, k, leaf.id)
+    assert seen == {"zero", "finite", "infinite"}

@@ -3,8 +3,8 @@
 from fractions import Fraction
 
 from dualfx.lattice import (build_dual_tree, random_complete_dual_tree,
-                            tree_call, tree_euro_forward, two_period_example)
-from dualfx.physical import build_physical, consistency_checks
+                            tree_claim, tree_euro_forward, two_period_example)
+from dualfx.physical import build_physical, consistency_checks, cylinder_masses
 
 
 def test_mixture_and_conditioning_on_example():
@@ -54,7 +54,7 @@ def test_no_mass_tree_conditioning_is_identity():
 def test_example_tree_interpretation_and_replication():
     t = two_period_example()
     rep = consistency_checks(build_physical(t),
-                             [tree_euro_forward(t), tree_call(t, 1)])
+                             [tree_euro_forward(t), tree_claim(t, "call", 1)])
     assert rep.p_explosion == Fraction(3, 8) > 0
     assert rep.defect_dollar == Fraction(3, 4) > 0
     assert rep.interpretation_holds
@@ -73,11 +73,28 @@ def test_absolute_continuity_support_inclusions():
                 assert pl.p_dollar[leaf.id] > 0 or pl.p_euro[leaf.id] > 0
 
 
+def test_cylinder_masses_match_leaf_sums():
+    for seed in range(60):
+        t = random_complete_dual_tree(seed)
+        pl = build_physical(t)
+        for leaf_mass in (pl.p, pl.p_dollar, pl.p_euro):
+            mass = cylinder_masses(t, leaf_mass)
+            for nid in t.nodes:
+                below, stack = Fraction(0), [nid]
+                while stack:
+                    node = t.nodes[stack.pop()]
+                    if node.is_terminal:
+                        below += leaf_mass[node.id]
+                    stack.extend(b.child for b in node.branches)
+                assert mass[nid] == below, (seed, nid)
+
+
 def test_consistency_checks_on_random_trees():
     for seed in range(60):
         t = random_complete_dual_tree(seed)
-        rep = consistency_checks(build_physical(t),
-                                 [tree_euro_forward(t), tree_call(t, t.x0)])
+        rep = consistency_checks(
+            build_physical(t),
+            [tree_euro_forward(t), tree_claim(t, "call", t.x0)])
         assert rep.support_checks_passed
         assert rep.interpretation_holds
         assert rep.replication_price_matches

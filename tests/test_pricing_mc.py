@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from dualfx import InfiniteContribution, MCConfig
+from dualfx import ConfigError, InfiniteContribution, MCConfig
 from dualfx.catalog import get_model
-from dualfx.pricing import (CLAIM_KINDS, Claim, intl_equivalence_table,
-                            make_batches, make_claim, martingale_defect,
-                            parity_table, price, price_euro_side,
-                            scheme_convergence, tail_diagnostic)
+from dualfx.lattice import tree_claim, two_period_example
+from dualfx.pricing import (CLAIM_KINDS, PAYOFFS, Claim,
+                            intl_equivalence_table, make_batches, make_claim,
+                            martingale_defect, parity_table, price,
+                            price_euro_side, scheme_convergence,
+                            tail_diagnostic)
 from tests.test_oracles import DUAL_ABSORPTION, EXPECTED_X
 
 CFG = MCConfig(n=100_000, seed=7)
@@ -102,6 +104,26 @@ def test_claim_pairs_consistent_on_finite_rates():
                                    rtol=1e-12, atol=1e-15, err_msg=kind)
 
 
+@pytest.mark.parametrize("kind", [k for k in CLAIM_KINDS
+                                  if PAYOFFS[k].takes_strike])
+@pytest.mark.parametrize("strike", [math.inf, math.nan])
+def test_non_finite_strike_rejected(kind, strike):
+    with pytest.raises(ConfigError):
+        make_claim(kind, strike)
+    with pytest.raises(ConfigError):
+        tree_claim(two_period_example(), kind, strike)
+
+
+def test_tables_reject_non_finite_strikes():
+    model = get_model("recip_bessel").model
+    cfg = MCConfig(n=1000, seed=1)
+    for strike in (math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            parity_table(model, [strike], cfg)
+        with pytest.raises(ConfigError):
+            intl_equivalence_table(model, [strike], cfg)
+
+
 def test_parity_table_recip_bessel(bessel_batches):
     model = get_model("recip_bessel").model
     rows = parity_table(model, [0.5, 1.0, 2.0], CFG)
@@ -140,6 +162,29 @@ def test_intl_equivalence():
                                           MCConfig(n=60_000, seed=seed)):
             assert abs(row.z_call) <= 3.0, (name, row)
             assert abs(row.z_put) <= 3.0, (name, row)
+
+
+@pytest.mark.parametrize("name", ["recip_bessel", "stopped_bm"])
+def test_intl_rows_equal_price_composition(name):
+    """Each row equals the two-measure prices it stands for, bit for bit:
+    p$ of the dollar claim and x0 K times the euro-side price of the euro
+    claim at strike 1/K, each priced on its own."""
+    model = get_model(name).model
+    cfg = MCConfig(n=20_000, seed=41)
+    batches = make_batches(model, cfg)
+    x0 = model.x0
+    for row in intl_equivalence_table(model, [0.5, 1.0, 2.0], cfg):
+        k = row.strike
+        pe_put = price_euro_side(model, make_claim("dollar_put", 1.0 / k),
+                                 cfg, batches)
+        pe_call = price_euro_side(model, make_claim("dollar_call", 1.0 / k),
+                                  cfg, batches)
+        assert row.call_lhs == price(model, make_claim("call", k), cfg,
+                                     batches).total_dollar
+        assert row.call_rhs == x0 * k * (pe_put[0].mean + pe_put[1].mean)
+        assert row.put_lhs == price(model, make_claim("put", k), cfg,
+                                    batches).total_dollar
+        assert row.put_rhs == x0 * k * (pe_call[0].mean + pe_call[1].mean)
 
 
 def test_intl_equivalence_tiny_strike():

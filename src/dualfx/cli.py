@@ -263,8 +263,9 @@ def _run_lattice_verify(cfg: ExperimentConfig, out: Path) -> int:
     strikes = [Fraction(str(k)).limit_denominator(10**6) for k in cfg.strikes]
     report = _lattice_report(tree, strikes)
     _write_json(out / f"{cfg.tag}_lattice.json", report)
-    rows = [[r["check"], r.get("claim", r.get("strike", r.get("event", ""))),
-             r["residual"]] for r in report["residuals"]]
+    subjects = ("claim", "strike", "event", "node")
+    rows = [[r["check"], next(r[k] for k in subjects if k in r), r["residual"]]
+            for r in report["residuals"]]
     _write_csv(out / f"{cfg.tag}_lattice.csv",
                ["check", "subject", "residual"], rows)
     bad = [r for r in report["residuals"] if r["residual"] != 0]
@@ -345,7 +346,7 @@ def _add_common(p: argparse.ArgumentParser, model: bool = True) -> None:
     p.add_argument("--steps", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scheme", default="auto",
-                   help="auto | exact | exact_<id> | euler_absorbed")
+                   help="auto | exact | euler_absorbed")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out-dir", dest="out_dir", default=None)
     p.add_argument("--tag", default="report", help="artifact filename prefix")

@@ -10,8 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .tree import (DualTree, rule_precedes, stopped_node, validate_event,
-                   validate_stopping_rule)
+from ..errors import MeasurabilityError
+from .tree import DualTree, stop_map, validate_event, validate_stopping_rule
 
 
 def verify_numeraire_identity(tree: DualTree, event: Iterable[str],
@@ -47,23 +47,25 @@ def bayes_check(tree: DualTree, terminal_values: Mapping[str, Fraction],
         E_Qe[Y 1{1/X_tau > 0} / X_tau | v] 1{X_v > 0}
             - E_Q$[Y 1{X_tau > 0} | v] 1{1/X_v > 0} / X_v
 
-    is returned; all residuals are exactly zero on a valid tree.
+    is returned, in tree order; all residuals are exactly zero on a valid tree.
     """
-    rho_rule = validate_stopping_rule(tree, rho)
-    tau_rule = validate_stopping_rule(tree, tau)
-    rule_precedes(tree, rho_rule, tau_rule)
-    missing = [n for n in tau_rule if n not in terminal_values]
+    rho_at = stop_map(tree, rho)
+    tau_at = stop_map(tree, tau)
+    # tau nodes grouped under their rho node, in tree order; rho <= tau means
+    # every tau node has a rho node at or above it
+    under: dict[str, list[str]] = {}
+    for w, stop in tau_at.items():
+        if stop != w:
+            continue
+        if rho_at[w] is None:
+            raise MeasurabilityError("rho does not precede tau on every path")
+        under.setdefault(rho_at[w], []).append(w)
+    missing = [w for ws in under.values() for w in ws if w not in terminal_values]
     if missing:
         raise KeyError(f"payoff not defined at tau nodes {sorted(missing)}")
 
-    # tau nodes grouped under their rho ancestor
-    under: dict[str, set[str]] = {v: set() for v in rho_rule}
-    for leaf in tree.leaves():
-        v = stopped_node(tree, rho_rule, leaf.id)
-        under[v].add(stopped_node(tree, tau_rule, leaf.id))
-
     residuals: dict[str, Fraction] = {}
-    for v in rho_rule:
+    for v in under:
         pd, pe = tree.prob_dollar[v], tree.prob_euro[v]
         if pd == 0 and pe == 0:
             continue
@@ -97,23 +99,11 @@ def martingale_transfer_check(tree: DualTree, process: Mapping[str, Fraction],
     are stopped at `rule`.  Returns the pair of booleans; the two are always
     equal on a valid tree (the transfer principle the lattice certifies).
     """
-    tau = validate_stopping_rule(tree, rule)
-
-    stopped: set[str] = set()
-
-    def mark(nid: str, past: bool) -> None:
-        if past:
-            stopped.add(nid)
-        here = past or nid in tau
-        for b in tree.node(nid).branches:
-            mark(b.child, here)
-
-    mark(tree.root, False)
-
+    at = stop_map(tree, rule)
     is_q = True
     is_q_hat = True
     for node in tree.nodes.values():
-        if node.is_terminal or node.id in stopped or node.id in tau:
+        if node.is_terminal or at[node.id] is not None:
             continue
         # dollar side at nodes the dollar measure can see
         if tree.prob_dollar[node.id] > 0:

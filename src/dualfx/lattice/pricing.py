@@ -43,12 +43,6 @@ class TreeClaim:
     payoffs: Mapping[str, tuple[ExtendedValue, ExtendedValue]]
     kind: str = "custom"
 
-    def dollar(self, leaf_id: str) -> ExtendedValue:
-        return self.payoffs[leaf_id][0]
-
-    def euro(self, leaf_id: str) -> ExtendedValue:
-        return self.payoffs[leaf_id][1]
-
 
 def validate_claim(tree: DualTree, claim: TreeClaim) -> None:
     for leaf in tree.leaves():
@@ -230,8 +224,7 @@ def superreplicate_backward(tree: DualTree, claim: TreeClaim,
     req_euro: dict[str, Fraction] = {}
     holdings: dict[str, tuple[Fraction, Fraction]] = {}
 
-    order = sorted(tree.nodes.values(), key=lambda n: -n.time_index)
-    for node in order:
+    for node in reversed(tree.nodes.values()):
         if not supported(node.id):
             continue
         if node.is_terminal:
@@ -274,44 +267,38 @@ def superreplicate_backward(tree: DualTree, claim: TreeClaim,
 
 def _fill_wealth(tree: DualTree, strategy: TreeStrategy,
                  supported: Callable[[str], bool]) -> None:
-    root = tree.nodes[tree.root]
     if strategy.price < 0:
         raise InfeasibleError("negative superreplication price for a claim >= 0")
-    strategy.wealth_dollar[root.id] = EV.of(strategy.price)
-    strategy.wealth_euro[root.id] = EV.of(strategy.price / tree.x0)
-
-    def walk(nid: str, held: tuple[Fraction, Fraction] | None) -> None:
-        node = tree.nodes[nid]
-        here = strategy.holdings.get(nid, held)
-        for b in node.branches:
-            if not supported(b.child):
-                continue
-            child = tree.nodes[b.child]
-            e0, e1 = here
-            if child.x.is_finite:
-                w = e0 + e1 * child.x.fraction
-                if w < 0:
-                    raise InfeasibleError(
-                        f"negative wealth at supported node {child.id!r}")
-                strategy.wealth_dollar[child.id] = EV.of(w)
-                strategy.wealth_euro[child.id] = EV.of(w / child.x.fraction)
-            elif child.x.is_infinite:
-                if e1 < 0:
-                    raise InfeasibleError(
-                        f"negative euro wealth at supported node {child.id!r}")
-                strategy.wealth_euro[child.id] = EV.of(e1)
-                strategy.wealth_dollar[child.id] = (
-                    EV.infinite() if e1 > 0 else EV.of(max(e0, Fraction(0))))
-            else:
-                if e0 < 0:
-                    raise InfeasibleError(
-                        f"negative dollar wealth at supported node {child.id!r}")
-                strategy.wealth_dollar[child.id] = EV.of(e0)
-                strategy.wealth_euro[child.id] = (
-                    EV.infinite() if e0 > 0 else EV.of(max(e1, Fraction(0))))
-            walk(b.child, here)
-
-    walk(tree.root, strategy.holdings.get(tree.root))
+    strategy.wealth_dollar[tree.root] = EV.of(strategy.price)
+    strategy.wealth_euro[tree.root] = EV.of(strategy.price / tree.x0)
+    # holdings in force at each reached node: its own, else its parent's
+    held = {tree.root: strategy.holdings.get(tree.root)}
+    for node in tree.nodes.values():
+        if node.parent not in held or not supported(node.id):
+            continue
+        e0, e1 = held[node.parent]
+        if node.x.is_finite:
+            w = e0 + e1 * node.x.fraction
+            if w < 0:
+                raise InfeasibleError(
+                    f"negative wealth at supported node {node.id!r}")
+            strategy.wealth_dollar[node.id] = EV.of(w)
+            strategy.wealth_euro[node.id] = EV.of(w / node.x.fraction)
+        elif node.x.is_infinite:
+            if e1 < 0:
+                raise InfeasibleError(
+                    f"negative euro wealth at supported node {node.id!r}")
+            strategy.wealth_euro[node.id] = EV.of(e1)
+            strategy.wealth_dollar[node.id] = (
+                EV.infinite() if e1 > 0 else EV.of(max(e0, Fraction(0))))
+        else:
+            if e0 < 0:
+                raise InfeasibleError(
+                    f"negative dollar wealth at supported node {node.id!r}")
+            strategy.wealth_dollar[node.id] = EV.of(e0)
+            strategy.wealth_euro[node.id] = (
+                EV.infinite() if e0 > 0 else EV.of(max(e1, Fraction(0))))
+        held[node.id] = strategy.holdings.get(node.id, (e0, e1))
 
 
 def verify_strategy(tree: DualTree, claim: TreeClaim, strategy: TreeStrategy,

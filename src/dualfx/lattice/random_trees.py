@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Collection
 
 from ..extended import ExtendedValue
 from .pricing import TreeClaim
@@ -164,7 +165,9 @@ def random_rule_pair(tree: DualTree, seed: int
     return rho, tau
 
 
-def random_terminal_values(tree: DualTree, rule: frozenset[str],
+def random_terminal_values(tree: DualTree, rule: Collection[str],
                            seed: int) -> dict[str, Fraction]:
+    """Random nonnegative values on the rule's nodes, drawn in tree order."""
     rng = random.Random(seed)
-    return {nid: random_fraction(rng, zero_prob=0.15) for nid in rule}
+    return {nid: random_fraction(rng, zero_prob=0.15)
+            for nid in tree.nodes if nid in rule}

@@ -45,16 +45,14 @@ class TreeNode:
     def is_terminal(self) -> bool:
         return not self.branches
 
-    @property
-    def is_absorbing_state(self) -> bool:
-        return not self.x.is_finite
-
 
 @dataclass
 class DualTree:
     periods: int
     x0: Fraction
     root: str
+    # parents first, in branch order: every pass over the tree runs over
+    # nodes.values(), forward or reversed
     nodes: dict[str, TreeNode]
     # exact path probabilities of the cylinder at each node, per measure
     prob_dollar: dict[str, Fraction] = field(default_factory=dict)
@@ -63,20 +61,11 @@ class DualTree:
     def node(self, node_id: str) -> TreeNode:
         return self.nodes[node_id]
 
-    def children(self, node_id: str) -> list[TreeNode]:
-        return [self.nodes[b.child] for b in self.nodes[node_id].branches]
-
     def nodes_at(self, t: int) -> list[TreeNode]:
         return [n for n in self.nodes.values() if n.time_index == t]
 
     def leaves(self) -> list[TreeNode]:
         return self.nodes_at(self.periods)
-
-    def path_to(self, node_id: str) -> list[str]:
-        path = [node_id]
-        while self.nodes[path[-1]].parent is not None:
-            path.append(self.nodes[path[-1]].parent)
-        return path[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -221,21 +210,21 @@ def _extend_absorbing(nodes: dict[str, TreeNode], nid: str, t: int,
 
 
 def _compute_path_probs(tree: DualTree) -> None:
-    tree.prob_dollar[tree.root] = Fraction(1)
-    tree.prob_euro[tree.root] = Fraction(1)
-    stack = [tree.root]
-    while stack:
-        nid = stack.pop()
-        node = tree.nodes[nid]
+    tree.prob_dollar[tree.root] = ONE
+    tree.prob_euro[tree.root] = ONE
+    for node in tree.nodes.values():
         for b in node.branches:
-            tree.prob_dollar[b.child] = tree.prob_dollar[nid] * b.q
-            tree.prob_euro[b.child] = tree.prob_euro[nid] * b.q_hat
-            stack.append(b.child)
+            tree.prob_dollar[b.child] = tree.prob_dollar[node.id] * b.q
+            tree.prob_euro[b.child] = tree.prob_euro[node.id] * b.q_hat
 
 
 def verify_tree_invariants(tree: DualTree) -> None:
     """Assert every structural invariant of the measure pair, exactly."""
+    seen: set[str] = set()
     for node in tree.nodes.values():
+        if node.parent is not None and node.parent not in seen:
+            raise StructureError(f"node {node.id!r} is listed before its parent")
+        seen.add(node.id)
         if node.is_terminal:
             if node.time_index != tree.periods:
                 raise StructureError(
@@ -246,7 +235,7 @@ def verify_tree_invariants(tree: DualTree) -> None:
         if qs != 1 or q_hats != 1:
             raise NormalizationError(
                 f"node {node.id!r}: branch masses sum to ({qs}, {q_hats})")
-        if node.is_absorbing_state:
+        if not node.x.is_finite:
             if len(node.branches) != 1:
                 raise StructureError(f"absorbing node {node.id!r} must self-chain")
             child = tree.nodes[node.branches[0].child]
@@ -263,15 +252,13 @@ def verify_tree_invariants(tree: DualTree) -> None:
             if cx.is_finite and b.q * cx.fraction != b.q_hat * x:
                 raise StructureError(
                     f"density relation fails on branch {node.id!r} -> {b.child!r}")
-    # paths touching an absorbed state are null for the blind measure
+    # paths touching an absorbed state are null for the blind measure; the
+    # self-chains checked above carry that state to the path's leaf
     for leaf in tree.leaves():
-        path = tree.path_to(leaf.id)
-        if any(tree.nodes[i].x.is_infinite for i in path):
-            if tree.prob_dollar[leaf.id] != 0:
-                raise StructureError(f"dollar measure sees explosion at {leaf.id!r}")
-        if any(tree.nodes[i].x.is_zero for i in path):
-            if tree.prob_euro[leaf.id] != 0:
-                raise StructureError(f"euro measure sees devaluation at {leaf.id!r}")
+        if leaf.x.is_infinite and tree.prob_dollar[leaf.id] != 0:
+            raise StructureError(f"dollar measure sees explosion at {leaf.id!r}")
+        if leaf.x.is_zero and tree.prob_euro[leaf.id] != 0:
+            raise StructureError(f"euro measure sees devaluation at {leaf.id!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -313,17 +300,35 @@ def devaluation_mass(tree: DualTree, node_id: str) -> Fraction:
 # stopping rules and events
 # ---------------------------------------------------------------------------
 
-def validate_stopping_rule(tree: DualTree, rule: Iterable[str]) -> frozenset[str]:
-    """A stopping rule is an antichain of nodes met exactly once by every path."""
+def stop_map(tree: DualTree, rule: Iterable[str]) -> dict[str, str | None]:
+    """The rule node at or above each node (None above the rule), in tree order.
+
+    Raises MeasurabilityError unless `rule` is a stopping rule: an antichain
+    of nodes met exactly once by every path.
+    """
     stop = frozenset(rule)
     unknown = stop - tree.nodes.keys()
     if unknown:
         raise MeasurabilityError(f"unknown nodes in stopping rule: {sorted(unknown)}")
-    for leaf in tree.leaves():
-        hits = [i for i in tree.path_to(leaf.id) if i in stop]
-        if len(hits) != 1:
+    at: dict[str, str | None] = {}
+    for node in tree.nodes.values():
+        above = at.get(node.parent)
+        if node.id in stop:
+            if above is not None:
+                raise MeasurabilityError(
+                    f"path to {node.id!r} crosses the stopping rule twice")
+            above = node.id
+        elif above is None and node.is_terminal:
             raise MeasurabilityError(
-                f"path to {leaf.id!r} crosses the stopping rule {len(hits)} times")
+                f"path to {node.id!r} never crosses the stopping rule")
+        at[node.id] = above
+    return at
+
+
+def validate_stopping_rule(tree: DualTree, rule: Iterable[str]) -> frozenset[str]:
+    """The rule as a frozenset, once `stop_map` has accepted it."""
+    stop = frozenset(rule)
+    stop_map(tree, stop)
     return stop
 
 
@@ -337,16 +342,12 @@ def period_rule(tree: DualTree, t: int) -> frozenset[str]:
 def first_hit_rule(tree: DualTree, predicate) -> frozenset[str]:
     """Stop at the first node satisfying predicate(node), else at the leaf."""
     stop: set[str] = set()
-
-    def walk(nid: str) -> None:
-        node = tree.nodes[nid]
-        if predicate(node) or node.is_terminal:
-            stop.add(nid)
-            return
-        for b in node.branches:
-            walk(b.child)
-
-    walk(tree.root)
+    below: set[str] = set()
+    for node in tree.nodes.values():
+        if node.parent in stop or node.parent in below:
+            below.add(node.id)
+        elif predicate(node) or node.is_terminal:
+            stop.add(node.id)
     return frozenset(stop)
 
 
@@ -356,24 +357,6 @@ def validate_event(tree: DualTree, rule: frozenset[str],
     if not ev <= rule:
         raise MeasurabilityError("event is not determined at the stopping rule")
     return ev
-
-
-def rule_precedes(tree: DualTree, rho: frozenset[str], tau: frozenset[str]) -> None:
-    """Check rho <= tau path by path (rho node is an ancestor-or-self of tau's)."""
-    for leaf in tree.leaves():
-        path = tree.path_to(leaf.id)
-        i_rho = next(k for k, n in enumerate(path) if n in rho)
-        i_tau = next(k for k, n in enumerate(path) if n in tau)
-        if i_rho > i_tau:
-            raise MeasurabilityError("rho does not precede tau on every path")
-
-
-def stopped_node(tree: DualTree, rule: frozenset[str], leaf_id: str) -> str:
-    """The node at which the path to leaf_id is stopped."""
-    for nid in tree.path_to(leaf_id):
-        if nid in rule:
-            return nid
-    raise MeasurabilityError(f"path to {leaf_id!r} never stopped")
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ def cylinder_masses(tree: DualTree, leaf_mass: dict[str, Fraction]
     """Mass of every node's cylinder, summed from the leaves in one bottom-up
     pass."""
     mass = dict(leaf_mass)
-    for node in sorted(tree.nodes.values(), key=lambda n: -n.time_index):
+    for node in reversed(tree.nodes.values()):
         if not node.is_terminal:
             mass[node.id] = sum((mass[b.child] for b in node.branches),
                                 Fraction(0))

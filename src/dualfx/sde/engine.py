@@ -35,7 +35,7 @@ class MCConfig:
     n: int = 100_000
     steps: int = 64
     seed: int = 0
-    scheme: str = "auto"     # "auto" | "euler_absorbed" | "exact" | "exact_<id>"
+    scheme: str = "auto"     # "auto" | "euler_absorbed" | "exact"
     workers: int = 1
 
     def __post_init__(self):
@@ -251,21 +251,17 @@ def simulate(spec: DiffusionModel | DualDiffusion, cfg: MCConfig) -> TerminalBat
             return euler_absorbed(gen, m, spec.sigma, start, spec.horizon,
                                   cfg.steps)
         scheme_id = "euler_absorbed"
-    else:
-        if scheme == "exact":
-            sid = spec.exact_scheme
-        elif scheme.startswith("exact_"):
-            sid = scheme[len("exact_"):]
-        else:
-            raise SchemeUnsupported(f"unknown scheme {scheme!r}")
-        if sid is None or sid != spec.exact_scheme or sid not in EXACT_SAMPLERS:
-            raise SchemeUnsupported(
-                f"model {spec.name!r} declares no exact scheme {scheme!r}")
+    elif scheme == "exact":
+        sid = spec.exact_scheme
+        if sid not in EXACT_SAMPLERS:
+            raise SchemeUnsupported(f"model {spec.name!r} declares no exact scheme")
         sampler = EXACT_SAMPLERS[sid]
 
         def body(gen, m):
             return sampler(gen, m, start, spec.horizon, spec.params)
         scheme_id = f"exact_{sid}"
+    else:
+        raise SchemeUnsupported(f"unknown scheme {scheme!r}")
 
     values, hit = _run_blocks(cfg.n, cfg.seed, cfg.workers, body)
     if not np.isfinite(values).all():

@@ -1,8 +1,15 @@
 """CLI: exit codes, artifact round-trips, reproducibility."""
 
+import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import dualfx
 
 from dualfx.cli import main, validate_config
 from dualfx.errors import ConfigError
@@ -54,6 +61,30 @@ def test_lattice_verify_clean_tree(example_tree_path, tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "report_lattice.json").read_text())
     assert all(r["residual"] in (0, "0") for r in report["residuals"])
+
+
+def test_lattice_verify_csv_names_bayes_rho_node(example_tree_path, tmp_path):
+    assert main(["lattice-verify", "--tree", str(example_tree_path),
+                 "--out-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "report_lattice.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["subject"] for r in rows if r["check"] == "bayes"] \
+        == ["r", "up", "dn"]
+
+
+def test_lattice_verify_artifacts_ignore_hash_seed(example_tree_path, tmp_path):
+    src = str(Path(dualfx.__file__).resolve().parents[1])
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "dualfx.cli", "lattice-verify",
+                        "--tree", str(example_tree_path),
+                        "--out-dir", str(tmp_path / seed)],
+                       env=env, check=True, capture_output=True)
+    for name in ("report_lattice.json", "report_lattice.csv"):
+        assert (tmp_path / "1" / name).read_bytes() \
+            == (tmp_path / "2" / name).read_bytes()
 
 
 def test_lattice_verify_flags_incomplete_tree(tmp_path):

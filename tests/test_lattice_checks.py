@@ -2,9 +2,11 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualfx import MeasurabilityError
 from dualfx.lattice import (bayes_check, build_dual_tree,
                             martingale_transfer_check, period_rule,
                             random_dual_tree, random_rule_pair,
@@ -42,6 +44,21 @@ def test_bayes_example_y_is_rate():
     assert res == {"r": 0}
     # both sides equal 1/2 individually: Qe(X_1 finite) and E[X_1]/x0
     assert t.prob_euro["dn"] == Fraction(1, 2)
+
+
+def test_bayes_rejects_rho_after_tau():
+    t = two_period_example()
+    early, late = period_rule(t, 1), period_rule(t, 2)
+    y = {nid: Fraction(1) for nid in early}
+    with pytest.raises(MeasurabilityError):
+        bayes_check(t, y, late, early)
+
+
+def test_bayes_residuals_in_tree_order():
+    t = two_period_example()
+    y = {nid: Fraction(1) for nid in period_rule(t, 2)}
+    res = bayes_check(t, y, period_rule(t, 1), period_rule(t, 2))
+    assert list(res) == ["up", "dn"]
 
 
 def test_bayes_degenerate_cases():
@@ -191,3 +208,13 @@ def test_bayes_on_random_rule_pairs():
         y = random_terminal_values(tree, tau, seed * 17 + 1)
         residuals = bayes_check(tree, y, rho, tau)
         assert all(v == 0 for v in residuals.values())
+
+
+def test_random_terminal_values_ignore_rule_order():
+    for seed in range(20):
+        tree = random_dual_tree(seed)
+        _, tau = random_rule_pair(tree, seed)
+        forward = random_terminal_values(tree, sorted(tau), seed)
+        backward = random_terminal_values(tree, sorted(tau, reverse=True), seed)
+        assert forward == backward
+        assert list(forward) == [nid for nid in tree.nodes if nid in tau]

@@ -185,7 +185,7 @@ def test_correction_positive_iff_euro_payoff_on_explosion():
         claim = random_claim(tree, seed + 41)
         p = price_on_tree(tree, claim)
         mass = sum((tree.prob_euro[l.id] for l in tree.leaves()
-                    if l.x.is_infinite and claim.euro(l.id) > EV.zero()),
+                    if l.x.is_infinite and claim.payoffs[l.id][1] > EV.zero()),
                    Fraction(0))
         assert (p.correction > 0) == (mass > 0)
 

@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 
 from dualfx import MeasurabilityError, NormalizationError, StructureError
-from dualfx.lattice import (build_dual_tree, devaluation_mass, dump_tree,
-                            explosion_mass, first_hit_rule, load_tree,
-                            one_step_defects, period_rule, random_dual_tree,
-                            tree_to_doc, two_period_example,
+from dualfx.lattice import (DualTree, build_dual_tree, devaluation_mass,
+                            dump_tree, explosion_mass, first_hit_rule,
+                            load_tree, one_step_defects, period_rule,
+                            random_dual_tree, tree_to_doc, two_period_example,
                             validate_stopping_rule, verify_tree_invariants)
+from dualfx.lattice.tree import stop_map
 
 
 def test_two_period_example_measures():
@@ -156,3 +157,21 @@ def test_stopping_rules():
         validate_stopping_rule(t, {"r", "dn"})     # crossed twice
     with pytest.raises(MeasurabilityError):
         period_rule(t, 9)
+
+
+def test_stop_map_names_the_rule_node_above_each_node():
+    t = two_period_example()
+    assert stop_map(t, {"up", "dn"}) == {
+        "r": None, "up": "up", "up~2": "up",
+        "dn": "dn", "dn_up": "dn", "dn_dn": "dn"}
+    assert list(stop_map(t, period_rule(t, 2))) == list(t.nodes)
+
+
+def test_invariants_require_parents_first():
+    t = two_period_example()
+    verify_tree_invariants(t)
+    children_first = DualTree(t.periods, t.x0, t.root,
+                              dict(reversed(t.nodes.items())),
+                              t.prob_dollar, t.prob_euro)
+    with pytest.raises(StructureError):
+        verify_tree_invariants(children_first)

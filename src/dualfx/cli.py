@@ -70,8 +70,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if raw["command"] not in COMMANDS:
         raise ConfigError(f"unknown command {raw['command']!r}")
     cfg = ExperimentConfig(**raw)
-    if cfg.n < 1 or cfg.steps < 1 or cfg.workers < 1:
-        raise ConfigError("n, steps and workers must be positive")
+    cfg.mc()   # MCConfig validates n, steps, scheme and workers
     return cfg
 
 

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import (DualFXError, InfiniteContribution, NumericalBlowup,
+from ..errors import (ConfigError, InfiniteContribution, NumericalBlowup,
                       SchemeUnsupported)
 from .models import DiffusionModel, DualDiffusion
 
@@ -29,18 +29,26 @@ BLOCK = 8192
 DOLLAR = "dollar"
 EURO = "euro"
 
+SCHEMES = ("auto", "euler_absorbed", "exact")
+
 
 @dataclass(frozen=True)
 class MCConfig:
     n: int = 100_000
     steps: int = 64
     seed: int = 0
-    scheme: str = "auto"     # "auto" | "euler_absorbed" | "exact"
+    scheme: str = "auto"     # one of SCHEMES
     workers: int = 1
 
     def __post_init__(self):
         if self.n < 1 or self.steps < 1:
-            raise DualFXError("n and steps must be >= 1")
+            raise ConfigError("n and steps must be >= 1")
+        if self.scheme not in SCHEMES:
+            raise SchemeUnsupported(
+                f"unknown scheme {self.scheme!r}; known: {', '.join(SCHEMES)}")
+        if not isinstance(self.workers, int) or self.workers < 1:
+            raise ConfigError(
+                f"workers must be an int >= 1, got {self.workers!r}")
 
 
 @dataclass
@@ -251,7 +259,7 @@ def simulate(spec: DiffusionModel | DualDiffusion, cfg: MCConfig) -> TerminalBat
             return euler_absorbed(gen, m, spec.sigma, start, spec.horizon,
                                   cfg.steps)
         scheme_id = "euler_absorbed"
-    elif scheme == "exact":
+    else:   # "exact"; MCConfig admits no other scheme
         sid = spec.exact_scheme
         if sid not in EXACT_SAMPLERS:
             raise SchemeUnsupported(f"model {spec.name!r} declares no exact scheme")
@@ -260,8 +268,6 @@ def simulate(spec: DiffusionModel | DualDiffusion, cfg: MCConfig) -> TerminalBat
         def body(gen, m):
             return sampler(gen, m, start, spec.horizon, spec.params)
         scheme_id = f"exact_{sid}"
-    else:
-        raise SchemeUnsupported(f"unknown scheme {scheme!r}")
 
     values, hit = _run_blocks(cfg.n, cfg.seed, cfg.workers, body)
     if not np.isfinite(values).all():
@@ -293,14 +299,25 @@ def _assert_measure_nulls(batch: TerminalBatch) -> None:
 
 
 def dump_batch_csv(batch: TerminalBatch, path) -> None:
-    """Raw terminal samples as CSV columns (x_T, hit_zero_time, hit_infinity)."""
+    """Raw terminal samples as CSV columns (x_T, hit_zero_time, hit_infinity).
+
+    Byte contract: each float is written as its shortest round-trip `repr`
+    (`inf` for an exploded path), a nan hit time as an empty field, and the
+    explosion flag as `0` or `1`.  The rows are formatted a column at a time
+    and written BLOCK rows per write, so memory stays bounded for any batch
+    size.
+    """
+    x = np.asarray(batch.x, dtype=float)
+    hit = np.asarray(batch.hit_zero_time, dtype=float)
     with open(path, "w") as fh:
         fh.write("x_T,hit_zero_time,hit_infinity\n")
-        for i in range(len(batch)):
-            t = batch.hit_zero_time[i]
-            fh.write(f"{float(batch.x[i])!r},"
-                     f"{'' if math.isnan(t) else repr(float(t))},"
-                     f"{int(batch.hit_infinity[i])}\n")
+        for lo in range(0, len(batch), BLOCK):
+            hi = lo + BLOCK
+            xs = map(repr, x[lo:hi].tolist())
+            ts = ["" if math.isnan(t) else repr(t)
+                  for t in hit[lo:hi].tolist()]
+            flags = np.where(batch.hit_infinity[lo:hi], "1", "0").tolist()
+            fh.write("\n".join(map(",".join, zip(xs, ts, flags))) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +352,11 @@ def cross_measure_check(model: DiffusionModel, f: Callable[[float], float],
     dual = simulate(derive_dual_model(model),
                     MCConfig(cfg.n, cfg.steps, dual_seed(cfg.seed),
                              cfg.scheme, cfg.workers))
-    lhs_vals = np.array([f(v) if v > 0.0 else 0.0 for v in primal.x])
+    # f is called on Python floats: a numpy scalar costs more per call
+    lhs_vals = np.array([f(v) if v > 0.0 else 0.0 for v in primal.x.tolist()])
     rhs_vals = np.where(dual.hit_infinity, 0.0,
                         np.array([f(1.0 / y) * y if y > 0.0 else 0.0
-                                  for y in dual.y]))
+                                  for y in dual.y.tolist()]))
     lhs = estimate_from_values(lhs_vals, primal.seed)
     rhs = estimate_from_values(rhs_vals, dual.seed).scale(model.x0)
     return CrossMeasureResult(z_score(lhs, rhs), lhs, rhs)

@@ -1,5 +1,7 @@
 """Catalog entries: analytic references, dual cross-checks, name parsing."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,21 @@ def test_catalog_names():
         get_model("nope")
     with pytest.raises(UnknownModel):
         get_model("recip_bessel", x0=-1.0)
+
+
+@pytest.mark.parametrize("name,kwargs", [
+    ("recip_bessel", {"x0": math.nan}),
+    ("recip_bessel", {"x0": math.inf}),
+    ("recip_bessel", {"horizon": math.nan}),
+    ("recip_bessel", {"horizon": math.inf}),
+    ("qnv(nan,0,0)", {}),
+    ("qnv(1,inf,0)", {}),
+    ("qnv(1,0,-inf)", {}),
+], ids=["x0=nan", "x0=inf", "horizon=nan", "horizon=inf", "qnv_a=nan",
+        "qnv_b=inf", "qnv_c=-inf"])
+def test_non_finite_model_inputs_are_rejected(name, kwargs):
+    with pytest.raises(UnknownModel):
+        get_model(name, **kwargs)
 
 
 def test_recip_bessel_analytics_match_frozen_oracle():

@@ -11,9 +11,13 @@ import pytest
 
 import dualfx
 
+from dualfx.catalog import get_model
 from dualfx.cli import main, validate_config
-from dualfx.errors import ConfigError
+from dualfx.errors import ConfigError, SchemeUnsupported
 from dualfx.lattice import build_dual_tree, dump_tree, two_period_example
+from dualfx.pricing import make_batches
+from dualfx.sde import BLOCK, MCConfig
+from tests.test_engine import csv_oracle
 
 
 @pytest.fixture()
@@ -161,6 +165,18 @@ def test_price_sample_dump(tmp_path):
     assert any(row.split(",")[0] == "inf" for row in lines[1:])
 
 
+def test_price_sample_dump_matches_row_oracle(tmp_path):
+    n = BLOCK + 3
+    for model in ("recip_bessel", "stopped_bm"):
+        out = tmp_path / model
+        assert main(["price", "--model", model, "--n", str(n), "--seed", "5",
+                     "--dump-samples", "--out-dir", str(out)]) == 0
+        batches = make_batches(get_model(model).model, MCConfig(n=n, seed=5))
+        for leg, batch in zip(("dollar", "euro"), batches):
+            assert (out / f"report_samples_{leg}.csv").read_bytes() \
+                == csv_oracle(batch)
+
+
 def test_run_command_with_config(tmp_path):
     cfg = {"command": "price", "model": "recip_bessel",
            "claim": "euro_forward", "n": 10_000, "seed": 2,
@@ -185,6 +201,16 @@ def test_config_validation_rejects_unknown_keys():
         validate_config({"command": "frobnicate"})
     with pytest.raises(ConfigError):
         validate_config({"model": "recip_bessel"})
+
+
+def test_config_validation_rejects_bad_mc_settings(tmp_path):
+    for bad in ({"workers": 0}, {"workers": -3}, {"n": 0}, {"steps": 0}):
+        with pytest.raises(ConfigError):
+            validate_config({"command": "price", **bad})
+    with pytest.raises(SchemeUnsupported):
+        validate_config({"command": "price", "scheme": "bogus"})
+    assert main(["price", "--model", "recip_bessel", "--workers", "0",
+                 "--out-dir", str(tmp_path)]) == 1
 
 
 def test_run_command_bad_config_exits_1(tmp_path):

@@ -1,15 +1,18 @@
 """Simulation engine: schemes, determinism, absorption, error channels."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dualfx import (DiffusionModel, InfiniteContribution, MCConfig,
-                    NumericalBlowup, SchemeUnsupported, derive_dual_model,
-                    simulate)
+from dualfx import (ConfigError, DiffusionModel, InfiniteContribution,
+                    MCConfig, NumericalBlowup, SchemeUnsupported,
+                    derive_dual_model, simulate)
 from dualfx.catalog import get_model
-from dualfx.sde import cross_measure_check, dual_seed, estimate_from_values
+from dualfx.sde import (BLOCK, cross_measure_check, dual_seed,
+                        estimate_from_values, z_score)
+from dualfx.sde.engine import dump_batch_csv
 from tests.test_oracles import DUAL_ABSORPTION, EXPECTED_X
 
 
@@ -122,6 +125,18 @@ def test_exact_scheme_requires_declaration():
                  MCConfig(n=10, scheme="bogus"))
 
 
+def test_mcconfig_validates_scheme_and_workers():
+    with pytest.raises(SchemeUnsupported):
+        MCConfig(scheme="bogus")
+    for workers in (0, -3, 1.5, "2", None):
+        with pytest.raises(ConfigError):
+            MCConfig(workers=workers)
+    for bad in ({"n": 0}, {"steps": 0}):
+        with pytest.raises(ConfigError):
+            MCConfig(**bad)
+    assert MCConfig(scheme="exact", workers=2).workers == 2
+
+
 def test_qnv_euler_matches_recip_bessel_dynamics():
     cfg = MCConfig(n=20_000, steps=64, seed=12, scheme="euler_absorbed")
     a = simulate(get_model("recip_bessel").model, cfg)
@@ -182,3 +197,60 @@ def test_cross_measure_degenerate_and_singular():
 def test_dual_seed_differs():
     assert dual_seed(7) != 7
     assert dual_seed(dual_seed(7)) != dual_seed(7)
+
+
+@pytest.mark.parametrize("name", ["recip_bessel", "stopped_bm"])
+def test_cross_measure_check_matches_numpy_reference_bitwise(name):
+    model = get_model(name).model
+    cfg = MCConfig(n=20_000, seed=23)
+    arg_types = set()
+
+    def f(x):
+        arg_types.add(type(x))
+        return min(x, 1.0)
+
+    r = cross_measure_check(model, f, cfg)
+    assert arg_types == {float}
+    primal = simulate(model, cfg)
+    dual = simulate(derive_dual_model(model),
+                    replace(cfg, seed=dual_seed(cfg.seed)))
+    x, y = primal.x, dual.y
+    with np.errstate(divide="ignore"):
+        rhs_vals = np.where(y > 0.0, np.minimum(1.0 / y, 1.0) * y, 0.0)
+    lhs = estimate_from_values(np.where(x > 0.0, np.minimum(x, 1.0), 0.0),
+                               primal.seed)
+    rhs = estimate_from_values(rhs_vals, dual.seed).scale(model.x0)
+    assert r.lhs == lhs and r.rhs == rhs and r.z == z_score(lhs, rhs)
+
+
+def csv_oracle(batch) -> bytes:
+    """The row-at-a-time formatter that dump_batch_csv must match byte for
+    byte."""
+    rows = ["x_T,hit_zero_time,hit_infinity\n"]
+    for i in range(len(batch)):
+        t = batch.hit_zero_time[i]
+        rows.append(f"{float(batch.x[i])!r},"
+                    f"{'' if math.isnan(t) else repr(float(t))},"
+                    f"{int(batch.hit_infinity[i])}\n")
+    return "".join(rows).encode()
+
+
+def test_dump_batch_csv_matches_row_oracle(tmp_path):
+    path = tmp_path / "batch.csv"
+    # nan hit, finite hit, exploded (inf) rate, devalued (zero) rate
+    covered = np.zeros(4, dtype=bool)
+    for name, scheme in (("recip_bessel", "exact"), ("stopped_bm", "exact"),
+                         ("singular_timechange", "exact"),
+                         ("exp_martingale_baseline", "exact"),
+                         ("qnv(1,0,0)", "euler_absorbed")):
+        model = get_model(name).model
+        for n in (1, BLOCK, BLOCK + 3):
+            cfg = MCConfig(n=n, steps=16, seed=n, scheme=scheme)
+            for spec in (model, derive_dual_model(model)):
+                batch = simulate(spec, cfg)
+                dump_batch_csv(batch, path)
+                assert path.read_bytes() == csv_oracle(batch), (name, n, spec)
+                t = batch.hit_zero_time
+                covered |= [np.isnan(t).any(), np.isfinite(t).any(),
+                            np.isinf(batch.x).any(), (batch.x == 0.0).any()]
+    assert covered.all()

@@ -203,8 +203,8 @@ def get_model(name: str, x0: float = 1.0, horizon: float = 1.0,
     exp_martingale_baseline, qnv(a,b,c).  `vol` applies to the lognormal
     baseline only.
     """
-    if not (0 < x0 < math.inf and 0 < horizon < math.inf):   # nan fails too
-        raise UnknownModel("x0 and horizon must be positive and finite")
+    if not all(0 < v < math.inf for v in (x0, horizon, vol)):  # nan fails too
+        raise UnknownModel("x0, horizon and vol must be positive and finite")
     if name == "recip_bessel":
         return _recip_bessel(x0, horizon)
     if name == "stopped_bm":
@@ -215,7 +215,11 @@ def get_model(name: str, x0: float = 1.0, horizon: float = 1.0,
         return _exp_martingale(x0, horizon, vol)
     m = _QNV_RE.fullmatch(name.strip())
     if m:
-        a, b, c = (float(g) for g in m.groups())
+        try:
+            a, b, c = (float(g) for g in m.groups())
+        except ValueError:
+            raise UnknownModel(
+                f"qnv coefficients must be numbers: {name!r}") from None
         if not all(map(math.isfinite, (a, b, c))):
             raise UnknownModel(f"qnv coefficients must be finite: {name!r}")
         return _qnv(a, b, c, x0, horizon)

@@ -5,10 +5,13 @@ Philox substream keyed by (seed, block index), and block outputs are
 concatenated in block order.  Estimates are therefore bit-identical for a
 given (seed, config) regardless of how many workers process the blocks.
 
-Absorption at zero is detected without bias inside the Euler scheme through
-the per-step Brownian-bridge crossing probability; explosion is never
-detected on the primal side (the dollar measure does not see it) and is
-bookkept exclusively as dual absorption.
+Absorption at zero is detected inside the Euler scheme through the per-step
+Brownian-bridge crossing probability; explosion is never detected on the
+primal side (the dollar measure does not see it) and is bookkept exclusively
+as dual absorption.  The Euler kernel steps only the live set (the paths not
+yet absorbed), decides absorption with the one test u < exp(-a) on the bridge
+exponent a, and draws u only where a 53-bit uniform can resolve exp(-a),
+which moves the law by at most 2^-53 per path-step (see euler_absorbed).
 """
 
 from __future__ import annotations
@@ -133,44 +136,65 @@ def _run_blocks(n: int, seed: int, workers: int, body):
 # schemes
 # ---------------------------------------------------------------------------
 
+# a uniform u from Generator.random is a multiple of 2^-53, so u < p can fire
+# only with probability 2^-53 when 0 < p < 2^-53: a bridge exponent at or
+# above 53 ln 2 cannot be resolved by a uniform and draws none
+BRIDGE_CUTOFF = 53.0 * math.log(2.0)
+
+
 def euler_absorbed(gen: np.random.Generator, m: int, sigma, start: float,
                    horizon: float, steps: int):
-    """Euler-Maruyama with unbiased zero-absorption via bridge probabilities.
+    """Euler-Maruyama with zero-absorption via Brownian-bridge probabilities
+    (the killed-diffusion scheme of Gobet, Stoch. Proc. Appl. 87, 2000).
 
-    A step is absorbed when it lands at or below zero, and otherwise with the
-    Brownian-bridge crossing probability exp(-2 x x' / (sigma^2 dt)).  Any
-    step leaving the representable float range raises NumericalBlowup.
+    Only the live set is stepped: the indices of the paths not yet absorbed
+    and their states.  Each step draws one normal per live path and calls
+    `sigma` on live states only, which are strictly positive for a positive
+    start.  With the bridge exponent a = 2 x x' / (sigma^2 dt), a step is
+    absorbed when u < exp(-a).  A step landing at or below zero has a <= 0,
+    so the same test absorbs it surely.  The uniform u is drawn only for the
+    live paths with a < BRIDGE_CUTOFF = 53 ln 2, i.e. crossing probability
+    >= 2^-53; below that no 53-bit uniform resolves the probability, and
+    skipping the draw moves the law of the scheme by at most 2^-53 per
+    path-step.  How many draws a step takes depends only on the block's own
+    paths, so a block's output is a function of (seed, block) for any number
+    of workers.
+
+    Absorbed paths end at 0 with hit time (k+1) dt for a crossing in step k;
+    survivors end at their last state with a nan hit time.  Any step leaving
+    the representable float range raises NumericalBlowup.
     """
     dt = horizon / steps
     sqdt = math.sqrt(dt)
+    live = np.arange(m)
     x = np.full(m, float(start))
-    alive = np.ones(m, dtype=bool)
     hit = np.full(m, np.nan)
     for k in range(steps):
-        t = k * dt
-        z = gen.standard_normal(m)
-        u = gen.random(m)
-        # absorbed paths are masked out; sigma never sees the boundary state
-        s = np.asarray(sigma(np.where(alive, x, start), t), dtype=float)
+        if not live.size:
+            break
+        z = gen.standard_normal(live.size)
+        s = np.asarray(sigma(x, k * dt), dtype=float)
         if s.shape != x.shape:
             s = np.broadcast_to(s, x.shape)
         with np.errstate(over="ignore", invalid="ignore"):
-            x_new = np.where(alive, x + s * sqdt * z, x)
-        blown = alive & ~np.isfinite(x_new)
-        if blown.any():
+            x_new = x + s * sqdt * z
+        if not np.isfinite(x_new).all():
             raise NumericalBlowup(
                 f"step {k + 1}/{steps} left the float range on "
-                f"{int(blown.sum())} path(s)")
-        crossed = alive & (x_new <= 0.0)
+                f"{int((~np.isfinite(x_new)).sum())} path(s)")
+        # a computed as (x/s)(x'/s)(2/dt) is never nan: its sign is the sign
+        # of x' and s == 0 gives +inf, where 2 x x' / (s*s dt) turns nan
+        # (inf/inf) once s*s overflows
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            var = s * s * dt
-            p_hit = np.exp(-2.0 * x * x_new / var)
-        bridged = alive & (x_new > 0.0) & (var > 0.0) & (u < p_hit)
-        absorbed_now = crossed | bridged
-        hit[absorbed_now] = (k + 1) * dt
-        x = np.where(absorbed_now, 0.0, x_new)
-        alive &= ~absorbed_now
-    return x, hit
+            a = (x / s) * (x_new / s) * (2.0 / dt)
+            near = np.flatnonzero(a < BRIDGE_CUTOFF)
+            p_hit = np.exp(-a[near])
+        dead = near[gen.random(near.size) < p_hit]
+        hit[live[dead]] = (k + 1) * dt
+        live, x = np.delete(live, dead), np.delete(x_new, dead)
+    out = np.zeros(m)
+    out[live] = x
+    return out, hit
 
 
 def _exact_bes3_reciprocal(gen, m, start, horizon, params):
@@ -182,9 +206,18 @@ def _exact_bes3_reciprocal(gen, m, start, horizon, params):
     return 1.0 / r, np.full(m, np.nan)
 
 
+# a rejection round accepts each survivor with probability
+# q = 2 Phi(start / sqrt(horizon)) - 1, so a survivor outlasts the bound with
+# probability (1 - q)^10000: about 1e-7 at start / sqrt(horizon) = 2e-3, and
+# nil at the catalog's unit start (q ~ 0.68)
+MAX_REJECTION_ROUNDS = 10_000
+
+
 def _exact_absorbed_bm(gen, m, start, horizon, params):
     """Absorbed Brownian motion: exact first-passage time, then the terminal
-    value of survivors from the killed density by rejection."""
+    value of survivors from the killed density by rejection.  Raises
+    SchemeUnsupported when MAX_REJECTION_ROUNDS rounds leave survivors
+    without a terminal value."""
     g = gen.standard_normal(m)
     with np.errstate(divide="ignore"):
         tau = start * start / (g * g)
@@ -193,7 +226,14 @@ def _exact_absorbed_bm(gen, m, start, horizon, params):
     hit = np.where(absorbed, tau, np.nan)
     todo = np.flatnonzero(~absorbed)
     sq = math.sqrt(horizon)
+    rounds = 0
     while todo.size:
+        if rounds == MAX_REJECTION_ROUNDS:
+            raise SchemeUnsupported(
+                f"exact absorbed-BM sampler: {todo.size} path(s) left after "
+                f"{rounds} rejection rounds (start={start!r}, "
+                f"horizon={horizon!r}); use scheme 'euler_absorbed'")
+        rounds += 1
         b = start + sq * gen.standard_normal(todo.size)
         u = gen.random(todo.size)
         ok = (b > 0.0) & (u < -np.expm1(-2.0 * start * b / horizon))

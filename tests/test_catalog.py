@@ -37,6 +37,19 @@ def test_non_finite_model_inputs_are_rejected(name, kwargs):
         get_model(name, **kwargs)
 
 
+@pytest.mark.parametrize("vol", [math.nan, math.inf, -math.inf, -0.5, 0.0])
+@pytest.mark.parametrize("name", ["exp_martingale_baseline", "recip_bessel"])
+def test_bad_volatility_is_rejected(name, vol):
+    with pytest.raises(UnknownModel, match="vol"):
+        get_model(name, vol=vol)
+
+
+@pytest.mark.parametrize("name", ["qnv(x,0,0)", "qnv(1,0x,0)", "qnv(1,0,--2)"])
+def test_non_numeric_qnv_coefficients_are_rejected(name):
+    with pytest.raises(UnknownModel, match="numbers"):
+        get_model(name)
+
+
 def test_recip_bessel_analytics_match_frozen_oracle():
     entry = get_model("recip_bessel")
     assert entry.analytic["expected_x"]() == pytest.approx(EXPECTED_X, abs=1e-12)

@@ -38,6 +38,15 @@ def test_unknown_model_is_usage_error(tmp_path):
                  "--out-dir", str(tmp_path)]) == 1
 
 
+def test_non_numeric_qnv_model_is_usage_error(tmp_path, capsys):
+    assert main(["price", "--model", "qnv(x,0,0)", "--n", "100",
+                 "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "qnv(x,0,0)" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_price_report_schema(tmp_path, capsys):
     rc = main(["price", "--model", "recip_bessel", "--claim", "euro_forward",
                "--n", "20000", "--seed", "7", "--out-dir", str(tmp_path)])

@@ -12,7 +12,8 @@ from dualfx import (ConfigError, DiffusionModel, InfiniteContribution,
 from dualfx.catalog import get_model
 from dualfx.sde import (BLOCK, cross_measure_check, dual_seed,
                         estimate_from_values, z_score)
-from dualfx.sde.engine import dump_batch_csv
+from dualfx.sde.engine import (MAX_REJECTION_ROUNDS, block_generator,
+                               dump_batch_csv, euler_absorbed)
 from tests.test_oracles import DUAL_ABSORPTION, EXPECTED_X
 
 
@@ -39,6 +40,20 @@ def test_block_substreams_extend_consistently():
     assert np.array_equal(small.x, large.x[:2 * BLOCK])
     again = simulate(model, MCConfig(n=2 * BLOCK, seed=9))
     assert np.array_equal(small.x, again.x)
+
+
+def test_euler_block_substreams_extend_consistently():
+    """The live-set kernel keeps the per-block substream contract: growing n
+    by whole blocks only appends Euler paths."""
+    model = get_model("qnv(1,0,0)").model
+    for spec in (model, derive_dual_model(model)):
+        small = simulate(spec, MCConfig(n=2 * BLOCK, steps=16, seed=9,
+                                        scheme="euler_absorbed"))
+        large = simulate(spec, MCConfig(n=3 * BLOCK, steps=16, seed=9,
+                                        scheme="euler_absorbed", workers=2))
+        assert np.array_equal(small.x, large.x[:2 * BLOCK])
+        assert np.array_equal(small.hit_zero_time,
+                              large.hit_zero_time[:2 * BLOCK], equal_nan=True)
 
 
 def test_exact_recip_bessel_matches_oracle():
@@ -94,6 +109,70 @@ def test_absorbed_bm_survivor_mass_is_martingale_exact():
                                      scheme=scheme))
         est = estimate_from_values(b.x, b.seed)   # absorbed paths contribute 0
         assert abs(est.mean - 1.0) < 4 * est.stderr, scheme
+
+
+def test_euler_sigma_sees_only_live_positive_states():
+    """sigma is called once per step on exactly the paths not yet absorbed,
+    all strictly positive."""
+    model = get_model("qnv(1,0,0)").model
+    steps, m = 32, 4096
+    dt = model.horizon / steps
+    for spec, start in ((model, model.x0),
+                        (derive_dual_model(model), 1.0 / model.x0)):
+        seen = []
+
+        def sigma(x, t):
+            seen.append((t, x.copy()))
+            return spec.sigma(x, t)
+
+        x, hit = euler_absorbed(block_generator(4, 0), m, sigma, start,
+                                spec.horizon, steps)
+        assert 0 < (x == 0.0).sum() < m
+        assert [t for t, _ in seen] == [k * dt for k in range(steps)]
+        for k, (_, states) in enumerate(seen):
+            absorbed = np.nan_to_num(hit, nan=np.inf) <= k * dt
+            assert states.size == m - absorbed.sum()
+            assert (states > 0.0).all()
+        assert (seen[0][1] == start).all()
+
+
+@pytest.mark.parametrize("name", ["recip_bessel", "stopped_bm",
+                                  "exp_martingale_baseline", "qnv(1,0,0)",
+                                  "qnv(0.5,0.2,0.3)"])
+def test_euler_zero_exactly_when_hit(name):
+    """A path ends at 0 exactly when it has a finite hit time on the grid.
+    (singular_timechange is left out: its coefficient is singular at T, where
+    the Euler scheme does not apply.)"""
+    model = get_model(name).model
+    steps = 16
+    grid = model.horizon / steps * np.arange(1, steps + 1)
+    for spec, start in ((model, model.x0),
+                        (derive_dual_model(model), 1.0 / model.x0)):
+        x, hit = euler_absorbed(block_generator(11, 0), BLOCK, spec.sigma,
+                                start, spec.horizon, steps)
+        assert np.array_equal(x == 0.0, np.isfinite(hit)), spec.name
+        assert (x >= 0.0).all()
+        assert np.isin(hit[np.isfinite(hit)], grid).all()
+
+
+def test_euler_dual_explosion_mass_matches_reflection_formula():
+    """qnv(1,0,0) has the dual coefficient 1: the reciprocal rate is Brownian
+    motion, and bridged Euler absorbs it with mass 2 Phi(-1) by T."""
+    dual = derive_dual_model(get_model("qnv(1,0,0)").model)
+    b = simulate(dual, MCConfig(n=100_000, steps=16, seed=77,
+                                scheme="euler_absorbed"))
+    e = estimate_from_values(b.hit_infinity.astype(float), b.seed)
+    assert abs(e.mean - DUAL_ABSORPTION) < 3 * e.stderr
+
+
+def test_exact_absorbed_bm_rejection_loop_is_bounded():
+    """A start far below sqrt(horizon) makes each rejection round accept a
+    survivor with probability ~8e-5; the sampler raises instead of looping."""
+    model = get_model("stopped_bm", x0=1e-4).model
+    with pytest.raises(SchemeUnsupported,
+                       match=rf"left after {MAX_REJECTION_ROUNDS} rejection "
+                             r"rounds \(start=0\.0001, horizon=1\.0\)"):
+        simulate(model, MCConfig(n=100_000, seed=0, scheme="exact"))
 
 
 def test_zero_volatility_paths_are_constant():

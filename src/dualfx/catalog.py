@@ -72,7 +72,6 @@ def _recip_bessel(x0: float, horizon: float) -> CatalogEntry:
         sigma=lambda x, t: x * x,
         x0=x0,
         horizon=horizon,
-        zero_attainable=False,
         dual_payoff_flags={"self_quantoed": "nonintegrable"},
         exact_scheme="bes3_reciprocal",
         dual_exact_scheme="absorbed_bm",
@@ -98,7 +97,6 @@ def _stopped_bm(x0: float, horizon: float) -> CatalogEntry:
         sigma=lambda x, t: np.ones_like(np.asarray(x, float)),
         x0=x0,
         horizon=horizon,
-        zero_attainable=True,
         dual_payoff_flags={},
         exact_scheme="absorbed_bm",
         dual_exact_scheme="bes3_reciprocal",
@@ -125,7 +123,6 @@ def _singular_timechange(x0: float, horizon: float) -> CatalogEntry:
                                         1.0 / math.sqrt(T - t)),
         x0=x0,
         horizon=T,
-        zero_attainable=True,
         dual_payoff_flags={"self_quantoed": "nonintegrable"},
         exact_scheme="singular_exact",
         dual_exact_scheme="singular_dual_exact",
@@ -151,7 +148,6 @@ def _exp_martingale(x0: float, horizon: float, vol: float) -> CatalogEntry:
         sigma=lambda x, t: vol * np.asarray(x, float),
         x0=x0,
         horizon=horizon,
-        zero_attainable=False,
         dual_payoff_flags={"self_quantoed": "integrable"},
         exact_scheme="gbm",
         dual_exact_scheme="gbm",
@@ -179,7 +175,6 @@ def _qnv(a: float, b: float, c: float, x0: float, horizon: float) -> CatalogEntr
                                   + b * np.asarray(x, float) + c),
         x0=x0,
         horizon=horizon,
-        zero_attainable=True,
         dual_payoff_flags={"self_quantoed": "unknown"},
         exact_scheme=None,
         dual_exact_scheme=None,

@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -60,13 +61,48 @@ class ExperimentConfig:
         return MCConfig(self.n, self.steps, self.seed, self.scheme, self.workers)
 
 
+_REAL = ("a real number", numbers.Real)
+_INT = ("an integer", int)
+_STR = ("a string", str)
+# the expected type of every ExperimentConfig field; a field whose default is
+# None also takes None
+_FIELD_TYPES = {
+    **dict.fromkeys(("x0", "horizon", "vol", "strike"), _REAL),
+    **dict.fromkeys(("n", "steps", "seed", "workers"), _INT),
+    **dict.fromkeys(("command", "model", "tree", "claim", "scheme", "tag",
+                     "out_dir"), _STR),
+    "strikes": ("a list of real numbers", list, numbers.Real),
+    "levels": ("a list of integers", list, int),
+    "dump_samples": ("a boolean", bool),
+}
+
+
+def _is(value, kind) -> bool:
+    # bool is an int (and a Real) in Python, but never a valid number here
+    return isinstance(value, kind) and (kind is bool
+                                        or not isinstance(value, bool))
+
+
 def validate_config(raw: dict) -> ExperimentConfig:
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(raw) - known
+    """The one boundary check of a config: keys, field types, command and the
+    Monte Carlo settings; raises ConfigError (SchemeUnsupported for a bad
+    scheme)."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {raw!r}")
+    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+    unknown = set(raw) - fields.keys()
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "command" not in raw:
         raise ConfigError("config needs a 'command'")
+    for key, value in raw.items():
+        if value is None and fields[key].default is None:
+            continue
+        what, kind, *items = _FIELD_TYPES[key]
+        if not _is(value, kind) or not all(_is(v, t) for t in items
+                                           for v in value):
+            raise ConfigError(f"config field {key!r} must be {what}, "
+                              f"got {value!r}")
     if raw["command"] not in COMMANDS:
         raise ConfigError(f"unknown command {raw['command']!r}")
     cfg = ExperimentConfig(**raw)

@@ -7,9 +7,11 @@ correction carrying the explosion mass that only the euro measure sees:
     pe = E_Qe[De] + (1/x0) * E_Q$[D$ 1{X_T = 0}] = p$ / x0.
 
 `superreplicate_backward` re-derives the same number by dynamic programming:
-at every node a two-asset portfolio (money market, euros) is chosen, by exact
-vertex enumeration of the two-variable linear program, so that next-period
-wealth dominates the required wealth under both measures.  On trees whose
+at every node a two-asset portfolio (money market, euros) is chosen so that
+next-period wealth dominates the required wealth under both measures.  The
+two-variable linear program is solved exactly on the upper concave hull of
+the children's (state, required dollars) points, with the exploded children's
+required euros as floors on the euro holding.  On trees whose
 nodes carry at most two supported branches (the complete-market case the
 pricing theorem assumes) the program is tight and the two routes agree
 exactly; with three or more supported branches the hedging cost is strictly
@@ -45,11 +47,19 @@ class TreeClaim:
 
 
 def validate_claim(tree: DualTree, claim: TreeClaim) -> None:
+    """Raise ClaimError unless the claim is defined at every leaf and its euro
+    leg is the dollar leg over the rate wherever the rate is finite.
+
+    The pricers call this once per pricing call, where a claim meets a tree.
+    """
     for leaf in tree.leaves():
         if leaf.id not in claim.payoffs:
             raise ClaimError(f"claim not defined at leaf {leaf.id!r}")
         d, e = claim.payoffs[leaf.id]
-        if leaf.x.is_finite and e != d * leaf.x.reciprocal():
+        x = leaf.x
+        # e == d / x: zero, finite and infinite legs keep their tag
+        if x.is_finite and (e.tag != d.tag or (
+                e.is_finite and e.value * x.value != d.value)):
             raise ClaimError(
                 f"euro leg at {leaf.id!r} is {e}, expected {d}/{leaf.x}")
 
@@ -63,7 +73,9 @@ def tree_claim(tree: DualTree, kind: str, strike=None) -> TreeClaim:
 
     The strike is read as a Fraction; kinds without a strike ignore it.  The
     dollar value at an explosion leaf is inf times the euro value there
-    (inf * 0 = 0), which no measure seeing that leaf ever reads.
+    (inf * 0 = 0), which no measure seeing that leaf ever reads.  The claim is
+    not checked here: both legs come from the one table, and the pricers
+    check each claim they are given.
     """
     row, k = payoff_row(kind, strike, Fraction)
     payoffs = {}
@@ -78,9 +90,7 @@ def tree_claim(tree: DualTree, kind: str, strike=None) -> TreeClaim:
         else:
             payoffs[leaf.id] = (EV.of(row.dollar(Fraction(0), k)),
                                 _extended(row.euro_at_devaluation(k)))
-    claim = TreeClaim(payoffs, kind if k is None else f"{kind}_{k}")
-    validate_claim(tree, claim)
-    return claim
+    return TreeClaim(payoffs, kind if k is None else f"{kind}_{k}")
 
 
 def tree_euro_forward(tree: DualTree) -> TreeClaim:
@@ -165,44 +175,86 @@ class TreeStrategy:
     wealth_euro: dict[str, ExtendedValue] = field(default_factory=dict)
 
 
-def _solve_corner_lp(constraints: list[tuple[Fraction, Fraction, Fraction]],
-                     x: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """Minimize e0 + e1*x subject to a*e0 + b*e1 >= c, by vertex enumeration.
+def _solve_hull_lp(points: list[tuple[Fraction, Fraction]],
+                   floors: list[Fraction],
+                   x: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """The cheapest line y -> e0 + e1*y on or above every point (y, r) whose
+    slope e1 is at least every floor; returns (e0, e1, e0 + e1*x).
 
-    Two variables, so every optimum sits on a pairwise intersection or on an
-    axis intercept of a single constraint; the martingale structure of valid
-    trees guarantees boundedness.
+    This is the one-period superhedging program at a node with state x: a
+    point is a finite or devalued child (state, required dollars), a floor
+    the required euros at an exploded child.  By the one-period duality its
+    cost is the upper concave envelope of the points at x (Foellmer & Schied,
+    *Stochastic Finance*).  The upper hull is built by monotone chain with
+    exact cross products, and the optimal slopes [lo, hi] of the envelope at
+    x are clamped from below by the largest floor s.  If s > hi, the slope is
+    s and the line passes through the point maximizing r - s*y.
+
+    Ties: a range of optimal slopes exists only when a point sits at y = x.
+    Among the lines through (x, cost) whose slope is lo, hi, 0 or cost/x and
+    lies in the range (the vertices of the program's optimal face), the one
+    binding the most constraints wins, counting repeated points and floors
+    each time, and then the one with the smallest e0.  This is the rule of
+    minimal (cost, slack constraints, e0, e1) over the program's vertices; it
+    makes the strategy replicate, not merely dominate, whenever it can.
+
+    Boundedness: the program is bounded iff some point lies at or below x and
+    some point lies at or above x or a floor exists; otherwise it raises
+    InfeasibleError.  On a valid tree the euro-measure normalization and the
+    density relation put the dollar mean of the supported children at
+    x * (1 - explosion mass) <= x, so a point lies at or below x, and with no
+    explosion mass the mean is x, so a point lies at or above x.
     """
-    if not constraints:
-        raise InfeasibleError("node without supported branches")
-    candidates: list[tuple[Fraction, Fraction]] = []
-    m = len(constraints)
-    for i in range(m):
-        a1, b1, c1 = constraints[i]
-        if a1 != 0:
-            candidates.append((c1 / a1, Fraction(0)))
-        if b1 != 0:
-            candidates.append((Fraction(0), c1 / b1))
-        for j in range(i + 1, m):
-            a2, b2, c2 = constraints[j]
-            det = a1 * b2 - a2 * b1
-            if det != 0:
-                candidates.append(((c1 * b2 - c2 * b1) / det,
-                                   (a1 * c2 - a2 * c1) / det))
-    best: tuple[Fraction, Fraction, Fraction] | None = None
-    best_key = None
-    for e0, e1 in candidates:
-        if all(a * e0 + b * e1 >= c for a, b, c in constraints):
-            cost = e0 + e1 * x
-            # among cost ties prefer vertices binding every constraint, so the
-            # strategy replicates (not merely dominates) whenever it can
-            slack = sum(1 for a, b, c in constraints if a * e0 + b * e1 != c)
-            key = (cost, slack, e0, e1)
-            if best_key is None or key < best_key:
-                best, best_key = (e0, e1, cost), key
-    if best is None:
-        raise InfeasibleError("no feasible vertex; claim not nonnegative?")
-    return best
+    top: dict[Fraction, Fraction] = {}
+    for y, r in points:
+        if y not in top or r > top[y]:
+            top[y] = r
+    hull: list[tuple[Fraction, Fraction]] = []
+    for y in sorted(top):
+        r = top[y]
+        # keep the last hull point only if it lies strictly above the chord
+        # from the point before it to (y, r)
+        while len(hull) >= 2:
+            (y1, r1), (y2, r2) = hull[-2], hull[-1]
+            if (r2 - r1) * (y - y1) > (r - r1) * (y2 - y1):
+                break
+            hull.pop()
+        hull.append((y, r))
+    s = max(floors) if floors else None
+    k = next((i for i, (y, _) in enumerate(hull) if y >= x), None)
+    if not hull or hull[0][0] > x or (k is None and s is None):
+        raise InfeasibleError(
+            f"unbounded hedging program at x = {x}: no supported branch at "
+            "or below x, or none at or above x and none exploded")
+    # optimal slopes of the envelope at x; None stands for -inf (lo), +inf (hi)
+    lo = hi = None
+    if k is not None:
+        yk, rk = hull[k]
+        if yk == x:
+            v = rk
+            if k > 0:
+                hi = (rk - hull[k - 1][1]) / (yk - hull[k - 1][0])
+            if k + 1 < len(hull):
+                lo = (hull[k + 1][1] - rk) / (hull[k + 1][0] - yk)
+        else:
+            yj, rj = hull[k - 1]
+            lo = hi = (rk - rj) / (yk - yj)
+            v = rj + lo * (x - yj)
+    if s is not None and (k is None or (hi is not None and s > hi)):
+        e0 = max(r - s * y for y, r in top.items())
+        return e0, s, e0 + s * x
+    if s is not None and (lo is None or s > lo):
+        lo = s
+    if lo is not None and lo == hi:
+        t = lo
+    else:
+        def tight(t: Fraction) -> int:
+            return (sum(1 for y, r in points if v + t * (y - x) == r)
+                    + floors.count(t))
+        t = max((t for t in (lo, hi, Fraction(0), v / x) if t is not None
+                 and (lo is None or t >= lo) and (hi is None or t <= hi)),
+                key=lambda t: (tight(t), t))
+    return v - t * x, t, v
 
 
 def superreplicate_backward(tree: DualTree, claim: TreeClaim,
@@ -244,18 +296,17 @@ def superreplicate_backward(tree: DualTree, claim: TreeClaim,
         if node.x.is_zero:
             req_dollar[node.id] = req_dollar[node.branches[0].child]
             continue
-        constraints = []
+        points = []
+        floors = []
         for b in node.branches:
             if not supported(b.child):
                 continue
             cx = tree.nodes[b.child].x
-            if cx.is_finite:
-                constraints.append((Fraction(1), cx.fraction, req_dollar[b.child]))
-            elif cx.is_infinite:
-                constraints.append((Fraction(0), Fraction(1), req_euro[b.child]))
+            if cx.is_infinite:
+                floors.append(req_euro[b.child])
             else:
-                constraints.append((Fraction(1), Fraction(0), req_dollar[b.child]))
-        e0, e1, cost = _solve_corner_lp(constraints, node.x.fraction)
+                points.append((cx.fraction, req_dollar[b.child]))
+        e0, e1, cost = _solve_hull_lp(points, floors, node.x.fraction)
         holdings[node.id] = (e0, e1)
         req_dollar[node.id] = cost
 

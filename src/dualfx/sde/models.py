@@ -34,7 +34,6 @@ class DiffusionModel:
     sigma: SigmaFn
     x0: float
     horizon: float
-    zero_attainable: bool
     dual_payoff_flags: Mapping[str, str] = field(default_factory=dict)
     exact_scheme: str | None = None
     dual_exact_scheme: str | None = None

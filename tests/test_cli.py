@@ -222,6 +222,37 @@ def test_config_validation_rejects_bad_mc_settings(tmp_path):
                  "--out-dir", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("bad", [{"x0": "abc"}, {"horizon": None},
+                                 {"n": 1.5}, {"model": 7}])
+def test_run_command_rejects_mistyped_fields(tmp_path, capsys, bad):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": "price", "model": "recip_bessel",
+                                "n": 100, "out_dir": str(tmp_path / "out"),
+                                **bad}))
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    key = next(iter(bad))
+    assert err.startswith(f"error: config field {key!r} must be ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_validation_checks_field_types():
+    for bad in ({"vol": True}, {"strike": "1"}, {"seed": "0"},
+                {"workers": False}, {"steps": 64.0}, {"tree": ["t.json"]},
+                {"claim": 1}, {"scheme": None}, {"tag": 3}, {"out_dir": 1},
+                {"strikes": 1.0}, {"strikes": [1, "2"]}, {"levels": (32,)},
+                {"levels": [32, 1.5]}, {"dump_samples": "yes"},
+                {"command": ["price"]}):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            validate_config({"command": "price", **bad})
+    with pytest.raises(ConfigError):
+        validate_config(["price"])
+    cfg = validate_config({"command": "parity", "x0": 2, "strike": None,
+                           "strikes": [1, 0.5], "levels": [8]})
+    assert cfg.x0 == 2 and cfg.strikes == [1, 0.5]
+
+
 def test_run_command_bad_config_exits_1(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"command": "price", "bogus_key": 1}))

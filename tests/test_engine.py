@@ -176,8 +176,7 @@ def test_exact_absorbed_bm_rejection_loop_is_bounded():
 
 
 def test_zero_volatility_paths_are_constant():
-    model = DiffusionModel("flat", lambda x, t: np.zeros_like(x), 2.0, 1.0,
-                           zero_attainable=False)
+    model = DiffusionModel("flat", lambda x, t: np.zeros_like(x), 2.0, 1.0)
     b = simulate(model, MCConfig(n=1000, steps=4, seed=0,
                                  scheme="euler_absorbed"))
     assert (b.x == 2.0).all()
@@ -186,7 +185,7 @@ def test_zero_volatility_paths_are_constant():
 
 def test_numerical_blowup_is_reported():
     model = DiffusionModel("wild", lambda x, t: np.full_like(x, 1e308),
-                           1.0, 1.0, zero_attainable=True)
+                           1.0, 1.0)
     with pytest.raises(NumericalBlowup):
         simulate(model, MCConfig(n=4096, steps=2, seed=1,
                                  scheme="euler_absorbed"))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dualfx import ClaimError, InfinitePrice
+from dualfx import ClaimError, InfeasibleError, InfinitePrice
 from dualfx.lattice import (build_dual_tree, claim_combine,
                             parity_and_equivalence_report, price_on_tree,
                             random_claim, random_complete_dual_tree,
@@ -15,8 +15,9 @@ from dualfx.lattice import (build_dual_tree, claim_combine,
                             tree_claim, tree_euro_forward,
                             two_period_example, validate_claim,
                             verify_strategy)
-from dualfx.lattice.pricing import TreeClaim
+from dualfx.lattice.pricing import TreeClaim, _solve_hull_lp
 from dualfx.extended import ExtendedValue as EV
+from dualfx.physical import build_physical, consistency_checks
 from dualfx.pricing import CLAIM_KINDS, PAYOFFS, make_claim
 
 
@@ -131,36 +132,231 @@ def test_three_branch_node_breaks_tightness():
     verify_strategy(tri, claim, strategy)   # still dominates everywhere
 
 
+def _corner_lp_reference(points, floors, x):
+    """The hedging program solved by vertex enumeration, the solver's
+    reference: minimize e0 + e1*x subject to e0 + y*e1 >= r per point and
+    e1 >= s per floor, over every pairwise intersection and axis intercept,
+    keeping the smallest (cost, slack constraints, e0, e1)."""
+    constraints = ([(Fraction(1), y, r) for y, r in points]
+                   + [(Fraction(0), Fraction(1), s) for s in floors])
+    candidates = []
+    m = len(constraints)
+    for i in range(m):
+        a1, b1, c1 = constraints[i]
+        if a1 != 0:
+            candidates.append((c1 / a1, Fraction(0)))
+        if b1 != 0:
+            candidates.append((Fraction(0), c1 / b1))
+        for j in range(i + 1, m):
+            a2, b2, c2 = constraints[j]
+            det = a1 * b2 - a2 * b1
+            if det != 0:
+                candidates.append(((c1 * b2 - c2 * b1) / det,
+                                   (a1 * c2 - a2 * c1) / det))
+    best, best_key = None, None
+    for e0, e1 in candidates:
+        if all(a * e0 + b * e1 >= c for a, b, c in constraints):
+            cost = e0 + e1 * x
+            slack = sum(1 for a, b, c in constraints if a * e0 + b * e1 != c)
+            key = (cost, slack, e0, e1)
+            if best_key is None or key < best_key:
+                best, best_key = (e0, e1, cost), key
+    return best
+
+
+def _bounded(points, floors, x):
+    return (any(y <= x for y, _ in points)
+            and (any(y >= x for y, _ in points) or bool(floors)))
+
+
+def _random_program(rng):
+    """A node program with states drawn to hit y = x, repeated states and
+    repeated floors often."""
+    x = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+    states = [x, x / 2, 2 * x, Fraction(0), Fraction(1), Fraction(2)]
+    points = []
+    for _ in range(rng.randint(0, 5)):
+        y = (rng.choice(states) if rng.random() < 0.6
+             else Fraction(rng.randint(0, 8), rng.randint(1, 3)))
+        points.append((y, Fraction(rng.randint(0, 6), rng.randint(1, 3))))
+    if points and rng.random() < 0.3:
+        points.append(rng.choice(points))
+    floors = [Fraction(rng.randint(0, 6), rng.randint(1, 3))
+              for _ in range(rng.choice([0, 0, 1, 1, 2, 3]))]
+    if floors and rng.random() < 0.3:
+        floors.append(max(floors))
+    return points, floors, x
+
+
+def test_hull_solver_matches_enumeration_on_random_programs():
+    rng = random.Random(2024)
+    bounded = 0
+    for trial in range(4000):
+        points, floors, x = _random_program(rng)
+        if not _bounded(points, floors, x):
+            with pytest.raises(InfeasibleError):
+                _solve_hull_lp(points, floors, x)
+            continue
+        bounded += 1
+        assert _solve_hull_lp(points, floors, x) \
+            == _corner_lp_reference(points, floors, x), (trial, points, floors, x)
+    assert bounded > 2000
+
+
+def test_hull_solver_matches_enumeration_on_tree_programs(monkeypatch):
+    """Every node program that superreplication solves on 200 random trees,
+    over the default support and the physical measure's support, equals the
+    enumeration's optimum."""
+    from dualfx.lattice import pricing as lpricing
+
+    seen = {"programs": 0, "point_at_x": 0, "floors": 0}
+    solve = lpricing._solve_hull_lp
+
+    def checked(points, floors, x):
+        got = solve(points, floors, x)
+        assert got == _corner_lp_reference(points, floors, x), \
+            (points, floors, x)
+        seen["programs"] += 1
+        seen["point_at_x"] += any(y == x for y, _ in points)
+        seen["floors"] += bool(floors)
+        return got
+
+    monkeypatch.setattr(lpricing, "_solve_hull_lp", checked)
+    for seed in range(100):
+        kw = {"allow_explosion": seed % 4 not in (1, 3),
+              "allow_devaluation": seed % 4 not in (2, 3)}
+        for tree in (random_dual_tree(seed + 4000, **kw),
+                     random_complete_dual_tree(seed + 4000, **kw)):
+            claims = [random_claim(tree, seed), tree_claim(tree, "put", 1)]
+            for claim in claims:
+                superreplicate_backward(tree, claim)
+            consistency_checks(build_physical(tree), claims)
+    assert seen["programs"] > 3000
+    assert seen["point_at_x"] > 0 and seen["floors"] > 0
+
+
+# (points, floors, x, expected (e0, e1, cost)); every case is also checked
+# against the enumeration
+TIE_CASES = {
+    # the envelope has a kink at the point at x: slopes in [0, 2] are
+    # optimal; slope 0 binds three points and slope 2 only two
+    "point at x": ([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(2)),
+                    (Fraction(2), Fraction(2)), (Fraction(3), Fraction(2))],
+                   [], Fraction(1), (Fraction(2), Fraction(0), Fraction(2))),
+    # ... and with one point on each side both bind two: smaller e0 wins
+    "point at x, binding tie": (
+        [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(2)),
+         (Fraction(2), Fraction(2))], [], Fraction(1),
+        (Fraction(0), Fraction(2), Fraction(2))),
+    # every slope is optimal; the line through the origin has e0 = 0
+    "single child at x": ([(Fraction(3), Fraction(6))], [], Fraction(3),
+                          (Fraction(0), Fraction(2), Fraction(6))),
+    "single zero-requirement child at x": (
+        [(Fraction(3), Fraction(0))], [], Fraction(3),
+        (Fraction(0), Fraction(0), Fraction(0))),
+    # repeated and lower points at the same states: the repeated point at 0
+    # makes slope 2 bind four constraints against three at slope 0
+    "duplicate states": ([(Fraction(1), Fraction(2)), (Fraction(1), Fraction(2)),
+                          (Fraction(1), Fraction(1)), (Fraction(0), Fraction(0)),
+                          (Fraction(0), Fraction(0)), (Fraction(2), Fraction(2))],
+                         [], Fraction(1),
+                         (Fraction(0), Fraction(2), Fraction(2))),
+    # the envelope's slope at x is 1/2, below the floor 1
+    "floor above hi": ([(Fraction(0), Fraction(1)), (Fraction(2), Fraction(2))],
+                       [Fraction(1), Fraction(0)], Fraction(1),
+                       (Fraction(1), Fraction(1), Fraction(2))),
+    # every state below x: only the floor bounds the slope
+    "floor with every state below x": (
+        [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(1))],
+        [Fraction(1, 2)], Fraction(2),
+        (Fraction(1), Fraction(1, 2), Fraction(2))),
+    # slopes in [1, 2] are optimal; two exploded children bind at slope 1
+    # and outnumber the one point binding at slope 2
+    "repeated floor": ([(Fraction(1), Fraction(2)), (Fraction(1, 2), Fraction(0)),
+                        (Fraction(0), Fraction(0))],
+                       [Fraction(1), Fraction(1)], Fraction(1),
+                       (Fraction(1), Fraction(1), Fraction(2))),
+    # ... while one exploded child only ties it, and the smaller e0 wins
+    "single floor": ([(Fraction(1), Fraction(2)), (Fraction(1, 2), Fraction(0)),
+                      (Fraction(0), Fraction(0))],
+                     [Fraction(1)], Fraction(1),
+                     (Fraction(0), Fraction(2), Fraction(2))),
+}
+
+
+@pytest.mark.parametrize("case", TIE_CASES)
+def test_hull_solver_tie_cases(case):
+    points, floors, x, expected = TIE_CASES[case]
+    assert _corner_lp_reference(points, floors, x) == expected
+    assert _solve_hull_lp(points, floors, x) == expected
+
+
+@pytest.mark.parametrize("points,floors,x", [
+    ([(Fraction(2), Fraction(1)), (Fraction(3), Fraction(1))], [Fraction(1)],
+     Fraction(1)),                                   # every state above x
+    ([(Fraction(0), Fraction(1)), (Fraction(1, 2), Fraction(1))], [],
+     Fraction(1)),                                   # below x, no floor
+    ([], [Fraction(1)], Fraction(1)),                # exploded children only
+    ([], [], Fraction(1)),                           # no supported branch
+])
+def test_unbounded_hedging_program_raises(points, floors, x):
+    with pytest.raises(InfeasibleError):
+        _solve_hull_lp(points, floors, x)
+
+
+def _linprog(points, floors, x):
+    """The hedging program as a floating-point simplex solve."""
+    from scipy.optimize import linprog
+
+    return linprog(c=[1.0, float(x)],
+                   A_ub=[[-1.0, -float(y)] for y, _ in points]
+                   + [[0.0, -1.0] for _ in floors],
+                   b_ub=[-float(r) for _, r in points]
+                   + [-float(s) for s in floors],
+                   bounds=[(None, None), (None, None)], method="highs")
+
+
+def test_unbounded_exactly_where_linprog_says_so():
+    rng = random.Random(11)
+    for trial in range(300):
+        points, floors, x = _random_program(rng)
+        if not points:
+            continue
+        res = _linprog(points, floors, x)
+        assert res.status in (0, 3), trial
+        if res.status == 3:
+            with pytest.raises(InfeasibleError):
+                _solve_hull_lp(points, floors, x)
+        else:
+            _, _, cost = _solve_hull_lp(points, floors, x)
+            assert abs(float(cost) - res.fun) < 1e-9, trial
+
+
 def test_corner_lp_agrees_with_scipy_linprog():
-    """Independent route for the hedging program: the exact vertex optimum
+    """Independent route for the hedging program: the exact hull optimum
     matches a floating-point simplex solve on random node problems."""
     import random as _random
-    from scipy.optimize import linprog
-    from dualfx.lattice.pricing import _solve_corner_lp
 
     rng = _random.Random(7)
     for trial in range(200):
         x = Fraction(rng.randint(1, 8), rng.randint(1, 4))
-        constraints = []
+        points = []
+        floors = []
         for _ in range(rng.randint(1, 4)):
             kind = rng.choice(["finite", "explosion", "devaluation"])
             c = Fraction(rng.randint(0, 9), rng.randint(1, 4))
             if kind == "finite":
-                constraints.append((Fraction(1),
-                                    Fraction(rng.randint(1, 9),
-                                             rng.randint(1, 4)), c))
+                points.append((Fraction(rng.randint(1, 9),
+                                        rng.randint(1, 4)), c))
             elif kind == "explosion":
-                constraints.append((Fraction(0), Fraction(1), c))
+                floors.append(c)
             else:
-                constraints.append((Fraction(1), Fraction(0), c))
+                points.append((Fraction(0), c))
         # keep the program bounded the way real trees do: pin both axes
-        constraints.append((Fraction(1), Fraction(0), Fraction(0)))
-        constraints.append((Fraction(0), Fraction(1), Fraction(0)))
-        e0, e1, cost = _solve_corner_lp(constraints, x)
-        res = linprog(c=[1.0, float(x)],
-                      A_ub=[[-float(a), -float(b)] for a, b, _ in constraints],
-                      b_ub=[-float(c) for _, _, c in constraints],
-                      bounds=[(None, None), (None, None)], method="highs")
+        points.append((Fraction(0), Fraction(0)))
+        floors.append(Fraction(0))
+        e0, e1, cost = _solve_hull_lp(points, floors, x)
+        res = _linprog(points, floors, x)
         assert res.status == 0, trial
         assert abs(float(cost) - res.fun) < 1e-9, (trial, cost, res.fun)
 
@@ -239,6 +435,36 @@ def test_dollar_claims_consistency():
     for claim in (tree_claim(t, "dollar_call", 2),
                   tree_claim(t, "dollar_put", 2)):
         validate_claim(t, claim)
+
+
+@pytest.mark.parametrize("kind", CLAIM_KINDS)
+def test_table_claims_pass_validation(kind):
+    """tree_claim does not check its own output; every kind of the payoff
+    table must pass the pricers' check on every tree."""
+    strikes = ([Fraction(1, 3), Fraction(1), Fraction(7, 3)]
+               if PAYOFFS[kind].takes_strike else [None])
+    for seed in range(40):
+        tree = (random_dual_tree(seed + 900) if seed % 2
+                else random_complete_dual_tree(seed + 900))
+        for k in strikes:
+            validate_claim(tree, tree_claim(tree, kind, k))
+
+
+def test_claim_check_is_the_reciprocal_rule():
+    """validate_claim accepts a leaf pair exactly when e == d * (1/x)."""
+    t = build_dual_tree({"x0": "1", "periods": 1, "nodes": [
+        {"id": "r", "x": "1", "branches": [["a", "1/2"], ["b", "1/2"]]},
+        {"id": "a", "x": "2/3"}, {"id": "b", "x": "2"}]})
+    values = [EV.zero(), EV.of(Fraction(1, 3)), EV.of(Fraction(1, 2)),
+              EV.of(1), EV.of(Fraction(3, 2)), EV.infinite()]
+    for d in values:
+        for e in values:
+            claim = TreeClaim({"a": (d, e), "b": (EV.of(2), EV.of(1))})
+            if e == d * t.node("a").x.reciprocal():
+                validate_claim(t, claim)
+            else:
+                with pytest.raises(ClaimError, match=r"euro leg at 'a' is"):
+                    validate_claim(t, claim)
 
 
 def test_tree_claim_labels():

@@ -9,8 +9,7 @@ from dualfx import DiffusionModel, derive_dual_model
 
 
 def _model(sigma, x0=1.0, horizon=1.0):
-    return DiffusionModel(name="m", sigma=sigma, x0=x0, horizon=horizon,
-                          zero_attainable=False)
+    return DiffusionModel(name="m", sigma=sigma, x0=x0, horizon=horizon)
 
 
 def test_quadratic_rate_dualizes_to_unit_volatility():

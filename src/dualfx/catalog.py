@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.stats import norm
 
 from .errors import UnknownModel
 from .sde.models import DiffusionModel
@@ -39,21 +37,32 @@ class CatalogEntry:
         return self.model.name
 
 
+def _norm_cdf(x: float) -> float:
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def _norm_pdf(x: float) -> float:
+    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
 def _survival_bm(start: float, horizon: float) -> float:
     """P(Brownian motion from `start` stays positive up to the horizon)."""
-    return 1.0 - 2.0 * norm.cdf(-start / math.sqrt(horizon))
+    return 1.0 - 2.0 * _norm_cdf(-start / math.sqrt(horizon))
 
 
 def _recip_bessel_x2(x0: float, horizon: float) -> float:
     """E[X_T^2] for the reciprocal Bessel rate, by quadrature of the killed
     Brownian density of the reciprocal rate started at 1/x0."""
+    # scipy loads only here, so that importing dualfx does not pay for it
+    from scipy.integrate import quad
+
     a = 1.0 / x0
     s = math.sqrt(horizon)
 
     def integrand(y: float) -> float:
-        return (1.0 / y) * (norm.pdf((y - a) / s) - norm.pdf((y + a) / s)) / s
+        return (1.0 / y) * (_norm_pdf((y - a) / s) - _norm_pdf((y + a) / s)) / s
 
-    val, _ = quad(integrand, 0.0, np.inf, limit=200)
+    val, _ = quad(integrand, 0.0, math.inf, limit=200)
     return x0 * val
 
 
@@ -63,7 +72,7 @@ def _black_call(x0: float, vol: float, horizon: float, strike: float) -> float:
         return x0
     sig = vol * math.sqrt(horizon)
     d1 = (math.log(x0 / strike) + 0.5 * sig * sig) / sig
-    return x0 * norm.cdf(d1) - strike * norm.cdf(d1 - sig)
+    return x0 * _norm_cdf(d1) - strike * _norm_cdf(d1 - sig)
 
 
 def _recip_bessel(x0: float, horizon: float) -> CatalogEntry:
@@ -126,6 +135,7 @@ def _singular_timechange(x0: float, horizon: float) -> CatalogEntry:
         dual_payoff_flags={"self_quantoed": "nonintegrable"},
         exact_scheme="singular_exact",
         dual_exact_scheme="singular_dual_exact",
+        exact_only=True,   # sigma is singular at T
     )
     return CatalogEntry(
         model=model,

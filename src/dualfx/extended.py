@@ -48,7 +48,7 @@ class ExtendedValue:
     @staticmethod
     def of(x: Rational) -> "ExtendedValue":
         """Build from a nonnegative rational; 0 maps to the zero tag."""
-        f = Fraction(x)
+        f = x if type(x) is Fraction else Fraction(x)
         if f < 0:
             raise ValueError("extended values are nonnegative")
         return ExtendedValue(ZERO) if f == 0 else ExtendedValue(FINITE, f)

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError
 from .sde.engine import (Estimate, MCConfig, TerminalBatch, _run_blocks,
                          combined_stderr, dual_seed, estimate_from_values,
-                         simulate, z_score)
+                         make_batches, simulate, z_score)
 from .sde.models import DiffusionModel, derive_dual_model
 
 
@@ -164,14 +164,6 @@ class DualPrice:
         return combined_stderr(*legs) if legs else 0.0
 
 
-def make_batches(model: DiffusionModel, cfg: MCConfig
-                 ) -> tuple[TerminalBatch, TerminalBatch]:
-    """Primal and dual batches on independent substreams of one seed."""
-    primal = simulate(model, cfg)
-    dual = simulate(derive_dual_model(model), replace(cfg, seed=dual_seed(cfg.seed)))
-    return primal, dual
-
-
 def price(model: DiffusionModel, claim: Claim, cfg: MCConfig,
           batches: tuple[TerminalBatch, TerminalBatch] | None = None
           ) -> DualPrice:
@@ -230,6 +222,10 @@ def parity_table(model: DiffusionModel, strikes: Sequence[float],
     primal, dual = batches
     x0 = model.x0
     expl = estimate_from_values(dual.hit_infinity.astype(float), dual.seed)
+    # pathwise residual pieces: the dollar legs difference is x - K sample
+    # by sample, the dual legs difference is the explosion mass
+    se_dollar = estimate_from_values(primal.x, primal.seed).stderr
+    residual_se = math.hypot(se_dollar, x0 * expl.stderr)
     rows = []
     for k in strikes:
         if k == 0:
@@ -239,11 +235,7 @@ def parity_table(model: DiffusionModel, strikes: Sequence[float],
         else:
             call = price(model, make_claim("call", k), cfg, batches)
             put = price(model, make_claim("put", k), cfg, batches)
-        # pathwise residual pieces: the dollar legs difference is x - K
-        # sample by sample, the dual legs difference is the explosion mass
-        se_dollar = estimate_from_values(primal.x, primal.seed).stderr
         residual = call.total_dollar + k - put.total_dollar - x0
-        residual_se = math.hypot(se_dollar, x0 * expl.stderr)
         violation = call.classical.mean + k - put.classical.mean - x0
         rows.append(ParityRow(
             strike=float(k), call=call, put=put,

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from ..errors import (ConfigError, InfiniteContribution, NumericalBlowup,
                       SchemeUnsupported)
-from .models import DiffusionModel, DualDiffusion
+from .models import DiffusionModel, DualDiffusion, derive_dual_model
 
 BLOCK = 8192
 
@@ -280,6 +280,11 @@ EXACT_SAMPLERS = {
 def _resolve_scheme(spec, scheme: str) -> str:
     if scheme == "auto":
         return "exact" if spec.exact_scheme else "euler_absorbed"
+    if scheme == "euler_absorbed" and spec.exact_only:
+        raise SchemeUnsupported(
+            f"model {spec.name!r} is exact-only: its coefficient is singular "
+            f"at the horizon, where the Euler scheme does not apply; use "
+            f"scheme 'exact'")
     return scheme
 
 
@@ -361,7 +366,7 @@ def dump_batch_csv(batch: TerminalBatch, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# cross-measure consistency
+# the paired simulation
 # ---------------------------------------------------------------------------
 
 DUAL_SEED_SALT = 0x9E3779B97F4A7C15
@@ -372,6 +377,41 @@ def dual_seed(seed: int) -> int:
     return (seed ^ DUAL_SEED_SALT) & ((1 << 63) - 1)
 
 
+# (model, config, batches) of the last make_batches call: stored by one
+# assignment of a whole tuple and read once per lookup, so a thread sees
+# either the old entry or the new one
+_last_pair = None
+
+
+def make_batches(model: DiffusionModel, cfg: MCConfig
+                 ) -> tuple[TerminalBatch, TerminalBatch]:
+    """Primal and dual batches on independent substreams of one seed.
+
+    Only the last pair is kept.  A call with the same model object (`is`)
+    and an equal config, every field of MCConfig including `workers`,
+    returns that very pair without simulating, so the price, the tables and
+    the cross-check of one (model, config) share one simulation.  Every
+    array of the returned batches is read-only, since callers share them.
+    """
+    global _last_pair
+    last = _last_pair
+    if last is not None and last[0] is model and last[1] == cfg:
+        return last[2]
+    primal = simulate(model, cfg)
+    dual = simulate(derive_dual_model(model), replace(cfg, seed=dual_seed(cfg.seed)))
+    for batch in (primal, dual):
+        for arr in (batch.x, batch.hit_zero_time, batch.hit_infinity, batch.y):
+            if arr is not None:
+                arr.flags.writeable = False
+    pair = (primal, dual)
+    _last_pair = (model, cfg, pair)
+    return pair
+
+
+# ---------------------------------------------------------------------------
+# cross-measure consistency
+# ---------------------------------------------------------------------------
+
 @dataclass(frozen=True)
 class CrossMeasureResult:
     z: float
@@ -379,24 +419,28 @@ class CrossMeasureResult:
     rhs: Estimate   # x0 E_Qe[(f(X_T)/X_T) 1{1/X_T > 0}]
 
 
+def _mapped(f: Callable[[float], float], v: np.ndarray) -> np.ndarray:
+    """f over v, called on Python floats: a numpy scalar costs more per call."""
+    return np.fromiter(map(f, v.tolist()), float, v.size)
+
+
 def cross_measure_check(model: DiffusionModel, f: Callable[[float], float],
                         cfg: MCConfig) -> CrossMeasureResult:
-    """Two-sided estimate of the change-of-numeraire identity for bounded f.
+    """Two-sided estimate of the change-of-numeraire identity for bounded f,
+    on the pair make_batches gives for (model, cfg).
 
     Returns the z-score of LHS - RHS; |z| <= 3 in roughly 99.7% of runs when
     the identity holds.
     """
-    from .models import derive_dual_model
-
-    primal = simulate(model, cfg)
-    dual = simulate(derive_dual_model(model),
-                    MCConfig(cfg.n, cfg.steps, dual_seed(cfg.seed),
-                             cfg.scheme, cfg.workers))
-    # f is called on Python floats: a numpy scalar costs more per call
-    lhs_vals = np.array([f(v) if v > 0.0 else 0.0 for v in primal.x.tolist()])
-    rhs_vals = np.where(dual.hit_infinity, 0.0,
-                        np.array([f(1.0 / y) * y if y > 0.0 else 0.0
-                                  for y in dual.y.tolist()]))
+    primal, dual = make_batches(model, cfg)
+    x, y = primal.x, dual.y
+    lhs_vals = np.zeros(len(primal))
+    pos = x > 0.0
+    lhs_vals[pos] = _mapped(f, x[pos])
+    # exploded paths have y == 0 and add nothing
+    rhs_vals = np.zeros(len(dual))
+    alive = y > 0.0
+    rhs_vals[alive] = _mapped(f, 1.0 / y[alive]) * y[alive]
     lhs = estimate_from_values(lhs_vals, primal.seed)
     rhs = estimate_from_values(rhs_vals, dual.seed).scale(model.x0)
     return CrossMeasureResult(z_score(lhs, rhs), lhs, rhs)

@@ -24,10 +24,11 @@ class DiffusionModel:
 
     `sigma` must be finite on (0, inf) x [0, T); a singularity as t -> T is
     allowed (the deterministically time-changed model uses one) and must be
-    handled by the model's exact scheme.  `dual_payoff_flags` maps claim kinds
-    to "integrable" / "nonintegrable" / "unknown" verdicts on the euro-side
-    expectation, so the pricer can return an analytic infinity where Monte
-    Carlo would silently produce garbage.
+    handled by the model's exact scheme; such a model sets `exact_only`, and
+    the Euler scheme is refused on it and on its dual.  `dual_payoff_flags`
+    maps claim kinds to "integrable" / "nonintegrable" / "unknown" verdicts
+    on the euro-side expectation, so the pricer can return an analytic
+    infinity where Monte Carlo would silently produce garbage.
     """
 
     name: str
@@ -38,6 +39,7 @@ class DiffusionModel:
     exact_scheme: str | None = None
     dual_exact_scheme: str | None = None
     params: Mapping[str, float] = field(default_factory=dict)
+    exact_only: bool = False
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,7 @@ class DualDiffusion:
     horizon: float
     exact_scheme: str | None = None
     params: Mapping[str, float] = field(default_factory=dict)
+    exact_only: bool = False
 
 
 def derive_dual_model(model: DiffusionModel) -> DualDiffusion:
@@ -66,4 +69,5 @@ def derive_dual_model(model: DiffusionModel) -> DualDiffusion:
         horizon=model.horizon,
         exact_scheme=model.dual_exact_scheme,
         params=model.params,
+        exact_only=model.exact_only,
     )

@@ -1,10 +1,15 @@
 """Catalog entries: analytic references, dual cross-checks, name parsing."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dualfx
 from dualfx import MCConfig, UnknownModel, derive_dual_model, simulate
 from dualfx.catalog import get_model, list_models
 from dualfx.sde.engine import estimate_from_values
@@ -133,3 +138,55 @@ def test_horizon_and_spot_parameters():
     b = simulate(entry.model, MCConfig(n=100_000, seed=6))
     est = estimate_from_values(b.x, b.seed)
     assert abs(est.mean - 2.0 * (1 - want)) < 4 * est.stderr
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = str(Path(dualfx.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, dualfx.cli; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, check=True, capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_analytic_values_match_the_scipy_formulas():
+    """The stdlib normal cdf and pdf reproduce scipy's formulas to 1e-12."""
+    from scipy.integrate import quad
+    from scipy.stats import norm
+
+    def survival(start, horizon):
+        return 1.0 - 2.0 * norm.cdf(-start / math.sqrt(horizon))
+
+    def x2(x0, horizon):
+        a, s = 1.0 / x0, math.sqrt(horizon)
+        val, _ = quad(lambda y: (1.0 / y) * (norm.pdf((y - a) / s)
+                                             - norm.pdf((y + a) / s)) / s,
+                      0.0, np.inf, limit=200)
+        return x0 * val
+
+    def black(x0, vol, horizon, k):
+        sig = vol * math.sqrt(horizon)
+        d1 = (math.log(x0 / k) + 0.5 * sig * sig) / sig
+        return x0 * norm.cdf(d1) - k * norm.cdf(d1 - sig)
+
+    checked = 0
+    for x0 in (0.25, 1.0, 2.0, 4.0):
+        for horizon in (0.25, 1.0, 4.0):
+            bessel = get_model("recip_bessel", x0=x0, horizon=horizon).analytic
+            bm = get_model("stopped_bm", x0=x0, horizon=horizon).analytic
+            pairs = [(bessel["expected_x"](), x0 * survival(1 / x0, horizon)),
+                     (bessel["dual_absorption_prob"](),
+                      1 - survival(1 / x0, horizon)),
+                     (bessel["expected_x_squared"](), x2(x0, horizon)),
+                     (bm["devaluation_prob"](), 1 - survival(x0, horizon))]
+            for vol in (0.1, 0.5, 1.5):
+                call = get_model("exp_martingale_baseline", x0=x0,
+                                 horizon=horizon, vol=vol).analytic["call"]
+                pairs += [(call(k), black(x0, vol, horizon, k))
+                          for k in (0.5 * x0, x0, 2.0 * x0)]
+            for got, want in pairs:
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+                checked += 1
+    assert checked == 12 * 13

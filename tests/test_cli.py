@@ -258,3 +258,16 @@ def test_run_command_bad_config_exits_1(tmp_path):
     path.write_text(json.dumps({"command": "price", "bogus_key": 1}))
     assert main(["run", str(path)]) == 1
     assert main(["run", str(tmp_path / "missing.json")]) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["price", "--scheme", "euler_absorbed"],
+    ["convergence", "--levels", "8,32"],
+    ["convergence", "--scheme", "euler_absorbed", "--levels", "8"]])
+def test_euler_on_exact_only_model_is_usage_error(args, tmp_path, capsys):
+    assert main(args + ["--model", "singular_timechange", "--n", "1000",
+                        "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exact-only" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())

@@ -1,6 +1,9 @@
 """Simulation engine: schemes, determinism, absorption, error channels."""
 
 import math
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -12,8 +15,9 @@ from dualfx import (ConfigError, DiffusionModel, InfiniteContribution,
 from dualfx.catalog import get_model
 from dualfx.sde import (BLOCK, cross_measure_check, dual_seed,
                         estimate_from_values, z_score)
+from dualfx.sde import engine
 from dualfx.sde.engine import (MAX_REJECTION_ROUNDS, block_generator,
-                               dump_batch_csv, euler_absorbed)
+                               dump_batch_csv, euler_absorbed, make_batches)
 from tests.test_oracles import DUAL_ABSORPTION, EXPECTED_X
 
 
@@ -332,3 +336,112 @@ def test_dump_batch_csv_matches_row_oracle(tmp_path):
                 covered |= [np.isnan(t).any(), np.isfinite(t).any(),
                             np.isinf(batch.x).any(), (batch.x == 0.0).any()]
     assert covered.all()
+
+
+def test_euler_refused_on_exact_only_model():
+    """sigma of singular_timechange is singular at T: Euler would report
+    E[X_T] near 1 where the truth is 0, so the pair is refused."""
+    model = get_model("singular_timechange").model
+    assert model.exact_only and derive_dual_model(model).exact_only
+    cfg = MCConfig(n=64, seed=1, scheme="euler_absorbed")
+    for spec in (model, derive_dual_model(model)):
+        with pytest.raises(SchemeUnsupported, match="exact-only"):
+            simulate(spec, cfg)
+    with pytest.raises(SchemeUnsupported):
+        make_batches(model, cfg)
+    for scheme in ("auto", "exact"):
+        assert (simulate(model, replace(cfg, scheme=scheme)).x == 0.0).all()
+
+
+def test_make_batches_returns_the_last_pair_while_model_and_config_match():
+    model = get_model("recip_bessel").model
+    cfg = MCConfig(n=1000, steps=8, seed=3, scheme="exact")
+    pair = make_batches(model, cfg)
+    assert make_batches(model, cfg) is pair
+    assert make_batches(model, replace(cfg)) is pair   # equal, not identical
+    fresh = simulate(model, cfg)
+    assert np.array_equal(pair[0].x, fresh.x)
+
+
+@pytest.mark.parametrize("change", [
+    {"seed": 4}, {"steps": 16}, {"scheme": "euler_absorbed"}, {"workers": 2},
+    {"n": 999}, "model"])
+def test_make_batches_simulates_afresh_on_any_other_key(change, monkeypatch):
+    model = get_model("recip_bessel").model
+    cfg = MCConfig(n=1000, steps=8, seed=3, scheme="exact")
+    pair = make_batches(model, cfg)
+    calls = []
+    real = engine.simulate
+
+    def counting(spec, c):
+        calls.append(c)
+        return real(spec, c)
+
+    monkeypatch.setattr(engine, "simulate", counting)
+    if change == "model":
+        other, other_cfg = replace(model), cfg   # equal, but another object
+    else:
+        other, other_cfg = model, replace(cfg, **change)
+    again = make_batches(other, other_cfg)
+    assert again is not pair and len(calls) == 2
+    assert calls[0] == other_cfg and calls[1].seed == dual_seed(other_cfg.seed)
+    # the new pair is now the one kept, and the old key misses again
+    assert make_batches(other, other_cfg) is again and len(calls) == 2
+    make_batches(model, cfg)
+    assert len(calls) == 4
+
+
+def test_shared_batch_arrays_are_read_only():
+    for name in ("recip_bessel", "qnv(1,0,0)"):
+        primal, dual = make_batches(get_model(name).model,
+                                    MCConfig(n=100, steps=4, seed=2))
+        arrays = [primal.x, primal.hit_zero_time, primal.hit_infinity,
+                  dual.x, dual.hit_zero_time, dual.hit_infinity, dual.y]
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+
+
+class _YieldingConfig(MCConfig):
+    """An MCConfig whose comparison lets other threads run mid-lookup."""
+
+    def __eq__(self, other):
+        time.sleep(0)
+        return MCConfig.__eq__(self, other)
+
+    __hash__ = MCConfig.__hash__
+
+
+def test_make_batches_under_thread_contention(monkeypatch):
+    """Threads alternating two configs always get the pair of their own
+    config: a lookup that read the key and the pair apart could hand one
+    the other's.  A stub simulate keeps each miss short."""
+    model = get_model("stopped_bm").model
+    cfgs = [_YieldingConfig(n=64, seed=s, scheme="exact") for s in (1, 2)]
+    made = {}
+    for c in cfgs:
+        for spec, seed in ((model, c.seed),
+                           (derive_dual_model(model), dual_seed(c.seed))):
+            made[seed] = simulate(spec, MCConfig(n=64, seed=seed))
+    monkeypatch.setattr(engine, "simulate",
+                        lambda spec, c: replace(made[c.seed]))
+    errors = []
+
+    def work(i):
+        for j in range(2000):
+            cfg = cfgs[(i + j) % 2]
+            primal, dual = make_batches(model, cfg)
+            if (primal.seed, dual.seed) != (cfg.seed, dual_seed(cfg.seed)):
+                errors.append((i, j))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads) and not errors

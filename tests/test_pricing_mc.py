@@ -2,11 +2,13 @@
 defects, infinite-price verdicts and estimator properties."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dualfx import ConfigError, InfiniteContribution, MCConfig
+from dualfx import (ConfigError, InfiniteContribution, MCConfig,
+                    derive_dual_model, pricing, simulate)
 from dualfx.catalog import get_model
 from dualfx.lattice import tree_claim, two_period_example
 from dualfx.pricing import (CLAIM_KINDS, PAYOFFS, Claim,
@@ -14,6 +16,7 @@ from dualfx.pricing import (CLAIM_KINDS, PAYOFFS, Claim,
                             martingale_defect, parity_table, price,
                             price_euro_side, scheme_convergence,
                             tail_diagnostic)
+from dualfx.sde import dual_seed
 from tests.test_oracles import DUAL_ABSORPTION, EXPECTED_X
 
 CFG = MCConfig(n=100_000, seed=7)
@@ -263,3 +266,31 @@ def test_scheme_convergence_euler_exact_for_bm():
                                    [8, 32, 128], MCConfig(n=50_000, seed=2))
     for r in rows:
         assert r.abs_diff <= 4 * math.hypot(r.stderr, ref.stderr)
+
+
+def _explicit_batches(model, cfg):
+    """The pair from two explicit simulate calls, bypassing make_batches."""
+    return (simulate(model, cfg),
+            simulate(derive_dual_model(model),
+                     replace(cfg, seed=dual_seed(cfg.seed))))
+
+
+@pytest.mark.parametrize("name,scheme", [("recip_bessel", "exact"),
+                                         ("stopped_bm", "exact"),
+                                         ("qnv(1,0,0)", "euler_absorbed")])
+def test_tables_equal_with_and_without_the_kept_pair(name, scheme,
+                                                      monkeypatch):
+    model = get_model(name).model
+    cfg = MCConfig(n=5000, steps=16, seed=29, scheme=scheme)
+    strikes = [0.5, 1.0, 2.0]
+    tables = (parity_table, intl_equivalence_table)
+    cold = []
+    for table in tables:
+        make_batches(model, replace(cfg, seed=30))   # another pair is kept
+        cold.append(table(model, strikes, cfg))
+    kept = make_batches(model, cfg)
+    warm = [table(model, strikes, cfg) for table in tables]
+    assert make_batches(model, cfg) is kept
+    monkeypatch.setattr(pricing, "make_batches", _explicit_batches)
+    explicit = [table(model, strikes, cfg) for table in tables]
+    assert cold == warm == explicit

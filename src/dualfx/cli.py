@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -370,21 +371,19 @@ def run(cfg: ExperimentConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, model: bool = True) -> None:
-    if model:
-        p.add_argument("--model", help="catalog model name")
-        p.add_argument("--x0", type=float, default=1.0)
-        p.add_argument("--T", dest="horizon", type=float, default=1.0)
-        p.add_argument("--vol", type=float, default=0.5,
-                       help="volatility of the lognormal baseline")
-    p.add_argument("--n", type=int, default=100_000)
-    p.add_argument("--steps", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scheme", default="auto",
-                   help="auto | exact | euler_absorbed")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out-dir", dest="out_dir", default=None)
-    p.add_argument("--tag", default="report", help="artifact filename prefix")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--model", help="catalog model name")
+    p.add_argument("--x0", type=float)
+    p.add_argument("--T", dest="horizon", type=float)
+    p.add_argument("--vol", type=float,
+                   help="volatility of the lognormal baseline")
+    p.add_argument("--n", type=int)
+    p.add_argument("--steps", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--scheme", help="auto | exact | euler_absorbed")
+    p.add_argument("--workers", type=int)
+    p.add_argument("--out-dir", dest="out_dir")
+    p.add_argument("--tag", help="artifact filename prefix")
 
 
 def _strike_list(s: str) -> list[float]:
@@ -392,52 +391,56 @@ def _strike_list(s: str) -> list[float]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser.  An option left out is left out of the
+    namespace too, so ExperimentConfig's defaults are the only ones."""
     parser = argparse.ArgumentParser(
         prog="dualfx",
         description="two-measure FX pricing engine and verification suite")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("price", help="price one claim with the decomposition")
+    command = functools.partial(sub.add_parser,
+                                argument_default=argparse.SUPPRESS)
+
+    p = command("price", help="price one claim with the decomposition")
     _add_common(p)
-    p.add_argument("--claim", default="euro_forward")
-    p.add_argument("--strike", type=float, default=None)
+    p.add_argument("--claim")
+    p.add_argument("--strike", type=float)
     p.add_argument("--dump-samples", dest="dump_samples", action="store_true",
                    help="also write the raw terminal samples as CSV")
 
-    p = sub.add_parser("parity", help="put-call parity table")
+    p = command("parity", help="put-call parity table")
     _add_common(p)
-    p.add_argument("--strikes", type=_strike_list, default=[0.5, 1.0, 2.0])
+    p.add_argument("--strikes", type=_strike_list)
 
-    p = sub.add_parser("intl", help="international put-call equivalence table")
+    p = command("intl", help="international put-call equivalence table")
     _add_common(p)
-    p.add_argument("--strikes", type=_strike_list, default=[0.5, 1.0, 2.0])
+    p.add_argument("--strikes", type=_strike_list)
 
-    p = sub.add_parser("defect", help="martingale defect vs dual explosion mass")
+    p = command("defect", help="martingale defect vs dual explosion mass")
     _add_common(p)
 
-    p = sub.add_parser("lattice-verify", help="exact identity suite on a tree")
+    p = command("lattice-verify", help="exact identity suite on a tree")
     p.add_argument("--tree", required=True, help="tree spec JSON path")
-    p.add_argument("--strikes", type=_strike_list, default=[0.5, 1.0, 2.0])
-    p.add_argument("--out-dir", dest="out_dir", default=None)
-    p.add_argument("--tag", default="report")
+    p.add_argument("--strikes", type=_strike_list)
+    p.add_argument("--out-dir", dest="out_dir")
+    p.add_argument("--tag")
 
-    p = sub.add_parser("physical", help="physical-measure checks on a tree")
+    p = command("physical", help="physical-measure checks on a tree")
     p.add_argument("--tree", required=True)
-    p.add_argument("--out-dir", dest="out_dir", default=None)
-    p.add_argument("--tag", default="report")
+    p.add_argument("--out-dir", dest="out_dir")
+    p.add_argument("--tag")
 
-    p = sub.add_parser("convergence", help="euler vs exact scheme study")
+    p = command("convergence", help="euler vs exact scheme study")
     _add_common(p)
-    p.add_argument("--levels", type=lambda s: [int(t) for t in s.split(",")],
-                   default=[32, 128, 512])
+    p.add_argument("--levels", type=lambda s: [int(t) for t in s.split(",")])
 
-    p = sub.add_parser("catalog", help="list catalog models")
-    p.add_argument("--x0", type=float, default=1.0)
-    p.add_argument("--T", dest="horizon", type=float, default=1.0)
-    p.add_argument("--vol", type=float, default=0.5)
-    p.add_argument("--out-dir", dest="out_dir", default=None)
+    p = command("catalog", help="list catalog models")
+    p.add_argument("--x0", type=float)
+    p.add_argument("--T", dest="horizon", type=float)
+    p.add_argument("--vol", type=float)
+    p.add_argument("--out-dir", dest="out_dir")
 
-    p = sub.add_parser("run", help="run an experiment config JSON file")
+    p = command("run", help="run an experiment config JSON file")
     p.add_argument("config_path")
     return parser
 
@@ -450,9 +453,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(ns.config_path) as fh:
                 cfg = validate_config(json.load(fh))
         else:
-            raw = {k: v for k, v in vars(ns).items()
-                   if v is not None and k != "config_path"}
-            cfg = validate_config(raw)
+            cfg = validate_config(vars(ns))
         return run(cfg)
     except (DualFXError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

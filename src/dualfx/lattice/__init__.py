@@ -12,15 +12,14 @@ from .random_trees import (random_claim, random_complete_dual_tree,
 from .tree import (Branch, DualTree, TreeNode, build_dual_tree,
                    devaluation_mass, dump_tree, explosion_mass, first_hit_rule,
                    load_tree, one_step_defects, period_rule, tree_to_doc,
-                   two_period_example, validate_stopping_rule,
-                   verify_tree_invariants)
+                   two_period_example, verify_tree_invariants)
 
 __all__ = [
     "Branch", "DualTree", "TreeNode", "TreeClaim", "TreeDualPrice",
     "TreeStrategy", "ParityRow",
     "build_dual_tree", "load_tree", "dump_tree", "tree_to_doc",
     "two_period_example", "verify_tree_invariants",
-    "period_rule", "first_hit_rule", "validate_stopping_rule",
+    "period_rule", "first_hit_rule",
     "one_step_defects", "explosion_mass", "devaluation_mass",
     "verify_numeraire_identity", "bayes_check", "martingale_transfer_check",
     "price_on_tree", "superreplicate_backward",

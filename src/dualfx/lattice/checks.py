@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from ..errors import MeasurabilityError
-from .tree import DualTree, stop_map, validate_event, validate_stopping_rule
+from .tree import DualTree, stop_map
 
 
 def verify_numeraire_identity(tree: DualTree, event: Iterable[str],
@@ -21,8 +21,11 @@ def verify_numeraire_identity(tree: DualTree, event: Iterable[str],
     `rule` is a stopping rule (antichain covering all paths) and `event` a
     subset of its nodes.  Exact zero on every valid tree.
     """
-    tau = validate_stopping_rule(tree, rule)
-    ev = validate_event(tree, tau, event)
+    tau = frozenset(rule)
+    stop_map(tree, tau)
+    ev = frozenset(event)
+    if not ev <= tau:
+        raise MeasurabilityError("event is not determined at the stopping rule")
     lhs = Fraction(0)
     rhs = Fraction(0)
     for nid in ev:

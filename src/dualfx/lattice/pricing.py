@@ -1,7 +1,8 @@
 """Exact two-measure pricing and superreplication on dual trees.
 
-The price of a claim pair (D$, De) is the classical dollar expectation plus a
-correction carrying the explosion mass that only the euro measure sees:
+The price of a claim, paying D$ in dollars or De = D$ / X_T in euros, is the
+classical dollar expectation plus a correction carrying the explosion mass
+that only the euro measure sees:
 
     p$ = E_Q$[D$] + x0 * E_Qe[De 1{X_T = inf}]
     pe = E_Qe[De] + (1/x0) * E_Q$[D$ 1{X_T = 0}] = p$ / x0.
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
 from ..errors import ClaimError, InfeasibleError, InfinitePrice
 from ..extended import ExtendedValue
@@ -39,57 +40,45 @@ EV = ExtendedValue
 
 @dataclass(frozen=True)
 class TreeClaim:
-    """Payoff pair per terminal node; euro leg equals dollar leg over the rate
-    wherever the rate is finite."""
+    """One payoff per terminal node, in the currency of the measure that sees
+    the node: dollars where the rate is finite or zero, euros where it is
+    infinite.  The euro payoff at a finite or zero rate x is the dollar
+    payoff times 1/x (inf * 0 = 0), worked out where it is read."""
 
-    payoffs: Mapping[str, tuple[ExtendedValue, ExtendedValue]]
+    payoffs: Mapping[str, ExtendedValue]
     kind: str = "custom"
 
 
 def validate_claim(tree: DualTree, claim: TreeClaim) -> None:
-    """Raise ClaimError unless the claim is defined at every leaf and its euro
-    leg is the dollar leg over the rate wherever the rate is finite.
+    """Raise ClaimError unless the claim is defined at every leaf.
 
     The pricers call this once per pricing call, where a claim meets a tree.
     """
     for leaf in tree.leaves():
         if leaf.id not in claim.payoffs:
             raise ClaimError(f"claim not defined at leaf {leaf.id!r}")
-        d, e = claim.payoffs[leaf.id]
-        x = leaf.x
-        # e == d / x: zero, finite and infinite legs keep their tag
-        if x.is_finite and (e.tag != d.tag or (
-                e.is_finite and e.value * x.value != d.value)):
-            raise ClaimError(
-                f"euro leg at {leaf.id!r} is {e}, expected {d}/{leaf.x}")
 
 
-def _extended(v) -> ExtendedValue:
-    return EV.infinite() if v == math.inf else EV.of(v)
+def _in_euros(v: ExtendedValue, x: ExtendedValue) -> ExtendedValue:
+    """The euro payoff at a leaf with rate x whose stored payoff is v."""
+    return v if x.is_infinite else v * x.reciprocal()
 
 
 def tree_claim(tree: DualTree, kind: str, strike=None) -> TreeClaim:
     """Exact leaf payoffs of a claim kind from the `pricing.PAYOFFS` table.
 
-    The strike is read as a Fraction; kinds without a strike ignore it.  The
-    dollar value at an explosion leaf is inf times the euro value there
-    (inf * 0 = 0), which no measure seeing that leaf ever reads.  The claim is
-    not checked here: both legs come from the one table, and the pricers
-    check each claim they are given.
+    The strike is read as a Fraction; kinds without a strike ignore it.  A
+    leaf with a finite or zero rate takes the dollar leg, an exploded leaf
+    the euro value at explosion.
     """
     row, k = payoff_row(kind, strike, Fraction)
     payoffs = {}
     for leaf in tree.leaves():
-        x = leaf.x
-        if x.is_finite:
-            payoffs[leaf.id] = (EV.of(row.dollar(x.value, k)),
-                                EV.of(row.euro(x.value, k)))
-        elif x.is_infinite:
-            euro = _extended(row.euro_at_explosion(k))
-            payoffs[leaf.id] = (EV.infinite() * euro, euro)
+        if leaf.x.is_infinite:
+            euro = row.euro_at_explosion(k)
+            payoffs[leaf.id] = EV.infinite() if euro == math.inf else EV.of(euro)
         else:
-            payoffs[leaf.id] = (EV.of(row.dollar(Fraction(0), k)),
-                                _extended(row.euro_at_devaluation(k)))
+            payoffs[leaf.id] = EV.of(row.dollar(leaf.x.fraction, k))
     return TreeClaim(payoffs, kind if k is None else f"{kind}_{k}")
 
 
@@ -104,11 +93,8 @@ def claim_combine(tree: DualTree, c1: TreeClaim, c2: TreeClaim,
     a = Fraction(a)
     if a < 0:
         raise ClaimError("claims combine with nonnegative weights only")
-    payoffs = {}
-    for leaf in tree.leaves():
-        d1, e1 = c1.payoffs[leaf.id]
-        d2, e2 = c2.payoffs[leaf.id]
-        payoffs[leaf.id] = (d1 + d2.scale(a), e1 + e2.scale(a))
+    payoffs = {leaf.id: c1.payoffs[leaf.id] + c2.payoffs[leaf.id].scale(a)
+               for leaf in tree.leaves()}
     return TreeClaim(payoffs, f"({c1.kind})+{a}*({c2.kind})")
 
 
@@ -137,15 +123,17 @@ def price_on_tree(tree: DualTree, claim: TreeClaim) -> TreeDualPrice:
     euro_correction = Fraction(0)
     for leaf in tree.leaves():
         pd, pe = tree.prob_dollar[leaf.id], tree.prob_euro[leaf.id]
-        d, e = claim.payoffs[leaf.id]
+        v = claim.payoffs[leaf.id]
+        # the dollar measure sees finite and zero rates, where v is in dollars
         if pd > 0:
-            if d.is_infinite:
+            if v.is_infinite:
                 raise InfinitePrice(
                     f"dollar payoff infinite on supported leaf {leaf.id!r}")
-            classical += pd * d.fraction
+            classical += pd * v.fraction
             if leaf.x.is_zero:
-                euro_correction += pd * d.fraction / tree.x0
+                euro_correction += pd * v.fraction / tree.x0
         if pe > 0:
+            e = _in_euros(v, leaf.x)
             if e.is_infinite:
                 raise InfinitePrice(
                     f"euro payoff infinite on supported leaf {leaf.id!r}")
@@ -257,38 +245,32 @@ def _solve_hull_lp(points: list[tuple[Fraction, Fraction]],
     return v - t * x, t, v
 
 
-def superreplicate_backward(tree: DualTree, claim: TreeClaim,
-                            supported: Callable[[str], bool] | None = None,
+def _supported(tree: DualTree, nid: str) -> bool:
+    return tree.prob_dollar[nid] > 0 or tree.prob_euro[nid] > 0
+
+
+def superreplicate_backward(tree: DualTree, claim: TreeClaim
                             ) -> tuple[Fraction, TreeStrategy]:
     """Minimal-cost portfolio process dominating the claim under both measures.
 
-    `supported` restricts which nodes must be covered (default: every node
-    with positive mass under either measure).  Requires a finite claim on the
-    supported leaves.  Returns the initial cost in dollars and the strategy;
-    wealth entries are recorded at supported nodes.
+    Covers every node with positive mass under either measure, and requires
+    a finite claim on the supported leaves.  Returns the initial cost in
+    dollars and the strategy; wealth entries are recorded at supported nodes.
     """
     validate_claim(tree, claim)
-    if supported is None:
-        def supported(nid: str) -> bool:
-            return tree.prob_dollar[nid] > 0 or tree.prob_euro[nid] > 0
-
     req_dollar: dict[str, Fraction] = {}
     req_euro: dict[str, Fraction] = {}
     holdings: dict[str, tuple[Fraction, Fraction]] = {}
 
     for node in reversed(tree.nodes.values()):
-        if not supported(node.id):
+        if not _supported(tree, node.id):
             continue
         if node.is_terminal:
-            d, e = claim.payoffs[node.id]
-            if node.x.is_infinite:
-                if e.is_infinite:
-                    raise InfinitePrice(f"infinite euro payoff at {node.id!r}")
-                req_euro[node.id] = e.fraction
-            else:
-                if d.is_infinite:
-                    raise InfinitePrice(f"infinite dollar payoff at {node.id!r}")
-                req_dollar[node.id] = d.fraction
+            v = claim.payoffs[node.id]
+            if v.is_infinite:
+                raise InfinitePrice(f"infinite payoff at {node.id!r}")
+            req = req_euro if node.x.is_infinite else req_dollar
+            req[node.id] = v.fraction
             continue
         if node.x.is_infinite:
             req_euro[node.id] = req_euro[node.branches[0].child]
@@ -299,7 +281,7 @@ def superreplicate_backward(tree: DualTree, claim: TreeClaim,
         points = []
         floors = []
         for b in node.branches:
-            if not supported(b.child):
+            if not _supported(tree, b.child):
                 continue
             cx = tree.nodes[b.child].x
             if cx.is_infinite:
@@ -312,12 +294,11 @@ def superreplicate_backward(tree: DualTree, claim: TreeClaim,
 
     price = req_dollar[tree.root]
     strategy = TreeStrategy(price, holdings)
-    _fill_wealth(tree, strategy, supported)
+    _fill_wealth(tree, strategy)
     return price, strategy
 
 
-def _fill_wealth(tree: DualTree, strategy: TreeStrategy,
-                 supported: Callable[[str], bool]) -> None:
+def _fill_wealth(tree: DualTree, strategy: TreeStrategy) -> None:
     if strategy.price < 0:
         raise InfeasibleError("negative superreplication price for a claim >= 0")
     strategy.wealth_dollar[tree.root] = EV.of(strategy.price)
@@ -325,7 +306,7 @@ def _fill_wealth(tree: DualTree, strategy: TreeStrategy,
     # holdings in force at each reached node: its own, else its parent's
     held = {tree.root: strategy.holdings.get(tree.root)}
     for node in tree.nodes.values():
-        if node.parent not in held or not supported(node.id):
+        if node.parent not in held or not _supported(tree, node.id):
             continue
         e0, e1 = held[node.parent]
         if node.x.is_finite:
@@ -358,14 +339,15 @@ def verify_strategy(tree: DualTree, claim: TreeClaim, strategy: TreeStrategy,
     and stays nonnegative under the measure that sees each node."""
     for leaf in tree.leaves():
         pd, pe = tree.prob_dollar[leaf.id], tree.prob_euro[leaf.id]
-        d, e = claim.payoffs[leaf.id]
+        v = claim.payoffs[leaf.id]
         if pd > 0:
             w = strategy.wealth_dollar[leaf.id]
-            if not w >= d:
-                raise AssertionError(f"dollar wealth {w} < payoff {d} at {leaf.id!r}")
-            if require_equality and w != d:
-                raise AssertionError(f"dollar wealth {w} != payoff {d} at {leaf.id!r}")
+            if not w >= v:
+                raise AssertionError(f"dollar wealth {w} < payoff {v} at {leaf.id!r}")
+            if require_equality and w != v:
+                raise AssertionError(f"dollar wealth {w} != payoff {v} at {leaf.id!r}")
         if pe > 0:
+            e = _in_euros(v, leaf.x)
             w = strategy.wealth_euro[leaf.id]
             if not w >= e:
                 raise AssertionError(f"euro wealth {w} < payoff {e} at {leaf.id!r}")

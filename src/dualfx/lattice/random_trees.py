@@ -17,8 +17,6 @@ from ..extended import ExtendedValue
 from .pricing import TreeClaim
 from .tree import DualTree, build_dual_tree
 
-EV = ExtendedValue
-
 
 def _weights(rng: random.Random, k: int, total: Fraction) -> list[Fraction]:
     """k strictly positive rationals with the given exact sum."""
@@ -117,21 +115,10 @@ def random_fraction(rng: random.Random, zero_prob: float = 0.2) -> Fraction:
 
 
 def random_claim(tree: DualTree, seed: int) -> TreeClaim:
-    """Random nonnegative finite claim; euro leg mirrors the dollar leg where
-    the rate is finite and follows the rate's limit at the absorbed states."""
+    """Random nonnegative finite claim, one draw per leaf in tree order."""
     rng = random.Random(seed)
-    payoffs = {}
-    for leaf in tree.leaves():
-        if leaf.x.is_finite:
-            d = random_fraction(rng)
-            payoffs[leaf.id] = (EV.of(d), EV.of(d / leaf.x.fraction))
-        elif leaf.x.is_infinite:
-            e = random_fraction(rng)
-            payoffs[leaf.id] = (EV.infinite() if e > 0 else EV.zero(), EV.of(e))
-        else:
-            d = random_fraction(rng)
-            payoffs[leaf.id] = (EV.of(d), EV.infinite() if d > 0 else EV.zero())
-    return TreeClaim(payoffs, f"random_{seed}")
+    return TreeClaim({leaf.id: ExtendedValue.of(random_fraction(rng))
+                      for leaf in tree.leaves()}, f"random_{seed}")
 
 
 def random_rule(tree: DualTree, seed: int, stop_prob: float = 0.3,

@@ -297,7 +297,7 @@ def devaluation_mass(tree: DualTree, node_id: str) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# stopping rules and events
+# stopping rules
 # ---------------------------------------------------------------------------
 
 def stop_map(tree: DualTree, rule: Iterable[str]) -> dict[str, str | None]:
@@ -325,13 +325,6 @@ def stop_map(tree: DualTree, rule: Iterable[str]) -> dict[str, str | None]:
     return at
 
 
-def validate_stopping_rule(tree: DualTree, rule: Iterable[str]) -> frozenset[str]:
-    """The rule as a frozenset, once `stop_map` has accepted it."""
-    stop = frozenset(rule)
-    stop_map(tree, stop)
-    return stop
-
-
 def period_rule(tree: DualTree, t: int) -> frozenset[str]:
     """Deterministic rule: stop at period t."""
     if not 0 <= t <= tree.periods:
@@ -349,14 +342,6 @@ def first_hit_rule(tree: DualTree, predicate) -> frozenset[str]:
         elif predicate(node) or node.is_terminal:
             stop.add(node.id)
     return frozenset(stop)
-
-
-def validate_event(tree: DualTree, rule: frozenset[str],
-                   event: Iterable[str]) -> frozenset[str]:
-    ev = frozenset(event)
-    if not ev <= rule:
-        raise MeasurabilityError("event is not determined at the stopping rule")
-    return ev
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,10 @@ investor-specific physical measures; the module verifies, exactly:
       sits strictly below the spot (and dually for devaluation); and
   (c) the backward superreplication program restricted to P's support
       reproduces the two-measure price.
+
+P gives a node's cylinder the mass (Q$ + Qe)/2, which is positive exactly
+where Q$ or Qe is: P's support is the support superreplication covers by
+default, so check (c) runs the program as it is.
 """
 
 from __future__ import annotations
@@ -85,7 +89,7 @@ def consistency_checks(pl: PhysicalLattice,
                        claims: list[TreeClaim] | None = None) -> PhysicalReport:
     """Run checks (a)-(c); all are exact rational computations.
 
-    (c) compares the superreplication price restricted to P's support with the
+    (c) compares the superreplication price on P's support with the
     expectation-formula price for each claim (euro forward by default); on
     complete trees both agree by the pricing theorem.
     """
@@ -111,17 +115,12 @@ def consistency_checks(pl: PhysicalLattice,
     if claims is None:
         claims = [tree_euro_forward(tree)]
 
-    p_mass = cylinder_masses(tree, pl.p)
-
-    def p_supported(nid: str) -> bool:
-        return p_mass[nid] > 0
-
     replication_ok = True
     for claim in claims:
         formula = price_on_tree(tree, claim).total_dollar
-        restricted, strategy = superreplicate_backward(tree, claim, p_supported)
+        cost, strategy = superreplicate_backward(tree, claim)
         verify_strategy(tree, claim, strategy)
-        if restricted != formula:
+        if cost != formula:
             replication_ok = False
 
     return PhysicalReport(p_explosion, p_devaluation, defect_dollar,

@@ -45,39 +45,34 @@ class Payoff:
     """One claim kind, written once for numpy float arrays and for Fractions.
 
     `dollar(x, k)` is the dollar leg on [0, inf) and `euro(x, k)` the euro leg
-    on (0, inf), equal to dollar / x there.  The euro values at explosion and
-    at devaluation are functions of the strike, math.inf for an infinite
-    payoff.  The dollar value at explosion is inf times the euro value there,
-    under inf * 0 = 0.
+    on (0, inf), equal to dollar / x there.  `euro_at_explosion(k)` is the
+    euro value at explosion, math.inf for an infinite payoff.  The dollar
+    value at explosion is inf times the euro value there, under inf * 0 = 0.
     """
 
     dollar: Callable
     euro: Callable
     euro_at_explosion: Callable
-    euro_at_devaluation: Callable
     takes_strike: bool = True
 
 
 PAYOFFS: dict[str, Payoff] = {
     "euro_forward": Payoff(lambda x, k: x, lambda x, k: _const(x, 1),
-                           lambda k: 1, lambda k: 1, takes_strike=False),
+                           lambda k: 1, takes_strike=False),
     "call": Payoff(lambda x, k: _pos(x - k), lambda x, k: _pos(1 - k / x),
-                   lambda k: 1, lambda k: 0),
+                   lambda k: 1),
     "put": Payoff(lambda x, k: _pos(k - x), lambda x, k: _pos(k / x - 1),
-                  lambda k: 0, lambda k: math.inf),
+                  lambda k: 0),
     # call on one dollar, struck in euros
     "dollar_call": Payoff(lambda x, k: _pos(1 - k * x),
-                          lambda x, k: _pos(1 / x - k),
-                          lambda k: 0, lambda k: math.inf),
+                          lambda x, k: _pos(1 / x - k), lambda k: 0),
     "dollar_put": Payoff(lambda x, k: _pos(k * x - 1),
-                         lambda x, k: _pos(k - 1 / x),
-                         lambda k: k, lambda k: 0),
+                         lambda x, k: _pos(k - 1 / x), lambda k: k),
     "self_quantoed": Payoff(lambda x, k: x * _pos(x - k),
-                            lambda x, k: _pos(x - k),
-                            lambda k: math.inf, lambda k: 0),
+                            lambda x, k: _pos(x - k), lambda k: math.inf),
     "digital_explosion": Payoff(lambda x, k: _const(x, 0),
                                 lambda x, k: _const(x, 0),
-                                lambda k: 1, lambda k: 0, takes_strike=False),
+                                lambda k: 1, takes_strike=False),
 }
 
 CLAIM_KINDS = tuple(PAYOFFS)
@@ -219,17 +214,19 @@ def parity_table(model: DiffusionModel, strikes: Sequence[float],
                  cfg: MCConfig) -> list[ParityRow]:
     """Put-call parity report with common random numbers across all legs."""
     batches = make_batches(model, cfg)
-    primal, dual = batches
     x0 = model.x0
-    expl = estimate_from_values(dual.hit_infinity.astype(float), dual.seed)
-    # pathwise residual pieces: the dollar legs difference is x - K sample
-    # by sample, the dual legs difference is the explosion mass
-    se_dollar = estimate_from_values(primal.x, primal.seed).stderr
-    residual_se = math.hypot(se_dollar, x0 * expl.stderr)
+    # the euro forward's legs, E_Q$[X_T] and x0 * Qe(explosion), are the
+    # residual's pathwise pieces: the call and put dollar legs differ by
+    # x - K sample by sample, their dual legs by the explosion mass
+    forward = price(model, make_claim("euro_forward"), cfg, batches)
+    se_dollar = forward.classical.stderr
+    mass = forward.correction
+    residual_se = math.hypot(se_dollar, mass.stderr)
     rows = []
     for k in strikes:
         if k == 0:
-            call = price(model, make_claim("euro_forward"), cfg, batches)
+            call = forward
+            primal = batches[0]
             zero = estimate_from_values(np.zeros(len(primal)), primal.seed)
             put = DualPrice("put", 0.0, zero, zero.scale(x0), 0.0, 0.0, {})
         else:
@@ -241,8 +238,8 @@ def parity_table(model: DiffusionModel, strikes: Sequence[float],
             strike=float(k), call=call, put=put,
             residual=residual, residual_stderr=residual_se,
             classical_violation=violation, violation_stderr=se_dollar,
-            minus_correction_mass=-x0 * expl.mean,
-            mass_stderr=x0 * expl.stderr,
+            minus_correction_mass=-mass.mean,
+            mass_stderr=mass.stderr,
         ))
     return rows
 
@@ -323,12 +320,9 @@ class DefectReport:
 def martingale_defect(model: DiffusionModel, cfg: MCConfig,
                       batches: tuple[TerminalBatch, TerminalBatch] | None = None
                       ) -> DefectReport:
-    if batches is None:
-        batches = make_batches(model, cfg)
-    primal, dual = batches
-    ex = estimate_from_values(primal.x, primal.seed)
-    mass = estimate_from_values(dual.hit_infinity.astype(float),
-                                dual.seed).scale(model.x0)
+    # the euro forward's legs: E_Q$[X_T] and x0 * Qe(explosion)
+    forward = price(model, make_claim("euro_forward"), cfg, batches)
+    ex, mass = forward.classical, forward.correction
     defect = model.x0 - ex.mean
     z = z_score(Estimate(defect, ex.stderr, ex.n, ex.seed), mass)
     return DefectReport(defect, ex.stderr, mass.mean, mass.stderr, z,

@@ -57,14 +57,10 @@ class MCConfig:
 @dataclass
 class TerminalBatch:
     measure: str
-    model: str
     x: np.ndarray                  # X_T per path (inf where exploded)
     hit_zero_time: np.ndarray      # nan where X never hit zero
     hit_infinity: np.ndarray       # bool
     seed: int
-    scheme: str
-    steps: int
-    horizon: float
     y: np.ndarray | None = None    # raw reciprocal-rate values, euro batches
 
     def __len__(self) -> int:
@@ -303,7 +299,6 @@ def simulate(spec: DiffusionModel | DualDiffusion, cfg: MCConfig) -> TerminalBat
         def body(gen, m):
             return euler_absorbed(gen, m, spec.sigma, start, spec.horizon,
                                   cfg.steps)
-        scheme_id = "euler_absorbed"
     else:   # "exact"; MCConfig admits no other scheme
         sid = spec.exact_scheme
         if sid not in EXACT_SAMPLERS:
@@ -312,7 +307,6 @@ def simulate(spec: DiffusionModel | DualDiffusion, cfg: MCConfig) -> TerminalBat
 
         def body(gen, m):
             return sampler(gen, m, start, spec.horizon, spec.params)
-        scheme_id = f"exact_{sid}"
 
     values, hit = _run_blocks(cfg.n, cfg.seed, cfg.workers, body)
     if not np.isfinite(values).all():
@@ -322,13 +316,11 @@ def simulate(spec: DiffusionModel | DualDiffusion, cfg: MCConfig) -> TerminalBat
         exploded = values == 0.0
         with np.errstate(divide="ignore"):
             x = np.where(exploded, np.inf, 1.0 / values)
-        batch = TerminalBatch(EURO, spec.name, x, np.full(cfg.n, np.nan),
-                              exploded, cfg.seed, scheme_id, cfg.steps,
-                              spec.horizon, y=values)
+        batch = TerminalBatch(EURO, x, np.full(cfg.n, np.nan), exploded,
+                              cfg.seed, y=values)
     else:
-        batch = TerminalBatch(DOLLAR, spec.name, values, hit,
-                              np.zeros(cfg.n, dtype=bool), cfg.seed,
-                              scheme_id, cfg.steps, spec.horizon)
+        batch = TerminalBatch(DOLLAR, values, hit,
+                              np.zeros(cfg.n, dtype=bool), cfg.seed)
     _assert_measure_nulls(batch)
     return batch
 

@@ -43,7 +43,7 @@ def test_call_put_and_parity_on_example():
 
 def test_zero_claim_prices_to_zero():
     t = two_period_example()
-    zero = TreeClaim({l.id: (EV.zero(), EV.zero()) for l in t.leaves()}, "zero")
+    zero = TreeClaim({l.id: EV.zero() for l in t.leaves()}, "zero")
     assert price_on_tree(t, zero).total_dollar == 0
     price, strategy = superreplicate_backward(t, zero)
     assert price == 0
@@ -78,9 +78,11 @@ def test_self_quantoed_infinite_on_explosion_tree():
 
 def test_claim_consistency_validated():
     t = two_period_example()
-    bad = {l.id: (l.x, EV.of(2)) for l in t.leaves()}
+    partial = {l.id: EV.of(2) for l in t.leaves() if l.id != "dn_dn"}
+    with pytest.raises(ClaimError, match="not defined at leaf 'dn_dn'"):
+        validate_claim(t, TreeClaim(partial, "broken"))
     with pytest.raises(ClaimError):
-        validate_claim(t, TreeClaim(bad, "broken"))
+        price_on_tree(t, TreeClaim(partial, "broken"))
 
 
 def test_price_identity_and_superrep_on_complete_trees():
@@ -205,8 +207,8 @@ def test_hull_solver_matches_enumeration_on_random_programs():
 
 def test_hull_solver_matches_enumeration_on_tree_programs(monkeypatch):
     """Every node program that superreplication solves on 200 random trees,
-    over the default support and the physical measure's support, equals the
-    enumeration's optimum."""
+    called directly and by the physical checks, equals the enumeration's
+    optimum."""
     from dualfx.lattice import pricing as lpricing
 
     seen = {"programs": 0, "point_at_x": 0, "floors": 0}
@@ -381,7 +383,7 @@ def test_correction_positive_iff_euro_payoff_on_explosion():
         claim = random_claim(tree, seed + 41)
         p = price_on_tree(tree, claim)
         mass = sum((tree.prob_euro[l.id] for l in tree.leaves()
-                    if l.x.is_infinite and claim.payoffs[l.id][1] > EV.zero()),
+                    if l.x.is_infinite and claim.payoffs[l.id] > EV.zero()),
                    Fraction(0))
         assert (p.correction > 0) == (mass > 0)
 
@@ -450,23 +452,6 @@ def test_table_claims_pass_validation(kind):
             validate_claim(tree, tree_claim(tree, kind, k))
 
 
-def test_claim_check_is_the_reciprocal_rule():
-    """validate_claim accepts a leaf pair exactly when e == d * (1/x)."""
-    t = build_dual_tree({"x0": "1", "periods": 1, "nodes": [
-        {"id": "r", "x": "1", "branches": [["a", "1/2"], ["b", "1/2"]]},
-        {"id": "a", "x": "2/3"}, {"id": "b", "x": "2"}]})
-    values = [EV.zero(), EV.of(Fraction(1, 3)), EV.of(Fraction(1, 2)),
-              EV.of(1), EV.of(Fraction(3, 2)), EV.infinite()]
-    for d in values:
-        for e in values:
-            claim = TreeClaim({"a": (d, e), "b": (EV.of(2), EV.of(1))})
-            if e == d * t.node("a").x.reciprocal():
-                validate_claim(t, claim)
-            else:
-                with pytest.raises(ClaimError, match=r"euro leg at 'a' is"):
-                    validate_claim(t, claim)
-
-
 def test_tree_claim_labels():
     t = two_period_example()
     assert tree_claim(t, "call", "1/2").kind == "call_1/2"
@@ -477,7 +462,8 @@ def test_tree_claim_labels():
 @pytest.mark.parametrize("kind", CLAIM_KINDS)
 def test_table_rational_and_float_evaluations_agree(kind):
     """The payoff table evaluated in Fractions on a tree and in floats by
-    make_claim agree on every leaf: finite states, explosions, devaluations."""
+    make_claim agree on every leaf: finite states, explosions, devaluations.
+    The table's euro column is the dollar column over the rate, exactly."""
     row = PAYOFFS[kind]
     strikes = ([Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(7, 3)]
                if row.takes_strike else [None])
@@ -489,17 +475,20 @@ def test_table_rational_and_float_evaluations_agree(kind):
             fk = None if k is None else float(k)
             approx = make_claim(kind, fk)
             for leaf in tree.leaves():
-                d, e = exact.payoffs[leaf.id]
+                v = exact.payoffs[leaf.id]
                 seen.add(leaf.x.tag)
                 if leaf.x.is_finite:
-                    x = np.array([float(leaf.x.fraction)])
-                    pairs = [(d, approx.dollar_finite(x)[0]),
-                             (e, approx.euro_finite(x)[0])]
+                    x = leaf.x.fraction
+                    assert row.euro(x, k) == row.dollar(x, k) / x, \
+                        (kind, k, leaf.id)
+                    fx = np.array([float(x)])
+                    pairs = [(v, approx.dollar_finite(fx)[0]),
+                             (v * leaf.x.reciprocal(),
+                              approx.euro_finite(fx)[0])]
                 elif leaf.x.is_infinite:
-                    pairs = [(e, approx.euro_at_explosion)]
+                    pairs = [(v, approx.euro_at_explosion)]
                 else:
-                    pairs = [(d, approx.dollar_finite(np.zeros(1))[0]),
-                             (e, float(row.euro_at_devaluation(fk)))]
+                    pairs = [(v, approx.dollar_finite(np.zeros(1))[0])]
                 for want, got in pairs:
                     assert math.isclose(want.as_float(), got, rel_tol=1e-12), \
                         (kind, k, leaf.id)

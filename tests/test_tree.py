@@ -10,7 +10,7 @@ from dualfx.lattice import (DualTree, build_dual_tree, devaluation_mass,
                             dump_tree, explosion_mass, first_hit_rule,
                             load_tree, one_step_defects, period_rule,
                             random_dual_tree, tree_to_doc, two_period_example,
-                            validate_stopping_rule, verify_tree_invariants)
+                            verify_tree_invariants)
 from dualfx.lattice.tree import stop_map
 
 
@@ -148,13 +148,14 @@ def test_json_roundtrip(tmp_path):
 
 def test_stopping_rules():
     t = two_period_example()
-    assert validate_stopping_rule(t, period_rule(t, 1)) == {"up", "dn"}
+    assert period_rule(t, 1) == {"up", "dn"}
+    stop_map(t, period_rule(t, 1))      # a valid rule passes
     hit = first_hit_rule(t, lambda n: n.x.is_infinite)
     assert hit == {"up", "dn_up", "dn_dn"}
     with pytest.raises(MeasurabilityError):
-        validate_stopping_rule(t, {"up"})          # does not cover all paths
+        stop_map(t, {"up"})          # does not cover all paths
     with pytest.raises(MeasurabilityError):
-        validate_stopping_rule(t, {"r", "dn"})     # crossed twice
+        stop_map(t, {"r", "dn"})     # crossed twice
     with pytest.raises(MeasurabilityError):
         period_rule(t, 9)
 

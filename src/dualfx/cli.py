@@ -85,9 +85,9 @@ def _is(value, kind) -> bool:
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
-    """The one boundary check of a config: keys, field types, command and the
-    Monte Carlo settings; raises ConfigError (SchemeUnsupported for a bad
-    scheme)."""
+    """The one boundary check of a config: keys, field types, command, finite
+    strikes and the Monte Carlo settings; raises ConfigError
+    (SchemeUnsupported for a bad scheme)."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {raw!r}")
     fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
@@ -106,6 +106,11 @@ def validate_config(raw: dict) -> ExperimentConfig:
                               f"got {value!r}")
     if raw["command"] not in COMMANDS:
         raise ConfigError(f"unknown command {raw['command']!r}")
+    # abs(k) < inf is False on nan and inf, and exact on any int
+    bad = [k for k in [*raw.get("strikes", ()), raw.get("strike") or 0]
+           if not abs(k) < math.inf]
+    if bad:
+        raise ConfigError(f"strikes must be finite, got {bad[0]!r}")
     cfg = ExperimentConfig(**raw)
     cfg.mc()   # MCConfig validates n, steps, scheme and workers
     return cfg
@@ -135,18 +140,12 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow(row)
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:

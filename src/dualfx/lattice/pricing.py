@@ -155,12 +155,13 @@ def price_on_tree(tree: DualTree, claim: TreeClaim) -> TreeDualPrice:
 @dataclass
 class TreeStrategy:
     """Holdings (money-market units, euro units) per interior finite node and
-    the wealth they generate, in both units, at every supported node."""
+    the wealth they generate at every supported node, in the unit of the
+    measure that sees the node: euros where X = inf, dollars elsewhere (the
+    unit of `TreeClaim.payoffs`)."""
 
     price: Fraction
     holdings: dict[str, tuple[Fraction, Fraction]] = field(default_factory=dict)
-    wealth_dollar: dict[str, ExtendedValue] = field(default_factory=dict)
-    wealth_euro: dict[str, ExtendedValue] = field(default_factory=dict)
+    wealth: dict[str, Fraction] = field(default_factory=dict)
 
 
 def _solve_hull_lp(points: list[tuple[Fraction, Fraction]],
@@ -256,10 +257,11 @@ def superreplicate_backward(tree: DualTree, claim: TreeClaim
     Covers every node with positive mass under either measure, and requires
     a finite claim on the supported leaves.  Returns the initial cost in
     dollars and the strategy; wealth entries are recorded at supported nodes.
+    The requirement at a node is kept in the unit of the measure that sees it,
+    as the claim's payoffs are, so an absorbed node inherits its child's.
     """
     validate_claim(tree, claim)
-    req_dollar: dict[str, Fraction] = {}
-    req_euro: dict[str, Fraction] = {}
+    required: dict[str, Fraction] = {}
     holdings: dict[str, tuple[Fraction, Fraction]] = {}
 
     for node in reversed(tree.nodes.values()):
@@ -269,14 +271,10 @@ def superreplicate_backward(tree: DualTree, claim: TreeClaim
             v = claim.payoffs[node.id]
             if v.is_infinite:
                 raise InfinitePrice(f"infinite payoff at {node.id!r}")
-            req = req_euro if node.x.is_infinite else req_dollar
-            req[node.id] = v.fraction
+            required[node.id] = v.fraction
             continue
-        if node.x.is_infinite:
-            req_euro[node.id] = req_euro[node.branches[0].child]
-            continue
-        if node.x.is_zero:
-            req_dollar[node.id] = req_dollar[node.branches[0].child]
+        if not node.x.is_finite:
+            required[node.id] = required[node.branches[0].child]
             continue
         points = []
         floors = []
@@ -285,80 +283,55 @@ def superreplicate_backward(tree: DualTree, claim: TreeClaim
                 continue
             cx = tree.nodes[b.child].x
             if cx.is_infinite:
-                floors.append(req_euro[b.child])
+                floors.append(required[b.child])
             else:
-                points.append((cx.fraction, req_dollar[b.child]))
+                points.append((cx.fraction, required[b.child]))
         e0, e1, cost = _solve_hull_lp(points, floors, node.x.fraction)
         holdings[node.id] = (e0, e1)
-        req_dollar[node.id] = cost
+        required[node.id] = cost
 
-    price = req_dollar[tree.root]
+    price = required[tree.root]
     strategy = TreeStrategy(price, holdings)
     _fill_wealth(tree, strategy)
     return price, strategy
 
 
 def _fill_wealth(tree: DualTree, strategy: TreeStrategy) -> None:
+    """Wealth e0 + e1*x at each supported node from the holdings in force at
+    its parent: e1 euros at an explosion, e0 dollars at a devaluation."""
     if strategy.price < 0:
         raise InfeasibleError("negative superreplication price for a claim >= 0")
-    strategy.wealth_dollar[tree.root] = EV.of(strategy.price)
-    strategy.wealth_euro[tree.root] = EV.of(strategy.price / tree.x0)
+    strategy.wealth[tree.root] = strategy.price
     # holdings in force at each reached node: its own, else its parent's
     held = {tree.root: strategy.holdings.get(tree.root)}
     for node in tree.nodes.values():
         if node.parent not in held or not _supported(tree, node.id):
             continue
         e0, e1 = held[node.parent]
-        if node.x.is_finite:
-            w = e0 + e1 * node.x.fraction
-            if w < 0:
-                raise InfeasibleError(
-                    f"negative wealth at supported node {node.id!r}")
-            strategy.wealth_dollar[node.id] = EV.of(w)
-            strategy.wealth_euro[node.id] = EV.of(w / node.x.fraction)
-        elif node.x.is_infinite:
-            if e1 < 0:
-                raise InfeasibleError(
-                    f"negative euro wealth at supported node {node.id!r}")
-            strategy.wealth_euro[node.id] = EV.of(e1)
-            strategy.wealth_dollar[node.id] = (
-                EV.infinite() if e1 > 0 else EV.of(max(e0, Fraction(0))))
-        else:
-            if e0 < 0:
-                raise InfeasibleError(
-                    f"negative dollar wealth at supported node {node.id!r}")
-            strategy.wealth_dollar[node.id] = EV.of(e0)
-            strategy.wealth_euro[node.id] = (
-                EV.infinite() if e0 > 0 else EV.of(max(e1, Fraction(0))))
+        w = e1 if node.x.is_infinite else e0 + e1 * node.x.fraction
+        if w < 0:
+            raise InfeasibleError(
+                f"negative wealth at supported node {node.id!r}")
+        strategy.wealth[node.id] = w
         held[node.id] = strategy.holdings.get(node.id, (e0, e1))
 
 
 def verify_strategy(tree: DualTree, claim: TreeClaim, strategy: TreeStrategy,
                     require_equality: bool = False) -> None:
     """Assert the wealth process superreplicates the claim on supported leaves
-    and stays nonnegative under the measure that sees each node."""
+    and stays nonnegative, both in the unit of the measure that sees each
+    node; at a finite rate x > 0 that one comparison holds in both units."""
     for leaf in tree.leaves():
-        pd, pe = tree.prob_dollar[leaf.id], tree.prob_euro[leaf.id]
-        v = claim.payoffs[leaf.id]
-        if pd > 0:
-            w = strategy.wealth_dollar[leaf.id]
-            if not w >= v:
-                raise AssertionError(f"dollar wealth {w} < payoff {v} at {leaf.id!r}")
-            if require_equality and w != v:
-                raise AssertionError(f"dollar wealth {w} != payoff {v} at {leaf.id!r}")
-        if pe > 0:
-            e = _in_euros(v, leaf.x)
-            w = strategy.wealth_euro[leaf.id]
-            if not w >= e:
-                raise AssertionError(f"euro wealth {w} < payoff {e} at {leaf.id!r}")
-            if require_equality and w != e:
-                raise AssertionError(f"euro wealth {w} != payoff {e} at {leaf.id!r}")
-    for nid, w in strategy.wealth_dollar.items():
-        if tree.prob_dollar[nid] > 0 and w < EV.zero():
-            raise AssertionError(f"negative dollar wealth at {nid!r}")
-    for nid, w in strategy.wealth_euro.items():
-        if tree.prob_euro[nid] > 0 and w < EV.zero():
-            raise AssertionError(f"negative euro wealth at {nid!r}")
+        if not _supported(tree, leaf.id):
+            continue
+        w, v = strategy.wealth[leaf.id], claim.payoffs[leaf.id]
+        if v.is_infinite or w < v.fraction:
+            raise AssertionError(f"wealth {w} < payoff {v} at {leaf.id!r}")
+        if require_equality and w != v.fraction:
+            raise AssertionError(f"wealth {w} != payoff {v} at {leaf.id!r}")
+    for nid, w in strategy.wealth.items():
+        if w < 0:
+            raise AssertionError(f"negative wealth at {nid!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -25,17 +25,16 @@ def _weights(rng: random.Random, k: int, total: Fraction) -> list[Fraction]:
     return [total * wi / s for wi in w]
 
 
-def _split_kinds(rng: random.Random, max_branches: int,
-                 complete: bool, allow_explosion: bool,
+def _split_kinds(rng: random.Random, max_branches: int, allow_explosion: bool,
                  allow_devaluation: bool) -> tuple[int, bool, bool]:
     """(number of finite children, explosion child?, devaluation child?)."""
     while True:
         explode = allow_explosion and rng.random() < 0.35
         devalue = allow_devaluation and rng.random() < 0.30
-        cap = (2 if complete else max_branches) - explode - devalue
+        cap = max_branches - explode - devalue
         n_fin = rng.randint(0, max(cap, 0))
         supported = n_fin + explode + devalue
-        if supported == 0 or supported > (2 if complete else max_branches):
+        if supported == 0 or supported > max_branches:
             continue
         # q mass must land somewhere (finite or zero child), and q_hat mass
         # must land somewhere (finite or infinite child)
@@ -45,13 +44,13 @@ def _split_kinds(rng: random.Random, max_branches: int,
 
 
 def _grow(rng: random.Random, nodes: list[dict], nid: str, x: Fraction,
-          t: int, periods: int, max_branches: int, complete: bool,
-          allow_explosion: bool, allow_devaluation: bool) -> None:
+          t: int, periods: int, max_branches: int, allow_explosion: bool,
+          allow_devaluation: bool) -> None:
     if t == periods:
         nodes.append({"id": nid, "x": str(x)})
         return
     n_fin, explode, devalue = _split_kinds(
-        rng, max_branches, complete, allow_explosion, allow_devaluation)
+        rng, max_branches, allow_explosion, allow_devaluation)
     z = Fraction(0)
     m = Fraction(0)
     if devalue:
@@ -83,19 +82,19 @@ def _grow(rng: random.Random, nodes: list[dict], nid: str, x: Fraction,
             children.append((cid, cx))
     nodes.append({"id": nid, "x": str(x), "branches": branches})
     for cid, cx in children:
-        _grow(rng, nodes, cid, cx, t + 1, periods, max_branches, complete,
+        _grow(rng, nodes, cid, cx, t + 1, periods, max_branches,
               allow_explosion, allow_devaluation)
 
 
 def random_dual_tree(seed: int, max_periods: int = 4, max_branches: int = 3,
-                     complete: bool = False, allow_explosion: bool = True,
+                     allow_explosion: bool = True,
                      allow_devaluation: bool = True) -> DualTree:
     rng = random.Random(seed)
     periods = rng.randint(1, max_periods)
     x0 = Fraction(rng.randint(1, 4), rng.randint(1, 3))
     nodes: list[dict] = []
-    _grow(rng, nodes, "r", x0, 0, periods, max_branches, complete,
-          allow_explosion, allow_devaluation)
+    _grow(rng, nodes, "r", x0, 0, periods, max_branches, allow_explosion,
+          allow_devaluation)
     return build_dual_tree({"x0": str(x0), "periods": periods,
                             "root": "r", "nodes": nodes})
 
@@ -103,7 +102,7 @@ def random_dual_tree(seed: int, max_periods: int = 4, max_branches: int = 3,
 def random_complete_dual_tree(seed: int, max_periods: int = 4,
                               allow_explosion: bool = True,
                               allow_devaluation: bool = True) -> DualTree:
-    return random_dual_tree(seed, max_periods, max_branches=2, complete=True,
+    return random_dual_tree(seed, max_periods, max_branches=2,
                             allow_explosion=allow_explosion,
                             allow_devaluation=allow_devaluation)
 

@@ -139,6 +139,11 @@ def euro_leg_values(claim: Claim, dual: TerminalBatch) -> np.ndarray:
     return out
 
 
+def devaluation_values(claim: Claim, primal: TerminalBatch) -> np.ndarray:
+    """Per-path dollar payoff on the devaluation event, zero elsewhere."""
+    return np.where(primal.x == 0.0, claim.dollar_finite(primal.x), 0.0)
+
+
 # ---------------------------------------------------------------------------
 # price decomposition
 # ---------------------------------------------------------------------------
@@ -188,8 +193,8 @@ def price_euro_side(model: DiffusionModel, claim: Claim, cfg: MCConfig,
         batches = make_batches(model, cfg)
     primal, dual = batches
     euro_classical = estimate_from_values(euro_leg_values(claim, dual), dual.seed)
-    deval = np.where(primal.x == 0.0, claim.dollar_finite(primal.x), 0.0)
-    correction = estimate_from_values(deval, primal.seed).scale(1.0 / model.x0)
+    correction = estimate_from_values(devaluation_values(claim, primal),
+                                      primal.seed).scale(1.0 / model.x0)
     return euro_classical, correction
 
 
@@ -259,47 +264,33 @@ def intl_equivalence_table(model: DiffusionModel, strikes: Sequence[float],
                            cfg: MCConfig) -> list[EquivalenceRow]:
     """Cross-currency call/put equivalence, z-scored with shared batches.
 
-    The z-scores combine each batch's pathwise difference first, so the
-    common random numbers cancel exactly where the identity telescopes.
+    Each row holds p$(A_K) = x0 K pe(B_{1/K}) for the pairs (A, B) = (call,
+    dollar put) and (put, dollar call): the dollar price is the dollar leg
+    plus x0 times A's explosion leg, the euro price B's euro leg plus 1/x0
+    times B's devaluation leg.  The z-scores combine each batch's pathwise
+    difference first, so the common random numbers cancel exactly where the
+    identity telescopes.
     """
     primal, dual = make_batches(model, cfg)
     x0 = model.x0
     rows = []
     for k in strikes:
-        call = make_claim("call", k)
-        put = make_claim("put", k)
-        d_call = make_claim("dollar_call", 1.0 / k)
-        d_put = make_claim("dollar_put", 1.0 / k)
-
-        # p$(C$_K) - x0 K pe(Pe_{1/K}); the dollar-put euro claim has no
-        # devaluation correction (its dollar leg vanishes at zero)
-        a_call = call.dollar_finite(primal.x)
-        corr_call = euro_correction_values(call, dual)
-        euro_d_put = euro_leg_values(d_put, dual)
-        b_call = x0 * (corr_call - k * euro_d_put)
-        ea, eb = (estimate_from_values(a_call, primal.seed),
-                  estimate_from_values(b_call, dual.seed))
-        z_call = z_score(ea, Estimate(-eb.mean, eb.stderr, eb.n, eb.seed))
-        lhs_call = ea.mean + float(corr_call.mean()) * x0
-        rhs_call = x0 * k * float(euro_d_put.mean())
-
-        # p$(P$_K) - x0 K pe(Ce_{1/K}); the dollar-call euro claim pays one
-        # dollar on devaluation, hence the primal correction term
-        dollar_put = put.dollar_finite(primal.x)
-        devalued = np.where(primal.x == 0.0, 1.0, 0.0)
-        a_put = dollar_put - k * devalued
-        corr_put = euro_correction_values(put, dual)
-        euro_d_call = euro_leg_values(d_call, dual)
-        b_put = x0 * (corr_put - k * euro_d_call)
-        ea2, eb2 = (estimate_from_values(a_put, primal.seed),
-                    estimate_from_values(b_put, dual.seed))
-        z_put = z_score(ea2, Estimate(-eb2.mean, eb2.stderr, eb2.n, eb2.seed))
-        lhs_put = float(dollar_put.mean()) + float(corr_put.mean()) * x0
-        rhs_put = x0 * k * (float(euro_d_call.mean())
-                            + float(devalued.mean()) * (1.0 / x0))
-
-        rows.append(EquivalenceRow(float(k), lhs_call, rhs_call, z_call,
-                                   lhs_put, rhs_put, z_put))
+        sides = []
+        for a_kind, b_kind in (("call", "dollar_put"), ("put", "dollar_call")):
+            a, b = make_claim(a_kind, k), make_claim(b_kind, 1.0 / k)
+            a_dollar = a.dollar_finite(primal.x)
+            a_expl = euro_correction_values(a, dual)
+            b_euro = euro_leg_values(b, dual)
+            b_dev = devaluation_values(b, primal)
+            lhs = float(a_dollar.mean()) + float(a_expl.mean()) * x0
+            rhs = x0 * k * (float(b_euro.mean())
+                            + float(b_dev.mean()) * (1.0 / x0))
+            z = z_score(
+                estimate_from_values(a_dollar - k * b_dev, primal.seed),
+                estimate_from_values(x0 * (a_expl - k * b_euro),
+                                     dual.seed).scale(-1.0))
+            sides += [lhs, rhs, z]
+        rows.append(EquivalenceRow(float(k), *sides))
     return rows
 
 

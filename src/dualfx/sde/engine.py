@@ -29,9 +29,6 @@ from .models import DiffusionModel, DualDiffusion, derive_dual_model
 
 BLOCK = 8192
 
-DOLLAR = "dollar"
-EURO = "euro"
-
 SCHEMES = ("auto", "euler_absorbed", "exact")
 
 
@@ -56,7 +53,6 @@ class MCConfig:
 
 @dataclass
 class TerminalBatch:
-    measure: str
     x: np.ndarray                  # X_T per path (inf where exploded)
     hit_zero_time: np.ndarray      # nan where X never hit zero
     hit_infinity: np.ndarray       # bool
@@ -316,23 +312,9 @@ def simulate(spec: DiffusionModel | DualDiffusion, cfg: MCConfig) -> TerminalBat
         exploded = values == 0.0
         with np.errstate(divide="ignore"):
             x = np.where(exploded, np.inf, 1.0 / values)
-        batch = TerminalBatch(EURO, x, np.full(cfg.n, np.nan), exploded,
-                              cfg.seed, y=values)
-    else:
-        batch = TerminalBatch(DOLLAR, values, hit,
-                              np.zeros(cfg.n, dtype=bool), cfg.seed)
-    _assert_measure_nulls(batch)
-    return batch
-
-
-def _assert_measure_nulls(batch: TerminalBatch) -> None:
-    """The measure running the simulation never sees its own null events."""
-    if batch.measure == DOLLAR:
-        if batch.hit_infinity.any() or not np.isfinite(batch.x).all():
-            raise AssertionError("primal simulation produced an explosion")
-    else:
-        if not np.isnan(batch.hit_zero_time).all():
-            raise AssertionError("dual simulation produced a devaluation time")
+        return TerminalBatch(x, np.full(cfg.n, np.nan), exploded, cfg.seed,
+                             y=values)
+    return TerminalBatch(values, hit, np.zeros(cfg.n, dtype=bool), cfg.seed)
 
 
 def dump_batch_csv(batch: TerminalBatch, path) -> None:

@@ -253,6 +253,32 @@ def test_config_validation_checks_field_types():
     assert cfg.x0 == 2 and cfg.strikes == [1, 0.5]
 
 
+@pytest.mark.parametrize("strike", ["nan", "inf"])
+@pytest.mark.parametrize("args", [
+    ["lattice-verify", "--tree", "{tree}", "--strikes", "1,{strike}"],
+    ["parity", "--model", "recip_bessel", "--n", "100",
+     "--strikes", "{strike}"],
+    ["price", "--model", "recip_bessel", "--n", "100", "--claim", "call",
+     "--strike", "{strike}"]])
+def test_non_finite_strike_is_usage_error(args, strike, example_tree_path,
+                                          tmp_path, capsys):
+    argv = [a.format(tree=example_tree_path, strike=strike) for a in args]
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: strikes must be finite")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_validation_rejects_non_finite_strikes():
+    for bad in ({"strike": float("nan")}, {"strikes": [1, float("inf")]}):
+        with pytest.raises(ConfigError, match="finite"):
+            validate_config({"command": "intl", **bad})
+    cfg = validate_config({"command": "parity", "strikes": [0, 10**400]})
+    assert cfg.strikes == [0, 10**400]
+
+
 def test_run_command_bad_config_exits_1(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"command": "price", "bogus_key": 1}))

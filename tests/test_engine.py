@@ -251,7 +251,6 @@ def test_terminal_sample_view():
     b = simulate(get_model("singular_timechange").model,
                  MCConfig(n=64, seed=5))
     assert b.x[0] == 0.0
-    assert b.measure == "dollar"
     assert 0.0 < b.hit_zero_time[0] <= 1.0
     assert not b.hit_infinity[0]
     assert len(b) == len(b.x) == len(b.hit_zero_time) \

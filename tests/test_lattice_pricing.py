@@ -106,8 +106,70 @@ def test_strategy_is_self_financing_on_complete_trees():
         _, strategy = superreplicate_backward(tree, claim)
         for nid, (e0, e1) in strategy.holdings.items():
             node = tree.node(nid)
-            assert strategy.wealth_dollar[nid].fraction \
-                == e0 + e1 * node.x.fraction
+            assert strategy.wealth[nid] == e0 + e1 * node.x.fraction
+
+
+def _absorbing_tree():
+    """r (x = 1) explodes to e or moves to f (x = 1/2); f devalues to fz or
+    moves to ff (x = 1).  Two supported branches per node: complete.  The
+    tree carries e to the horizon as the leaf e~2."""
+    return build_dual_tree({
+        "x0": "1", "periods": 2, "root": "r",
+        "nodes": [
+            {"id": "r", "x": "1", "branches": [["e", "1/2"], ["f", "1/2"]]},
+            {"id": "e", "x": "inf"},
+            {"id": "f", "x": "1/2", "branches": [["fz", "1/2"], ["ff", "1"]]},
+            {"id": "fz", "x": "0"},
+            {"id": "ff", "x": "1"},
+        ],
+    })
+
+
+def _absorbing_claim(**payoffs):
+    # 2 euros at the explosion, 3 dollars at the devaluation, 1 dollar at ff
+    values = {"e~2": 2, "fz": 3, "ff": 1, **payoffs}
+    return TreeClaim({nid: EV.of(v) for nid, v in values.items()})
+
+
+def test_strategy_wealth_is_in_the_unit_that_sees_the_node():
+    tree = _absorbing_tree()
+    price, strategy = superreplicate_backward(tree, _absorbing_claim())
+    assert price == price_on_tree(tree, _absorbing_claim()).total_dollar == 3
+    # euros held at the explosion, dollars held at the devaluation
+    assert strategy.wealth["e"] == strategy.wealth["e~2"] \
+        == strategy.holdings["r"][1] == 2
+    assert strategy.wealth["fz"] == strategy.holdings["f"][0] == 3
+    assert strategy.wealth["ff"] == 1
+    verify_strategy(tree, _absorbing_claim(), strategy, require_equality=True)
+
+
+@pytest.mark.parametrize("leaf", ["e~2", "fz"])
+def test_verify_strategy_fails_where_payoff_exceeds_wealth(leaf):
+    """The exploded leaf is compared in euros and the devalued one in
+    dollars; in the other unit the wealth there would be infinite."""
+    tree = _absorbing_tree()
+    _, strategy = superreplicate_backward(tree, _absorbing_claim())
+    assert strategy.wealth[leaf] > 0
+    richer = _absorbing_claim(**{leaf: strategy.wealth[leaf] + 1})
+    with pytest.raises(AssertionError, match=f"< payoff .* at '{leaf}'"):
+        verify_strategy(tree, richer, strategy)
+
+
+def test_verify_strategy_equality_fails_on_a_dominating_strategy():
+    tree = _absorbing_tree()
+    _, strategy = superreplicate_backward(tree, _absorbing_claim())
+    poorer = _absorbing_claim(ff=Fraction(1, 2))
+    verify_strategy(tree, poorer, strategy)
+    with pytest.raises(AssertionError, match="!= payoff 1/2 at 'ff'"):
+        verify_strategy(tree, poorer, strategy, require_equality=True)
+
+
+def test_verify_strategy_rejects_negative_wealth():
+    tree = _absorbing_tree()
+    _, strategy = superreplicate_backward(tree, _absorbing_claim())
+    strategy.wealth["f"] = Fraction(-1)
+    with pytest.raises(AssertionError, match="negative wealth at 'f'"):
+        verify_strategy(tree, _absorbing_claim(), strategy)
 
 
 def test_superrep_dominates_formula_on_general_trees():

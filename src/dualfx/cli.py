@@ -385,6 +385,15 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tag", help="artifact filename prefix")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 1, as every other usage error does: exit code 2
+    is reserved for a violated identity.  Sub-parsers inherit the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _strike_list(s: str) -> list[float]:
     return [float(tok) for tok in s.split(",") if tok.strip()]
 
@@ -392,7 +401,7 @@ def _strike_list(s: str) -> list[float]:
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser.  An option left out is left out of the
     namespace too, so ExperimentConfig's defaults are the only ones."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dualfx",
         description="two-measure FX pricing engine and verification suite")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -59,11 +59,6 @@ def validate_claim(tree: DualTree, claim: TreeClaim) -> None:
             raise ClaimError(f"claim not defined at leaf {leaf.id!r}")
 
 
-def _in_euros(v: ExtendedValue, x: ExtendedValue) -> ExtendedValue:
-    """The euro payoff at a leaf with rate x whose stored payoff is v."""
-    return v if x.is_infinite else v * x.reciprocal()
-
-
 def tree_claim(tree: DualTree, kind: str, strike=None) -> TreeClaim:
     """Exact leaf payoffs of a claim kind from the `pricing.PAYOFFS` table.
 
@@ -117,29 +112,31 @@ class TreeDualPrice:
 
 def price_on_tree(tree: DualTree, claim: TreeClaim) -> TreeDualPrice:
     validate_claim(tree, claim)
-    classical = Fraction(0)
-    correction = Fraction(0)
-    euro_classical = Fraction(0)
-    euro_correction = Fraction(0)
-    for leaf in tree.leaves():
-        pd, pe = tree.prob_dollar[leaf.id], tree.prob_euro[leaf.id]
-        v = claim.payoffs[leaf.id]
-        # the dollar measure sees finite and zero rates, where v is in dollars
-        if pd > 0:
-            if v.is_infinite:
+    classical = devalued = euro_finite = exploded = Fraction(0)
+    for nid, x, pd, pe, pe_over_x in tree.leaf_rows:
+        v = claim.payoffs[nid]
+        if v.is_infinite:
+            # pd > 0 only at finite and zero rates, pe > 0 only at finite
+            # and infinite ones: the dollar error wins where both see v
+            if pd:
                 raise InfinitePrice(
-                    f"dollar payoff infinite on supported leaf {leaf.id!r}")
-            classical += pd * v.fraction
-            if leaf.x.is_zero:
-                euro_correction += pd * v.fraction / tree.x0
-        if pe > 0:
-            e = _in_euros(v, leaf.x)
-            if e.is_infinite:
+                    f"dollar payoff infinite on supported leaf {nid!r}")
+            if pe:
                 raise InfinitePrice(
-                    f"euro payoff infinite on supported leaf {leaf.id!r}")
-            euro_classical += pe * e.fraction
-            if leaf.x.is_infinite:
-                correction += tree.x0 * pe * e.fraction
+                    f"euro payoff infinite on supported leaf {nid!r}")
+            continue
+        f = v.fraction
+        if x.is_infinite:
+            exploded += pe * f
+        else:
+            classical += pd * f
+            if x.is_zero:
+                devalued += pd * f
+            else:
+                euro_finite += pe_over_x * f
+    correction = tree.x0 * exploded
+    euro_classical = euro_finite + exploded
+    euro_correction = devalued / tree.x0
     total = classical + correction
     result = TreeDualPrice(classical, correction, total, total / tree.x0,
                            euro_classical, euro_correction)
@@ -246,10 +243,6 @@ def _solve_hull_lp(points: list[tuple[Fraction, Fraction]],
     return v - t * x, t, v
 
 
-def _supported(tree: DualTree, nid: str) -> bool:
-    return tree.prob_dollar[nid] > 0 or tree.prob_euro[nid] > 0
-
-
 def superreplicate_backward(tree: DualTree, claim: TreeClaim
                             ) -> tuple[Fraction, TreeStrategy]:
     """Minimal-cost portfolio process dominating the claim under both measures.
@@ -265,7 +258,7 @@ def superreplicate_backward(tree: DualTree, claim: TreeClaim
     holdings: dict[str, tuple[Fraction, Fraction]] = {}
 
     for node in reversed(tree.nodes.values()):
-        if not _supported(tree, node.id):
+        if node.id not in tree.supported:
             continue
         if node.is_terminal:
             v = claim.payoffs[node.id]
@@ -279,7 +272,7 @@ def superreplicate_backward(tree: DualTree, claim: TreeClaim
         points = []
         floors = []
         for b in node.branches:
-            if not _supported(tree, b.child):
+            if b.child not in tree.supported:
                 continue
             cx = tree.nodes[b.child].x
             if cx.is_infinite:
@@ -305,7 +298,7 @@ def _fill_wealth(tree: DualTree, strategy: TreeStrategy) -> None:
     # holdings in force at each reached node: its own, else its parent's
     held = {tree.root: strategy.holdings.get(tree.root)}
     for node in tree.nodes.values():
-        if node.parent not in held or not _supported(tree, node.id):
+        if node.parent not in held or node.id not in tree.supported:
             continue
         e0, e1 = held[node.parent]
         w = e1 if node.x.is_infinite else e0 + e1 * node.x.fraction
@@ -322,7 +315,7 @@ def verify_strategy(tree: DualTree, claim: TreeClaim, strategy: TreeStrategy,
     and stays nonnegative, both in the unit of the measure that sees each
     node; at a finite rate x > 0 that one comparison holds in both units."""
     for leaf in tree.leaves():
-        if not _supported(tree, leaf.id):
+        if leaf.id not in tree.supported:
             continue
         w, v = strategy.wealth[leaf.id], claim.payoffs[leaf.id]
         if v.is_infinite or w < v.fraction:
@@ -352,8 +345,8 @@ class ParityRow:
 
 def parity_and_equivalence_report(tree: DualTree,
                                   strikes) -> list[ParityRow]:
-    mass = tree.x0 * sum((tree.prob_euro[leaf.id] for leaf in tree.leaves()
-                          if leaf.x.is_infinite), Fraction(0))
+    mass = tree.x0 * sum((row.pe for row in tree.leaf_rows
+                          if row.x.is_infinite), Fraction(0))
     rows = []
     for strike in strikes:
         k = Fraction(strike)

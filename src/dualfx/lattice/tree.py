@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Iterable, Mapping, NamedTuple
 
 from ..errors import MeasurabilityError, NormalizationError, StructureError
 from ..extended import ExtendedValue
@@ -46,8 +47,21 @@ class TreeNode:
         return not self.branches
 
 
+class LeafRow(NamedTuple):
+    """A leaf's path probability per measure and, at a finite rate x, pe/x."""
+
+    id: str
+    x: ExtendedValue
+    pd: Fraction
+    pe: Fraction
+    pe_over_x: Fraction | None      # None where x is 0 or inf
+
+
 @dataclass
 class DualTree:
+    """Read-only once built: its leaves, leaf rows, supported set and stop
+    maps are derived on first use, kept, and shared with every caller."""
+
     periods: int
     x0: Fraction
     root: str
@@ -57,6 +71,9 @@ class DualTree:
     # exact path probabilities of the cylinder at each node, per measure
     prob_dollar: dict[str, Fraction] = field(default_factory=dict)
     prob_euro: dict[str, Fraction] = field(default_factory=dict)
+    # stop_map's results, by rule; only valid rules are kept
+    _stop_maps: dict[frozenset[str], dict[str, str | None]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def node(self, node_id: str) -> TreeNode:
         return self.nodes[node_id]
@@ -64,8 +81,28 @@ class DualTree:
     def nodes_at(self, t: int) -> list[TreeNode]:
         return [n for n in self.nodes.values() if n.time_index == t]
 
-    def leaves(self) -> list[TreeNode]:
-        return self.nodes_at(self.periods)
+    def leaves(self) -> tuple[TreeNode, ...]:
+        return self._leaves
+
+    @cached_property
+    def _leaves(self) -> tuple[TreeNode, ...]:
+        return tuple(self.nodes_at(self.periods))
+
+    @cached_property
+    def leaf_rows(self) -> tuple[LeafRow, ...]:
+        """One row per leaf, in tree order."""
+        return tuple(
+            LeafRow(leaf.id, leaf.x, self.prob_dollar[leaf.id],
+                    self.prob_euro[leaf.id],
+                    self.prob_euro[leaf.id] / leaf.x.fraction
+                    if leaf.x.is_finite else None)
+            for leaf in self.leaves())
+
+    @cached_property
+    def supported(self) -> frozenset[str]:
+        """The nodes with positive mass under either measure."""
+        return frozenset(nid for nid, pd in self.prob_dollar.items()
+                         if pd > 0 or self.prob_euro[nid] > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -122,14 +159,11 @@ def build_dual_tree(doc: Mapping) -> DualTree:
     nodes: dict[str, TreeNode] = {}
     seen: set[str] = set()
 
-    def build(nid: str, t: int, parent: str | None) -> None:
+    def build(nid: str, t: int, parent: str | None, x: ExtendedValue) -> None:
         if nid in seen:
             raise StructureError(f"node {nid!r} reached twice; specs must be trees")
         seen.add(nid)
-        entry = by_id.get(nid)
-        if entry is None:
-            raise StructureError(f"branch references unknown node {nid!r}")
-        x = _as_x(entry["x"])
+        entry = by_id[nid]
         declared = entry.get("branches") or []
         if not x.is_finite:
             if declared:
@@ -147,6 +181,7 @@ def build_dual_tree(doc: Mapping) -> DualTree:
             raise StructureError(
                 f"finite node {nid!r} at period {t} < {periods} has no branches")
         branches = []
+        states = []
         q_hat_sum = Fraction(0)
         q_sum = Fraction(0)
         for child_id, mass in declared:
@@ -155,6 +190,7 @@ def build_dual_tree(doc: Mapping) -> DualTree:
             if child_entry is None:
                 raise StructureError(f"branch references unknown node {child_id!r}")
             cx = _as_x(child_entry["x"])
+            states.append(cx)
             m = _as_mass(mass)
             if cx.is_zero:
                 q, q_hat = m, Fraction(0)
@@ -174,11 +210,11 @@ def build_dual_tree(doc: Mapping) -> DualTree:
                 f"node {nid!r}: derived dollar-measure masses sum to {q_sum}, not 1 "
                 "(martingale constraint violated)")
         nodes[nid] = TreeNode(nid, t, x, tuple(branches), parent)
-        for b in branches:
-            build(b.child, t + 1, nid)
+        for b, cx in zip(branches, states):
+            build(b.child, t + 1, nid, cx)
 
     try:
-        build(root_id, 0, None)
+        build(root_id, 0, None, _as_x(by_id[root_id]["x"]))
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise StructureError(f"malformed tree document: {exc!r}") from exc
     orphans = set(by_id) - seen
@@ -304,9 +340,12 @@ def stop_map(tree: DualTree, rule: Iterable[str]) -> dict[str, str | None]:
     """The rule node at or above each node (None above the rule), in tree order.
 
     Raises MeasurabilityError unless `rule` is a stopping rule: an antichain
-    of nodes met exactly once by every path.
+    of nodes met exactly once by every path.  The map of a valid rule is
+    computed once per tree and shared by every caller, read-only.
     """
     stop = frozenset(rule)
+    if stop in tree._stop_maps:
+        return tree._stop_maps[stop]
     unknown = stop - tree.nodes.keys()
     if unknown:
         raise MeasurabilityError(f"unknown nodes in stopping rule: {sorted(unknown)}")
@@ -322,6 +361,7 @@ def stop_map(tree: DualTree, rule: Iterable[str]) -> dict[str, str | None]:
             raise MeasurabilityError(
                 f"path to {node.id!r} never crosses the stopping rule")
         at[node.id] = above
+    tree._stop_maps[stop] = at
     return at
 
 

@@ -53,12 +53,12 @@ def build_physical(tree: DualTree) -> PhysicalLattice:
     p: dict[str, Fraction] = {}
     explosion_mass = Fraction(0)
     devaluation_mass = Fraction(0)
-    for leaf in tree.leaves():
-        mass = (tree.prob_dollar[leaf.id] + tree.prob_euro[leaf.id]) / 2
-        p[leaf.id] = mass
-        if leaf.x.is_infinite:
+    for nid, x, pd, pe, _ in tree.leaf_rows:
+        mass = (pd + pe) / 2
+        p[nid] = mass
+        if x.is_infinite:
             explosion_mass += mass
-        if leaf.x.is_zero:
+        if x.is_zero:
             devaluation_mass += mass
     if explosion_mass == 1:
         raise ConditioningError("no-explosion event has probability zero")
@@ -99,14 +99,11 @@ def consistency_checks(pl: PhysicalLattice,
     support_ok = all((dollar_mass[node.id] > 0) == (euro_mass[node.id] > 0)
                      for node in tree.nodes.values() if node.x.is_finite)
 
-    e_x = sum((tree.prob_dollar[leaf.id] * leaf.x.fraction
-               for leaf in tree.leaves() if leaf.x.is_finite), Fraction(0))
-    e_inv = sum((tree.prob_euro[leaf.id] / leaf.x.fraction
-                 for leaf in tree.leaves() if leaf.x.is_finite), Fraction(0))
-    p_explosion = sum((pl.p[leaf.id] for leaf in tree.leaves()
-                       if leaf.x.is_infinite), Fraction(0))
-    p_devaluation = sum((pl.p[leaf.id] for leaf in tree.leaves()
-                         if leaf.x.is_zero), Fraction(0))
+    rows = tree.leaf_rows
+    e_x = sum((r.pd * r.x.fraction for r in rows if r.x.is_finite), Fraction(0))
+    e_inv = sum((r.pe_over_x for r in rows if r.x.is_finite), Fraction(0))
+    p_explosion = sum((pl.p[r.id] for r in rows if r.x.is_infinite), Fraction(0))
+    p_devaluation = sum((pl.p[r.id] for r in rows if r.x.is_zero), Fraction(0))
     defect_dollar = tree.x0 - e_x
     defect_euro = 1 / tree.x0 - e_inv
     interpretation = ((p_explosion > 0) == (defect_dollar > 0)

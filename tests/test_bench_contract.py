@@ -1,5 +1,5 @@
-"""The benchmark's import contract, checked from its sources without running
-it: every dualfx module and name that bench/*.py imports must exist."""
+"""The benchmark's contract with dualfx: every dualfx module and name that
+bench/*.py imports must exist, and the lattice workload's calls must run."""
 
 import ast
 import importlib
@@ -35,3 +35,15 @@ def test_bench_imports_from_dualfx_resolve():
             except ImportError:
                 missing.append(f"{file}: from {module} import {name}")
     assert not missing
+
+
+def test_lattice_corpus_call_shapes_run(monkeypatch):
+    """Each tree of the tiny lattice corpus through one operation and its
+    checks, as bench/run.py calls them."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    tracing = importlib.import_module("tracing")
+    corpus = workloads.LatticeCorpus(seed=5, tiny=True)
+    tr = tracing.Tracer(enabled=False)
+    for _ in corpus.corpus:
+        corpus.check(corpus.op(tr))

@@ -271,6 +271,23 @@ def test_non_finite_strike_is_usage_error(args, strike, example_tree_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["price", "--bogus"],
+                                  ["parity", "--strikes", "-inf"]])
+def test_argparse_usage_error_exits_1(argv, capsys):
+    # exit code 2 is reserved for a violated identity
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith("usage: dualfx")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["price", "--help"])
+    assert exc.value.code == 0
+    assert "--claim" in capsys.readouterr().out
+
+
 def test_config_validation_rejects_non_finite_strikes():
     for bad in ({"strike": float("nan")}, {"strikes": [1, float("inf")]}):
         with pytest.raises(ConfigError, match="finite"):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -423,6 +424,57 @@ def test_corner_lp_agrees_with_scipy_linprog():
         res = _linprog(points, floors, x)
         assert res.status == 0, trial
         assert abs(float(cost) - res.fun) < 1e-9, (trial, cost, res.fun)
+
+
+def _price_leaf_by_leaf(tree, claim):
+    """The pricing formula leaf by leaf, with the euro payoff at a finite
+    rate formed as an extended-value product with the rate's reciprocal."""
+    validate_claim(tree, claim)
+    classical = correction = euro_classical = euro_correction = Fraction(0)
+    for leaf in tree.leaves():
+        pd, pe = tree.prob_dollar[leaf.id], tree.prob_euro[leaf.id]
+        v = claim.payoffs[leaf.id]
+        if pd > 0:
+            if v.is_infinite:
+                raise InfinitePrice(
+                    f"dollar payoff infinite on supported leaf {leaf.id!r}")
+            classical += pd * v.fraction
+            if leaf.x.is_zero:
+                euro_correction += pd * v.fraction / tree.x0
+        if pe > 0:
+            e = v if leaf.x.is_infinite else v * leaf.x.reciprocal()
+            if e.is_infinite:
+                raise InfinitePrice(
+                    f"euro payoff infinite on supported leaf {leaf.id!r}")
+            euro_classical += pe * e.fraction
+            if leaf.x.is_infinite:
+                correction += tree.x0 * pe * e.fraction
+    total = classical + correction
+    return (classical, correction, total, total / tree.x0, euro_classical,
+            euro_correction)
+
+
+@pytest.mark.parametrize("generate", [random_dual_tree,
+                                      random_complete_dual_tree])
+def test_price_on_tree_matches_leaf_by_leaf_formula(generate):
+    strikes = [Fraction(1, 2), Fraction(1), Fraction(3, 2)]
+    for seed in range(300):
+        tree = generate(seed)
+        claims = [random_claim(tree, seed)]
+        for kind in CLAIM_KINDS:
+            for k in strikes if PAYOFFS[kind].takes_strike else [None]:
+                claims.append(tree_claim(tree, kind, k))
+        for claim in claims:
+            try:
+                want = _price_leaf_by_leaf(tree, claim)
+            except InfinitePrice as exc:
+                with pytest.raises(InfinitePrice, match=re.escape(str(exc))):
+                    price_on_tree(tree, claim)
+                continue
+            p = price_on_tree(tree, claim)
+            assert (p.classical, p.correction, p.total_dollar, p.total_euro,
+                    p.euro_classical, p.euro_correction) == want, \
+                (seed, claim.kind)
 
 
 def test_pricing_linearity_exact():

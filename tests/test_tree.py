@@ -1,16 +1,21 @@
 """DualTree construction, invariants, stopping rules, and JSON round-trip."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dualfx import MeasurabilityError, NormalizationError, StructureError
+from dualfx import (DualFXError, MeasurabilityError, NormalizationError,
+                    StructureError)
 from dualfx.lattice import (DualTree, build_dual_tree, devaluation_mass,
                             dump_tree, explosion_mass, first_hit_rule,
                             load_tree, one_step_defects, period_rule,
-                            random_dual_tree, tree_to_doc, two_period_example,
-                            verify_tree_invariants)
+                            random_complete_dual_tree, random_dual_tree,
+                            tree_to_doc, two_period_example,
+                            verify_numeraire_identity, verify_tree_invariants)
 from dualfx.lattice.tree import stop_map
 
 
@@ -168,6 +173,48 @@ def test_stop_map_names_the_rule_node_above_each_node():
     assert list(stop_map(t, period_rule(t, 2))) == list(t.nodes)
 
 
+def test_stop_map_is_kept_per_valid_rule():
+    t = random_dual_tree(11)
+    fresh = build_dual_tree(tree_to_doc(t))
+    rules = [period_rule(t, k) for k in range(t.periods + 1)]
+    rules.append(first_hit_rule(t, lambda n: not n.x.is_finite))
+    for rule in rules:
+        kept = stop_map(t, rule)
+        assert stop_map(t, set(rule)) is kept
+        assert kept == stop_map(fresh, rule)
+    # an invalid rule is never kept: it raises on every call
+    t = two_period_example()
+    for _ in range(2):
+        with pytest.raises(MeasurabilityError):
+            stop_map(t, {"r", "dn"})
+    stop_map(t, period_rule(t, 1))
+    stop_map(t, period_rule(t, 2))
+    with pytest.raises(MeasurabilityError):
+        stop_map(t, {"r", "dn"})
+    with pytest.raises(MeasurabilityError):
+        verify_numeraire_identity(t, {"r", "dn"}, {"r", "dn"})
+    # the event check still runs when the rule's map is kept
+    for _ in range(2):
+        with pytest.raises(MeasurabilityError):
+            verify_numeraire_identity(t, ["dn_dn"], period_rule(t, 1))
+
+
+@pytest.mark.parametrize("generate", [random_dual_tree,
+                                      random_complete_dual_tree])
+def test_leaf_rows_and_supported_set_match_a_fresh_scan(generate):
+    for seed in range(300):
+        t = generate(seed)
+        leaves = [n for n in t.nodes.values() if n.time_index == t.periods]
+        assert list(t.leaves()) == leaves
+        assert [tuple(row) for row in t.leaf_rows] == [
+            (n.id, n.x, t.prob_dollar[n.id], t.prob_euro[n.id],
+             t.prob_euro[n.id] / n.x.fraction if n.x.is_finite else None)
+            for n in leaves]
+        assert t.supported == {nid for nid in t.nodes
+                               if t.prob_dollar[nid] > 0
+                               or t.prob_euro[nid] > 0}
+
+
 def test_invariants_require_parents_first():
     t = two_period_example()
     verify_tree_invariants(t)
@@ -176,3 +223,64 @@ def test_invariants_require_parents_first():
                               t.prob_dollar, t.prob_euro)
     with pytest.raises(StructureError):
         verify_tree_invariants(children_first)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any JSON-shaped document either builds or raises a DualFXError
+# ---------------------------------------------------------------------------
+
+# small numbers only: an absorbing node grows a chain to the horizon, so a
+# large "periods" would build that many nodes
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 10),
+    st.floats(-3, 10), st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.text(alphabet="/-.aefinx ~", max_size=5))
+_json = st.recursive(
+    _scalars, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "x", "branches", "a"]), inner,
+                      max_size=3),
+    max_leaves=6)
+_ids = st.one_of(st.sampled_from(["r", "a", "b", "c", "a~2", "r~1"]), _json)
+_numbers = st.one_of(
+    st.sampled_from(["0", "1", "1/2", "1/3", "2/3", "2", "3/2", "inf", "-1",
+                     "1/0", " inf ", "x"]), _json)
+_branches = st.one_of(
+    st.lists(st.tuples(_ids, _numbers).map(list), max_size=3), _json)
+_entries = st.one_of(
+    st.fixed_dictionaries({"id": _ids, "x": _numbers},
+                          optional={"branches": _branches}), _json)
+_docs = st.one_of(
+    st.fixed_dictionaries(
+        {"x0": _numbers, "periods": st.one_of(st.integers(-1, 4), _scalars),
+         "nodes": st.one_of(st.lists(_entries, max_size=6), _json)},
+        optional={"root": _ids}),
+    _json)
+
+
+@st.composite
+def _mutated_docs(draw):
+    """A valid tree's document with one value replaced."""
+    doc = tree_to_doc(random_dual_tree(draw(st.integers(0, 200)), 3))
+    where = draw(st.sampled_from(["x0", "periods", "root", "node"]))
+    if where != "node":
+        doc[where] = draw(_numbers if where == "x0" else _scalars)
+        return doc
+    entry = draw(st.sampled_from(doc["nodes"]))
+    key = draw(st.sampled_from(["id", "x", "branches"]))
+    if key == "branches" and entry.get("branches") and draw(st.booleans()):
+        branch = draw(st.sampled_from(entry["branches"]))
+        branch[draw(st.integers(0, 1))] = draw(_numbers)
+    else:
+        entry[key] = draw({"id": _ids, "x": _numbers,
+                           "branches": _branches}[key])
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.one_of(_docs, _mutated_docs()))
+def test_any_document_builds_or_raises_a_package_error(doc):
+    try:
+        tree = build_dual_tree(doc)
+    except DualFXError:
+        return
+    verify_tree_invariants(tree)

@@ -1,8 +1,8 @@
 """Built-in exchange-rate models with exact schemes and analytic references.
 
-The catalog pairs each diffusion with closed-form (or quadrature) reference
-quantities used as oracles by the verification suite, and with the integrable
-/ nonintegrable verdicts for euro-side payoffs that let the pricer return an
+The catalog pairs each diffusion with closed-form reference quantities used
+as oracles by the verification suite, and with the integrable / nonintegrable
+verdicts for euro-side payoffs that let the pricer return an
 analytic infinity where Monte Carlo cannot.
 """
 
@@ -25,7 +25,7 @@ MODEL_NAMES = ("recip_bessel", "stopped_bm", "singular_timechange",
 @dataclass(frozen=True)
 class CatalogEntry:
     model: DiffusionModel
-    # named reference quantities, each a closed-form or quadrature evaluator
+    # named reference quantities, each a closed-form evaluator
     analytic: Mapping[str, Callable[..., float]] = field(default_factory=dict)
     # hand-derived dual diffusion coefficient, for cross-checking the generic
     # derivation on a grid
@@ -41,29 +41,28 @@ def _norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def _norm_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
 def _survival_bm(start: float, horizon: float) -> float:
     """P(Brownian motion from `start` stays positive up to the horizon)."""
     return 1.0 - 2.0 * _norm_cdf(-start / math.sqrt(horizon))
 
 
-def _recip_bessel_x2(x0: float, horizon: float) -> float:
-    """E[X_T^2] for the reciprocal Bessel rate, by quadrature of the killed
-    Brownian density of the reciprocal rate started at 1/x0."""
-    # scipy loads only here, so that importing dualfx does not pay for it
-    from scipy.integrate import quad
-
-    a = 1.0 / x0
-    s = math.sqrt(horizon)
-
-    def integrand(y: float) -> float:
-        return (1.0 / y) * (_norm_pdf((y - a) / s) - _norm_pdf((y + a) / s)) / s
-
-    val, _ = quad(integrand, 0.0, math.inf, limit=200)
-    return x0 * val
+def _dawson(x: float) -> float:
+    """Dawson's integral D(x) = exp(-x^2) int_0^x exp(t^2) dt to double
+    precision: its Maclaurin series below 0.2, else Rybicki's sum with step
+    h = 0.2 (*Numerical Recipes*, section 6.10)."""
+    if abs(x) < 0.2:
+        return x * sum((-2 * x * x) ** n / math.prod(range(1, 2 * n + 2, 2))
+                       for n in range(10))
+    h = 0.2
+    n0 = 2 * round(0.5 * abs(x) / h)
+    xp = abs(x) - n0 * h
+    e1, e2 = math.exp(2 * xp * h), math.exp(4 * xp * h)
+    total = 0.0
+    for i in range(16):
+        c = math.exp(-((2 * i + 1) * h) ** 2)
+        total += c * (e1 / (n0 + 2 * i + 1) + 1 / ((n0 - 2 * i - 1) * e1))
+        e1 *= e2
+    return math.copysign(total * math.exp(-xp * xp) / math.sqrt(math.pi), x)
 
 
 def _black_call(x0: float, vol: float, horizon: float, strike: float) -> float:
@@ -92,7 +91,9 @@ def _recip_bessel(x0: float, horizon: float) -> CatalogEntry:
             "expected_x": lambda T=horizon: x0 * _survival_bm(1.0 / x0, T),
             "dual_absorption_prob":
                 lambda T=horizon: 1.0 - _survival_bm(1.0 / x0, T),
-            "expected_x_squared": lambda T=horizon: _recip_bessel_x2(x0, T),
+            # x0 E[1/Y_T] for the Brownian motion Y from 1/x0 killed at 0
+            "expected_x_squared": lambda T=horizon: x0 * math.sqrt(2.0 / T)
+                * _dawson(1.0 / (x0 * math.sqrt(2.0 * T))),
         },
         dual_sigma_reference=lambda y, t: np.ones_like(np.asarray(y, float)),
         notes="strictly positive strict supermartingale rate; the reciprocal "

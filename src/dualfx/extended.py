@@ -1,9 +1,9 @@
 """Points of the extended half line [0, inf] with exact rational arithmetic.
 
-The exchange rate and all payoffs live on [0, inf].  Multiplication follows
-the convention inf * 0 = 0, and taking the reciprocal swaps the two absorbing
-endpoints.  Finite values are strictly positive rationals; zero has its own
-tag so that the convention can be applied before any arithmetic takes place.
+The exchange rate and all payoffs live on [0, inf].  Scaling follows the
+convention inf * 0 = 0.  Finite values are strictly positive rationals; zero
+has its own tag so that the convention can be applied before any arithmetic
+takes place.
 """
 
 from __future__ import annotations
@@ -84,56 +84,17 @@ class ExtendedValue:
 
     # -- arithmetic under the inf * 0 = 0 convention -------------------------
 
-    def reciprocal(self) -> "ExtendedValue":
-        if self.tag == ZERO:
-            return ExtendedValue.infinite()
-        if self.tag == INFINITE:
-            return ExtendedValue.zero()
-        return ExtendedValue(FINITE, 1 / self.value)
-
-    def __mul__(self, other: "ExtendedValue") -> "ExtendedValue":
-        if not isinstance(other, ExtendedValue):
-            other = ExtendedValue.of(other)
-        # inf * 0 = 0 * inf = 0 takes precedence
-        if self.tag == ZERO or other.tag == ZERO:
-            return ExtendedValue.zero()
-        if self.tag == INFINITE or other.tag == INFINITE:
-            return ExtendedValue.infinite()
-        return ExtendedValue(FINITE, self.value * other.value)
-
-    __rmul__ = __mul__
-
     def __add__(self, other: "ExtendedValue") -> "ExtendedValue":
-        if not isinstance(other, ExtendedValue):
-            other = ExtendedValue.of(other)
         if self.tag == INFINITE or other.tag == INFINITE:
             return ExtendedValue.infinite()
         return ExtendedValue.of(self.fraction + other.fraction)
 
     def scale(self, a: Rational) -> "ExtendedValue":
-        """Multiply by a nonnegative rational scalar (inf * 0 = 0 applies)."""
-        return self * ExtendedValue.of(a)
-
-    # -- total order Zero < Finite(v) < Infinite -----------------------------
-
-    def _key(self):
-        if self.tag == ZERO:
-            return (0, Fraction(0))
-        if self.tag == FINITE:
-            return (1, self.value)
-        return (2, Fraction(0))
-
-    def __lt__(self, other: "ExtendedValue") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "ExtendedValue") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "ExtendedValue") -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: "ExtendedValue") -> bool:
-        return self._key() >= other._key()
+        """Multiply by a nonnegative rational scalar; inf * 0 = 0."""
+        s = ExtendedValue.of(a)
+        if self.tag == INFINITE:
+            return s if s.tag == ZERO else self
+        return ExtendedValue.of(self.fraction * s.fraction)
 
     def __str__(self) -> str:
         if self.tag == ZERO:
@@ -141,8 +102,3 @@ class ExtendedValue:
         if self.tag == INFINITE:
             return "inf"
         return str(self.value)
-
-    def as_float(self) -> float:
-        if self.tag == INFINITE:
-            return float("inf")
-        return float(self.fraction)

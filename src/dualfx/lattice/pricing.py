@@ -59,21 +59,23 @@ def validate_claim(tree: DualTree, claim: TreeClaim) -> None:
             raise ClaimError(f"claim not defined at leaf {leaf.id!r}")
 
 
-def tree_claim(tree: DualTree, kind: str, strike=None) -> TreeClaim:
-    """Exact leaf payoffs of a claim kind from the `pricing.PAYOFFS` table.
-
-    The strike is read as a Fraction; kinds without a strike ignore it.  A
-    leaf with a finite or zero rate takes the dollar leg, an exploded leaf
-    the euro value at explosion.
-    """
+def _table_values(tree: DualTree, kind: str, strike) -> tuple[list, object]:
+    """A kind's exact `pricing.PAYOFFS` payoff per leaf row, None where
+    infinite: the dollar leg at a finite or zero rate, the euro value at an
+    explosion; and the strike as a Fraction, None for kinds without one."""
     row, k = payoff_row(kind, strike, Fraction)
-    payoffs = {}
-    for leaf in tree.leaves():
-        if leaf.x.is_infinite:
-            euro = row.euro_at_explosion(k)
-            payoffs[leaf.id] = EV.infinite() if euro == math.inf else EV.of(euro)
-        else:
-            payoffs[leaf.id] = EV.of(row.dollar(leaf.x.fraction, k))
+    dollar, euro = row.dollar, row.euro_at_explosion(k)
+    if euro == math.inf:
+        euro = None
+    return [euro if x.is_infinite else dollar(x.fraction, k)
+            for _, x, *_ in tree.leaf_rows], k
+
+
+def tree_claim(tree: DualTree, kind: str, strike=None) -> TreeClaim:
+    """The `TreeClaim` of a claim kind from the `pricing.PAYOFFS` table."""
+    values, k = _table_values(tree, kind, strike)
+    payoffs = {row.id: EV.infinite() if v is None else EV.of(v)
+               for row, v in zip(tree.leaf_rows, values)}
     return TreeClaim(payoffs, kind if k is None else f"{kind}_{k}")
 
 
@@ -110,12 +112,21 @@ class TreeDualPrice:
     euro_correction: Fraction
 
 
-def price_on_tree(tree: DualTree, claim: TreeClaim) -> TreeDualPrice:
-    validate_claim(tree, claim)
-    classical = devalued = euro_finite = exploded = Fraction(0)
-    for nid, x, pd, pe, pe_over_x in tree.leaf_rows:
-        v = claim.payoffs[nid]
-        if v.is_infinite:
+def _exact_sum(terms: list[tuple[int, int]]) -> Fraction:
+    """The sum of the fractions n/d of integer pairs (n, d), d > 0, over one
+    common denominator: one normalised Fraction instead of one per term."""
+    lcm = math.lcm(*[d for _, d in terms])
+    return Fraction(sum([n * (lcm // d) for n, d in terms]), lcm)
+
+
+def _price(tree: DualTree, values: list) -> TreeDualPrice:
+    """The two-measure formula over the leaf rows, with `values` aligned to
+    them: each leaf's payoff in the unit of the measure that sees it, None
+    where it is infinite.  Each sum collects integer products and is formed
+    once by `_exact_sum`; zero payoffs add nothing and are skipped."""
+    classical, devalued, euro_finite, exploded = [], [], [], []
+    for (nid, x, pd, pe, pe_over_x), v in zip(tree.leaf_rows, values):
+        if v is None:
             # pd > 0 only at finite and zero rates, pe > 0 only at finite
             # and infinite ones: the dollar error wins where both see v
             if pd:
@@ -125,15 +136,21 @@ def price_on_tree(tree: DualTree, claim: TreeClaim) -> TreeDualPrice:
                 raise InfinitePrice(
                     f"euro payoff infinite on supported leaf {nid!r}")
             continue
-        f = v.fraction
+        if not v:
+            continue
+        n, d = v.numerator, v.denominator
         if x.is_infinite:
-            exploded += pe * f
+            exploded.append((pe.numerator * n, pe.denominator * d))
+            continue
+        term = (pd.numerator * n, pd.denominator * d)
+        classical.append(term)
+        if x.is_zero:
+            devalued.append(term)
         else:
-            classical += pd * f
-            if x.is_zero:
-                devalued += pd * f
-            else:
-                euro_finite += pe_over_x * f
+            euro_finite.append((pe_over_x.numerator * n,
+                                pe_over_x.denominator * d))
+    classical, devalued, euro_finite, exploded = map(
+        _exact_sum, (classical, devalued, euro_finite, exploded))
     correction = tree.x0 * exploded
     euro_classical = euro_finite + exploded
     euro_correction = devalued / tree.x0
@@ -143,6 +160,18 @@ def price_on_tree(tree: DualTree, claim: TreeClaim) -> TreeDualPrice:
     assert result.total_euro == euro_classical + euro_correction, \
         "euro-side decomposition disagrees; tree invariants must be broken"
     return result
+
+
+def price_on_tree(tree: DualTree, claim: TreeClaim) -> TreeDualPrice:
+    """The exact two-measure price of a claim given leaf by leaf."""
+    validate_claim(tree, claim)
+    return _price(tree, [None if (v := claim.payoffs[row.id]).is_infinite
+                         else v.fraction for row in tree.leaf_rows])
+
+
+def _table_price(tree: DualTree, kind: str, strike=None) -> TreeDualPrice:
+    """`price_on_tree` of `tree_claim(tree, kind, strike)`, from the table."""
+    return _price(tree, _table_values(tree, kind, strike)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +381,10 @@ def parity_and_equivalence_report(tree: DualTree,
         k = Fraction(strike)
         if k <= 0:
             raise ClaimError("strikes must be positive")
-        call = price_on_tree(tree, tree_claim(tree, "call", k))
-        put = price_on_tree(tree, tree_claim(tree, "put", k))
-        d_call = price_on_tree(tree, tree_claim(tree, "dollar_call", 1 / k))
-        d_put = price_on_tree(tree, tree_claim(tree, "dollar_put", 1 / k))
+        call = _table_price(tree, "call", k)
+        put = _table_price(tree, "put", k)
+        d_call = _table_price(tree, "dollar_call", 1 / k)
+        d_put = _table_price(tree, "dollar_put", 1 / k)
         pe_put = d_put.euro_classical + d_put.euro_correction
         pe_call = d_call.euro_classical + d_call.euro_correction
         rows.append(ParityRow(

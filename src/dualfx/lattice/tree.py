@@ -25,6 +25,7 @@ from ..errors import MeasurabilityError, NormalizationError, StructureError
 from ..extended import ExtendedValue
 
 ONE = Fraction(1)
+MAX_CHAIN_NODES = 20_000    # most nodes one document's absorption chains add
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,7 @@ def build_dual_tree(doc: Mapping) -> DualTree:
     {"id", "x", "branches": [[child_id, mass], ...]}.  The mass of a branch is
     q_hat when the child state is nonzero and q when the child state is zero.
     Absorbing states must not declare branches; their absorption chains up to
-    the horizon are generated automatically.
+    the horizon, MAX_CHAIN_NODES nodes at most, are generated automatically.
     """
     try:
         x0 = Fraction(doc["x0"])
@@ -158,8 +159,10 @@ def build_dual_tree(doc: Mapping) -> DualTree:
 
     nodes: dict[str, TreeNode] = {}
     seen: set[str] = set()
+    chained = 0     # nodes the absorption chains have added so far
 
     def build(nid: str, t: int, parent: str | None, x: ExtendedValue) -> None:
+        nonlocal chained
         if nid in seen:
             raise StructureError(f"node {nid!r} reached twice; specs must be trees")
         seen.add(nid)
@@ -169,6 +172,11 @@ def build_dual_tree(doc: Mapping) -> DualTree:
             if declared:
                 raise StructureError(
                     f"node {nid!r} is absorbing ({x}); it must not declare branches")
+            chained += periods - t
+            if chained > MAX_CHAIN_NODES:
+                raise StructureError(
+                    f"absorption chains up to period {periods} would add more "
+                    f"than {MAX_CHAIN_NODES} nodes")
             nodes[nid] = TreeNode(nid, t, x, (), parent)
             _extend_absorbing(nodes, nid, t, x, periods)
             return
@@ -214,15 +222,16 @@ def build_dual_tree(doc: Mapping) -> DualTree:
             build(b.child, t + 1, nid, cx)
 
     try:
-        build(root_id, 0, None, _as_x(by_id[root_id]["x"]))
+        root_x = _as_x(by_id[root_id]["x"])
+        # checked before the walk, so an absorbing root is never chained out
+        if not (root_x.is_finite and root_x.fraction == x0):
+            raise StructureError(f"root state {root_x} disagrees with x0 = {x0}")
+        build(root_id, 0, None, root_x)
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise StructureError(f"malformed tree document: {exc!r}") from exc
     orphans = set(by_id) - seen
     if orphans:
         raise StructureError(f"nodes unreachable from the root: {sorted(orphans)}")
-    root_x = nodes[root_id].x
-    if not (root_x.is_finite and root_x.fraction == x0):
-        raise StructureError(f"root state {root_x} disagrees with x0 = {x0}")
 
     tree = DualTree(periods, x0, root_id, nodes)
     _compute_path_probs(tree)

@@ -11,6 +11,7 @@ import pytest
 
 import dualfx
 from dualfx import MCConfig, UnknownModel, derive_dual_model, simulate
+from dualfx import catalog
 from dualfx.catalog import get_model, list_models
 from dualfx.sde.engine import estimate_from_values
 from tests.test_oracles import (DUAL_ABSORPTION, EXPECTED_X,
@@ -65,6 +66,30 @@ def test_recip_bessel_analytics_match_frozen_oracle():
     # euro-forward decomposition sums to the spot exactly
     assert entry.analytic["expected_x"]() \
         + entry.analytic["dual_absorption_prob"]() == pytest.approx(1.0)
+
+
+def test_dawson_matches_scipy():
+    from scipy.special import dawsn
+    xs = [i / 100 for i in range(-1000, 1001)] + [1e-9, 0.2 - 1e-12, 60.0,
+                                                   1e4, 1e8]
+    for x in xs:
+        assert catalog._dawson(x) == pytest.approx(dawsn(x), rel=1e-13,
+                                                   abs=1e-300), x
+
+
+@pytest.mark.parametrize("x0,horizon", [(1.0, 1.0), (2.0, 0.5), (0.5, 3.0),
+                                        (1.7, 0.1)])
+def test_recip_bessel_x_squared_closed_form_matches_quadrature(x0, horizon):
+    """x0 * E[1/Y_T] for Brownian Y from 1/x0 killed at 0, by quadrature of
+    the killed density, against the Dawson closed form."""
+    from scipy.integrate import quad
+    from scipy.stats import norm
+    a, s = 1.0 / x0, math.sqrt(horizon)
+    val, _ = quad(lambda y: (norm.pdf((y - a) / s) - norm.pdf((y + a) / s))
+                  / (s * y), 0.0, math.inf, limit=200)
+    entry = get_model("recip_bessel", x0=x0, horizon=horizon)
+    assert entry.analytic["expected_x_squared"]() == pytest.approx(
+        x0 * val, rel=1e-13)
 
 
 def test_bessel_identity_quadrature_vs_exact_mc():

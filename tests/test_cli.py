@@ -122,6 +122,31 @@ def test_lattice_verify_rejects_invalid_tree(tmp_path):
                  "--out-dir", str(tmp_path)]) == 1
 
 
+def test_lattice_verify_refuses_huge_periods_at_once(tmp_path):
+    """Three nodes and periods = 10**9: the absorption chains would add two
+    billion nodes, so the document is refused before any is built.  The run
+    gets 1 GiB of address space, so a missing bound fails the test instead
+    of exhausting the host's memory."""
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"x0": "1", "periods": 10**9, "nodes": [
+        {"id": "r", "x": "1", "branches": [["u", "1"], ["d", "1"]]},
+        {"id": "u", "x": "inf"}, {"id": "d", "x": "0"}]}))
+    src = str(Path(dualfx.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-m", "dualfx.cli", "lattice-verify",
+                          "--tree", str(path), "--out-dir", str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=60,
+                         preexec_fn=limit_memory)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: absorption chains"), out
+
+
 def test_physical_command(example_tree_path, tmp_path):
     rc = main(["physical", "--tree", str(example_tree_path),
                "--out-dir", str(tmp_path)])

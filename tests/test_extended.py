@@ -25,28 +25,20 @@ def test_parse_and_str_roundtrip():
 
 
 def test_inf_times_zero_is_zero():
-    assert (EV.infinite() * EV.zero()).is_zero
-    assert (EV.zero() * EV.infinite()).is_zero
     assert EV.infinite().scale(0).is_zero
-    assert (EV.of(Fraction(2, 3)) * EV.infinite()).is_infinite
-    assert (EV.of(2) * EV.of(Fraction(1, 2))).fraction == 1
+    assert EV.zero().scale(5).is_zero
+    assert EV.infinite().scale(Fraction(2, 3)).is_infinite
+    assert EV.of(2).scale(Fraction(1, 2)).fraction == 1
+    with pytest.raises(ValueError):
+        EV.infinite().scale(-1)
 
 
-def test_reciprocal_swaps_endpoints():
-    assert EV.zero().reciprocal().is_infinite
-    assert EV.infinite().reciprocal().is_zero
-    assert EV.of(Fraction(2, 5)).reciprocal().fraction == Fraction(5, 2)
-
-
-def test_addition_and_order():
+def test_addition():
     assert (EV.of(1) + EV.infinite()).is_infinite
     assert (EV.of(1) + EV.of(2)).fraction == 3
-    assert EV.zero() < EV.of(Fraction(1, 10)) < EV.of(3) < EV.infinite()
-    assert EV.infinite() >= EV.infinite()
 
 
 def test_fraction_access():
     assert EV.zero().fraction == 0
     with pytest.raises(OverflowError):
         EV.infinite().fraction
-    assert EV.infinite().as_float() == float("inf")

@@ -16,7 +16,8 @@ from dualfx.lattice import (build_dual_tree, claim_combine,
                             tree_claim, tree_euro_forward,
                             two_period_example, validate_claim,
                             verify_strategy)
-from dualfx.lattice.pricing import TreeClaim, _solve_hull_lp
+from dualfx.lattice.pricing import (TreeClaim, _exact_sum, _solve_hull_lp,
+                                    _table_price)
 from dualfx.extended import ExtendedValue as EV
 from dualfx.physical import build_physical, consistency_checks
 from dualfx.pricing import CLAIM_KINDS, PAYOFFS, make_claim
@@ -428,7 +429,7 @@ def test_corner_lp_agrees_with_scipy_linprog():
 
 def _price_leaf_by_leaf(tree, claim):
     """The pricing formula leaf by leaf, with the euro payoff at a finite
-    rate formed as an extended-value product with the rate's reciprocal."""
+    rate formed as the payoff over the rate, and 0 at a devalued rate."""
     validate_claim(tree, claim)
     classical = correction = euro_classical = euro_correction = Fraction(0)
     for leaf in tree.leaves():
@@ -442,7 +443,13 @@ def _price_leaf_by_leaf(tree, claim):
             if leaf.x.is_zero:
                 euro_correction += pd * v.fraction / tree.x0
         if pe > 0:
-            e = v if leaf.x.is_infinite else v * leaf.x.reciprocal()
+            # v * (1/x), where 1/0 = inf and inf * 0 = 0
+            if leaf.x.is_infinite or v.is_zero:
+                e = v
+            elif leaf.x.is_zero:
+                e = EV.infinite()
+            else:
+                e = v if v.is_infinite else EV.of(v.fraction / leaf.x.fraction)
             if e.is_infinite:
                 raise InfinitePrice(
                     f"euro payoff infinite on supported leaf {leaf.id!r}")
@@ -477,6 +484,44 @@ def test_price_on_tree_matches_leaf_by_leaf_formula(generate):
                 (seed, claim.kind)
 
 
+@pytest.mark.parametrize("generate", [random_dual_tree,
+                                      random_complete_dual_tree])
+def test_table_price_equals_price_of_tree_claim(generate):
+    """A table kind priced from the leaf rows gives the same TreeDualPrice as
+    its TreeClaim, or the same InfinitePrice."""
+    strikes = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
+    for seed in range(300):
+        tree = generate(seed)
+        for kind in CLAIM_KINDS:
+            for k in strikes if PAYOFFS[kind].takes_strike else [None]:
+                try:
+                    want = price_on_tree(tree, tree_claim(tree, kind, k))
+                except InfinitePrice as exc:
+                    with pytest.raises(InfinitePrice,
+                                       match=f"^{re.escape(str(exc))}$"):
+                        _table_price(tree, kind, k)
+                    continue
+                assert _table_price(tree, kind, k) == want, (seed, kind, k)
+
+
+def test_exact_sum_matches_fraction_sum():
+    rng = random.Random(5)
+    primes = [2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1, 10**9 + 7]
+    cases = [
+        [],
+        [(0, 1), (0, 7)],
+        [(0, 3), (5, 6), (0, 9), (-5, 6)],
+        [(6, 4), (3, 9), (10, 15)],                       # unreduced terms
+        [(rng.randrange(1, p), p) for p in primes],       # coprime denominators
+        [(rng.randrange(-10**30, 10**30), rng.randrange(1, 10**20))
+         for _ in range(50)],
+    ]
+    for terms in cases:
+        got = _exact_sum(terms)
+        assert type(got) is Fraction
+        assert got == sum((Fraction(n, d) for n, d in terms), Fraction(0))
+
+
 def test_pricing_linearity_exact():
     rng = random.Random(99)
     for seed in range(40):
@@ -497,7 +542,7 @@ def test_correction_positive_iff_euro_payoff_on_explosion():
         claim = random_claim(tree, seed + 41)
         p = price_on_tree(tree, claim)
         mass = sum((tree.prob_euro[l.id] for l in tree.leaves()
-                    if l.x.is_infinite and claim.payoffs[l.id] > EV.zero()),
+                    if l.x.is_infinite and not claim.payoffs[l.id].is_zero),
                    Fraction(0))
         assert (p.correction > 0) == (mass > 0)
 
@@ -596,14 +641,14 @@ def test_table_rational_and_float_evaluations_agree(kind):
                     assert row.euro(x, k) == row.dollar(x, k) / x, \
                         (kind, k, leaf.id)
                     fx = np.array([float(x)])
-                    pairs = [(v, approx.dollar_finite(fx)[0]),
-                             (v * leaf.x.reciprocal(),
-                              approx.euro_finite(fx)[0])]
+                    pairs = [(v.fraction, approx.dollar_finite(fx)[0]),
+                             (v.fraction / x, approx.euro_finite(fx)[0])]
                 elif leaf.x.is_infinite:
-                    pairs = [(v, approx.euro_at_explosion)]
+                    pairs = [(math.inf if v.is_infinite else v.fraction,
+                              approx.euro_at_explosion)]
                 else:
-                    pairs = [(v, approx.dollar_finite(np.zeros(1))[0])]
+                    pairs = [(v.fraction, approx.dollar_finite(np.zeros(1))[0])]
                 for want, got in pairs:
-                    assert math.isclose(want.as_float(), got, rel_tol=1e-12), \
+                    assert math.isclose(float(want), got, rel_tol=1e-12), \
                         (kind, k, leaf.id)
     assert seen == {"zero", "finite", "infinite"}

@@ -16,7 +16,7 @@ from dualfx.lattice import (DualTree, build_dual_tree, devaluation_mass,
                             random_complete_dual_tree, random_dual_tree,
                             tree_to_doc, two_period_example,
                             verify_numeraire_identity, verify_tree_invariants)
-from dualfx.lattice.tree import stop_map
+from dualfx.lattice.tree import MAX_CHAIN_NODES, stop_map
 
 
 def test_two_period_example_measures():
@@ -225,14 +225,39 @@ def test_invariants_require_parents_first():
         verify_tree_invariants(children_first)
 
 
+def _absorbing_pair(periods):
+    """A root with one exploded and one devalued child."""
+    return {"x0": "1", "periods": periods, "nodes": [
+        {"id": "r", "x": "1", "branches": [["u", "1"], ["d", "1"]]},
+        {"id": "u", "x": "inf"}, {"id": "d", "x": "0"}]}
+
+
+def test_absorption_chains_are_bounded():
+    # each child's chain adds periods - 1 nodes
+    half = MAX_CHAIN_NODES // 2
+    t = build_dual_tree(_absorbing_pair(half + 1))
+    assert len(t.nodes) == 3 + MAX_CHAIN_NODES
+    with pytest.raises(StructureError, match="would add more than"):
+        build_dual_tree(_absorbing_pair(half + 2))
+    with pytest.raises(StructureError, match="would add more than"):
+        build_dual_tree(_absorbing_pair(10**9))
+
+
+@pytest.mark.parametrize("x", ["inf", "0"])
+def test_absorbing_root_is_refused_before_chaining(x):
+    with pytest.raises(StructureError,
+                       match=f"root state {x} disagrees with x0 = 1"):
+        build_dual_tree({"x0": "1", "periods": 10**9,
+                         "nodes": [{"id": "r", "x": x}]})
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: any JSON-shaped document either builds or raises a DualFXError
 # ---------------------------------------------------------------------------
 
-# small numbers only: an absorbing node grows a chain to the horizon, so a
-# large "periods" would build that many nodes
+# an absorbing node grows a chain to the horizon, bounded by MAX_CHAIN_NODES
 _scalars = st.one_of(
-    st.none(), st.booleans(), st.integers(-3, 10),
+    st.none(), st.booleans(), st.integers(-3, 10), st.integers(0, 10**12),
     st.floats(-3, 10), st.sampled_from([math.nan, math.inf, -math.inf]),
     st.text(alphabet="/-.aefinx ~", max_size=5))
 _json = st.recursive(

@@ -48,8 +48,11 @@ def _survival_bm(start: float, horizon: float) -> float:
 
 def _dawson(x: float) -> float:
     """Dawson's integral D(x) = exp(-x^2) int_0^x exp(t^2) dt to double
-    precision: its Maclaurin series below 0.2, else Rybicki's sum with step
-    h = 0.2 (*Numerical Recipes*, section 6.10)."""
+    precision: its Maclaurin series below 0.2, its asymptotic series above
+    1e7 (where the float spacing of x nears Rybicki's step), else Rybicki's
+    sum with step h = 0.2 (*Numerical Recipes*, section 6.10)."""
+    if abs(x) > 1e7:
+        return (1 + 0.5 / (x * x)) / (2 * x)
     if abs(x) < 0.2:
         return x * sum((-2 * x * x) ** n / math.prod(range(1, 2 * n + 2, 2))
                        for n in range(10))

@@ -2,7 +2,6 @@
 previous BENCH file and the comparison, on synthetic records only."""
 
 import importlib.util
-import json
 from pathlib import Path
 
 import pytest
@@ -20,7 +19,8 @@ def _run(attempted, failed, **metrics):
 
 
 def _record(**workloads):
-    return {"pr": 0, "workloads": workloads}
+    return {"pr": 0, "seeds": [1, 2, 3], "seconds": 30,
+            "workloads": workloads}
 
 
 def test_summarize_takes_medians_over_seeds_per_section():
@@ -45,7 +45,7 @@ def test_previous_file_is_the_newest_below_the_pr(tmp_path):
     assert bench_record.previous_file(tmp_path, 3) is None
 
 
-def test_compare_reports_relative_change_and_direction():
+def test_compare_reports_relative_change():
     old = _record(lattice_corpus={
         "end_to_end": {"ops_per_s": 160.0, "op_p50_ms": 3.0,
                        "setup_s": 1.2, "peak_rss_mb": 0.0},
@@ -56,10 +56,8 @@ def test_compare_reports_relative_change_and_direction():
                        "setup_s": 1.2, "peak_rss_mb": 90.0, "extra": 1.0},
         "per_layer": {"lattice.pricing.formula_ms": 3.0}},
         exact_report={"end_to_end": {"ops_per_s": 20.0}})
-    better = {"ops_per_s": "higher", "op_p50_ms": "lower",
-              "setup_s": "lower", "lattice.pricing.formula_ms": "lower"}
-    rows = {(w, s, n): (was, value, rel, verdict) for w, s, n, was, value,
-            rel, verdict in bench_record.compare(old, new, better)}
+    rows = {(w, s, n): (was, value, rel) for w, s, n, was, value, rel
+            in bench_record.compare(old, new)}
     # only metrics both records carry; the unmatched workloads drop out
     assert set(rows) == {
         ("lattice_corpus", "end_to_end", "ops_per_s"),
@@ -68,21 +66,19 @@ def test_compare_reports_relative_change_and_direction():
         ("lattice_corpus", "end_to_end", "peak_rss_mb"),
         ("lattice_corpus", "per_layer", "lattice.pricing.formula_ms")}
     key = ("lattice_corpus", "end_to_end")
-    assert rows[key + ("ops_per_s",)] == (160.0, 200.0,
-                                         pytest.approx(0.25), "better")
-    assert rows[key + ("op_p50_ms",)][2:] == (pytest.approx(-0.2), "better")
-    assert rows[key + ("setup_s",)][2:] == (0.0, "same")
-    # a zero baseline has no relative change; an unknown direction no verdict
-    assert rows[key + ("peak_rss_mb",)][2:] == (None, "")
+    assert rows[key + ("ops_per_s",)] == (160.0, 200.0, pytest.approx(0.25))
+    assert rows[key + ("op_p50_ms",)][2] == pytest.approx(-0.2)
+    assert rows[key + ("setup_s",)][2] == 0.0
+    # a zero baseline has no relative change
+    assert rows[key + ("peak_rss_mb",)][2] is None
     assert rows[("lattice_corpus", "per_layer",
-                 "lattice.pricing.formula_ms")][2:] == (pytest.approx(0.5),
-                                                        "worse")
+                 "lattice.pricing.formula_ms")][2] == pytest.approx(0.5)
 
 
-def test_directions_read_from_benchmark_json(tmp_path):
-    assert bench_record.directions(tmp_path) == {}
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
-        "end_to_end": [{"name": "ops_per_s", "better": "higher"}],
-        "per_layer": [{"name": "trace.overhead_pct", "better": "lower"}]}))
-    assert bench_record.directions(tmp_path) == {
-        "ops_per_s": "higher", "trace.overhead_pct": "lower"}
+@pytest.mark.parametrize("key, value", [("seeds", [1, 2, 4]),
+                                        ("seconds", 10)])
+def test_compare_refuses_records_of_other_seeds_or_length(key, value):
+    old = _record(lattice_corpus={"end_to_end": {"ops_per_s": 1.0}})
+    new = dict(old, **{key: value})
+    with pytest.raises(ValueError, match=key):
+        bench_record.compare(old, new)

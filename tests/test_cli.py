@@ -137,8 +137,10 @@ def test_lattice_verify_refuses_huge_periods_at_once(tmp_path):
         {"id": "r", "x": "1", "branches": [["u", "1"], ["d", "1"]]},
         {"id": "u", "x": "inf"}, {"id": "d", "x": "0"}]}))
     src = str(Path(dualfx.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # one BLAS thread, so that numpy's import fits the limit on any host
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-m", "dualfx.cli", "lattice-verify",
                           "--tree", str(path), "--out-dir", str(tmp_path)],
                          env=env, capture_output=True, text=True, timeout=60,

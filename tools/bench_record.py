@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Record one BENCH_<pr>.json from the benchmark and compare it with the last.
 
-    python3 tools/bench_record.py --pr 11 --seeds 1 2 3 --seconds 30
+    python3 tools/bench_record.py --pr 11 --seeds 1 2 3
 
 For every workload and seed, runs `python3 bench/run.py` once untraced
 (`--trace 0`, the end-to-end metrics) and once traced (`--trace 1`, the
-per-layer metrics), one run at a time, and writes BENCH_<pr>.json with each
-metric's median over the seeds.  It then prints every metric's relative
-change against the newest BENCH_<n>.json with n < pr at the checkout's
-root, if there is one.  Standard library only.
+per-layer metrics), one run at a time, each for BENCHMARK.json's
+`run_seconds`, and writes BENCH_<pr>.json with each metric's median over the
+seeds.  It then prints every metric's relative change against the newest
+BENCH_<n>.json with n < pr at the checkout's root, if there is one and it
+was recorded with the same seeds and run length.  Standard library only.
 """
 
 from __future__ import annotations
@@ -66,13 +67,16 @@ def previous_file(directory: Path, pr: int) -> Path | None:
     return max(found)[1] if found else None
 
 
-def compare(old: dict, new: dict, better: dict[str, str]) -> list[tuple]:
-    """(workload, section, metric, old, new, relative change, verdict) for
-    every metric that both records carry.  The relative change is
-    new / old - 1, None where old is 0.  The verdict is "better", "worse" or
-    "same" where `better` ("higher" or "lower" by metric name) knows the
-    metric, else "".
+def compare(old: dict, new: dict) -> list[tuple]:
+    """(workload, section, metric, old, new, relative change) for every
+    metric that both records carry.  The relative change is new / old - 1,
+    None where old is 0.  Raises ValueError if the records were taken with
+    other seeds or another run length.
     """
+    for key in ("seeds", "seconds"):
+        if old.get(key) != new.get(key):
+            raise ValueError(f"{key} differ: {old.get(key)} against "
+                             f"{new.get(key)}")
     rows = []
     for workload, entry in new["workloads"].items():
         before = old.get("workloads", {}).get(workload, {})
@@ -83,25 +87,8 @@ def compare(old: dict, new: dict, better: dict[str, str]) -> list[tuple]:
                     continue
                 was = olds[name]
                 rel = value / was - 1 if was else None
-                verdict = ""
-                if name in better and rel is not None:
-                    up = better[name] == "higher"
-                    verdict = ("same" if rel == 0
-                               else "better" if (rel > 0) == up else "worse")
-                rows.append((workload, section, name, was, value, rel,
-                             verdict))
+                rows.append((workload, section, name, was, value, rel))
     return rows
-
-
-def directions(root: Path) -> dict[str, str]:
-    """Metric name -> "higher" or "lower", from BENCHMARK.json in `root`;
-    empty when there is none."""
-    path = root / "BENCHMARK.json"
-    if not path.is_file():
-        return {}
-    spec = json.loads(path.read_text())
-    return {m["name"]: m["better"]
-            for key in ("end_to_end", "per_layer") for m in spec.get(key, [])}
 
 
 def main(argv=None) -> int:
@@ -109,8 +96,8 @@ def main(argv=None) -> int:
     ap.add_argument("--pr", type=int, required=True,
                     help="number in the output name BENCH_<pr>.json")
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    ap.add_argument("--seconds", type=float, default=30.0)
     args = ap.parse_args(argv)
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
     runs: dict[str, dict[int, list[dict]]] = {}
     for workload in WORKLOADS:
@@ -119,12 +106,12 @@ def main(argv=None) -> int:
                 print(f"bench_record: {workload} seed {seed} trace {trace}",
                       file=sys.stderr)
                 runs.setdefault(workload, {}).setdefault(trace, []).append(
-                    run_bench(workload, seed, args.seconds, trace))
+                    run_bench(workload, seed, seconds, trace))
     record = {
         "pr": args.pr,
         "command": ["python3", "bench/run.py"],
         "seeds": args.seeds,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "reduction": "median over seeds; end_to_end from --trace 0 runs, "
                      "per_layer from --trace 1 runs",
         "host": {"cpu_count": os.cpu_count(),
@@ -140,12 +127,16 @@ def main(argv=None) -> int:
     if prev is None:
         print("no earlier BENCH file to compare with")
         return 0
+    try:
+        rows = compare(json.loads(prev.read_text()), record)
+    except ValueError as exc:
+        print(f"not compared with {prev.name}: {exc}")
+        return 0
     print(f"relative change against {prev.name}:")
-    for workload, section, name, was, value, rel, verdict in compare(
-            json.loads(prev.read_text()), record, directions(ROOT)):
+    for workload, section, name, was, value, rel in rows:
         change = "n/a" if rel is None else f"{rel:+.1%}"
         print(f"  {workload:15s} {section:10s} {name:32s} {was:12.6g} -> "
-              f"{value:12.6g}  {change:>8s} {verdict}")
+              f"{value:12.6g}  {change:>8s}")
     return 0
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -212,8 +213,12 @@ def get_model(name: str, x0: float = 1.0, horizon: float = 1.0,
     exp_martingale_baseline, qnv(a,b,c).  `vol` applies to the lognormal
     baseline only.
     """
-    if not all(0 < v < math.inf for v in (x0, horizon, vol)):  # nan fails too
-        raise UnknownModel("x0, horizon and vol must be positive and finite")
+    # nan fails too, and so does an int beyond float range: int-float
+    # comparisons are exact.  The dual leg starts at 1 / x0.
+    if not (all(0 < v <= sys.float_info.max for v in (x0, horizon, vol))
+            and 1 / x0 <= sys.float_info.max):
+        raise UnknownModel(
+            "x0, horizon and vol must be positive and finite, and so must 1/x0")
     if name == "recip_bessel":
         return _recip_bessel(x0, horizon)
     if name == "stopped_bm":

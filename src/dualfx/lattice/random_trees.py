@@ -126,20 +126,18 @@ def random_rule(tree: DualTree, seed: int, stop_prob: float = 0.3,
     (stops at or after it path by path)."""
     rng = random.Random(seed)
     stop: set[str] = set()
-
-    def walk(nid: str, armed: bool) -> None:
-        node = tree.nodes[nid]
-        armed = armed or within is None or nid in within
-        if armed and (node.is_terminal or rng.random() < stop_prob):
-            stop.add(nid)
-            return
-        if node.is_terminal:
-            stop.add(nid)
-            return
-        for b in node.branches:
-            walk(b.child, armed)
-
-    walk(tree.root, False)
+    below: set[str] = set()
+    armed: set[str] = set()     # nodes at or after `within`, not stopped
+    for node in tree.nodes.values():
+        if node.parent in stop or node.parent in below:
+            below.add(node.id)
+        elif within is None or node.id in within or node.parent in armed:
+            if node.is_terminal or rng.random() < stop_prob:
+                stop.add(node.id)
+            else:
+                armed.add(node.id)
+        elif node.is_terminal:
+            stop.add(node.id)
     return frozenset(stop)
 
 

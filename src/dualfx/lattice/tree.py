@@ -35,7 +35,7 @@ class Branch:
     q_hat: Fraction    # one-step probability under the euro measure
 
 
-@dataclass
+@dataclass(frozen=True)
 class TreeNode:
     id: str
     time_index: int
@@ -70,8 +70,8 @@ class DualTree:
     # nodes.values(), forward or reversed
     nodes: dict[str, TreeNode]
     # exact path probabilities of the cylinder at each node, per measure
-    prob_dollar: dict[str, Fraction] = field(default_factory=dict)
-    prob_euro: dict[str, Fraction] = field(default_factory=dict)
+    prob_dollar: dict[str, Fraction]
+    prob_euro: dict[str, Fraction]
     # stop_map's results, by rule; only valid rules are kept
     _stop_maps: dict[frozenset[str], dict[str, str | None]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -133,7 +133,10 @@ def build_dual_tree(doc: Mapping) -> DualTree:
     {"id", "x", "branches": [[child_id, mass], ...]}.  The mass of a branch is
     q_hat when the child state is nonzero and q when the child state is zero.
     Absorbing states must not declare branches; their absorption chains up to
-    the horizon, MAX_CHAIN_NODES nodes at most, are generated automatically.
+    the horizon, MAX_CHAIN_NODES nodes at most, are generated automatically,
+    with ids "<id>~<k>" for period k.  Those ids are reserved: a document id
+    equal to one is refused.  A document of any depth builds within the chain
+    bound: the walk is iterative.
     """
     try:
         x0 = Fraction(doc["x0"])
@@ -158,109 +161,96 @@ def build_dual_tree(doc: Mapping) -> DualTree:
         raise StructureError(f"root {root_id!r} not among nodes")
 
     nodes: dict[str, TreeNode] = {}
-    seen: set[str] = set()
+    prob_dollar = {root_id: ONE}
+    prob_euro = {root_id: ONE}
     chained = 0     # nodes the absorption chains have added so far
-
-    def build(nid: str, t: int, parent: str | None, x: ExtendedValue) -> None:
-        nonlocal chained
-        if nid in seen:
-            raise StructureError(f"node {nid!r} reached twice; specs must be trees")
-        seen.add(nid)
-        entry = by_id[nid]
-        declared = entry.get("branches") or []
-        if not x.is_finite:
-            if declared:
-                raise StructureError(
-                    f"node {nid!r} is absorbing ({x}); it must not declare branches")
-            chained += periods - t
-            if chained > MAX_CHAIN_NODES:
-                raise StructureError(
-                    f"absorption chains up to period {periods} would add more "
-                    f"than {MAX_CHAIN_NODES} nodes")
-            nodes[nid] = TreeNode(nid, t, x, (), parent)
-            _extend_absorbing(nodes, nid, t, x, periods)
-            return
-        if t == periods:
-            if declared:
-                raise StructureError(f"terminal node {nid!r} declares branches")
-            nodes[nid] = TreeNode(nid, t, x, (), parent)
-            return
-        if not declared:
-            raise StructureError(
-                f"finite node {nid!r} at period {t} < {periods} has no branches")
-        branches = []
-        states = []
-        q_hat_sum = Fraction(0)
-        q_sum = Fraction(0)
-        for child_id, mass in declared:
-            child_id = str(child_id)
-            child_entry = by_id.get(child_id)
-            if child_entry is None:
-                raise StructureError(f"branch references unknown node {child_id!r}")
-            cx = _as_x(child_entry["x"])
-            states.append(cx)
-            m = _as_mass(mass)
-            if cx.is_zero:
-                q, q_hat = m, Fraction(0)
-            elif cx.is_infinite:
-                q, q_hat = Fraction(0), m
-            else:
-                # density relation: q * x_child = q_hat * x_node
-                q, q_hat = m * x.fraction / cx.fraction, m
-            q_sum += q
-            q_hat_sum += q_hat
-            branches.append(Branch(child_id, q, q_hat))
-        if q_hat_sum != 1:
-            raise NormalizationError(
-                f"node {nid!r}: euro-measure masses sum to {q_hat_sum}, not 1")
-        if q_sum != 1:
-            raise NormalizationError(
-                f"node {nid!r}: derived dollar-measure masses sum to {q_sum}, not 1 "
-                "(martingale constraint violated)")
-        nodes[nid] = TreeNode(nid, t, x, tuple(branches), parent)
-        for b, cx in zip(branches, states):
-            build(b.child, t + 1, nid, cx)
-
     try:
         root_x = _as_x(by_id[root_id]["x"])
         # checked before the walk, so an absorbing root is never chained out
         if not (root_x.is_finite and root_x.fraction == x0):
             raise StructureError(f"root state {root_x} disagrees with x0 = {x0}")
-        build(root_id, 0, None, root_x)
+        # pre-order: each popped node is made once, with its final branches,
+        # and its children are pushed reversed so they are made in branch order
+        stack: list[tuple[str, int, str | None, ExtendedValue]] = [
+            (root_id, 0, None, root_x)]
+        while stack:
+            nid, t, parent, x = stack.pop()
+            if nid in nodes:
+                raise StructureError(
+                    f"node {nid!r} reached twice; specs must be trees")
+            declared = by_id[nid].get("branches") or []
+            pd, pe = prob_dollar[nid], prob_euro[nid]
+            if not x.is_finite:
+                if declared:
+                    raise StructureError(f"node {nid!r} is absorbing ({x}); "
+                                         "it must not declare branches")
+                chained += periods - t
+                if chained > MAX_CHAIN_NODES:
+                    raise StructureError(
+                        f"absorption chains up to period {periods} would add "
+                        f"more than {MAX_CHAIN_NODES} nodes")
+                # the forced self-chain of the absorbed state to the horizon
+                prev = nid
+                for k in range(t + 1, periods + 1):
+                    cid = f"{nid}~{k}"
+                    if cid in by_id:
+                        raise StructureError(f"absorption id collision at {cid!r}")
+                    nodes[prev] = TreeNode(prev, k - 1, x,
+                                           (Branch(cid, ONE, ONE),), parent)
+                    prob_dollar[cid], prob_euro[cid] = pd, pe
+                    prev, parent = cid, prev
+                nodes[prev] = TreeNode(prev, periods, x, (), parent)
+                continue
+            if t == periods:
+                if declared:
+                    raise StructureError(f"terminal node {nid!r} declares branches")
+                nodes[nid] = TreeNode(nid, t, x, (), parent)
+                continue
+            if not declared:
+                raise StructureError(
+                    f"finite node {nid!r} at period {t} < {periods} has no branches")
+            branches = []
+            children = []
+            q_hat_sum = Fraction(0)
+            q_sum = Fraction(0)
+            for child_id, mass in declared:
+                child_id = str(child_id)
+                child_entry = by_id.get(child_id)
+                if child_entry is None:
+                    raise StructureError(
+                        f"branch references unknown node {child_id!r}")
+                cx = _as_x(child_entry["x"])
+                m = _as_mass(mass)
+                if cx.is_zero:
+                    q, q_hat = m, Fraction(0)
+                elif cx.is_infinite:
+                    q, q_hat = Fraction(0), m
+                else:
+                    # density relation: q * x_child = q_hat * x_node
+                    q, q_hat = m * x.fraction / cx.fraction, m
+                q_sum += q
+                q_hat_sum += q_hat
+                branches.append(Branch(child_id, q, q_hat))
+                children.append((child_id, t + 1, nid, cx))
+                prob_dollar[child_id], prob_euro[child_id] = pd * q, pe * q_hat
+            if q_hat_sum != 1:
+                raise NormalizationError(
+                    f"node {nid!r}: euro-measure masses sum to {q_hat_sum}, not 1")
+            if q_sum != 1:
+                raise NormalizationError(
+                    f"node {nid!r}: derived dollar-measure masses sum to {q_sum}, "
+                    "not 1 (martingale constraint violated)")
+            nodes[nid] = TreeNode(nid, t, x, tuple(branches), parent)
+            stack.extend(reversed(children))
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise StructureError(f"malformed tree document: {exc!r}") from exc
-    orphans = set(by_id) - seen
+    orphans = by_id.keys() - nodes.keys()
     if orphans:
         raise StructureError(f"nodes unreachable from the root: {sorted(orphans)}")
 
-    tree = DualTree(periods, x0, root_id, nodes)
-    _compute_path_probs(tree)
+    tree = DualTree(periods, x0, root_id, nodes, prob_dollar, prob_euro)
     verify_tree_invariants(tree)
     return tree
-
-
-def _extend_absorbing(nodes: dict[str, TreeNode], nid: str, t: int,
-                      x: ExtendedValue, periods: int) -> None:
-    """Append the forced self-chain of an absorbed state down to the horizon."""
-    prev = nid
-    for k in range(t + 1, periods + 1):
-        cid = f"{nid}~{k}"
-        if cid in nodes:
-            raise StructureError(f"absorption id collision at {cid!r}")
-        nodes[prev] = TreeNode(
-            nodes[prev].id, nodes[prev].time_index, x,
-            (Branch(cid, ONE, ONE),), nodes[prev].parent)
-        nodes[cid] = TreeNode(cid, k, x, (), prev)
-        prev = cid
-
-
-def _compute_path_probs(tree: DualTree) -> None:
-    tree.prob_dollar[tree.root] = ONE
-    tree.prob_euro[tree.root] = ONE
-    for node in tree.nodes.values():
-        for b in node.branches:
-            tree.prob_dollar[b.child] = tree.prob_dollar[node.id] * b.q
-            tree.prob_euro[b.child] = tree.prob_euro[node.id] * b.q_hat
 
 
 def verify_tree_invariants(tree: DualTree) -> None:

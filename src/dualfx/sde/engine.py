@@ -228,7 +228,8 @@ def _exact_absorbed_bm(gen, m, start, horizon, params):
         rounds += 1
         b = start + sq * gen.standard_normal(todo.size)
         u = gen.random(todo.size)
-        ok = (b > 0.0) & (u < -np.expm1(-2.0 * start * b / horizon))
+        with np.errstate(over="ignore"):    # a tiny horizon: accept b > 0
+            ok = (b > 0.0) & (u < -np.expm1(-2.0 * start * b / horizon))
         x[todo[ok]] = b[ok]
         todo = todo[~ok]
     return x, hit
@@ -292,6 +293,10 @@ def simulate(spec: DiffusionModel | DualDiffusion, cfg: MCConfig) -> TerminalBat
     scheme = _resolve_scheme(spec, cfg.scheme)
 
     if scheme == "euler_absorbed":
+        if spec.horizon / cfg.steps == 0.0:
+            raise NumericalBlowup(
+                f"the Euler step {spec.horizon!r} / {cfg.steps} underflows to 0")
+
         def body(gen, m):
             return euler_absorbed(gen, m, spec.sigma, start, spec.horizon,
                                   cfg.steps)

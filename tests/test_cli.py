@@ -1,23 +1,29 @@
 """CLI: exit codes, artifact round-trips, reproducibility."""
 
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import dualfx
 
-from dualfx.catalog import get_model
-from dualfx.cli import main, validate_config
+from dualfx.catalog import MODEL_NAMES, get_model
+from dualfx.cli import COMMANDS, main, validate_config
 from dualfx.errors import ConfigError, SchemeUnsupported
 from dualfx.lattice import build_dual_tree, dump_tree, two_period_example
-from dualfx.pricing import make_batches
+from dualfx.pricing import PAYOFFS, make_batches
 from dualfx.sde import BLOCK, MCConfig
 from tests.test_engine import csv_oracle
+from tests.test_tree import chain_doc, collision_doc
 
 
 @pytest.fixture()
@@ -147,6 +153,27 @@ def test_lattice_verify_refuses_huge_periods_at_once(tmp_path):
                          preexec_fn=limit_memory)
     assert out.returncode == 1
     assert out.stderr.startswith("error: absorption chains"), out
+
+
+@pytest.mark.parametrize("command", ["lattice-verify", "physical"])
+def test_deep_tree_commands_run(command, tmp_path, capsys):
+    """A 1,500-period chain: deeper than the interpreter's recursion limit."""
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(chain_doc(1500)))
+    assert main([command, "--tree", str(path),
+                 "--out-dir", str(tmp_path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("chain_first", [True, False])
+def test_lattice_verify_refuses_a_chain_id_collision(chain_first, tmp_path,
+                                                     capsys):
+    path = tmp_path / "collision.json"
+    path.write_text(json.dumps(collision_doc(chain_first)))
+    assert main(["lattice-verify", "--tree", str(path),
+                 "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: absorption id collision at 'e~2'")
 
 
 def test_physical_command(example_tree_path, tmp_path):
@@ -323,6 +350,20 @@ def test_config_validation_rejects_non_finite_strikes():
     assert cfg.strikes == [0, 10**400]
 
 
+@pytest.mark.parametrize("bad", [
+    {"x0": 10**400}, {"horizon": 10**400}, {"vol": 10**400},
+    {"x0": 5e-324, "model": "qnv(1,0,0)"},      # the dual leg starts at inf
+    {"horizon": 5e-324, "model": "qnv(1,0,0)", "steps": 4}])  # step is 0.0
+def test_model_parameter_out_of_float_range_exits_1(bad, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": "price",
+                                "model": "exp_martingale_baseline", "n": 100,
+                                "out_dir": str(tmp_path / "out"), **bad}))
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_run_command_bad_config_exits_1(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"command": "price", "bogus_key": 1}))
@@ -341,3 +382,80 @@ def test_euler_on_exact_only_model_is_usage_error(args, tmp_path, capsys):
     assert err.startswith("error: ") and "exact-only" in err
     assert "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any config either runs or exits 1 with an error line
+# ---------------------------------------------------------------------------
+
+# numbers that are subnormal, beyond float range, nan, infinite, negative or
+# of the wrong type; each replaces a valid one
+_EDGE_NUMBERS = st.sampled_from([5e-324, 10**400, math.nan, math.inf,
+                                 -math.inf, -1.5, True, "1"])
+_JUNK = {"command": st.just("frobnicate"), "scheme": st.just("rk4"),
+         "claim": st.just("bogus"),
+         "model": st.sampled_from(["qnv(-1,0,0)", "qnv(nan,0,0)",
+                                   "qnv(x,0,0)", "qnv(1,0)", "junk"]),
+         "tree": st.sampled_from(["missing", "directory"])}
+
+
+@st.composite
+def _configs(draw):
+    """A valid config over every key, then maybe an edge number for a model
+    parameter, maybe one for a strike, and maybe one junk value, so that
+    most configs run and the edges reach the models."""
+    cfg = draw(st.fixed_dictionaries(
+        {"command": st.sampled_from(COMMANDS),
+         "model": st.sampled_from([*MODEL_NAMES, "qnv(1,0,0)", "qnv(1,1,0)",
+                                   "qnv(0,1,0)", "qnv(1,1,1)"]),
+         "tree": st.just("example"),
+         "n": st.integers(1, 2000), "steps": st.integers(1, 16),
+         "levels": st.lists(st.integers(1, 16), max_size=3)},
+        optional={
+            "claim": st.sampled_from(list(PAYOFFS)),
+            "strike": st.floats(0.05, 4),
+            "strikes": st.lists(st.floats(0.05, 4), max_size=3),
+            "x0": st.floats(0.05, 4), "horizon": st.floats(0.05, 4),
+            "vol": st.floats(0.05, 4), "seed": st.integers(0, 2**64),
+            "scheme": st.sampled_from(["auto", "exact", "euler_absorbed"]),
+            "workers": st.integers(1, 3),
+            "tag": st.text(alphabet="ab_-", max_size=3),
+            "dump_samples": st.booleans()}))
+    if draw(st.booleans()):
+        cfg[draw(st.sampled_from(["x0", "horizon", "vol"]))] = \
+            draw(_EDGE_NUMBERS)
+    if draw(st.booleans()):
+        edge = draw(_EDGE_NUMBERS)
+        cfg.update(draw(st.sampled_from([{"strike": edge},
+                                         {"strikes": [1, edge]}])))
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(list(_JUNK)))
+        cfg[key] = draw(_JUNK[key])
+    return cfg
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_configs())
+@example(cfg={"command": "defect", "model": "recip_bessel", "tree": "example",
+              "x0": 10**400, "n": 100})
+@example(cfg={"command": "price", "model": "qnv(1,0,0)", "tree": "example",
+              "horizon": 5e-324, "steps": 4, "n": 100})
+def test_any_config_runs_or_exits_1_with_an_error_line(cfg, tmp_path):
+    tree = tmp_path / "example.json"
+    if not tree.exists():
+        dump_tree(two_period_example(), tree)
+    trees = {"example": tree, "missing": tmp_path / "missing",
+             "directory": tmp_path}
+    cfg = {**cfg, "tree": str(trees[cfg["tree"]]),
+           "out_dir": str(tmp_path / "out")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main(["run", str(path)])
+    assert rc in (0, 1, 2)
+    if rc == 1:
+        assert err.getvalue().startswith("error: "), err.getvalue()
+    assert "Traceback" not in err.getvalue()

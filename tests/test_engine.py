@@ -179,6 +179,15 @@ def test_exact_absorbed_bm_rejection_loop_is_bounded():
         simulate(model, MCConfig(n=100_000, seed=0, scheme="exact"))
 
 
+@pytest.mark.parametrize("name", ["stopped_bm", "recip_bessel"])
+def test_exact_absorbed_bm_stays_put_at_a_subnormal_horizon(name):
+    """2 start b / horizon overflows to inf there: each b > 0 is accepted,
+    the limit of a vanishing horizon, without an overflow warning."""
+    model = get_model(name, horizon=5e-324).model
+    for batch in make_batches(model, MCConfig(n=1000, seed=0)):
+        assert (batch.x == 1.0).all()
+
+
 def test_zero_volatility_paths_are_constant():
     model = DiffusionModel("flat", lambda x, t: np.zeros_like(x), 2.0, 1.0)
     b = simulate(model, MCConfig(n=1000, steps=4, seed=0,

@@ -13,8 +13,9 @@ from dualfx import (DualFXError, MeasurabilityError, NormalizationError,
 from dualfx.lattice import (DualTree, build_dual_tree, devaluation_mass,
                             dump_tree, explosion_mass, first_hit_rule,
                             load_tree, one_step_defects, period_rule,
-                            random_complete_dual_tree, random_dual_tree,
-                            tree_to_doc, two_period_example,
+                            price_on_tree, random_complete_dual_tree,
+                            random_dual_tree, random_rule_pair, tree_to_doc,
+                            tree_euro_forward, two_period_example,
                             verify_numeraire_identity, verify_tree_invariants)
 from dualfx.lattice.tree import MAX_CHAIN_NODES, stop_map
 
@@ -251,6 +252,51 @@ def test_absorbing_root_is_refused_before_chaining(x):
                          "nodes": [{"id": "r", "x": x}]})
 
 
+def chain_doc(periods: int, explode_last: bool = False) -> dict:
+    """n0 -> n1 -> ... -> n<periods>, one branch per node, all at x = 1; the
+    last step may instead explode with euro mass 1/2 (n<periods> at 1/2)."""
+    nodes = [{"id": f"n{k}", "x": "1", "branches": [[f"n{k + 1}", "1"]]}
+             for k in range(periods)]
+    nodes.append({"id": f"n{periods}", "x": "1"})
+    if explode_last:
+        nodes[-2]["branches"] = [[f"n{periods}", "1/2"], ["e", "1/2"]]
+        nodes[-1]["x"] = "1/2"
+        nodes.append({"id": "e", "x": "inf"})
+    return {"x0": "1", "periods": periods, "nodes": nodes}
+
+
+def test_long_chains_build_in_order():
+    t = build_dual_tree(chain_doc(5000))
+    assert list(t.nodes) == [f"n{k}" for k in range(5001)]
+    assert set(t.prob_dollar.values()) == set(t.prob_euro.values()) == {1}
+    rho, tau = random_rule_pair(t, 3)
+    assert len(rho) == len(tau) == 1
+    t = build_dual_tree(chain_doc(5000, explode_last=True))
+    assert list(t.nodes)[-3:] == ["n4999", "n5000", "e"]
+    assert t.prob_euro["e"] == t.prob_euro["n5000"] == Fraction(1, 2)
+    assert t.prob_dollar["n5000"] == 1
+    random_rule_pair(t, 3)
+
+
+def collision_doc(chain_first: bool) -> dict:
+    """The exploded node e's chain would generate the id e~2, which a
+    sibling of e already has."""
+    branches = [["e", "1/2"], ["e~2", "1/2"]]
+    return {"x0": "1", "periods": 2, "nodes": [
+        {"id": "r", "x": "1",
+         "branches": branches if chain_first else branches[::-1]},
+        {"id": "e", "x": "inf"},
+        {"id": "e~2", "x": "1/2", "branches": [["g", "1"]]},
+        {"id": "g", "x": "1/2"}]}
+
+
+@pytest.mark.parametrize("chain_first", [True, False])
+def test_document_ids_equal_to_chain_ids_are_refused(chain_first):
+    with pytest.raises(StructureError,
+                       match="absorption id collision at 'e~2'"):
+        build_dual_tree(collision_doc(chain_first))
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: any JSON-shaped document either builds or raises a DualFXError
 # ---------------------------------------------------------------------------
@@ -309,3 +355,8 @@ def test_any_document_builds_or_raises_a_package_error(doc):
     except DualFXError:
         return
     verify_tree_invariants(tree)
+    # invariants local to each node miss a node made twice; the masses and
+    # the forward's price see it
+    assert sum(row.pd for row in tree.leaf_rows) == 1
+    assert sum(row.pe for row in tree.leaf_rows) == 1
+    assert price_on_tree(tree, tree_euro_forward(tree)).total_dollar == tree.x0

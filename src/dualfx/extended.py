@@ -1,9 +1,9 @@
-"""Points of the extended half line [0, inf] with exact rational arithmetic.
+"""Points of the extended half line [0, inf] with exact rational values.
 
-The exchange rate and all payoffs live on [0, inf].  Scaling follows the
-convention inf * 0 = 0.  Finite values are strictly positive rationals; zero
-has its own tag so that the convention can be applied before any arithmetic
-takes place.
+The exchange rate at a lattice node lives on [0, inf].  Finite values are
+strictly positive rationals; zero and infinity have their own tags, so that
+a reader can tell a devaluation or an explosion before any arithmetic takes
+place.
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ class ExtendedValue:
             raise ValueError(f"{self.tag} carries no value")
 
     # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "ExtendedValue":
-        return ExtendedValue(ZERO)
 
     @staticmethod
     def infinite() -> "ExtendedValue":
@@ -81,20 +77,6 @@ class ExtendedValue:
         if self.tag == INFINITE:
             raise OverflowError("infinite value has no rational representation")
         return Fraction(0) if self.tag == ZERO else self.value
-
-    # -- arithmetic under the inf * 0 = 0 convention -------------------------
-
-    def __add__(self, other: "ExtendedValue") -> "ExtendedValue":
-        if self.tag == INFINITE or other.tag == INFINITE:
-            return ExtendedValue.infinite()
-        return ExtendedValue.of(self.fraction + other.fraction)
-
-    def scale(self, a: Rational) -> "ExtendedValue":
-        """Multiply by a nonnegative rational scalar; inf * 0 = 0."""
-        s = ExtendedValue.of(a)
-        if self.tag == INFINITE:
-            return s if s.tag == ZERO else self
-        return ExtendedValue.of(self.fraction * s.fraction)
 
     def __str__(self) -> str:
         if self.tag == ZERO:

@@ -3,9 +3,9 @@
 from .checks import (bayes_check, martingale_transfer_check,
                      verify_numeraire_identity)
 from .pricing import (ParityRow, TreeClaim, TreeDualPrice, TreeStrategy,
-                      claim_combine, parity_and_equivalence_report,
-                      price_on_tree, superreplicate_backward, tree_claim,
-                      tree_euro_forward, validate_claim, verify_strategy)
+                      parity_and_equivalence_report, price_on_tree,
+                      superreplicate_backward, tree_claim, tree_euro_forward,
+                      validate_claim, verify_strategy)
 from .random_trees import (random_claim, random_complete_dual_tree,
                            random_dual_tree, random_rule, random_rule_pair,
                            random_terminal_values)
@@ -24,7 +24,7 @@ __all__ = [
     "verify_numeraire_identity", "bayes_check", "martingale_transfer_check",
     "price_on_tree", "superreplicate_backward",
     "parity_and_equivalence_report", "verify_strategy", "validate_claim",
-    "tree_claim", "tree_euro_forward", "claim_combine",
+    "tree_claim", "tree_euro_forward",
     "random_dual_tree", "random_complete_dual_tree", "random_claim",
     "random_rule", "random_rule_pair", "random_terminal_values",
 ]

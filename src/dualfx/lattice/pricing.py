@@ -27,11 +27,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from ..errors import ClaimError, InfeasibleError, InfinitePrice
-from ..extended import ExtendedValue
 from ..pricing import payoff_row
 from .tree import DualTree
-
-EV = ExtendedValue
 
 
 # ---------------------------------------------------------------------------
@@ -42,57 +39,50 @@ EV = ExtendedValue
 class TreeClaim:
     """One payoff per terminal node, in the currency of the measure that sees
     the node: dollars where the rate is finite or zero, euros where it is
+    infinite.  A payoff is an int or Fraction >= 0, or None where it is
     infinite.  The euro payoff at a finite or zero rate x is the dollar
     payoff times 1/x (inf * 0 = 0), worked out where it is read."""
 
-    payoffs: Mapping[str, ExtendedValue]
+    payoffs: Mapping[str, Fraction | None]
     kind: str = "custom"
 
 
 def validate_claim(tree: DualTree, claim: TreeClaim) -> None:
-    """Raise ClaimError unless the claim is defined at every leaf.
+    """Raise ClaimError unless the claim has a payoff at every leaf, each an
+    int or Fraction >= 0 or None (infinite).
 
     The pricers call this once per pricing call, where a claim meets a tree.
     """
+    payoffs = claim.payoffs
     for leaf in tree.leaves():
-        if leaf.id not in claim.payoffs:
+        if leaf.id not in payoffs:
             raise ClaimError(f"claim not defined at leaf {leaf.id!r}")
+        v = payoffs[leaf.id]
+        if v is None:
+            continue
+        if not isinstance(v, (int, Fraction)):
+            raise ClaimError(f"payoff {v!r} at leaf {leaf.id!r} is not an "
+                             "int, a Fraction or None (infinite)")
+        if v.numerator < 0:     # the sign, without a Fraction comparison
+            raise ClaimError(f"negative payoff {v} at leaf {leaf.id!r}")
 
 
-def _table_values(tree: DualTree, kind: str, strike) -> tuple[list, object]:
-    """A kind's exact `pricing.PAYOFFS` payoff per leaf row, None where
-    infinite: the dollar leg at a finite or zero rate, the euro value at an
-    explosion; and the strike as a Fraction, None for kinds without one."""
+def tree_claim(tree: DualTree, kind: str, strike=None) -> TreeClaim:
+    """The `TreeClaim` of a claim kind from the `pricing.PAYOFFS` table: the
+    exact dollar leg at a finite or zero rate, the euro value at an
+    explosion."""
     row, k = payoff_row(kind, strike, Fraction)
     dollar, euro = row.dollar, row.euro_at_explosion(k)
     if euro == math.inf:
         euro = None
-    return [euro if x.is_infinite else dollar(x.fraction, k)
-            for _, x, *_ in tree.leaf_rows], k
-
-
-def tree_claim(tree: DualTree, kind: str, strike=None) -> TreeClaim:
-    """The `TreeClaim` of a claim kind from the `pricing.PAYOFFS` table."""
-    values, k = _table_values(tree, kind, strike)
-    payoffs = {row.id: EV.infinite() if v is None else EV.of(v)
-               for row, v in zip(tree.leaf_rows, values)}
+    payoffs = {nid: euro if x.is_infinite else dollar(x.fraction, k)
+               for nid, x, *_ in tree.leaf_rows}
     return TreeClaim(payoffs, kind if k is None else f"{kind}_{k}")
 
 
 def tree_euro_forward(tree: DualTree) -> TreeClaim:
     """(X_T, 1): one euro at maturity, under every outcome."""
     return tree_claim(tree, "euro_forward")
-
-
-def claim_combine(tree: DualTree, c1: TreeClaim, c2: TreeClaim,
-                  a=1) -> TreeClaim:
-    """c1 + a * c2 with a >= 0 rational, leaf by leaf."""
-    a = Fraction(a)
-    if a < 0:
-        raise ClaimError("claims combine with nonnegative weights only")
-    payoffs = {leaf.id: c1.payoffs[leaf.id] + c2.payoffs[leaf.id].scale(a)
-               for leaf in tree.leaves()}
-    return TreeClaim(payoffs, f"({c1.kind})+{a}*({c2.kind})")
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +109,16 @@ def _exact_sum(terms: list[tuple[int, int]]) -> Fraction:
     return Fraction(sum([n * (lcm // d) for n, d in terms]), lcm)
 
 
-def _price(tree: DualTree, values: list) -> TreeDualPrice:
-    """The two-measure formula over the leaf rows, with `values` aligned to
-    them: each leaf's payoff in the unit of the measure that sees it, None
-    where it is infinite.  Each sum collects integer products and is formed
-    once by `_exact_sum`; zero payoffs add nothing and are skipped."""
+def price_on_tree(tree: DualTree, claim: TreeClaim) -> TreeDualPrice:
+    """The exact two-measure price of a claim, summed over the leaf rows.
+
+    Each sum collects integer products and is formed once by `_exact_sum`;
+    zero payoffs add nothing and are skipped."""
+    validate_claim(tree, claim)
+    payoffs = claim.payoffs
     classical, devalued, euro_finite, exploded = [], [], [], []
-    for (nid, x, pd, pe, pe_over_x), v in zip(tree.leaf_rows, values):
+    for nid, x, pd, pe, pe_over_x in tree.leaf_rows:
+        v = payoffs[nid]
         if v is None:
             # pd > 0 only at finite and zero rates, pe > 0 only at finite
             # and infinite ones: the dollar error wins where both see v
@@ -160,18 +153,6 @@ def _price(tree: DualTree, values: list) -> TreeDualPrice:
     assert result.total_euro == euro_classical + euro_correction, \
         "euro-side decomposition disagrees; tree invariants must be broken"
     return result
-
-
-def price_on_tree(tree: DualTree, claim: TreeClaim) -> TreeDualPrice:
-    """The exact two-measure price of a claim given leaf by leaf."""
-    validate_claim(tree, claim)
-    return _price(tree, [None if (v := claim.payoffs[row.id]).is_infinite
-                         else v.fraction for row in tree.leaf_rows])
-
-
-def _table_price(tree: DualTree, kind: str, strike=None) -> TreeDualPrice:
-    """`price_on_tree` of `tree_claim(tree, kind, strike)`, from the table."""
-    return _price(tree, _table_values(tree, kind, strike)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +272,9 @@ def superreplicate_backward(tree: DualTree, claim: TreeClaim
             continue
         if node.is_terminal:
             v = claim.payoffs[node.id]
-            if v.is_infinite:
+            if v is None:
                 raise InfinitePrice(f"infinite payoff at {node.id!r}")
-            required[node.id] = v.fraction
+            required[node.id] = Fraction(v)
             continue
         if not node.x.is_finite:
             required[node.id] = required[node.branches[0].child]
@@ -347,9 +328,10 @@ def verify_strategy(tree: DualTree, claim: TreeClaim, strategy: TreeStrategy,
         if leaf.id not in tree.supported:
             continue
         w, v = strategy.wealth[leaf.id], claim.payoffs[leaf.id]
-        if v.is_infinite or w < v.fraction:
-            raise AssertionError(f"wealth {w} < payoff {v} at {leaf.id!r}")
-        if require_equality and w != v.fraction:
+        if v is None or w < v:
+            raise AssertionError(f"wealth {w} < payoff "
+                                 f"{'inf' if v is None else v} at {leaf.id!r}")
+        if require_equality and w != v:
             raise AssertionError(f"wealth {w} != payoff {v} at {leaf.id!r}")
     for nid, w in strategy.wealth.items():
         if w < 0:
@@ -381,10 +363,10 @@ def parity_and_equivalence_report(tree: DualTree,
         k = Fraction(strike)
         if k <= 0:
             raise ClaimError("strikes must be positive")
-        call = _table_price(tree, "call", k)
-        put = _table_price(tree, "put", k)
-        d_call = _table_price(tree, "dollar_call", 1 / k)
-        d_put = _table_price(tree, "dollar_put", 1 / k)
+        call = price_on_tree(tree, tree_claim(tree, "call", k))
+        put = price_on_tree(tree, tree_claim(tree, "put", k))
+        d_call = price_on_tree(tree, tree_claim(tree, "dollar_call", 1 / k))
+        d_put = price_on_tree(tree, tree_claim(tree, "dollar_put", 1 / k))
         pe_put = d_put.euro_classical + d_put.euro_correction
         pe_call = d_call.euro_classical + d_call.euro_correction
         rows.append(ParityRow(

@@ -13,7 +13,6 @@ import random
 from fractions import Fraction
 from typing import Collection
 
-from ..extended import ExtendedValue
 from .pricing import TreeClaim
 from .tree import DualTree, build_dual_tree
 
@@ -116,8 +115,8 @@ def random_fraction(rng: random.Random, zero_prob: float = 0.2) -> Fraction:
 def random_claim(tree: DualTree, seed: int) -> TreeClaim:
     """Random nonnegative finite claim, one draw per leaf in tree order."""
     rng = random.Random(seed)
-    return TreeClaim({leaf.id: ExtendedValue.of(random_fraction(rng))
-                      for leaf in tree.leaves()}, f"random_{seed}")
+    return TreeClaim({leaf.id: random_fraction(rng) for leaf in tree.leaves()},
+                     f"random_{seed}")
 
 
 def random_rule(tree: DualTree, seed: int, stop_prob: float = 0.3,

@@ -17,6 +17,7 @@ which moves the law by at most 2^-53 per path-step (see euler_absorbed).
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -43,6 +44,9 @@ class MCConfig:
     def __post_init__(self):
         if self.n < 1 or self.steps < 1:
             raise ConfigError("n and steps must be >= 1")
+        if self.steps > sys.float_info.max:
+            raise ConfigError(f"steps must be at most {sys.float_info.max!r}, "
+                              f"the float range of the step size")
         if self.scheme not in SCHEMES:
             raise SchemeUnsupported(
                 f"unknown scheme {self.scheme!r}; known: {', '.join(SCHEMES)}")
@@ -80,8 +84,14 @@ def estimate_from_values(values: np.ndarray, seed: int) -> Estimate:
         raise InfiniteContribution(
             "functional evaluated to a non-finite value on a sampled path")
     n = values.shape[0]
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    try:
+        with np.errstate(over="raise"):
+            mean = float(values.mean())
+            stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    except FloatingPointError as exc:
+        raise InfiniteContribution(
+            f"the mean or standard error of {n} finite values left the "
+            f"float range ({exc})") from None
     return Estimate(mean, stderr, n, seed)
 
 
@@ -309,7 +319,18 @@ def simulate(spec: DiffusionModel | DualDiffusion, cfg: MCConfig) -> TerminalBat
         def body(gen, m):
             return sampler(gen, m, start, spec.horizon, spec.params)
 
-    values, hit = _run_blocks(cfg.n, cfg.seed, cfg.workers, body)
+    def run_block(gen, m):
+        # numpy's error state is per thread, so it is set in the block's own
+        # worker: an overflow in a sampler is an error, not a warning
+        try:
+            with np.errstate(over="raise"):
+                return body(gen, m)
+        except FloatingPointError as exc:
+            raise NumericalBlowup(
+                f"{scheme} simulation of {spec.name!r} left the float range "
+                f"({exc})") from None
+
+    values, hit = _run_blocks(cfg.n, cfg.seed, cfg.workers, run_block)
     if not np.isfinite(values).all():
         raise NumericalBlowup("simulated values left the float range")
 

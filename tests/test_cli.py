@@ -441,6 +441,18 @@ def _configs(draw):
               "x0": 10**400, "n": 100})
 @example(cfg={"command": "price", "model": "qnv(1,0,0)", "tree": "example",
               "horizon": 5e-324, "steps": 4, "n": 100})
+@example(cfg={"command": "price", "model": "qnv(1,0,0)", "tree": "example",
+              "steps": 10**400, "n": 100})
+@example(cfg={"command": "price", "model": "recip_bessel", "tree": "example",
+              "x0": 1e-300, "workers": 2, "n": 100})
+@example(cfg={"command": "price", "model": "recip_bessel", "tree": "example",
+              "horizon": 1e308, "n": 100})
+@example(cfg={"command": "price", "model": "stopped_bm", "tree": "example",
+              "x0": 1e300, "n": 100})
+@example(cfg={"command": "price", "model": "qnv(1,1,1)", "tree": "example",
+              "x0": 1e-300, "n": 100})
+@example(cfg={"command": "convergence", "model": "stopped_bm",
+              "tree": "example", "x0": 1e300, "n": 200})
 def test_any_config_runs_or_exits_1_with_an_error_line(cfg, tmp_path):
     tree = tmp_path / "example.json"
     if not tree.exists():

@@ -1,4 +1,4 @@
-"""Arithmetic on [0, inf] with the inf * 0 = 0 convention."""
+"""Points of [0, inf]: tags, exact values and their string forms."""
 
 from fractions import Fraction
 
@@ -24,21 +24,7 @@ def test_parse_and_str_roundtrip():
         assert str(EV.parse(s)) == s
 
 
-def test_inf_times_zero_is_zero():
-    assert EV.infinite().scale(0).is_zero
-    assert EV.zero().scale(5).is_zero
-    assert EV.infinite().scale(Fraction(2, 3)).is_infinite
-    assert EV.of(2).scale(Fraction(1, 2)).fraction == 1
-    with pytest.raises(ValueError):
-        EV.infinite().scale(-1)
-
-
-def test_addition():
-    assert (EV.of(1) + EV.infinite()).is_infinite
-    assert (EV.of(1) + EV.of(2)).fraction == 3
-
-
 def test_fraction_access():
-    assert EV.zero().fraction == 0
+    assert EV.of(0).fraction == 0
     with pytest.raises(OverflowError):
         EV.infinite().fraction

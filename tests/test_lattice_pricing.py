@@ -9,16 +9,14 @@ import numpy as np
 import pytest
 
 from dualfx import ClaimError, InfeasibleError, InfinitePrice
-from dualfx.lattice import (build_dual_tree, claim_combine,
-                            parity_and_equivalence_report, price_on_tree,
+from dualfx.lattice import (build_dual_tree, parity_and_equivalence_report,
+                            price_on_tree,
                             random_claim, random_complete_dual_tree,
                             random_dual_tree, superreplicate_backward,
                             tree_claim, tree_euro_forward,
                             two_period_example, validate_claim,
                             verify_strategy)
-from dualfx.lattice.pricing import (TreeClaim, _exact_sum, _solve_hull_lp,
-                                    _table_price)
-from dualfx.extended import ExtendedValue as EV
+from dualfx.lattice.pricing import TreeClaim, _exact_sum, _solve_hull_lp
 from dualfx.physical import build_physical, consistency_checks
 from dualfx.pricing import CLAIM_KINDS, PAYOFFS, make_claim
 
@@ -45,7 +43,7 @@ def test_call_put_and_parity_on_example():
 
 def test_zero_claim_prices_to_zero():
     t = two_period_example()
-    zero = TreeClaim({l.id: EV.zero() for l in t.leaves()}, "zero")
+    zero = TreeClaim({l.id: Fraction(0) for l in t.leaves()}, "zero")
     assert price_on_tree(t, zero).total_dollar == 0
     price, strategy = superreplicate_backward(t, zero)
     assert price == 0
@@ -80,11 +78,29 @@ def test_self_quantoed_infinite_on_explosion_tree():
 
 def test_claim_consistency_validated():
     t = two_period_example()
-    partial = {l.id: EV.of(2) for l in t.leaves() if l.id != "dn_dn"}
+    partial = {l.id: Fraction(2) for l in t.leaves() if l.id != "dn_dn"}
     with pytest.raises(ClaimError, match="not defined at leaf 'dn_dn'"):
         validate_claim(t, TreeClaim(partial, "broken"))
     with pytest.raises(ClaimError):
         price_on_tree(t, TreeClaim(partial, "broken"))
+
+
+@pytest.mark.parametrize("payoff, message", [
+    (Fraction(-1, 2), "negative payoff -1/2 at leaf 'dn_dn'"),
+    (-1, "negative payoff -1 at leaf 'dn_dn'"),
+    (0.5, "payoff 0.5 at leaf 'dn_dn' is not an int, a Fraction or None"),
+    ("1/2", "payoff '1/2' at leaf 'dn_dn' is not an int, a Fraction or"),
+], ids=["negative_fraction", "negative_int", "float", "string"])
+def test_payoffs_must_be_nonnegative_rationals_or_none(payoff, message):
+    t = two_period_example()
+    claim = TreeClaim({l.id: payoff if l.id == "dn_dn" else Fraction(1)
+                       for l in t.leaves()}, "bad")
+    for check in (validate_claim, price_on_tree, superreplicate_backward):
+        with pytest.raises(ClaimError, match=re.escape(message)):
+            check(t, claim)
+    # ints, Fractions and None (infinite) pass
+    for v in (0, 3, Fraction(1, 3), None):
+        validate_claim(t, TreeClaim({l.id: v for l in t.leaves()}))
 
 
 def test_price_identity_and_superrep_on_complete_trees():
@@ -130,7 +146,7 @@ def _absorbing_tree():
 def _absorbing_claim(**payoffs):
     # 2 euros at the explosion, 3 dollars at the devaluation, 1 dollar at ff
     values = {"e~2": 2, "fz": 3, "ff": 1, **payoffs}
-    return TreeClaim({nid: EV.of(v) for nid, v in values.items()})
+    return TreeClaim({nid: Fraction(v) for nid, v in values.items()})
 
 
 def test_strategy_wealth_is_in_the_unit_that_sees_the_node():
@@ -434,28 +450,28 @@ def _price_leaf_by_leaf(tree, claim):
     classical = correction = euro_classical = euro_correction = Fraction(0)
     for leaf in tree.leaves():
         pd, pe = tree.prob_dollar[leaf.id], tree.prob_euro[leaf.id]
-        v = claim.payoffs[leaf.id]
+        v = claim.payoffs[leaf.id]     # None is an infinite payoff
         if pd > 0:
-            if v.is_infinite:
+            if v is None:
                 raise InfinitePrice(
                     f"dollar payoff infinite on supported leaf {leaf.id!r}")
-            classical += pd * v.fraction
+            classical += pd * v
             if leaf.x.is_zero:
-                euro_correction += pd * v.fraction / tree.x0
+                euro_correction += pd * v / tree.x0
         if pe > 0:
             # v * (1/x), where 1/0 = inf and inf * 0 = 0
-            if leaf.x.is_infinite or v.is_zero:
+            if leaf.x.is_infinite or v == 0:
                 e = v
-            elif leaf.x.is_zero:
-                e = EV.infinite()
+            elif leaf.x.is_zero or v is None:
+                e = None
             else:
-                e = v if v.is_infinite else EV.of(v.fraction / leaf.x.fraction)
-            if e.is_infinite:
+                e = v / leaf.x.fraction
+            if e is None:
                 raise InfinitePrice(
                     f"euro payoff infinite on supported leaf {leaf.id!r}")
-            euro_classical += pe * e.fraction
+            euro_classical += pe * e
             if leaf.x.is_infinite:
-                correction += tree.x0 * pe * e.fraction
+                correction += tree.x0 * pe * e
     total = classical + correction
     return (classical, correction, total, total / tree.x0, euro_classical,
             euro_correction)
@@ -464,7 +480,7 @@ def _price_leaf_by_leaf(tree, claim):
 @pytest.mark.parametrize("generate", [random_dual_tree,
                                       random_complete_dual_tree])
 def test_price_on_tree_matches_leaf_by_leaf_formula(generate):
-    strikes = [Fraction(1, 2), Fraction(1), Fraction(3, 2)]
+    strikes = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
     for seed in range(300):
         tree = generate(seed)
         claims = [random_claim(tree, seed)]
@@ -482,26 +498,6 @@ def test_price_on_tree_matches_leaf_by_leaf_formula(generate):
             assert (p.classical, p.correction, p.total_dollar, p.total_euro,
                     p.euro_classical, p.euro_correction) == want, \
                 (seed, claim.kind)
-
-
-@pytest.mark.parametrize("generate", [random_dual_tree,
-                                      random_complete_dual_tree])
-def test_table_price_equals_price_of_tree_claim(generate):
-    """A table kind priced from the leaf rows gives the same TreeDualPrice as
-    its TreeClaim, or the same InfinitePrice."""
-    strikes = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
-    for seed in range(300):
-        tree = generate(seed)
-        for kind in CLAIM_KINDS:
-            for k in strikes if PAYOFFS[kind].takes_strike else [None]:
-                try:
-                    want = price_on_tree(tree, tree_claim(tree, kind, k))
-                except InfinitePrice as exc:
-                    with pytest.raises(InfinitePrice,
-                                       match=f"^{re.escape(str(exc))}$"):
-                        _table_price(tree, kind, k)
-                    continue
-                assert _table_price(tree, kind, k) == want, (seed, kind, k)
 
 
 def test_exact_sum_matches_fraction_sum():
@@ -529,7 +525,8 @@ def test_pricing_linearity_exact():
         c1 = random_claim(tree, seed)
         c2 = random_claim(tree, seed + 1)
         a = Fraction(rng.randint(0, 8), rng.randint(1, 5))
-        combo = claim_combine(tree, c1, c2, a)
+        combo = TreeClaim({nid: v + a * c2.payoffs[nid]
+                           for nid, v in c1.payoffs.items()})
         p = price_on_tree(tree, combo)
         p1 = price_on_tree(tree, c1)
         p2 = price_on_tree(tree, c2)
@@ -542,7 +539,7 @@ def test_correction_positive_iff_euro_payoff_on_explosion():
         claim = random_claim(tree, seed + 41)
         p = price_on_tree(tree, claim)
         mass = sum((tree.prob_euro[l.id] for l in tree.leaves()
-                    if l.x.is_infinite and not claim.payoffs[l.id].is_zero),
+                    if l.x.is_infinite and claim.payoffs[l.id] != 0),
                    Fraction(0))
         assert (p.correction > 0) == (mass > 0)
 
@@ -641,13 +638,13 @@ def test_table_rational_and_float_evaluations_agree(kind):
                     assert row.euro(x, k) == row.dollar(x, k) / x, \
                         (kind, k, leaf.id)
                     fx = np.array([float(x)])
-                    pairs = [(v.fraction, approx.dollar_finite(fx)[0]),
-                             (v.fraction / x, approx.euro_finite(fx)[0])]
+                    pairs = [(v, approx.dollar_finite(fx)[0]),
+                             (v / x, approx.euro_finite(fx)[0])]
                 elif leaf.x.is_infinite:
-                    pairs = [(math.inf if v.is_infinite else v.fraction,
+                    pairs = [(math.inf if v is None else v,
                               approx.euro_at_explosion)]
                 else:
-                    pairs = [(v.fraction, approx.dollar_finite(np.zeros(1))[0])]
+                    pairs = [(v, approx.dollar_finite(np.zeros(1))[0])]
                 for want, got in pairs:
                     assert math.isclose(float(want), got, rel_tol=1e-12), \
                         (kind, k, leaf.id)

@@ -353,7 +353,8 @@ def test_config_validation_rejects_non_finite_strikes():
 @pytest.mark.parametrize("bad", [
     {"x0": 10**400}, {"horizon": 10**400}, {"vol": 10**400},
     {"x0": 5e-324, "model": "qnv(1,0,0)"},      # the dual leg starts at inf
-    {"horizon": 5e-324, "model": "qnv(1,0,0)", "steps": 4}])  # step is 0.0
+    {"horizon": 5e-324, "model": "qnv(1,0,0)", "steps": 4},  # step is 0.0
+    {"steps": 10**12}])     # n * steps is beyond MAX_PATH_STEPS
 def test_model_parameter_out_of_float_range_exits_1(bad, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"command": "price",
@@ -443,6 +444,8 @@ def _configs(draw):
               "horizon": 5e-324, "steps": 4, "n": 100})
 @example(cfg={"command": "price", "model": "qnv(1,0,0)", "tree": "example",
               "steps": 10**400, "n": 100})
+@example(cfg={"command": "price", "model": "qnv(1,0,0)", "tree": "example",
+              "steps": 10**12, "n": 100})
 @example(cfg={"command": "price", "model": "recip_bessel", "tree": "example",
               "x0": 1e-300, "workers": 2, "n": 100})
 @example(cfg={"command": "price", "model": "recip_bessel", "tree": "example",

@@ -1,5 +1,6 @@
 """Simulation engine: schemes, determinism, absorption, error channels."""
 
+import hashlib
 import math
 import sys
 import threading
@@ -16,8 +17,9 @@ from dualfx.catalog import get_model
 from dualfx.sde import (BLOCK, cross_measure_check, dual_seed,
                         estimate_from_values, z_score)
 from dualfx.sde import engine
-from dualfx.sde.engine import (MAX_REJECTION_ROUNDS, block_generator,
-                               dump_batch_csv, euler_absorbed, make_batches)
+from dualfx.sde.engine import (MAX_PATH_STEPS, MAX_REJECTION_ROUNDS,
+                               block_generator, dump_batch_csv,
+                               euler_absorbed, make_batches)
 from tests.test_oracles import DUAL_ABSORPTION, EXPECTED_X
 
 
@@ -44,6 +46,17 @@ def test_block_substreams_extend_consistently():
     assert np.array_equal(small.x, large.x[:2 * BLOCK])
     again = simulate(model, MCConfig(n=2 * BLOCK, seed=9))
     assert np.array_equal(small.x, again.x)
+
+
+def test_distinct_block_keys_give_distinct_streams():
+    """Every (seed, block) key of both legs of a run starts its own stream,
+    and so do keys that a list-entropy SeedSequence would hash alike."""
+    seed = 20120229
+    keys = [(s, b) for s in (seed, dual_seed(seed)) for b in range(8)]
+    keys += [(5, 1), (5 + 2**32, 0)]
+    firsts = {tuple(block_generator(s, b).bit_generator.random_raw(4))
+              for s, b in keys}
+    assert len(firsts) == len(keys)
 
 
 def test_euler_block_substreams_extend_consistently():
@@ -225,6 +238,11 @@ def test_mcconfig_validates_scheme_and_workers():
     for bad in ({"n": 0}, {"steps": 0}):
         with pytest.raises(ConfigError):
             MCConfig(**bad)
+    assert MCConfig(n=10, steps=MAX_PATH_STEPS // 10).steps == 10**9
+    for n, steps in ((10, MAX_PATH_STEPS // 10 + 1), (100, 10**12),
+                     (1, 10**400)):
+        with pytest.raises(ConfigError, match="MAX_PATH_STEPS = 1e\\+10"):
+            MCConfig(n=n, steps=steps)
     assert MCConfig(scheme="exact", workers=2).workers == 2
 
 
@@ -344,6 +362,30 @@ def test_dump_batch_csv_matches_row_oracle(tmp_path):
                 covered |= [np.isnan(t).any(), np.isfinite(t).any(),
                             np.isinf(batch.x).any(), (batch.x == 0.0).any()]
     assert covered.all()
+
+
+# SHA-256 of dump_batch_csv for the primal and dual batch of make_batches on
+# two blocks at one seed.  A change that moves the random stream fails here
+# until it records the new digests and says so in CHANGES.md.
+STREAM_DIGESTS = {
+    ("recip_bessel", "exact"): (
+        "1526e175c3aab92b49385bad2ce1dc5f0120c8cf1088cd395b27faf99689c1b5",
+        "b6885f1344c72eb816606ee4c43db7269b3ee8d71d2a1954fb485e8913ac051f"),
+    ("qnv(1,0,0)", "euler_absorbed"): (
+        "994bf761b576aee6f8d2b473928ac05f630ec9add2a3702760f789d6dbb778e6",
+        "8f9f978a164c67227f86d9b6ef510255e9a79172338d17607e868c05b9caf55e"),
+}
+
+
+@pytest.mark.parametrize("name,scheme", list(STREAM_DIGESTS))
+def test_csv_bytes_of_fixed_runs_are_pinned(name, scheme, tmp_path):
+    cfg = MCConfig(n=BLOCK + 3, steps=16, seed=20120229, scheme=scheme)
+    path = tmp_path / "batch.csv"
+    digests = []
+    for batch in make_batches(get_model(name).model, cfg):
+        dump_batch_csv(batch, path)
+        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    assert tuple(digests) == STREAM_DIGESTS[name, scheme]
 
 
 def test_euler_refused_on_exact_only_model():

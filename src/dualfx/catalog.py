@@ -26,7 +26,8 @@ MODEL_NAMES = ("recip_bessel", "stopped_bm", "singular_timechange",
 @dataclass(frozen=True)
 class CatalogEntry:
     model: DiffusionModel
-    # named reference quantities, each a closed-form evaluator
+    # named reference quantities, each a closed-form evaluator at the
+    # entry's x0 and horizon
     analytic: Mapping[str, Callable[..., float]] = field(default_factory=dict)
     # hand-derived dual diffusion coefficient, for cross-checking the generic
     # derivation on a grid
@@ -92,12 +93,12 @@ def _recip_bessel(x0: float, horizon: float) -> CatalogEntry:
         model=model,
         analytic={
             # the dual absorbed-BM survival gives E[X_T] = x0 * survival
-            "expected_x": lambda T=horizon: x0 * _survival_bm(1.0 / x0, T),
+            "expected_x": lambda: x0 * _survival_bm(1.0 / x0, horizon),
             "dual_absorption_prob":
-                lambda T=horizon: 1.0 - _survival_bm(1.0 / x0, T),
+                lambda: 1.0 - _survival_bm(1.0 / x0, horizon),
             # x0 E[1/Y_T] for the Brownian motion Y from 1/x0 killed at 0
-            "expected_x_squared": lambda T=horizon: x0 * math.sqrt(2.0 / T)
-                * _dawson(1.0 / (x0 * math.sqrt(2.0 * T))),
+            "expected_x_squared": lambda: x0 * math.sqrt(2.0 / horizon)
+                * _dawson(1.0 / (x0 * math.sqrt(2.0 * horizon))),
         },
         dual_sigma_reference=lambda y, t: np.ones_like(np.asarray(y, float)),
         notes="strictly positive strict supermartingale rate; the reciprocal "
@@ -118,10 +119,10 @@ def _stopped_bm(x0: float, horizon: float) -> CatalogEntry:
     return CatalogEntry(
         model=model,
         analytic={
-            "expected_x": lambda T=horizon: x0,   # true martingale
+            "expected_x": lambda: x0,   # true martingale
             "devaluation_prob":
-                lambda T=horizon: 1.0 - _survival_bm(x0, T),
-            "dual_absorption_prob": lambda T=horizon: 0.0,
+                lambda: 1.0 - _survival_bm(x0, horizon),
+            "dual_absorption_prob": lambda: 0.0,
         },
         dual_sigma_reference=lambda y, t: np.asarray(y, float) ** 2,
         notes="martingale rate hitting zero; no explosion mass, corrections "
@@ -171,9 +172,9 @@ def _exp_martingale(x0: float, horizon: float, vol: float) -> CatalogEntry:
     return CatalogEntry(
         model=model,
         analytic={
-            "expected_x": lambda T=horizon: x0,
-            "dual_absorption_prob": lambda T=horizon: 0.0,
-            "call": lambda strike, T=horizon: _black_call(x0, vol, T, strike),
+            "expected_x": lambda: x0,
+            "dual_absorption_prob": lambda: 0.0,
+            "call": lambda strike: _black_call(x0, vol, horizon, strike),
         },
         dual_sigma_reference=lambda y, t: vol * np.asarray(y, float),
         notes="true-martingale lognormal baseline; both measures equivalent",

@@ -253,8 +253,8 @@ def _lattice_report(tree: ltree.DualTree, strikes: list[Fraction]) -> dict:
                               "residual": lchecks.verify_numeraire_identity(
                                   tree, [nid], rule)})
     terminal = ltree.period_rule(tree, tree.periods)
-    y = {n.id: (n.x.fraction if n.x.is_finite else Fraction(0))
-         for n in tree.leaves()}
+    y = {row.id: (row.x.fraction if row.x.is_finite else Fraction(0))
+         for row in tree.leaf_rows}
     for t in range(tree.periods):
         rho = ltree.period_rule(tree, t)
         for nid, res in lchecks.bayes_check(tree, y, rho, terminal).items():
@@ -295,7 +295,7 @@ def _run_lattice_verify(cfg: ExperimentConfig, out: Path) -> int:
     if not cfg.tree:
         raise ConfigError("lattice-verify needs --tree")
     tree = ltree.load_tree(cfg.tree)
-    strikes = [Fraction(str(k)).limit_denominator(10**6) for k in cfg.strikes]
+    strikes = [Fraction(str(k)) for k in cfg.strikes]
     report = _lattice_report(tree, strikes)
     _write_json(out / f"{cfg.tag}_lattice.json", report)
     subjects = ("claim", "strike", "event", "node")

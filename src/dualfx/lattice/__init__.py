@@ -9,9 +9,8 @@ from .pricing import (ParityRow, TreeClaim, TreeDualPrice, TreeStrategy,
 from .random_trees import (random_claim, random_complete_dual_tree,
                            random_dual_tree, random_rule, random_rule_pair,
                            random_terminal_values)
-from .tree import (Branch, DualTree, TreeNode, build_dual_tree,
-                   devaluation_mass, dump_tree, explosion_mass, first_hit_rule,
-                   load_tree, one_step_defects, period_rule, tree_to_doc,
+from .tree import (Branch, DualTree, TreeNode, build_dual_tree, dump_tree,
+                   first_hit_rule, load_tree, period_rule, tree_to_doc,
                    two_period_example, verify_tree_invariants)
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "build_dual_tree", "load_tree", "dump_tree", "tree_to_doc",
     "two_period_example", "verify_tree_invariants",
     "period_rule", "first_hit_rule",
-    "one_step_defects", "explosion_mass", "devaluation_mass",
     "verify_numeraire_identity", "bayes_check", "martingale_transfer_check",
     "price_on_tree", "superreplicate_backward",
     "parity_and_equivalence_report", "verify_strategy", "validate_claim",

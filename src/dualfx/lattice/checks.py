@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from ..errors import MeasurabilityError
+from ..errors import ClaimError, MeasurabilityError
 from .tree import DualTree, stop_map
 
 
@@ -65,7 +65,7 @@ def bayes_check(tree: DualTree, terminal_values: Mapping[str, Fraction],
         under.setdefault(rho_at[w], []).append(w)
     missing = [w for ws in under.values() for w in ws if w not in terminal_values]
     if missing:
-        raise KeyError(f"payoff not defined at tau nodes {sorted(missing)}")
+        raise ClaimError(f"payoff not defined at tau nodes {sorted(missing)}")
 
     residuals: dict[str, Fraction] = {}
     for v in under:

@@ -54,17 +54,17 @@ def validate_claim(tree: DualTree, claim: TreeClaim) -> None:
     The pricers call this once per pricing call, where a claim meets a tree.
     """
     payoffs = claim.payoffs
-    for leaf in tree.leaves():
-        if leaf.id not in payoffs:
-            raise ClaimError(f"claim not defined at leaf {leaf.id!r}")
-        v = payoffs[leaf.id]
+    for row in tree.leaf_rows:
+        if row.id not in payoffs:
+            raise ClaimError(f"claim not defined at leaf {row.id!r}")
+        v = payoffs[row.id]
         if v is None:
             continue
         if not isinstance(v, (int, Fraction)):
-            raise ClaimError(f"payoff {v!r} at leaf {leaf.id!r} is not an "
+            raise ClaimError(f"payoff {v!r} at leaf {row.id!r} is not an "
                              "int, a Fraction or None (infinite)")
         if v.numerator < 0:     # the sign, without a Fraction comparison
-            raise ClaimError(f"negative payoff {v} at leaf {leaf.id!r}")
+            raise ClaimError(f"negative payoff {v} at leaf {row.id!r}")
 
 
 def tree_claim(tree: DualTree, kind: str, strike=None) -> TreeClaim:
@@ -324,15 +324,15 @@ def verify_strategy(tree: DualTree, claim: TreeClaim, strategy: TreeStrategy,
     """Assert the wealth process superreplicates the claim on supported leaves
     and stays nonnegative, both in the unit of the measure that sees each
     node; at a finite rate x > 0 that one comparison holds in both units."""
-    for leaf in tree.leaves():
-        if leaf.id not in tree.supported:
+    for row in tree.leaf_rows:
+        if row.id not in tree.supported:
             continue
-        w, v = strategy.wealth[leaf.id], claim.payoffs[leaf.id]
+        w, v = strategy.wealth[row.id], claim.payoffs[row.id]
         if v is None or w < v:
             raise AssertionError(f"wealth {w} < payoff "
-                                 f"{'inf' if v is None else v} at {leaf.id!r}")
+                                 f"{'inf' if v is None else v} at {row.id!r}")
         if require_equality and w != v:
-            raise AssertionError(f"wealth {w} != payoff {v} at {leaf.id!r}")
+            raise AssertionError(f"wealth {w} != payoff {v} at {row.id!r}")
     for nid, w in strategy.wealth.items():
         if w < 0:
             raise AssertionError(f"negative wealth at {nid!r}")

@@ -115,14 +115,15 @@ def random_fraction(rng: random.Random, zero_prob: float = 0.2) -> Fraction:
 def random_claim(tree: DualTree, seed: int) -> TreeClaim:
     """Random nonnegative finite claim, one draw per leaf in tree order."""
     rng = random.Random(seed)
-    return TreeClaim({leaf.id: random_fraction(rng) for leaf in tree.leaves()},
+    return TreeClaim({row.id: random_fraction(rng) for row in tree.leaf_rows},
                      f"random_{seed}")
 
 
-def random_rule(tree: DualTree, seed: int, stop_prob: float = 0.3,
+def random_rule(tree: DualTree, seed: int,
                 within: frozenset[str] | None = None) -> frozenset[str]:
-    """Random stopping rule; when `within` is given, the rule refines it
-    (stops at or after it path by path)."""
+    """Random stopping rule, stopping at each eligible interior node with
+    probability 0.3; when `within` is given, the rule refines it (stops at or
+    after it path by path)."""
     rng = random.Random(seed)
     stop: set[str] = set()
     below: set[str] = set()
@@ -131,7 +132,7 @@ def random_rule(tree: DualTree, seed: int, stop_prob: float = 0.3,
         if node.parent in stop or node.parent in below:
             below.add(node.id)
         elif within is None or node.id in within or node.parent in armed:
-            if node.is_terminal or rng.random() < stop_prob:
+            if node.is_terminal or rng.random() < 0.3:
                 stop.add(node.id)
             else:
                 armed.add(node.id)

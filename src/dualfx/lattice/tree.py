@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 from ..errors import MeasurabilityError, NormalizationError, StructureError
@@ -58,10 +57,12 @@ class LeafRow(NamedTuple):
     pe_over_x: Fraction | None      # None where x is 0 or inf
 
 
-@dataclass
+@dataclass(frozen=True)
 class DualTree:
-    """Read-only once built: its leaves, leaf rows, supported set and stop
-    maps are derived on first use, kept, and shared with every caller."""
+    """A finished tree, as `build_dual_tree` returns it: its nodes, the path
+    probabilities, the leaf rows and the supported set are all recorded by
+    the walk that builds it.  Fields cannot be reassigned; only the per-rule
+    cache of `stop_map` fills in after the build."""
 
     periods: int
     x0: Fraction
@@ -72,38 +73,14 @@ class DualTree:
     # exact path probabilities of the cylinder at each node, per measure
     prob_dollar: dict[str, Fraction]
     prob_euro: dict[str, Fraction]
+    leaf_rows: tuple[LeafRow, ...]      # one row per leaf, in tree order
+    supported: frozenset[str]   # nodes with positive mass under either measure
     # stop_map's results, by rule; only valid rules are kept
     _stop_maps: dict[frozenset[str], dict[str, str | None]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def node(self, node_id: str) -> TreeNode:
         return self.nodes[node_id]
-
-    def nodes_at(self, t: int) -> list[TreeNode]:
-        return [n for n in self.nodes.values() if n.time_index == t]
-
-    def leaves(self) -> tuple[TreeNode, ...]:
-        return self._leaves
-
-    @cached_property
-    def _leaves(self) -> tuple[TreeNode, ...]:
-        return tuple(self.nodes_at(self.periods))
-
-    @cached_property
-    def leaf_rows(self) -> tuple[LeafRow, ...]:
-        """One row per leaf, in tree order."""
-        return tuple(
-            LeafRow(leaf.id, leaf.x, self.prob_dollar[leaf.id],
-                    self.prob_euro[leaf.id],
-                    self.prob_euro[leaf.id] / leaf.x.fraction
-                    if leaf.x.is_finite else None)
-            for leaf in self.leaves())
-
-    @cached_property
-    def supported(self) -> frozenset[str]:
-        """The nodes with positive mass under either measure."""
-        return frozenset(nid for nid, pd in self.prob_dollar.items()
-                         if pd > 0 or self.prob_euro[nid] > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -118,15 +95,13 @@ def _as_mass(m) -> Fraction:
 
 
 def _as_x(x) -> ExtendedValue:
-    if isinstance(x, ExtendedValue):
-        return x
     if isinstance(x, str):
         return ExtendedValue.parse(x)
     return ExtendedValue.of(Fraction(x))
 
 
 def build_dual_tree(doc: Mapping) -> DualTree:
-    """Build and validate a DualTree from a node-list document.
+    """Build a finished DualTree from a node-list document in one walk.
 
     Document keys: "x0" (positive rational), "periods" (int >= 1), "root"
     (node id, optional when the first node is the root) and "nodes", a list of
@@ -136,7 +111,9 @@ def build_dual_tree(doc: Mapping) -> DualTree:
     the horizon, MAX_CHAIN_NODES nodes at most, are generated automatically,
     with ids "<id>~<k>" for period k.  Those ids are reserved: a document id
     equal to one is refused.  A document of any depth builds within the chain
-    bound: the walk is iterative.
+    bound: the walk is iterative.  The walk refuses, as it makes each node,
+    every document that breaks an invariant `verify_tree_invariants` checks,
+    and records the leaf rows as it makes the leaves.
     """
     try:
         x0 = Fraction(doc["x0"])
@@ -163,6 +140,7 @@ def build_dual_tree(doc: Mapping) -> DualTree:
     nodes: dict[str, TreeNode] = {}
     prob_dollar = {root_id: ONE}
     prob_euro = {root_id: ONE}
+    leaf_rows: list[LeafRow] = []
     chained = 0     # nodes the absorption chains have added so far
     try:
         root_x = _as_x(by_id[root_id]["x"])
@@ -200,11 +178,13 @@ def build_dual_tree(doc: Mapping) -> DualTree:
                     prob_dollar[cid], prob_euro[cid] = pd, pe
                     prev, parent = cid, prev
                 nodes[prev] = TreeNode(prev, periods, x, (), parent)
+                leaf_rows.append(LeafRow(prev, x, pd, pe, None))
                 continue
             if t == periods:
                 if declared:
                     raise StructureError(f"terminal node {nid!r} declares branches")
                 nodes[nid] = TreeNode(nid, t, x, (), parent)
+                leaf_rows.append(LeafRow(nid, x, pd, pe, pe / x.fraction))
                 continue
             if not declared:
                 raise StructureError(
@@ -248,13 +228,16 @@ def build_dual_tree(doc: Mapping) -> DualTree:
     if orphans:
         raise StructureError(f"nodes unreachable from the root: {sorted(orphans)}")
 
-    tree = DualTree(periods, x0, root_id, nodes, prob_dollar, prob_euro)
-    verify_tree_invariants(tree)
-    return tree
+    supported = frozenset(nid for nid, pd in prob_dollar.items()
+                          if pd > 0 or prob_euro[nid] > 0)
+    return DualTree(periods, x0, root_id, nodes, prob_dollar, prob_euro,
+                    tuple(leaf_rows), supported)
 
 
 def verify_tree_invariants(tree: DualTree) -> None:
-    """Assert every structural invariant of the measure pair, exactly."""
+    """Assert every structural invariant of the measure pair, exactly, from
+    the nodes and the two mass maps alone: an oracle independent of the walk
+    that built the tree and of the leaf rows it recorded."""
     seen: set[str] = set()
     for node in tree.nodes.values():
         if node.parent is not None and node.parent not in seen:
@@ -264,6 +247,12 @@ def verify_tree_invariants(tree: DualTree) -> None:
             if node.time_index != tree.periods:
                 raise StructureError(
                     f"terminal node {node.id!r} at period {node.time_index}")
+            # paths touching an absorbed state are null for the blind
+            # measure; the self-chains checked below carry that state here
+            if node.x.is_infinite and tree.prob_dollar[node.id] != 0:
+                raise StructureError(f"dollar measure sees explosion at {node.id!r}")
+            if node.x.is_zero and tree.prob_euro[node.id] != 0:
+                raise StructureError(f"euro measure sees devaluation at {node.id!r}")
             continue
         qs = sum((b.q for b in node.branches), Fraction(0))
         q_hats = sum((b.q_hat for b in node.branches), Fraction(0))
@@ -287,48 +276,6 @@ def verify_tree_invariants(tree: DualTree) -> None:
             if cx.is_finite and b.q * cx.fraction != b.q_hat * x:
                 raise StructureError(
                     f"density relation fails on branch {node.id!r} -> {b.child!r}")
-    # paths touching an absorbed state are null for the blind measure; the
-    # self-chains checked above carry that state to the path's leaf
-    for leaf in tree.leaves():
-        if leaf.x.is_infinite and tree.prob_dollar[leaf.id] != 0:
-            raise StructureError(f"dollar measure sees explosion at {leaf.id!r}")
-        if leaf.x.is_zero and tree.prob_euro[leaf.id] != 0:
-            raise StructureError(f"euro measure sees devaluation at {leaf.id!r}")
-
-
-# ---------------------------------------------------------------------------
-# supermartingale defects (one-step duality identities)
-# ---------------------------------------------------------------------------
-
-def one_step_defects(tree: DualTree, node_id: str) -> tuple[Fraction, Fraction]:
-    """(dollar defect of X, euro defect of 1/X) over one step from a finite node.
-
-    The dollar defect x - E[x_child] equals x times the explosion mass seen
-    only by the euro measure, and dually for 1/x; both are returned exactly.
-    """
-    node = tree.nodes[node_id]
-    if not node.x.is_finite or node.is_terminal:
-        raise StructureError("defects are defined at interior finite nodes")
-    x = node.x.fraction
-    e_x = sum((b.q * tree.nodes[b.child].x.fraction
-               for b in node.branches if tree.nodes[b.child].x.is_finite),
-              Fraction(0))
-    e_inv = sum((b.q_hat / tree.nodes[b.child].x.fraction
-                 for b in node.branches if tree.nodes[b.child].x.is_finite),
-                Fraction(0))
-    return x - e_x, 1 / x - e_inv
-
-
-def explosion_mass(tree: DualTree, node_id: str) -> Fraction:
-    node = tree.nodes[node_id]
-    return sum((b.q_hat for b in node.branches
-                if tree.nodes[b.child].x.is_infinite), Fraction(0))
-
-
-def devaluation_mass(tree: DualTree, node_id: str) -> Fraction:
-    node = tree.nodes[node_id]
-    return sum((b.q for b in node.branches
-                if tree.nodes[b.child].x.is_zero), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +315,7 @@ def period_rule(tree: DualTree, t: int) -> frozenset[str]:
     """Deterministic rule: stop at period t."""
     if not 0 <= t <= tree.periods:
         raise MeasurabilityError(f"period {t} outside [0, {tree.periods}]")
-    return frozenset(n.id for n in tree.nodes_at(t))
+    return frozenset(n.id for n in tree.nodes.values() if n.time_index == t)
 
 
 def first_hit_rule(tree: DualTree, predicate) -> frozenset[str]:

@@ -66,11 +66,11 @@ def build_physical(tree: DualTree) -> PhysicalLattice:
         raise ConditioningError("no-devaluation event has probability zero")
     p_dollar = {}
     p_euro = {}
-    for leaf in tree.leaves():
-        p_dollar[leaf.id] = (Fraction(0) if leaf.x.is_infinite
-                             else p[leaf.id] / (1 - explosion_mass))
-        p_euro[leaf.id] = (Fraction(0) if leaf.x.is_zero
-                           else p[leaf.id] / (1 - devaluation_mass))
+    for row in tree.leaf_rows:
+        p_dollar[row.id] = (Fraction(0) if row.x.is_infinite
+                            else p[row.id] / (1 - explosion_mass))
+        p_euro[row.id] = (Fraction(0) if row.x.is_zero
+                          else p[row.id] / (1 - devaluation_mass))
     return PhysicalLattice(tree, p, p_dollar, p_euro)
 
 

@@ -365,19 +365,19 @@ def _naive_dual_values(model: DiffusionModel, claim: Claim, n: int,
 
 
 def tail_diagnostic(model: DiffusionModel, claim: Claim,
-                    ns: Sequence[int], cfg: MCConfig,
-                    cap0: float = 10.0) -> list[TailPoint]:
+                    ns: Sequence[int], cfg: MCConfig) -> list[TailPoint]:
     """Naive dual running means at growing effort, capped per level.
 
-    Each level grows the sample, the grid and the payoff cap together; a
-    nonintegrable euro leg keeps climbing level after level (the truncated
-    mean of a fat tail grows with the truncation) instead of settling.
+    Each level grows the sample, the grid (4x) and the payoff cap (10 at the
+    first level, 10x per level) together; a nonintegrable euro leg keeps
+    climbing level after level (the truncated mean of a fat tail grows with
+    the truncation) instead of settling.
     Advisory evidence for the analytic-infinity verdict, never a price.
     """
     sizes = sorted(int(n) for n in ns)
     out = []
     steps = cfg.steps
-    cap = cap0
+    cap = 10.0
     for n in sizes:
         vals = _naive_dual_values(model, claim, n, steps,
                                   dual_seed(cfg.seed) + steps)

@@ -82,6 +82,18 @@ def test_lattice_verify_clean_tree(example_tree_path, tmp_path):
     assert all(r["residual"] in (0, "0") for r in report["residuals"])
 
 
+@pytest.mark.parametrize("strike, exact", [("2.0000004", "5000001/2500000"),
+                                           ("1e-7", "1/10000000")])
+def test_lattice_verify_prices_the_exact_decimal_strike(
+        strike, exact, example_tree_path, tmp_path):
+    assert main(["lattice-verify", "--tree", str(example_tree_path),
+                 "--strikes", strike, "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report_lattice.json").read_text())
+    assert [row["strike"] for row in report["parity"]] == [exact]
+    assert f"call_{exact}" in report["prices"]
+    assert all(r["residual"] == "0" for r in report["residuals"])
+
+
 def test_lattice_verify_csv_names_bayes_rho_node(example_tree_path, tmp_path):
     assert main(["lattice-verify", "--tree", str(example_tree_path),
                  "--out-dir", str(tmp_path)]) == 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualfx import MeasurabilityError
+from dualfx import ClaimError, DualFXError, MeasurabilityError
 from dualfx.lattice import (bayes_check, build_dual_tree,
                             martingale_transfer_check, period_rule,
                             random_dual_tree, random_rule_pair,
@@ -52,6 +52,16 @@ def test_bayes_rejects_rho_after_tau():
     y = {nid: Fraction(1) for nid in early}
     with pytest.raises(MeasurabilityError):
         bayes_check(t, y, late, early)
+
+
+def test_bayes_names_the_tau_nodes_without_a_payoff():
+    t = two_period_example()
+    y = {"dn_dn": Fraction(1)}
+    with pytest.raises(ClaimError) as info:
+        bayes_check(t, y, period_rule(t, 1), period_rule(t, 2))
+    assert isinstance(info.value, DualFXError)
+    assert str(info.value) == \
+        "payoff not defined at tau nodes ['dn_up', 'up~2']"
 
 
 def test_bayes_residuals_in_tree_order():

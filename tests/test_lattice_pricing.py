@@ -43,7 +43,7 @@ def test_call_put_and_parity_on_example():
 
 def test_zero_claim_prices_to_zero():
     t = two_period_example()
-    zero = TreeClaim({l.id: Fraction(0) for l in t.leaves()}, "zero")
+    zero = TreeClaim({l.id: Fraction(0) for l in t.leaf_rows}, "zero")
     assert price_on_tree(t, zero).total_dollar == 0
     price, strategy = superreplicate_backward(t, zero)
     assert price == 0
@@ -78,7 +78,7 @@ def test_self_quantoed_infinite_on_explosion_tree():
 
 def test_claim_consistency_validated():
     t = two_period_example()
-    partial = {l.id: Fraction(2) for l in t.leaves() if l.id != "dn_dn"}
+    partial = {l.id: Fraction(2) for l in t.leaf_rows if l.id != "dn_dn"}
     with pytest.raises(ClaimError, match="not defined at leaf 'dn_dn'"):
         validate_claim(t, TreeClaim(partial, "broken"))
     with pytest.raises(ClaimError):
@@ -94,13 +94,13 @@ def test_claim_consistency_validated():
 def test_payoffs_must_be_nonnegative_rationals_or_none(payoff, message):
     t = two_period_example()
     claim = TreeClaim({l.id: payoff if l.id == "dn_dn" else Fraction(1)
-                       for l in t.leaves()}, "bad")
+                       for l in t.leaf_rows}, "bad")
     for check in (validate_claim, price_on_tree, superreplicate_backward):
         with pytest.raises(ClaimError, match=re.escape(message)):
             check(t, claim)
     # ints, Fractions and None (infinite) pass
     for v in (0, 3, Fraction(1, 3), None):
-        validate_claim(t, TreeClaim({l.id: v for l in t.leaves()}))
+        validate_claim(t, TreeClaim({l.id: v for l in t.leaf_rows}))
 
 
 def test_price_identity_and_superrep_on_complete_trees():
@@ -448,7 +448,7 @@ def _price_leaf_by_leaf(tree, claim):
     rate formed as the payoff over the rate, and 0 at a devalued rate."""
     validate_claim(tree, claim)
     classical = correction = euro_classical = euro_correction = Fraction(0)
-    for leaf in tree.leaves():
+    for leaf in (n for n in tree.nodes.values() if n.is_terminal):
         pd, pe = tree.prob_dollar[leaf.id], tree.prob_euro[leaf.id]
         v = claim.payoffs[leaf.id]     # None is an infinite payoff
         if pd > 0:
@@ -538,7 +538,7 @@ def test_correction_positive_iff_euro_payoff_on_explosion():
         tree = random_dual_tree(seed + 700)
         claim = random_claim(tree, seed + 41)
         p = price_on_tree(tree, claim)
-        mass = sum((tree.prob_euro[l.id] for l in tree.leaves()
+        mass = sum((tree.prob_euro[l.id] for l in tree.leaf_rows
                     if l.x.is_infinite and claim.payoffs[l.id] != 0),
                    Fraction(0))
         assert (p.correction > 0) == (mass > 0)
@@ -630,7 +630,7 @@ def test_table_rational_and_float_evaluations_agree(kind):
             exact = tree_claim(tree, kind, k)
             fk = None if k is None else float(k)
             approx = make_claim(kind, fk)
-            for leaf in tree.leaves():
+            for leaf in tree.leaf_rows:
                 v = exact.payoffs[leaf.id]
                 seen.add(leaf.x.tag)
                 if leaf.x.is_finite:

@@ -1,5 +1,6 @@
 """DualTree construction, invariants, stopping rules, and JSON round-trip."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -10,10 +11,8 @@ from hypothesis import strategies as st
 
 from dualfx import (DualFXError, MeasurabilityError, NormalizationError,
                     StructureError)
-from dualfx.lattice import (DualTree, build_dual_tree, devaluation_mass,
-                            dump_tree, explosion_mass, first_hit_rule,
-                            load_tree, one_step_defects, period_rule,
-                            price_on_tree, random_complete_dual_tree,
+from dualfx.lattice import (build_dual_tree, dump_tree, first_hit_rule,
+                            load_tree, period_rule, price_on_tree, random_complete_dual_tree,
                             random_dual_tree, random_rule_pair, tree_to_doc,
                             tree_euro_forward, two_period_example,
                             verify_numeraire_identity, verify_tree_invariants)
@@ -22,7 +21,7 @@ from dualfx.lattice.tree import MAX_CHAIN_NODES, stop_map
 
 def test_two_period_example_measures():
     t = two_period_example()
-    probs = {l.id: (t.prob_dollar[l.id], t.prob_euro[l.id]) for l in t.leaves()}
+    probs = {row.id: (row.pd, row.pe) for row in t.leaf_rows}
     assert probs["dn_dn"] == (1, Fraction(1, 4))
     assert probs["dn_up"] == (0, Fraction(1, 4))
     assert probs["up~2"] == (0, Fraction(1, 2))
@@ -118,15 +117,35 @@ def test_explosion_devaluation_only_node():
     assert t.prob_dollar["z"] == 1 and t.prob_euro["z"] == 0
 
 
+def one_step(t, node):
+    """Over one step from a finite interior node: the dollar defect
+    x - E[x_child], the euro defect 1/x - E[1/x_child], the explosion mass
+    (euro measure) and the devaluation mass (dollar measure)."""
+    x = node.x.fraction
+    d_dollar, d_euro = x, 1 / x
+    explosion = devaluation = Fraction(0)
+    for b in node.branches:
+        cx = t.nodes[b.child].x
+        if cx.is_finite:
+            d_dollar -= b.q * cx.fraction
+            d_euro -= b.q_hat / cx.fraction
+        elif cx.is_infinite:
+            explosion += b.q_hat
+        else:
+            devaluation += b.q
+    return d_dollar, d_euro, explosion, devaluation
+
+
 def test_one_step_defects_equal_absorption_masses():
     t = two_period_example()
     for nid in ("r", "dn"):
-        d_dollar, d_euro = one_step_defects(t, nid)
+        d_dollar, d_euro, explosion, devaluation = one_step(t, t.node(nid))
         x = t.node(nid).x.fraction
-        assert d_dollar == x * explosion_mass(t, nid)
-        assert d_euro == (1 / x) * devaluation_mass(t, nid)
-    assert explosion_mass(t, "r") == Fraction(1, 2)
-    assert devaluation_mass(t, "r") == 0
+        assert d_dollar == x * explosion
+        assert d_euro == (1 / x) * devaluation
+    _, _, explosion, devaluation = one_step(t, t.node("r"))
+    assert explosion == Fraction(1, 2)
+    assert devaluation == 0
 
 
 def test_random_trees_satisfy_duality_defects():
@@ -134,10 +153,10 @@ def test_random_trees_satisfy_duality_defects():
         t = random_dual_tree(seed)
         for node in t.nodes.values():
             if node.x.is_finite and not node.is_terminal:
-                d_dollar, d_euro = one_step_defects(t, node.id)
+                d_dollar, d_euro, explosion, devaluation = one_step(t, node)
                 x = node.x.fraction
-                assert d_dollar == x * explosion_mass(t, node.id)
-                assert d_euro == (1 / x) * devaluation_mass(t, node.id)
+                assert d_dollar == x * explosion
+                assert d_euro == (1 / x) * devaluation
 
 
 def test_json_roundtrip(tmp_path):
@@ -205,8 +224,14 @@ def test_stop_map_is_kept_per_valid_rule():
 def test_leaf_rows_and_supported_set_match_a_fresh_scan(generate):
     for seed in range(300):
         t = generate(seed)
+        verify_tree_invariants(t)
+        # path probabilities as products of the one-step masses, parents first
+        pd, pe = {t.root: 1}, {t.root: 1}
+        for n in t.nodes.values():
+            for b in n.branches:
+                pd[b.child], pe[b.child] = pd[n.id] * b.q, pe[n.id] * b.q_hat
+        assert (t.prob_dollar, t.prob_euro) == (pd, pe)
         leaves = [n for n in t.nodes.values() if n.time_index == t.periods]
-        assert list(t.leaves()) == leaves
         assert [tuple(row) for row in t.leaf_rows] == [
             (n.id, n.x, t.prob_dollar[n.id], t.prob_euro[n.id],
              t.prob_euro[n.id] / n.x.fraction if n.x.is_finite else None)
@@ -219,9 +244,11 @@ def test_leaf_rows_and_supported_set_match_a_fresh_scan(generate):
 def test_invariants_require_parents_first():
     t = two_period_example()
     verify_tree_invariants(t)
-    children_first = DualTree(t.periods, t.x0, t.root,
-                              dict(reversed(t.nodes.items())),
-                              t.prob_dollar, t.prob_euro)
+    reordered = dict(reversed(t.nodes.items()))
+    # a built tree is frozen: a changed one is a new record
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.nodes = reordered
+    children_first = dataclasses.replace(t, nodes=reordered)
     with pytest.raises(StructureError):
         verify_tree_invariants(children_first)
 

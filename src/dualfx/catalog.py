@@ -1,9 +1,10 @@
-"""Built-in exchange-rate models with exact schemes and analytic references.
+"""Built-in exchange-rate models with exact samplers and analytic references.
 
-The catalog pairs each diffusion with closed-form reference quantities used
-as oracles by the verification suite, and with the integrable / nonintegrable
-verdicts for euro-side payoffs that let the pricer return an
-analytic infinity where Monte Carlo cannot.
+The catalog pairs each diffusion with the exact samplers of its two laws,
+one per currency, with closed-form reference quantities used as oracles by
+the verification suite, and with the integrable / nonintegrable verdicts for
+euro-side payoffs that let the pricer return an analytic infinity where
+Monte Carlo cannot.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import UnknownModel
+from .errors import SchemeUnsupported, UnknownModel
 from .sde.models import DiffusionModel
 
 MODEL_NAMES = ("recip_bessel", "stopped_bm", "singular_timechange",
@@ -32,7 +33,6 @@ class CatalogEntry:
     # hand-derived dual diffusion coefficient, for cross-checking the generic
     # derivation on a grid
     dual_sigma_reference: Callable[[object, float], object] | None = None
-    notes: str = ""
 
     @property
     def name(self) -> str:
@@ -79,6 +79,80 @@ def _black_call(x0: float, vol: float, horizon: float, strike: float) -> float:
     return x0 * _norm_cdf(d1) - strike * _norm_cdf(d1 - sig)
 
 
+# the exact samplers, each an ExactSampler: (gen, m, start, horizon) ->
+# (values, hit_times); a model holds one per measure
+
+def bes3_reciprocal(gen, m, start, horizon):
+    """X = 1/||a e1 + W_T|| with a = 1/x0: reciprocal Bessel(3) terminal law."""
+    a = 1.0 / start
+    g = gen.standard_normal((m, 3))
+    sq = math.sqrt(horizon)
+    r = np.sqrt((a + sq * g[:, 0]) ** 2 + horizon * (g[:, 1] ** 2 + g[:, 2] ** 2))
+    return 1.0 / r, np.full(m, np.nan)
+
+
+# a rejection round accepts each survivor with probability
+# q = 2 Phi(start / sqrt(horizon)) - 1, so a survivor outlasts the bound with
+# probability (1 - q)^10000: about 1e-7 at start / sqrt(horizon) = 2e-3, and
+# nil at the catalog's unit start (q ~ 0.68)
+MAX_REJECTION_ROUNDS = 10_000
+
+
+def absorbed_bm(gen, m, start, horizon):
+    """Absorbed Brownian motion: exact first-passage time, then the terminal
+    value of survivors from the killed density by rejection.  Raises
+    SchemeUnsupported when MAX_REJECTION_ROUNDS rounds leave survivors
+    without a terminal value."""
+    g = gen.standard_normal(m)
+    with np.errstate(divide="ignore"):
+        tau = start * start / (g * g)
+    absorbed = tau <= horizon
+    x = np.zeros(m)
+    hit = np.where(absorbed, tau, np.nan)
+    todo = np.flatnonzero(~absorbed)
+    sq = math.sqrt(horizon)
+    rounds = 0
+    while todo.size:
+        if rounds == MAX_REJECTION_ROUNDS:
+            raise SchemeUnsupported(
+                f"exact absorbed-BM sampler: {todo.size} path(s) left after "
+                f"{rounds} rejection rounds (start={start!r}, "
+                f"horizon={horizon!r}); use scheme 'euler_absorbed'")
+        rounds += 1
+        b = start + sq * gen.standard_normal(todo.size)
+        u = gen.random(todo.size)
+        with np.errstate(over="ignore"):    # a tiny horizon: accept b > 0
+            ok = (b > 0.0) & (u < -np.expm1(-2.0 * start * b / horizon))
+        x[todo[ok]] = b[ok]
+        todo = todo[~ok]
+    return x, hit
+
+
+def _gbm(vol: float):
+    """The driftless lognormal sampler of volatility `vol`."""
+    def gbm(gen, m, start, horizon):
+        w = math.sqrt(horizon) * gen.standard_normal(m)
+        return (start * np.exp(vol * w - 0.5 * vol * vol * horizon),
+                np.full(m, np.nan))
+    return gbm
+
+
+def singular_exact(gen, m, start, horizon):
+    """Time-changed Brownian motion that devalues before the horizon almost
+    surely: S = T (1 - exp(-tau)) with tau the exact BM first-passage time."""
+    g = gen.standard_normal(m)
+    with np.errstate(divide="ignore"):
+        tau = start * start / (g * g)
+    hit = horizon * -np.expm1(-tau)
+    return np.zeros(m), hit
+
+
+def singular_dual_exact(gen, m, start, horizon):
+    """Dual of the singular model: the reciprocal rate is absorbed at zero by
+    the horizon almost surely (the rate explodes on every path)."""
+    return np.zeros(m), np.full(m, np.nan)
+
+
 def _recip_bessel(x0: float, horizon: float) -> CatalogEntry:
     model = DiffusionModel(
         name="recip_bessel",
@@ -86,8 +160,8 @@ def _recip_bessel(x0: float, horizon: float) -> CatalogEntry:
         x0=x0,
         horizon=horizon,
         dual_payoff_flags={"self_quantoed": "nonintegrable"},
-        exact_scheme="bes3_reciprocal",
-        dual_exact_scheme="absorbed_bm",
+        exact=bes3_reciprocal,
+        dual_exact=absorbed_bm,     # 1/X is Brownian motion killed at 0
     )
     return CatalogEntry(
         model=model,
@@ -101,8 +175,6 @@ def _recip_bessel(x0: float, horizon: float) -> CatalogEntry:
                 * _dawson(1.0 / (x0 * math.sqrt(2.0 * horizon))),
         },
         dual_sigma_reference=lambda y, t: np.ones_like(np.asarray(y, float)),
-        notes="strictly positive strict supermartingale rate; the reciprocal "
-              "rate is Brownian motion absorbed at zero under the euro measure",
     )
 
 
@@ -113,8 +185,8 @@ def _stopped_bm(x0: float, horizon: float) -> CatalogEntry:
         x0=x0,
         horizon=horizon,
         dual_payoff_flags={},
-        exact_scheme="absorbed_bm",
-        dual_exact_scheme="bes3_reciprocal",
+        exact=absorbed_bm,
+        dual_exact=bes3_reciprocal,
     )
     return CatalogEntry(
         model=model,
@@ -125,8 +197,6 @@ def _stopped_bm(x0: float, horizon: float) -> CatalogEntry:
             "dual_absorption_prob": lambda: 0.0,
         },
         dual_sigma_reference=lambda y, t: np.asarray(y, float) ** 2,
-        notes="martingale rate hitting zero; no explosion mass, corrections "
-              "vanish and classical pricing applies",
     )
 
 
@@ -139,8 +209,8 @@ def _singular_timechange(x0: float, horizon: float) -> CatalogEntry:
         x0=x0,
         horizon=T,
         dual_payoff_flags={"self_quantoed": "nonintegrable"},
-        exact_scheme="singular_exact",
-        dual_exact_scheme="singular_dual_exact",
+        exact=singular_exact,
+        dual_exact=singular_dual_exact,
         exact_only=True,   # sigma is singular at T
     )
     return CatalogEntry(
@@ -152,22 +222,19 @@ def _singular_timechange(x0: float, horizon: float) -> CatalogEntry:
         },
         dual_sigma_reference=lambda y, t: np.asarray(y, float) ** 2
         / math.sqrt(T - t),
-        notes="deterministically time-changed Brownian motion; the primal "
-              "measure devalues surely while the dual measure explodes surely "
-              "(mutually singular measure pair)",
     )
 
 
 def _exp_martingale(x0: float, horizon: float, vol: float) -> CatalogEntry:
+    gbm = _gbm(vol)
     model = DiffusionModel(
         name="exp_martingale_baseline",
         sigma=lambda x, t: vol * np.asarray(x, float),
         x0=x0,
         horizon=horizon,
         dual_payoff_flags={"self_quantoed": "integrable"},
-        exact_scheme="gbm",
-        dual_exact_scheme="gbm",
-        params={"vol": vol},
+        exact=gbm,
+        dual_exact=gbm,     # 1/X is lognormal of the same vol
     )
     return CatalogEntry(
         model=model,
@@ -177,7 +244,6 @@ def _exp_martingale(x0: float, horizon: float, vol: float) -> CatalogEntry:
             "call": lambda strike: _black_call(x0, vol, horizon, strike),
         },
         dual_sigma_reference=lambda y, t: vol * np.asarray(y, float),
-        notes="true-martingale lognormal baseline; both measures equivalent",
     )
 
 
@@ -192,8 +258,6 @@ def _qnv(a: float, b: float, c: float, x0: float, horizon: float) -> CatalogEntr
         x0=x0,
         horizon=horizon,
         dual_payoff_flags={"self_quantoed": "unknown"},
-        exact_scheme=None,
-        dual_exact_scheme=None,
     )
     return CatalogEntry(
         model=model,
@@ -202,7 +266,6 @@ def _qnv(a: float, b: float, c: float, x0: float, horizon: float) -> CatalogEntr
         # reversed coefficients
         dual_sigma_reference=lambda y, t: np.abs(
             c * np.asarray(y, float) ** 2 + b * np.asarray(y, float) + a),
-        notes="quadratic diffusion family; no per-case analytic references",
     )
 
 

@@ -344,8 +344,8 @@ def _run_catalog(cfg: ExperimentConfig, out: Path) -> int:
             continue
         entry = get_model(name, x0=cfg.x0, horizon=cfg.horizon, vol=cfg.vol)
         flags = dict(entry.model.dual_payoff_flags) or "all integrable"
-        print(f"{name}: exact={entry.model.exact_scheme} "
-              f"dual_exact={entry.model.dual_exact_scheme} flags={flags}")
+        print(f"{name}: exact={entry.model.exact.__name__} "
+              f"dual_exact={entry.model.dual_exact.__name__} flags={flags}")
     return 0
 
 

@@ -87,17 +87,17 @@ class DualTree:
 # construction
 # ---------------------------------------------------------------------------
 
-def _as_mass(m) -> Fraction:
-    f = Fraction(m)
-    if f < 0:
-        raise NormalizationError(f"negative branch mass {f}")
-    return f
+def _rational(v) -> Fraction:
+    """A document number, exactly: a float by its shortest repr (0.1 is
+    1/10, not its binary value), else by Fraction; a bool is refused."""
+    if isinstance(v, bool):
+        raise StructureError(f"a bool is not a number: {v!r}")
+    return Fraction(repr(v) if isinstance(v, float) else v)
 
 
 def _as_x(x) -> ExtendedValue:
-    if isinstance(x, str):
-        return ExtendedValue.parse(x)
-    return ExtendedValue.of(Fraction(x))
+    return (ExtendedValue.parse(x) if isinstance(x, str)
+            else ExtendedValue.of(_rational(x)))
 
 
 def build_dual_tree(doc: Mapping) -> DualTree:
@@ -107,17 +107,19 @@ def build_dual_tree(doc: Mapping) -> DualTree:
     (node id, optional when the first node is the root) and "nodes", a list of
     {"id", "x", "branches": [[child_id, mass], ...]}.  The mass of a branch is
     q_hat when the child state is nonzero and q when the child state is zero.
-    Absorbing states must not declare branches; their absorption chains up to
-    the horizon, MAX_CHAIN_NODES nodes at most, are generated automatically,
-    with ids "<id>~<k>" for period k.  Those ids are reserved: a document id
-    equal to one is refused.  A document of any depth builds within the chain
+    Every number, x0, periods, a state or a mass, is read exactly by
+    `_rational`; a state may also be "inf".  Absorbing states must not
+    declare branches; their absorption chains up to the horizon,
+    MAX_CHAIN_NODES nodes at most, are generated automatically, with ids
+    "<id>~<k>" for period k.  Those ids are reserved: a document id equal to
+    one is refused.  A document of any depth builds within the chain
     bound: the walk is iterative.  The walk refuses, as it makes each node,
     every document that breaks an invariant `verify_tree_invariants` checks,
     and records the leaf rows as it makes the leaves.
     """
     try:
-        x0 = Fraction(doc["x0"])
-        periods = int(doc["periods"])
+        x0 = _rational(doc["x0"])
+        periods = _rational(doc["periods"])
         raw = list(doc["nodes"])
         by_id: dict[str, Mapping] = {}
         for entry in raw:
@@ -129,8 +131,10 @@ def build_dual_tree(doc: Mapping) -> DualTree:
         raise StructureError(f"malformed tree document: {exc!r}") from exc
     if x0 <= 0:
         raise StructureError("x0 must be positive")
-    if periods < 1:
-        raise StructureError("periods must be >= 1")
+    if periods.denominator != 1 or periods < 1:
+        raise StructureError(
+            f"periods must be an integer >= 1, not {doc['periods']!r}")
+    periods = int(periods)
     if not raw:
         raise StructureError("empty node list")
     root_id = str(doc.get("root", raw[0]["id"]))
@@ -200,7 +204,9 @@ def build_dual_tree(doc: Mapping) -> DualTree:
                     raise StructureError(
                         f"branch references unknown node {child_id!r}")
                 cx = _as_x(child_entry["x"])
-                m = _as_mass(mass)
+                m = _rational(mass)
+                if m < 0:
+                    raise NormalizationError(f"negative branch mass {m}")
                 if cx.is_zero:
                     q, q_hat = m, Fraction(0)
                 elif cx.is_infinite:

@@ -13,6 +13,8 @@ as dual absorption.  The Euler kernel steps only the live set (the paths not
 yet absorbed), decides absorption with the one test u < exp(-a) on the bridge
 exponent a, and draws u only where a 53-bit uniform can resolve exp(-a),
 which moves the law by at most 2^-53 per path-step (see euler_absorbed).
+The exact scheme runs the model's own sampler (the catalog defines them);
+this module holds no model's law.
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ def _run_blocks(n: int, seed: int, workers: int, body):
 
 
 # ---------------------------------------------------------------------------
-# schemes
+# the Euler scheme
 # ---------------------------------------------------------------------------
 
 # a uniform u from Generator.random is a multiple of 2^-53, so u < p can fire
@@ -219,90 +221,13 @@ def euler_absorbed(gen: np.random.Generator, m: int, sigma, start: float,
     return out, hit
 
 
-def _exact_bes3_reciprocal(gen, m, start, horizon, params):
-    """X = 1/||a e1 + W_T|| with a = 1/x0: reciprocal Bessel(3) terminal law."""
-    a = 1.0 / start
-    g = gen.standard_normal((m, 3))
-    sq = math.sqrt(horizon)
-    r = np.sqrt((a + sq * g[:, 0]) ** 2 + horizon * (g[:, 1] ** 2 + g[:, 2] ** 2))
-    return 1.0 / r, np.full(m, np.nan)
-
-
-# a rejection round accepts each survivor with probability
-# q = 2 Phi(start / sqrt(horizon)) - 1, so a survivor outlasts the bound with
-# probability (1 - q)^10000: about 1e-7 at start / sqrt(horizon) = 2e-3, and
-# nil at the catalog's unit start (q ~ 0.68)
-MAX_REJECTION_ROUNDS = 10_000
-
-
-def _exact_absorbed_bm(gen, m, start, horizon, params):
-    """Absorbed Brownian motion: exact first-passage time, then the terminal
-    value of survivors from the killed density by rejection.  Raises
-    SchemeUnsupported when MAX_REJECTION_ROUNDS rounds leave survivors
-    without a terminal value."""
-    g = gen.standard_normal(m)
-    with np.errstate(divide="ignore"):
-        tau = start * start / (g * g)
-    absorbed = tau <= horizon
-    x = np.zeros(m)
-    hit = np.where(absorbed, tau, np.nan)
-    todo = np.flatnonzero(~absorbed)
-    sq = math.sqrt(horizon)
-    rounds = 0
-    while todo.size:
-        if rounds == MAX_REJECTION_ROUNDS:
-            raise SchemeUnsupported(
-                f"exact absorbed-BM sampler: {todo.size} path(s) left after "
-                f"{rounds} rejection rounds (start={start!r}, "
-                f"horizon={horizon!r}); use scheme 'euler_absorbed'")
-        rounds += 1
-        b = start + sq * gen.standard_normal(todo.size)
-        u = gen.random(todo.size)
-        with np.errstate(over="ignore"):    # a tiny horizon: accept b > 0
-            ok = (b > 0.0) & (u < -np.expm1(-2.0 * start * b / horizon))
-        x[todo[ok]] = b[ok]
-        todo = todo[~ok]
-    return x, hit
-
-
-def _exact_gbm(gen, m, start, horizon, params):
-    vol = params["vol"]
-    w = math.sqrt(horizon) * gen.standard_normal(m)
-    return start * np.exp(vol * w - 0.5 * vol * vol * horizon), np.full(m, np.nan)
-
-
-def _exact_singular(gen, m, start, horizon, params):
-    """Time-changed Brownian motion that devalues before the horizon almost
-    surely: S = T (1 - exp(-tau)) with tau the exact BM first-passage time."""
-    g = gen.standard_normal(m)
-    with np.errstate(divide="ignore"):
-        tau = start * start / (g * g)
-    hit = horizon * -np.expm1(-tau)
-    return np.zeros(m), hit
-
-
-def _exact_singular_dual(gen, m, start, horizon, params):
-    """Dual of the singular model: the reciprocal rate is absorbed at zero by
-    the horizon almost surely (the rate explodes on every path)."""
-    return np.zeros(m), np.full(m, np.nan)
-
-
-EXACT_SAMPLERS = {
-    "bes3_reciprocal": _exact_bes3_reciprocal,
-    "absorbed_bm": _exact_absorbed_bm,
-    "gbm": _exact_gbm,
-    "singular_exact": _exact_singular,
-    "singular_dual_exact": _exact_singular_dual,
-}
-
-
 # ---------------------------------------------------------------------------
 # simulation entry point
 # ---------------------------------------------------------------------------
 
 def _resolve_scheme(spec, scheme: str) -> str:
     if scheme == "auto":
-        return "exact" if spec.exact_scheme else "euler_absorbed"
+        return "euler_absorbed" if spec.exact is None else "exact"
     if scheme == "euler_absorbed" and spec.exact_only:
         raise SchemeUnsupported(
             f"model {spec.name!r} is exact-only: its coefficient is singular "
@@ -314,9 +239,12 @@ def _resolve_scheme(spec, scheme: str) -> str:
 def simulate(spec: DiffusionModel | DualDiffusion, cfg: MCConfig) -> TerminalBatch:
     """Terminal samples of X (primal spec) or of Y = 1/X (dual spec).
 
-    Dual batches are reported through the implied X samples: absorption of Y
-    at zero sets hit_infinity and X_T = inf.  Deterministic given (cfg.seed,
-    cfg), independent of cfg.workers.
+    The exact scheme calls the spec's own sampler, `spec.exact`, once per
+    block; a spec without one raises SchemeUnsupported, and "auto" resolves
+    to the Euler scheme for it.  Dual batches are reported through the
+    implied X samples: absorption of Y at zero sets hit_infinity and
+    X_T = inf.  Deterministic given (cfg.seed, cfg), independent of
+    cfg.workers.
     """
     is_dual = isinstance(spec, DualDiffusion)
     start = spec.y0 if is_dual else spec.x0
@@ -331,13 +259,11 @@ def simulate(spec: DiffusionModel | DualDiffusion, cfg: MCConfig) -> TerminalBat
             return euler_absorbed(gen, m, spec.sigma, start, spec.horizon,
                                   cfg.steps)
     else:   # "exact"; MCConfig admits no other scheme
-        sid = spec.exact_scheme
-        if sid not in EXACT_SAMPLERS:
+        if spec.exact is None:
             raise SchemeUnsupported(f"model {spec.name!r} declares no exact scheme")
-        sampler = EXACT_SAMPLERS[sid]
 
         def body(gen, m):
-            return sampler(gen, m, start, spec.horizon, spec.params)
+            return spec.exact(gen, m, start, spec.horizon)
 
     def run_block(gen, m):
         # numpy's error state is per thread, so it is set in the block's own

@@ -16,6 +16,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 SigmaFn = Callable[[object, float], object]  # accepts numpy arrays in x
+# (generator, m, start, horizon) -> (values, hit_times): m exact terminal
+# samples from `start`, with a nan hit time where a path never hit zero
+ExactSampler = Callable[[object, int, float, float], tuple]
 
 
 @dataclass(frozen=True)
@@ -24,11 +27,13 @@ class DiffusionModel:
 
     `sigma` must be finite on (0, inf) x [0, T); a singularity as t -> T is
     allowed (the deterministically time-changed model uses one) and must be
-    handled by the model's exact scheme; such a model sets `exact_only`, and
-    the Euler scheme is refused on it and on its dual.  `dual_payoff_flags`
-    maps claim kinds to "integrable" / "nonintegrable" / "unknown" verdicts
-    on the euro-side expectation, so the pricer can return an analytic
-    infinity where Monte Carlo would silently produce garbage.
+    handled by the model's exact sampler; such a model sets `exact_only`, and
+    the Euler scheme is refused on it and on its dual.  `exact` samples the
+    terminal law of X and `dual_exact` that of Y = 1/X under the euro
+    measure; either is None where the model has no exact sampler.
+    `dual_payoff_flags` maps claim kinds to "integrable" / "nonintegrable" /
+    "unknown" verdicts on the euro-side expectation, so the pricer can return
+    an analytic infinity where Monte Carlo would silently produce garbage.
     """
 
     name: str
@@ -36,9 +41,8 @@ class DiffusionModel:
     x0: float
     horizon: float
     dual_payoff_flags: Mapping[str, str] = field(default_factory=dict)
-    exact_scheme: str | None = None
-    dual_exact_scheme: str | None = None
-    params: Mapping[str, float] = field(default_factory=dict)
+    exact: ExactSampler | None = None
+    dual_exact: ExactSampler | None = None
     exact_only: bool = False
 
 
@@ -50,8 +54,7 @@ class DualDiffusion:
     sigma: SigmaFn
     y0: float
     horizon: float
-    exact_scheme: str | None = None
-    params: Mapping[str, float] = field(default_factory=dict)
+    exact: ExactSampler | None = None
     exact_only: bool = False
 
 
@@ -67,7 +70,6 @@ def derive_dual_model(model: DiffusionModel) -> DualDiffusion:
         sigma=sigma_y,
         y0=1.0 / model.x0,
         horizon=model.horizon,
-        exact_scheme=model.dual_exact_scheme,
-        params=model.params,
+        exact=model.dual_exact,
         exact_only=model.exact_only,
     )

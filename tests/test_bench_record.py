@@ -82,3 +82,33 @@ def test_compare_refuses_records_of_other_seeds_or_length(key, value):
     new = dict(old, **{key: value})
     with pytest.raises(ValueError, match=key):
         bench_record.compare(old, new)
+
+
+def test_cli_wall_ms_takes_the_median_of_fresh_runs_per_command():
+    """A stubbed runner stands in for the processes: each command's times
+    are its argv's calls, and the median of five is kept, in ms."""
+    calls = []
+    times = iter([0.5, 0.1, 0.3, 0.2, 0.4] * len(bench_record.CLI_COMMANDS))
+
+    def run(argv):
+        calls.append(argv)
+        return next(times)
+
+    got = bench_record.cli_wall_ms(run, "t.json")
+    assert got == {cmd: pytest.approx(300.0) for cmd in
+                   ("price", "parity", "intl", "defect", "convergence",
+                    "lattice-verify", "physical")}
+    assert len(calls) == 5 * len(got)
+    assert calls[0] == ["price", "--model", "recip_bessel"]
+    assert ["physical", "--tree", "t.json"] in calls
+
+
+def test_compare_includes_cli_rows_both_records_carry():
+    old = _record(lattice_corpus={"end_to_end": {"ops_per_s": 1.0}})
+    new = dict(_record(lattice_corpus={"end_to_end": {"ops_per_s": 2.0}}),
+               cli={"price": 1500.0, "physical": 400.0})
+    # an older record without CLI rows compares on the workloads alone
+    assert [r[0] for r in bench_record.compare(old, new)] == ["lattice_corpus"]
+    old["cli"] = {"price": 1000.0}
+    assert bench_record.compare(old, new)[-1] == (
+        "cli", "wall_ms", "price", 1000.0, 1500.0, pytest.approx(0.5))

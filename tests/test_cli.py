@@ -34,9 +34,19 @@ def example_tree_path(tmp_path):
 
 
 def test_catalog_listing(capsys):
+    """Each model line names its two exact samplers and its flags."""
     assert main(["catalog"]) == 0
-    out = capsys.readouterr().out
-    assert "recip_bessel" in out and "nonintegrable" in out
+    assert capsys.readouterr().out.splitlines() == [
+        "recip_bessel: exact=bes3_reciprocal dual_exact=absorbed_bm "
+        "flags={'self_quantoed': 'nonintegrable'}",
+        "stopped_bm: exact=absorbed_bm dual_exact=bes3_reciprocal "
+        "flags=all integrable",
+        "singular_timechange: exact=singular_exact "
+        "dual_exact=singular_dual_exact flags={'self_quantoed': 'nonintegrable'}",
+        "exp_martingale_baseline: exact=gbm dual_exact=gbm "
+        "flags={'self_quantoed': 'integrable'}",
+        "qnv(a,b,c): quadratic diffusion family, euler scheme only",
+    ]
 
 
 def test_unknown_model_is_usage_error(tmp_path):

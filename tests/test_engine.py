@@ -13,13 +13,12 @@ import pytest
 from dualfx import (ConfigError, DiffusionModel, InfiniteContribution,
                     MCConfig, NumericalBlowup, SchemeUnsupported,
                     derive_dual_model, simulate)
-from dualfx.catalog import get_model
+from dualfx.catalog import MAX_REJECTION_ROUNDS, get_model
 from dualfx.sde import (BLOCK, cross_measure_check, dual_seed,
                         estimate_from_values, z_score)
 from dualfx.sde import engine
-from dualfx.sde.engine import (MAX_PATH_STEPS, MAX_REJECTION_ROUNDS,
-                               block_generator, dump_batch_csv,
-                               euler_absorbed, make_batches)
+from dualfx.sde.engine import (MAX_PATH_STEPS, block_generator,
+                               dump_batch_csv, euler_absorbed, make_batches)
 from tests.test_oracles import DUAL_ABSORPTION, EXPECTED_X
 
 
@@ -371,6 +370,15 @@ STREAM_DIGESTS = {
     ("recip_bessel", "exact"): (
         "1526e175c3aab92b49385bad2ce1dc5f0120c8cf1088cd395b27faf99689c1b5",
         "b6885f1344c72eb816606ee4c43db7269b3ee8d71d2a1954fb485e8913ac051f"),
+    ("stopped_bm", "exact"): (
+        "119416c4a5c73b8414508cf350ac9389671b0c404f3dbd15583fc1e2d11f6793",
+        "0913acfec8aca886d665054d8f055f2f8b82ea659485edbdce9d786ebdaf1f47"),
+    ("exp_martingale_baseline", "exact"): (
+        "adbf25406d14475937a3528f4afc191a743719460da5eadb8011a69299c54d10",
+        "ea0a4a761d24af78c501ab45f750d19b7ee0019622324c3a6c16b83a23ca3960"),
+    ("singular_timechange", "exact"): (
+        "98fb1b666680760eaa80544b547f07a6050f303127b3132ad0a707ab79f66196",
+        "85ff73725f157c325dd7cb8f523fd7269b1673ebe16813fb6ab24a2562a0fadb"),
     ("qnv(1,0,0)", "euler_absorbed"): (
         "994bf761b576aee6f8d2b473928ac05f630ec9add2a3702760f789d6dbb778e6",
         "8f9f978a164c67227f86d9b6ef510255e9a79172338d17607e868c05b9caf55e"),

@@ -632,8 +632,8 @@ def test_table_rational_and_float_evaluations_agree(kind):
             approx = make_claim(kind, fk)
             for leaf in tree.leaf_rows:
                 v = exact.payoffs[leaf.id]
-                seen.add(leaf.x.tag)
                 if leaf.x.is_finite:
+                    seen.add("finite")
                     x = leaf.x.fraction
                     assert row.euro(x, k) == row.dollar(x, k) / x, \
                         (kind, k, leaf.id)
@@ -641,9 +641,11 @@ def test_table_rational_and_float_evaluations_agree(kind):
                     pairs = [(v, approx.dollar_finite(fx)[0]),
                              (v / x, approx.euro_finite(fx)[0])]
                 elif leaf.x.is_infinite:
+                    seen.add("infinite")
                     pairs = [(math.inf if v is None else v,
                               approx.euro_at_explosion)]
                 else:
+                    seen.add("zero")
                     pairs = [(v, approx.dollar_finite(np.zeros(1))[0])]
                 for want, got in pairs:
                     assert math.isclose(float(want), got, rel_tol=1e-12), \

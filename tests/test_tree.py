@@ -93,6 +93,51 @@ def test_malformed_documents_rejected_cleanly():
             build_dual_tree(doc)
 
 
+def _one_step_doc(x0="3/2", periods=1, xs=("0.3", "2.7"),
+                  masses=("0.1", "0.9")):
+    """x0 -> 0.3 or 2.7 with euro masses 0.1 and 0.9: dollar masses 1/2."""
+    return {"x0": x0, "periods": periods, "root": "r", "nodes": [
+        {"id": "r", "x": x0,
+         "branches": [["dn", masses[0]], ["up", masses[1]]]},
+        {"id": "dn", "x": xs[0]}, {"id": "up", "x": xs[1]}]}
+
+
+def test_float_numbers_are_read_by_their_shortest_repr():
+    """0.1 + 0.9 is 1 as written, not as binary floats; the float document
+    and the string document build the same tree."""
+    floats = build_dual_tree(_one_step_doc(1.5, 1, (0.3, 2.7), (0.1, 0.9)))
+    strings = build_dual_tree(_one_step_doc())
+    assert tree_to_doc(floats) == tree_to_doc(strings)
+    assert floats.node("dn").x.fraction == Fraction(3, 10)
+    assert floats.prob_euro["dn"] == Fraction(1, 10)
+    assert floats.prob_dollar["dn"] == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("periods", [2.7, "3/2", True, 0, "x"])
+def test_periods_must_be_a_whole_number(periods):
+    with pytest.raises(StructureError):
+        build_dual_tree(_one_step_doc(periods=periods))
+
+
+def test_whole_periods_in_any_number_form_build():
+    for periods in (1, 1.0, "1"):
+        tree = build_dual_tree(_one_step_doc(periods=periods))
+        assert tree.periods == 1
+
+
+@pytest.mark.parametrize("where", ["x0", "x", "mass"])
+def test_bools_are_not_numbers(where):
+    doc = _one_step_doc("1", xs=("1/5", "9/5"), masses=("1/10", "9/10"))
+    if where == "x0":
+        doc["x0"] = doc["nodes"][0]["x"] = True
+    elif where == "x":
+        doc["nodes"][1]["x"] = True
+    else:
+        doc["nodes"][0]["branches"][0][1] = True
+    with pytest.raises(StructureError, match="bool"):
+        build_dual_tree(doc)
+
+
 def test_orphan_nodes_rejected():
     with pytest.raises(StructureError):
         build_dual_tree({"x0": "1", "periods": 1, "nodes": [

@@ -7,7 +7,9 @@ For every workload and seed, runs `python3 bench/run.py` once untraced
 (`--trace 0`, the end-to-end metrics) and once traced (`--trace 1`, the
 per-layer metrics), one run at a time, each for BENCHMARK.json's
 `run_seconds`, and writes BENCH_<pr>.json with each metric's median over the
-seeds.  It then prints every metric's relative change against the newest
+seeds.  Under its `cli` entry go the wall times of the CLI commands at their
+default sizes, each the median of CLI_RUNS fresh `python -m dualfx.cli`
+processes.  It then prints every metric's relative change against the newest
 BENCH_<n>.json with n < pr at the checkout's root, if there is one and it
 was recorded with the same seeds and run length.  Standard library only.
 """
@@ -22,11 +24,21 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("euler_paths", "exact_report", "lattice_corpus")
 SECTIONS = {0: "end_to_end", 1: "per_layer"}     # by the --trace flag
+CLI_RUNS = 5
+# each CLI command at its default size: the Monte Carlo ones on recip_bessel,
+# the lattice ones on two_period_example, whose document is at {tree}
+CLI_COMMANDS = {
+    **{cmd: ["--model", "recip_bessel"]
+       for cmd in ("price", "parity", "intl", "defect", "convergence")},
+    **{cmd: ["--tree", "{tree}"] for cmd in ("lattice-verify", "physical")},
+}
 
 
 def run_bench(workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -37,6 +49,48 @@ def run_bench(workload: str, seed: int, seconds: float, trace: int) -> dict:
     out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
                          check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def _package_env() -> dict:
+    """The environment with the checkout's `src` first on PYTHONPATH."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+def run_cli(argv: list[str], out_dir: str) -> float:
+    """Wall seconds of one fresh `python -m dualfx.cli` process, writing its
+    artifacts to `out_dir`.  Exit code 2 (an identity check failed) still
+    times the whole command; any other failure raises."""
+    cmd = [sys.executable, "-m", "dualfx.cli", *argv, "--out-dir", out_dir]
+    t0 = time.perf_counter()
+    done = subprocess.run(cmd, cwd=ROOT, env=_package_env(),
+                          capture_output=True, text=True)
+    seconds = time.perf_counter() - t0
+    if done.returncode not in (0, 2):
+        raise RuntimeError(f"{' '.join(argv)} exited {done.returncode}: "
+                           f"{done.stderr.strip()}")
+    return seconds
+
+
+def cli_wall_ms(run, tree: str) -> dict[str, float]:
+    """Per command of CLI_COMMANDS, the median over CLI_RUNS calls of
+    run(argv) -> seconds, in ms; `tree` is the path of the tree document."""
+    return {cmd: 1e3 * statistics.median(
+                run([cmd, *(a.format(tree=tree) for a in args)])
+                for _ in range(CLI_RUNS))
+            for cmd, args in CLI_COMMANDS.items()}
+
+
+def record_cli() -> dict[str, float]:
+    """cli_wall_ms of fresh processes, on a scratch directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = str(Path(tmp) / "two_period_example.json")
+        subprocess.run([sys.executable, "-c",
+                        "import sys; from dualfx.lattice import dump_tree, "
+                        "two_period_example; "
+                        "dump_tree(two_period_example(), sys.argv[1])", tree],
+                       env=_package_env(), check=True)
+        return cli_wall_ms(lambda argv: run_cli(argv, tmp), tree)
 
 
 def summarize(runs: dict[str, dict[int, list[dict]]]) -> dict:
@@ -67,9 +121,16 @@ def previous_file(directory: Path, pr: int) -> Path | None:
     return max(found)[1] if found else None
 
 
+def _changes(workload: str, section: str, olds: dict, news: dict) -> list:
+    return [(workload, section, name, olds[name], value,
+             value / olds[name] - 1 if olds[name] else None)
+            for name, value in news.items() if name in olds]
+
+
 def compare(old: dict, new: dict) -> list[tuple]:
     """(workload, section, metric, old, new, relative change) for every
-    metric that both records carry.  The relative change is new / old - 1,
+    metric that both records carry; the CLI wall times come last, as
+    workload "cli", section "wall_ms".  The relative change is new / old - 1,
     None where old is 0.  Raises ValueError if the records were taken with
     other seeds or another run length.
     """
@@ -81,14 +142,10 @@ def compare(old: dict, new: dict) -> list[tuple]:
     for workload, entry in new["workloads"].items():
         before = old.get("workloads", {}).get(workload, {})
         for section in SECTIONS.values():
-            olds = before.get(section, {})
-            for name, value in entry.get(section, {}).items():
-                if name not in olds:
-                    continue
-                was = olds[name]
-                rel = value / was - 1 if was else None
-                rows.append((workload, section, name, was, value, rel))
-    return rows
+            rows += _changes(workload, section, before.get(section, {}),
+                             entry.get(section, {}))
+    return rows + _changes("cli", "wall_ms", old.get("cli", {}),
+                           new.get("cli", {}))
 
 
 def main(argv=None) -> int:
@@ -113,12 +170,15 @@ def main(argv=None) -> int:
         "seeds": args.seeds,
         "seconds": seconds,
         "reduction": "median over seeds; end_to_end from --trace 0 runs, "
-                     "per_layer from --trace 1 runs",
+                     "per_layer from --trace 1 runs; cli: median wall ms of "
+                     f"{CLI_RUNS} fresh processes per command",
         "host": {"cpu_count": os.cpu_count(),
                  "python": platform.python_version(),
                  "machine": platform.machine()},
         "workloads": summarize(runs),
     }
+    print("bench_record: CLI wall times", file=sys.stderr)
+    record["cli"] = record_cli()
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}")

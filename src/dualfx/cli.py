@@ -253,8 +253,8 @@ def _lattice_report(tree: ltree.DualTree, strikes: list[Fraction]) -> dict:
                               "residual": lchecks.verify_numeraire_identity(
                                   tree, [nid], rule)})
     terminal = ltree.period_rule(tree, tree.periods)
-    y = {row.id: (row.x.fraction if row.x.is_finite else Fraction(0))
-         for row in tree.leaf_rows}
+    y = {nid: (x.fraction if x.is_finite else Fraction(0))
+         for nid, x in ((i, tree.nodes[i].x) for i in tree.leaves)}
     for t in range(tree.periods):
         rho = ltree.period_rule(tree, t)
         for nid, res in lchecks.bayes_check(tree, y, rho, terminal).items():

@@ -11,7 +11,28 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from ..errors import ClaimError, MeasurabilityError
-from .tree import DualTree, stop_map
+from .tree import DualTree, _over_lcm, stop_map
+
+
+def _numerators(values: Mapping, ids: list[str], what: str, where: str
+                ) -> tuple[dict[str, int], int]:
+    """The values at `ids` over their least common denominator, checked by the
+    pass that collects them: ClaimError names every id without a value, or
+    the first whose value is not an int or Fraction >= 0."""
+    missing, vs = [], []
+    for nid in ids:
+        v = values.get(nid)
+        if v is None:
+            missing.append(nid)
+        elif (isinstance(v, bool) or not isinstance(v, (int, Fraction))
+              or v.numerator < 0):
+            raise ClaimError(f"{what} {v!r} at {where} {nid!r} is not an int "
+                             "or Fraction >= 0")
+        vs.append(v)
+    if missing:
+        raise ClaimError(f"{what} not defined at {where}s {sorted(missing)}")
+    ns, d = _over_lcm(vs)
+    return dict(zip(ids, ns)), d
 
 
 def verify_numeraire_identity(tree: DualTree, event: Iterable[str],
@@ -26,17 +47,16 @@ def verify_numeraire_identity(tree: DualTree, event: Iterable[str],
     ev = frozenset(event)
     if not ev <= tau:
         raise MeasurabilityError("event is not determined at the stopping rule")
-    lhs = Fraction(0)
-    rhs = Fraction(0)
+    lhs = rhs = 0       # over De, and over D$ Dx
     for nid in ev:
-        node = tree.node(nid)
-        if not node.x.is_infinite:
-            lhs += tree.prob_euro[nid]
-        if node.x.is_finite:
-            rhs += tree.prob_dollar[nid] * node.x.fraction
-        # zero states contribute x = 0 to the dollar side, infinite states
-        # carry no dollar mass
-    return lhs - rhs / tree.x0
+        pd, pe, x, _ = tree.numerators[nid]
+        if x is not None:   # inf carries no dollar mass, and 0 adds x = 0
+            lhs += pe
+            rhs += pd * x
+    d_pd, d_pe, d_x, _ = tree.denominators
+    x0n, x0d = tree.x0.numerator, tree.x0.denominator
+    return Fraction(lhs * d_pd * d_x * x0n - rhs * d_pe * x0d,
+                    d_pe * d_pd * d_x * x0n)
 
 
 def bayes_check(tree: DualTree, terminal_values: Mapping[str, Fraction],
@@ -63,34 +83,31 @@ def bayes_check(tree: DualTree, terminal_values: Mapping[str, Fraction],
         if rho_at[w] is None:
             raise MeasurabilityError("rho does not precede tau on every path")
         under.setdefault(rho_at[w], []).append(w)
-    missing = [w for ws in under.values() for w in ws if w not in terminal_values]
-    if missing:
-        raise ClaimError(f"payoff not defined at tau nodes {sorted(missing)}")
-
+    y, d_y = _numerators(terminal_values,
+                         [w for ws in under.values() for w in ws],
+                         "payoff", "tau node")
+    num = tree.numerators
+    d_inv = tree.denominators[3]
     residuals: dict[str, Fraction] = {}
-    for v in under:
-        pd, pe = tree.prob_dollar[v], tree.prob_euro[v]
-        if pd == 0 and pe == 0:
+    for v, ws in under.items():
+        pd, pe, x, inv = num[v]
+        if not (pd or pe):
             continue
-        xv = tree.node(v).x
-        # euro side, killed by 1{X_v > 0}
-        if xv.is_zero:
-            lhs = Fraction(0)
+        if x == 0:      # both sides vanish: 1{X_v > 0}, and inf * 0 = 0
+            residuals[v] = Fraction(0)
+            continue
+        # over Dy D1/x De and Dy D$; X_v > 0 with mass forces pe > 0
+        euro = dollar = 0
+        for w in ws:
+            pd_w, pe_w, x_w, inv_w = num[w]
+            if x_w:
+                euro += pe_w * y[w] * inv_w
+                dollar += pd_w * y[w]
+        if x is None:   # 1{1/X_v > 0} kills the dollar side
+            residuals[v] = Fraction(euro, d_y * d_inv * pe)
         else:
-            # X_v nonzero with positive mass forces pe > 0 on a valid tree
-            lhs = sum((tree.prob_euro[w] * Fraction(terminal_values[w])
-                       / tree.node(w).x.fraction
-                       for w in under[v] if tree.node(w).x.is_finite),
-                      Fraction(0)) / pe
-        # dollar side, killed by 1{1/X_v > 0}; at X_v = 0 the inner
-        # expectation vanishes and inf * 0 = 0 applies
-        if xv.is_infinite or xv.is_zero:
-            rhs = Fraction(0)
-        else:
-            rhs = sum((tree.prob_dollar[w] * Fraction(terminal_values[w])
-                       for w in under[v] if not tree.node(w).x.is_zero),
-                      Fraction(0)) / pd / xv.fraction
-        residuals[v] = lhs - rhs
+            residuals[v] = Fraction(euro * pd - dollar * inv * pe,
+                                    d_y * d_inv * pe * pd)
     return residuals
 
 
@@ -98,38 +115,32 @@ def martingale_transfer_check(tree: DualTree, process: Mapping[str, Fraction],
                               rule: Iterable[str]) -> tuple[bool, bool]:
     """Martingale property of N 1{X > 0} under Q$ and (N 1{1/X > 0})/X under Qe.
 
-    `process` assigns a nonnegative rational N to every node; both processes
-    are stopped at `rule`.  Returns the pair of booleans; the two are always
-    equal on a valid tree (the transfer principle the lattice certifies).
+    `process` assigns a nonnegative rational N to every finite node up to
+    `rule`, where both processes stop (else ClaimError names the node).
+    Returns the pair of booleans; the two are always equal on a valid tree
+    (the transfer principle the lattice certifies).  Each one-step identity
+    is compared times the node's mass, over its finite children b:
+    sum pd_b N_b = pd N, and sum pe_b N_b / x_b = pe N / x.
     """
     at = stop_map(tree, rule)
-    is_q = True
-    is_q_hat = True
+    num = tree.numerators
+    n, _ = _numerators(process, [
+        nid for nid, node in tree.nodes.items()
+        if num[nid][2] and (node.parent is None or at[node.parent] is None)],
+        "process value", "node")
+    is_q = is_q_hat = True
     for node in tree.nodes.values():
-        if node.is_terminal or at[node.id] is not None:
+        pd, pe, x, inv = num[node.id]
+        if not x or node.is_terminal or at[node.id] is not None:
             continue
-        # dollar side at nodes the dollar measure can see
-        if tree.prob_dollar[node.id] > 0:
-            val = Fraction(process[node.id]) if node.x.is_finite else Fraction(0)
-            step = sum((b.q * Fraction(process[b.child])
-                        for b in node.branches if tree.node(b.child).x.is_finite),
-                       Fraction(0))
-            if node.x.is_zero:
-                step = Fraction(0)  # subtree is devalued, indicator kills N
-            if step != val:
-                is_q = False
-        # euro side at nodes the euro measure can see
-        if tree.prob_euro[node.id] > 0:
-            if node.x.is_infinite:
-                val = Fraction(0)
-                step = Fraction(0)
-            else:
-                val = Fraction(process[node.id]) / node.x.fraction
-                step = sum((b.q_hat * Fraction(process[b.child])
-                            / tree.node(b.child).x.fraction
-                            for b in node.branches
-                            if tree.node(b.child).x.is_finite),
-                           Fraction(0))
-            if step != val:
-                is_q_hat = False
+        dollar = euro = 0
+        for b in node.branches:
+            pd_b, pe_b, x_b, inv_b = num[b.child]
+            if x_b:
+                dollar += pd_b * n[b.child]
+                euro += pe_b * n[b.child] * inv_b
+        if pd and dollar != pd * n[node.id]:
+            is_q = False
+        if pe and euro != pe * n[node.id] * inv:
+            is_q_hat = False
     return is_q, is_q_hat

@@ -26,9 +26,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from ..errors import ClaimError, InfeasibleError, InfinitePrice
+from ..errors import (ClaimError, InfeasibleError, InfinitePrice,
+                      StructureError)
 from ..pricing import payoff_row
-from .tree import DualTree
+from .tree import DualTree, _over_lcm, _rational
 
 
 # ---------------------------------------------------------------------------
@@ -54,17 +55,17 @@ def validate_claim(tree: DualTree, claim: TreeClaim) -> None:
     The pricers call this once per pricing call, where a claim meets a tree.
     """
     payoffs = claim.payoffs
-    for row in tree.leaf_rows:
-        if row.id not in payoffs:
-            raise ClaimError(f"claim not defined at leaf {row.id!r}")
-        v = payoffs[row.id]
+    for nid in tree.leaves:
+        if nid not in payoffs:
+            raise ClaimError(f"claim not defined at leaf {nid!r}")
+        v = payoffs[nid]
         if v is None:
             continue
         if not isinstance(v, (int, Fraction)):
-            raise ClaimError(f"payoff {v!r} at leaf {row.id!r} is not an "
+            raise ClaimError(f"payoff {v!r} at leaf {nid!r} is not an "
                              "int, a Fraction or None (infinite)")
         if v.numerator < 0:     # the sign, without a Fraction comparison
-            raise ClaimError(f"negative payoff {v} at leaf {row.id!r}")
+            raise ClaimError(f"negative payoff {v} at leaf {nid!r}")
 
 
 def tree_claim(tree: DualTree, kind: str, strike=None) -> TreeClaim:
@@ -76,7 +77,7 @@ def tree_claim(tree: DualTree, kind: str, strike=None) -> TreeClaim:
     if euro == math.inf:
         euro = None
     payoffs = {nid: euro if x.is_infinite else dollar(x.fraction, k)
-               for nid, x, *_ in tree.leaf_rows}
+               for nid, x in ((i, tree.nodes[i].x) for i in tree.leaves)}
     return TreeClaim(payoffs, kind if k is None else f"{kind}_{k}")
 
 
@@ -102,23 +103,17 @@ class TreeDualPrice:
     euro_correction: Fraction
 
 
-def _exact_sum(terms: list[tuple[int, int]]) -> Fraction:
-    """The sum of the fractions n/d of integer pairs (n, d), d > 0, over one
-    common denominator: one normalised Fraction instead of one per term."""
-    lcm = math.lcm(*[d for _, d in terms])
-    return Fraction(sum([n * (lcm // d) for n, d in terms]), lcm)
-
-
 def price_on_tree(tree: DualTree, claim: TreeClaim) -> TreeDualPrice:
-    """The exact two-measure price of a claim, summed over the leaf rows.
-
-    Each sum collects integer products and is formed once by `_exact_sum`;
-    zero payoffs add nothing and are skipped."""
+    """The exact two-measure price of a claim, summed over the leaves: the
+    payoffs over their common denominator Dv times the leaf numerators, one
+    Fraction per part of the price; zero payoffs are skipped."""
     validate_claim(tree, claim)
     payoffs = claim.payoffs
-    classical, devalued, euro_finite, exploded = [], [], [], []
-    for nid, x, pd, pe, pe_over_x in tree.leaf_rows:
+    d_v = math.lcm(*[v.denominator for v in map(payoffs.get, tree.leaves) if v])
+    classical = devalued = euro_finite = exploded = 0
+    for nid in tree.leaves:
         v = payoffs[nid]
+        pd, pe, x, inv = tree.numerators[nid]
         if v is None:
             # pd > 0 only at finite and zero rates, pe > 0 only at finite
             # and infinite ones: the dollar error wins where both see v
@@ -131,28 +126,30 @@ def price_on_tree(tree: DualTree, claim: TreeClaim) -> TreeDualPrice:
             continue
         if not v:
             continue
-        n, d = v.numerator, v.denominator
-        if x.is_infinite:
-            exploded.append((pe.numerator * n, pe.denominator * d))
+        v = v.numerator * (d_v // v.denominator)
+        if x is None:
+            exploded += pe * v
             continue
-        term = (pd.numerator * n, pd.denominator * d)
-        classical.append(term)
-        if x.is_zero:
-            devalued.append(term)
+        classical += pd * v
+        if x:
+            euro_finite += pe * v * inv
         else:
-            euro_finite.append((pe_over_x.numerator * n,
-                                pe_over_x.denominator * d))
-    classical, devalued, euro_finite, exploded = map(
-        _exact_sum, (classical, devalued, euro_finite, exploded))
-    correction = tree.x0 * exploded
-    euro_classical = euro_finite + exploded
-    euro_correction = devalued / tree.x0
-    total = classical + correction
-    result = TreeDualPrice(classical, correction, total, total / tree.x0,
-                           euro_classical, euro_correction)
-    assert result.total_euro == euro_classical + euro_correction, \
+            devalued += pd * v
+    d_pd, d_pe, _, d_inv = tree.denominators
+    x0n, x0d = tree.x0.numerator, tree.x0.denominator
+    # the total over D$ De Dv x0d, the euro parts over De Dv D1/x, D$ Dv x0n
+    total = classical * x0d * d_pe + exploded * x0n * d_pd
+    euro_classical = euro_finite + exploded * d_inv
+    assert total * d_inv == (euro_classical * d_pd * x0n
+                             + devalued * x0d * d_pe * d_inv), \
         "euro-side decomposition disagrees; tree invariants must be broken"
-    return result
+    return TreeDualPrice(
+        Fraction(classical, d_pd * d_v),
+        Fraction(exploded * x0n, d_pe * d_v * x0d),
+        Fraction(total, d_pd * d_pe * d_v * x0d),
+        Fraction(total, d_pd * d_pe * d_v * x0n),
+        Fraction(euro_classical, d_pe * d_v * d_inv),
+        Fraction(devalued * x0d, d_pd * d_v * x0n))
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +198,17 @@ def _solve_hull_lp(points: list[tuple[Fraction, Fraction]],
     x * (1 - explosion mass) <= x, so a point lies at or below x, and with no
     explosion mass the mean is x, so a point lies at or above x.
     """
-    top: dict[Fraction, Fraction] = {}
-    for y, r in points:
+    ys, d_y = _over_lcm([x, *(y for y, _ in points)])
+    rs, d_r = _over_lcm([*(r for _, r in points), *floors])
+    # states over d_y, requirements over d_r d_y and floors over d_r: a
+    # slope t read in these units is the slope t / d_r
+    X, pts = ys[0], [(y, r * d_y) for y, r in zip(ys[1:], rs)]
+    fl = rs[len(points):]
+    top: dict[int, int] = {}
+    for y, r in pts:
         if y not in top or r > top[y]:
             top[y] = r
-    hull: list[tuple[Fraction, Fraction]] = []
+    hull: list[tuple[int, int]] = []
     for y in sorted(top):
         r = top[y]
         # keep the last hull point only if it lies strictly above the chord
@@ -216,41 +219,45 @@ def _solve_hull_lp(points: list[tuple[Fraction, Fraction]],
                 break
             hull.pop()
         hull.append((y, r))
-    s = max(floors) if floors else None
-    k = next((i for i, (y, _) in enumerate(hull) if y >= x), None)
-    if not hull or hull[0][0] > x or (k is None and s is None):
+    s = max(fl) if fl else None
+    k = next((i for i, (y, _) in enumerate(hull) if y >= X), None)
+    if not hull or hull[0][0] > X or (k is None and s is None):
         raise InfeasibleError(
             f"unbounded hedging program at x = {x}: no supported branch at "
             "or below x, or none at or above x and none exploded")
-    # optimal slopes of the envelope at x; None stands for -inf (lo), +inf (hi)
-    lo = hi = None
-    if k is not None:
-        yk, rk = hull[k]
-        if yk == x:
-            v = rk
-            if k > 0:
-                hi = (rk - hull[k - 1][1]) / (yk - hull[k - 1][0])
-            if k + 1 < len(hull):
-                lo = (hull[k + 1][1] - rk) / (hull[k + 1][0] - yk)
-        else:
-            yj, rj = hull[k - 1]
-            lo = hi = (rk - rj) / (yk - yj)
-            v = rj + lo * (x - yj)
-    if s is not None and (k is None or (hi is not None and s > hi)):
-        e0 = max(r - s * y for y, r in top.items())
-        return e0, s, e0 + s * x
-    if s is not None and (lo is None or s > lo):
-        lo = s
-    if lo is not None and lo == hi:
-        t = lo
-    else:
-        def tight(t: Fraction) -> int:
-            return (sum(1 for y, r in points if v + t * (y - x) == r)
-                    + floors.count(t))
-        t = max((t for t in (lo, hi, Fraction(0), v / x) if t is not None
-                 and (lo is None or t >= lo) and (hi is None or t <= hi)),
-                key=lambda t: (tight(t), t))
-    return v - t * x, t, v
+    den = d_r * d_y
+    if k is not None and hull[k][0] > X:
+        # x inside a hull segment: its slope is the only optimal one
+        (yj, rj), (yk, rk) = hull[k - 1], hull[k]
+        if s is None or s * (yk - yj) <= rk - rj:
+            return (Fraction(rj * yk - rk * yj, (yk - yj) * den),
+                    Fraction(rk - rj, (yk - yj) * d_r),
+                    Fraction(rj * (yk - X) + rk * (X - yj), (yk - yj) * den))
+    elif k is not None:
+        # a hull point at x: optimal slopes in [lo, hi], None for -inf, +inf
+        v = hull[k][1]
+        hi = Fraction(v - hull[k - 1][1], X - hull[k - 1][0]) if k else None
+        lo = (Fraction(hull[k + 1][1] - v, hull[k + 1][0] - X)
+              if k + 1 < len(hull) else None)
+        if s is None or hi is None or s <= hi:
+            if s is not None and (lo is None or s > lo):
+                lo = Fraction(s)
+            if lo is not None and lo == hi:
+                t = lo
+            else:
+                def tight(t: Fraction) -> int:
+                    return (sum(1 for y, r in pts if v + t * (y - X) == r)
+                            + fl.count(t))
+                t = max((Fraction(t) for t in (lo, hi, 0, Fraction(v, X))
+                         if t is not None and (lo is None or t >= lo)
+                         and (hi is None or t <= hi)),
+                        key=lambda t: (tight(t), t))
+            return (Fraction(v * t.denominator - t.numerator * X,
+                             t.denominator * den),
+                    t / d_r, Fraction(v, den))
+    # the largest floor binds, through the point maximizing r - s*y
+    e0 = max(r - s * y for y, r in top.items())
+    return Fraction(e0, den), Fraction(s, d_r), Fraction(e0 + s * X, den)
 
 
 def superreplicate_backward(tree: DualTree, claim: TreeClaim
@@ -312,7 +319,7 @@ def _fill_wealth(tree: DualTree, strategy: TreeStrategy) -> None:
             continue
         e0, e1 = held[node.parent]
         w = e1 if node.x.is_infinite else e0 + e1 * node.x.fraction
-        if w < 0:
+        if w.numerator < 0:
             raise InfeasibleError(
                 f"negative wealth at supported node {node.id!r}")
         strategy.wealth[node.id] = w
@@ -324,17 +331,17 @@ def verify_strategy(tree: DualTree, claim: TreeClaim, strategy: TreeStrategy,
     """Assert the wealth process superreplicates the claim on supported leaves
     and stays nonnegative, both in the unit of the measure that sees each
     node; at a finite rate x > 0 that one comparison holds in both units."""
-    for row in tree.leaf_rows:
-        if row.id not in tree.supported:
+    for nid in tree.leaves:
+        if nid not in tree.supported:
             continue
-        w, v = strategy.wealth[row.id], claim.payoffs[row.id]
+        w, v = strategy.wealth[nid], claim.payoffs[nid]
         if v is None or w < v:
             raise AssertionError(f"wealth {w} < payoff "
-                                 f"{'inf' if v is None else v} at {row.id!r}")
+                                 f"{'inf' if v is None else v} at {nid!r}")
         if require_equality and w != v:
-            raise AssertionError(f"wealth {w} != payoff {v} at {row.id!r}")
+            raise AssertionError(f"wealth {w} != payoff {v} at {nid!r}")
     for nid, w in strategy.wealth.items():
-        if w < 0:
+        if w.numerator < 0:
             raise AssertionError(f"negative wealth at {nid!r}")
 
 
@@ -356,13 +363,18 @@ class ParityRow:
 
 def parity_and_equivalence_report(tree: DualTree,
                                   strikes) -> list[ParityRow]:
-    mass = tree.x0 * sum((row.pe for row in tree.leaf_rows
-                          if row.x.is_infinite), Fraction(0))
+    """One row per strike, each read exactly by `tree._rational`; ClaimError
+    refuses a strike that is not a positive rational (a bool, nan, inf)."""
+    mass = tree.x0 * sum((tree.prob_euro[nid] for nid in tree.leaves
+                          if tree.nodes[nid].x.is_infinite), Fraction(0))
     rows = []
     for strike in strikes:
-        k = Fraction(strike)
+        try:
+            k = _rational(strike)
+        except (StructureError, TypeError, ValueError, ArithmeticError) as exc:
+            raise ClaimError(f"strike {strike!r} is not a number") from exc
         if k <= 0:
-            raise ClaimError("strikes must be positive")
+            raise ClaimError(f"strikes must be positive, not {strike!r}")
         call = price_on_tree(tree, tree_claim(tree, "call", k))
         put = price_on_tree(tree, tree_claim(tree, "put", k))
         d_call = price_on_tree(tree, tree_claim(tree, "dollar_call", 1 / k))

@@ -115,7 +115,7 @@ def random_fraction(rng: random.Random, zero_prob: float = 0.2) -> Fraction:
 def random_claim(tree: DualTree, seed: int) -> TreeClaim:
     """Random nonnegative finite claim, one draw per leaf in tree order."""
     rng = random.Random(seed)
-    return TreeClaim({row.id: random_fraction(rng) for row in tree.leaf_rows},
+    return TreeClaim({nid: random_fraction(rng) for nid in tree.leaves},
                      f"random_{seed}")
 
 

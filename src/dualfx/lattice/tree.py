@@ -10,15 +10,19 @@ which makes the change-of-numeraire identities structural: branches into an
 exploded state are invisible to the dollar measure (q = 0) and branches into a
 devalued state are invisible to the euro measure (q_hat = 0).  The modeler
 supplies q_hat on nonzero children and q on zero children; q on finite
-children is derived.  All arithmetic is exact (fractions.Fraction).
+children is derived.  All arithmetic is exact.  The walk that builds a tree
+records each node's Q$ mass, Qe mass, state x and reciprocal 1/x as integer
+numerators over four per-tree denominators (D$, De, Dx, D1/x), so the checks
+and pricers sum and compare plain ints and form one Fraction per result.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 from ..errors import MeasurabilityError, NormalizationError, StructureError
 from ..extended import ExtendedValue
@@ -47,22 +51,11 @@ class TreeNode:
         return not self.branches
 
 
-class LeafRow(NamedTuple):
-    """A leaf's path probability per measure and, at a finite rate x, pe/x."""
-
-    id: str
-    x: ExtendedValue
-    pd: Fraction
-    pe: Fraction
-    pe_over_x: Fraction | None      # None where x is 0 or inf
-
-
 @dataclass(frozen=True)
 class DualTree:
-    """A finished tree, as `build_dual_tree` returns it: its nodes, the path
-    probabilities, the leaf rows and the supported set are all recorded by
-    the walk that builds it.  Fields cannot be reassigned; only the per-rule
-    cache of `stop_map` fills in after the build."""
+    """A finished tree, as `build_dual_tree` returns it: every field is
+    recorded by the walk that builds it.  Fields cannot be reassigned; only
+    the per-rule cache of `stop_map` fills in after the build."""
 
     periods: int
     x0: Fraction
@@ -73,19 +66,27 @@ class DualTree:
     # exact path probabilities of the cylinder at each node, per measure
     prob_dollar: dict[str, Fraction]
     prob_euro: dict[str, Fraction]
-    leaf_rows: tuple[LeafRow, ...]      # one row per leaf, in tree order
+    # per node (Q$ mass, Qe mass, x, 1/x) as numerators over `denominators`;
+    # x is None where it is inf, 1/x None where x is 0
+    numerators: dict[str, tuple[int, int, int | None, int | None]]
+    denominators: tuple[int, int, int, int]     # (D$, De, Dx, D1/x)
+    leaves: tuple[str, ...]     # the leaf ids, in tree order
     supported: frozenset[str]   # nodes with positive mass under either measure
     # stop_map's results, by rule; only valid rules are kept
     _stop_maps: dict[frozenset[str], dict[str, str | None]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
-    def node(self, node_id: str) -> TreeNode:
-        return self.nodes[node_id]
-
 
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
+
+def _over_lcm(values) -> tuple[list[int], int]:
+    """Integer numerators of rationals over their least common denominator,
+    and that denominator (1 for no values)."""
+    d = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (d // v.denominator) for v in values], d
+
 
 def _rational(v) -> Fraction:
     """A document number, exactly: a float by its shortest repr (0.1 is
@@ -114,8 +115,8 @@ def build_dual_tree(doc: Mapping) -> DualTree:
     "<id>~<k>" for period k.  Those ids are reserved: a document id equal to
     one is refused.  A document of any depth builds within the chain
     bound: the walk is iterative.  The walk refuses, as it makes each node,
-    every document that breaks an invariant `verify_tree_invariants` checks,
-    and records the leaf rows as it makes the leaves.
+    every document that breaks an invariant of the measure pair, and the
+    integer numerators are formed from the masses it records.
     """
     try:
         x0 = _rational(doc["x0"])
@@ -144,7 +145,7 @@ def build_dual_tree(doc: Mapping) -> DualTree:
     nodes: dict[str, TreeNode] = {}
     prob_dollar = {root_id: ONE}
     prob_euro = {root_id: ONE}
-    leaf_rows: list[LeafRow] = []
+    leaves: list[str] = []
     chained = 0     # nodes the absorption chains have added so far
     try:
         root_x = _as_x(by_id[root_id]["x"])
@@ -182,21 +183,19 @@ def build_dual_tree(doc: Mapping) -> DualTree:
                     prob_dollar[cid], prob_euro[cid] = pd, pe
                     prev, parent = cid, prev
                 nodes[prev] = TreeNode(prev, periods, x, (), parent)
-                leaf_rows.append(LeafRow(prev, x, pd, pe, None))
+                leaves.append(prev)
                 continue
             if t == periods:
                 if declared:
                     raise StructureError(f"terminal node {nid!r} declares branches")
                 nodes[nid] = TreeNode(nid, t, x, (), parent)
-                leaf_rows.append(LeafRow(nid, x, pd, pe, pe / x.fraction))
+                leaves.append(nid)
                 continue
             if not declared:
                 raise StructureError(
                     f"finite node {nid!r} at period {t} < {periods} has no branches")
             branches = []
             children = []
-            q_hat_sum = Fraction(0)
-            q_sum = Fraction(0)
             for child_id, mass in declared:
                 child_id = str(child_id)
                 child_entry = by_id.get(child_id)
@@ -205,7 +204,7 @@ def build_dual_tree(doc: Mapping) -> DualTree:
                         f"branch references unknown node {child_id!r}")
                 cx = _as_x(child_entry["x"])
                 m = _rational(mass)
-                if m < 0:
+                if m.numerator < 0:
                     raise NormalizationError(f"negative branch mass {m}")
                 if cx.is_zero:
                     q, q_hat = m, Fraction(0)
@@ -214,18 +213,17 @@ def build_dual_tree(doc: Mapping) -> DualTree:
                 else:
                     # density relation: q * x_child = q_hat * x_node
                     q, q_hat = m * x.fraction / cx.fraction, m
-                q_sum += q
-                q_hat_sum += q_hat
                 branches.append(Branch(child_id, q, q_hat))
                 children.append((child_id, t + 1, nid, cx))
                 prob_dollar[child_id], prob_euro[child_id] = pd * q, pe * q_hat
-            if q_hat_sum != 1:
-                raise NormalizationError(
-                    f"node {nid!r}: euro-measure masses sum to {q_hat_sum}, not 1")
-            if q_sum != 1:
-                raise NormalizationError(
-                    f"node {nid!r}: derived dollar-measure masses sum to {q_sum}, "
-                    "not 1 (martingale constraint violated)")
+            # a derived dollar sum off 1 breaks the martingale constraint
+            for measure, ps in (("euro", [b.q_hat for b in branches]),
+                                ("derived dollar", [b.q for b in branches])):
+                ns, d = _over_lcm(ps)
+                if sum(ns) != d:
+                    raise NormalizationError(
+                        f"node {nid!r}: {measure}-measure masses sum to "
+                        f"{Fraction(sum(ns), d)}, not 1")
             nodes[nid] = TreeNode(nid, t, x, tuple(branches), parent)
             stack.extend(reversed(children))
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
@@ -234,54 +232,24 @@ def build_dual_tree(doc: Mapping) -> DualTree:
     if orphans:
         raise StructureError(f"nodes unreachable from the root: {sorted(orphans)}")
 
-    supported = frozenset(nid for nid, pd in prob_dollar.items()
-                          if pd > 0 or prob_euro[nid] > 0)
+    # the per-tree denominators, then every node's numerators over them
+    finite = [n.x.value for n in nodes.values() if n.x.is_finite]
+    dens = (math.lcm(*[p.denominator for p in prob_dollar.values()]),
+            math.lcm(*[p.denominator for p in prob_euro.values()]),
+            math.lcm(*[f.denominator for f in finite]),
+            math.lcm(*[f.numerator for f in finite]))
+    numerators = {}
+    for nid, node in nodes.items():
+        pd, pe, f = prob_dollar[nid], prob_euro[nid], node.x.value
+        numerators[nid] = (pd.numerator * (dens[0] // pd.denominator),
+                           pe.numerator * (dens[1] // pe.denominator),
+                           *((None, 0) if f is None else (0, None) if not f
+                             else (f.numerator * (dens[2] // f.denominator),
+                                   f.denominator * (dens[3] // f.numerator))))
+    supported = frozenset(nid for nid, (pd, pe, *_) in numerators.items()
+                          if pd or pe)
     return DualTree(periods, x0, root_id, nodes, prob_dollar, prob_euro,
-                    tuple(leaf_rows), supported)
-
-
-def verify_tree_invariants(tree: DualTree) -> None:
-    """Assert every structural invariant of the measure pair, exactly, from
-    the nodes and the two mass maps alone: an oracle independent of the walk
-    that built the tree and of the leaf rows it recorded."""
-    seen: set[str] = set()
-    for node in tree.nodes.values():
-        if node.parent is not None and node.parent not in seen:
-            raise StructureError(f"node {node.id!r} is listed before its parent")
-        seen.add(node.id)
-        if node.is_terminal:
-            if node.time_index != tree.periods:
-                raise StructureError(
-                    f"terminal node {node.id!r} at period {node.time_index}")
-            # paths touching an absorbed state are null for the blind
-            # measure; the self-chains checked below carry that state here
-            if node.x.is_infinite and tree.prob_dollar[node.id] != 0:
-                raise StructureError(f"dollar measure sees explosion at {node.id!r}")
-            if node.x.is_zero and tree.prob_euro[node.id] != 0:
-                raise StructureError(f"euro measure sees devaluation at {node.id!r}")
-            continue
-        qs = sum((b.q for b in node.branches), Fraction(0))
-        q_hats = sum((b.q_hat for b in node.branches), Fraction(0))
-        if qs != 1 or q_hats != 1:
-            raise NormalizationError(
-                f"node {node.id!r}: branch masses sum to ({qs}, {q_hats})")
-        if not node.x.is_finite:
-            if len(node.branches) != 1:
-                raise StructureError(f"absorbing node {node.id!r} must self-chain")
-            child = tree.nodes[node.branches[0].child]
-            if child.x != node.x:
-                raise StructureError(f"absorbing node {node.id!r} changes state")
-            continue
-        x = node.x.fraction
-        for b in node.branches:
-            cx = tree.nodes[b.child].x
-            if cx.is_infinite and b.q != 0:
-                raise StructureError(f"explosion branch from {node.id!r} has q != 0")
-            if cx.is_zero and b.q_hat != 0:
-                raise StructureError(f"devaluation branch from {node.id!r} has q_hat != 0")
-            if cx.is_finite and b.q * cx.fraction != b.q_hat * x:
-                raise StructureError(
-                    f"density relation fails on branch {node.id!r} -> {b.child!r}")
+                    numerators, dens, tuple(leaves), supported)
 
 
 # ---------------------------------------------------------------------------

@@ -36,42 +36,41 @@ class PhysicalLattice:
     p_euro: dict[str, Fraction]     # P( . | no devaluation)
 
 
-def cylinder_masses(tree: DualTree, leaf_mass: dict[str, Fraction]
-                    ) -> dict[str, Fraction]:
-    """Mass of every node's cylinder, summed from the leaves in one bottom-up
-    pass."""
+def cylinder_masses(tree: DualTree, leaf_mass: dict) -> dict:
+    """Mass of every node's cylinder, summed from the leaves (Fractions, or
+    numerators over one denominator) in one bottom-up pass."""
     mass = dict(leaf_mass)
     for node in reversed(tree.nodes.values()):
         if not node.is_terminal:
-            mass[node.id] = sum((mass[b.child] for b in node.branches),
-                                Fraction(0))
+            mass[node.id] = sum(mass[b.child] for b in node.branches)
     return mass
+
+
+def _leaf_masses(tree: DualTree) -> tuple[dict, dict, dict, int]:
+    """P = (Q$ + Qe)/2 per leaf as a numerator over 2 D$ De, P restricted to
+    no explosion and to no devaluation, and that denominator."""
+    d_pd, d_pe = tree.denominators[:2]
+    p, dollar, euro = {}, {}, {}
+    for nid in tree.leaves:
+        pd, pe, x, _ = tree.numerators[nid]
+        p[nid] = m = pd * d_pe + pe * d_pd
+        dollar[nid] = 0 if x is None else m
+        euro[nid] = 0 if x == 0 else m
+    return p, dollar, euro, 2 * d_pd * d_pe
 
 
 def build_physical(tree: DualTree) -> PhysicalLattice:
     """P = (Q$ + Qe)/2 on paths, conditioned exactly on the no-inflation events."""
-    p: dict[str, Fraction] = {}
-    explosion_mass = Fraction(0)
-    devaluation_mass = Fraction(0)
-    for nid, x, pd, pe, _ in tree.leaf_rows:
-        mass = (pd + pe) / 2
-        p[nid] = mass
-        if x.is_infinite:
-            explosion_mass += mass
-        if x.is_zero:
-            devaluation_mass += mass
-    if explosion_mass == 1:
+    p, dollar, euro, total = _leaf_masses(tree)
+    no_explosion, no_devaluation = sum(dollar.values()), sum(euro.values())
+    if not no_explosion:
         raise ConditioningError("no-explosion event has probability zero")
-    if devaluation_mass == 1:
+    if not no_devaluation:
         raise ConditioningError("no-devaluation event has probability zero")
-    p_dollar = {}
-    p_euro = {}
-    for row in tree.leaf_rows:
-        p_dollar[row.id] = (Fraction(0) if row.x.is_infinite
-                            else p[row.id] / (1 - explosion_mass))
-        p_euro[row.id] = (Fraction(0) if row.x.is_zero
-                          else p[row.id] / (1 - devaluation_mass))
-    return PhysicalLattice(tree, p, p_dollar, p_euro)
+    return PhysicalLattice(
+        tree, {nid: Fraction(m, total) for nid, m in p.items()},
+        {nid: Fraction(m, no_explosion) for nid, m in dollar.items()},
+        {nid: Fraction(m, no_devaluation) for nid, m in euro.items()})
 
 
 @dataclass(frozen=True)
@@ -87,27 +86,35 @@ class PhysicalReport:
 
 def consistency_checks(pl: PhysicalLattice,
                        claims: list[TreeClaim] | None = None) -> PhysicalReport:
-    """Run checks (a)-(c); all are exact rational computations.
+    """Run checks (a)-(c), exactly, over the integer numerators of P.
 
     (c) compares the superreplication price on P's support with the
     expectation-formula price for each claim (euro forward by default); on
     complete trees both agree by the pricing theorem.
     """
     tree = pl.tree
-    dollar_mass = cylinder_masses(tree, pl.p_dollar)
-    euro_mass = cylinder_masses(tree, pl.p_euro)
+    p, dollar, euro, total = _leaf_masses(tree)
+    explosion = sum(p.values()) - sum(dollar.values())
+    devaluation = sum(p.values()) - sum(euro.values())
+    # the supports need only signs: the restrictions' numerators suffice
+    dollar_mass, euro_mass = (cylinder_masses(tree, dollar),
+                              cylinder_masses(tree, euro))
     support_ok = all((dollar_mass[node.id] > 0) == (euro_mass[node.id] > 0)
                      for node in tree.nodes.values() if node.x.is_finite)
 
-    rows = tree.leaf_rows
-    e_x = sum((r.pd * r.x.fraction for r in rows if r.x.is_finite), Fraction(0))
-    e_inv = sum((r.pe_over_x for r in rows if r.x.is_finite), Fraction(0))
-    p_explosion = sum((pl.p[r.id] for r in rows if r.x.is_infinite), Fraction(0))
-    p_devaluation = sum((pl.p[r.id] for r in rows if r.x.is_zero), Fraction(0))
-    defect_dollar = tree.x0 - e_x
-    defect_euro = 1 / tree.x0 - e_inv
-    interpretation = ((p_explosion > 0) == (defect_dollar > 0)
-                      and (p_devaluation > 0) == (defect_euro > 0))
+    # E_Q$[X_T] over D$ Dx and E_Qe[1/X_T] over De D1/x
+    e_x = e_inv = 0
+    for nid in tree.leaves:
+        pd, pe, x, inv = tree.numerators[nid]
+        if x:
+            e_x += pd * x
+            e_inv += pe * inv
+    d_pd, d_pe, d_x, d_inv = tree.denominators
+    x0n, x0d = tree.x0.numerator, tree.x0.denominator
+    defect_dollar = Fraction(x0n * d_pd * d_x - x0d * e_x, x0d * d_pd * d_x)
+    defect_euro = Fraction(x0d * d_pe * d_inv - x0n * e_inv, x0n * d_pe * d_inv)
+    interpretation = ((explosion > 0) == (defect_dollar.numerator > 0)
+                      and (devaluation > 0) == (defect_euro.numerator > 0))
 
     if claims is None:
         claims = [tree_euro_forward(tree)]
@@ -120,6 +127,7 @@ def consistency_checks(pl: PhysicalLattice,
         if cost != formula:
             replication_ok = False
 
-    return PhysicalReport(p_explosion, p_devaluation, defect_dollar,
-                          defect_euro, interpretation, support_ok,
-                          replication_ok)
+    return PhysicalReport(Fraction(explosion, total),
+                          Fraction(devaluation, total),
+                          defect_dollar, defect_euro, interpretation,
+                          support_ok, replication_ok)

@@ -30,11 +30,13 @@ def _canon(v):
 
 
 def _exact_results(tree, seed):
-    """Every exact result the lattice computes on one tree, in a fixed order."""
+    """Every exact result the lattice computes on one tree, in a fixed order:
+    the leaf rows are (id, state, Q$ mass, Qe mass, Qe mass / x or None)."""
+    pd, pe = tree.prob_dollar, tree.prob_euro
     out = [tree_to_doc(tree),
-           [(r.id, str(r.x), r.pd, r.pe, r.pe_over_x) for r in tree.leaf_rows],
-           [(nid, tree.prob_dollar[nid], tree.prob_euro[nid])
-            for nid in tree.nodes]]
+           [(nid, str(x), pd[nid], pe[nid], pe[nid] / x.value if x.is_finite
+             else None) for nid, x in ((i, tree.nodes[i].x) for i in tree.leaves)],
+           [(nid, pd[nid], pe[nid]) for nid in tree.nodes]]
     claims = [random_claim(tree, seed)]
     for kind in CLAIM_KINDS:
         for k in STRIKES if PAYOFFS[kind].takes_strike else [None]:

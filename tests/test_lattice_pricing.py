@@ -16,7 +16,8 @@ from dualfx.lattice import (build_dual_tree, parity_and_equivalence_report,
                             tree_claim, tree_euro_forward,
                             two_period_example, validate_claim,
                             verify_strategy)
-from dualfx.lattice.pricing import TreeClaim, _exact_sum, _solve_hull_lp
+from dualfx.lattice.pricing import TreeClaim, _solve_hull_lp
+from dualfx.lattice.tree import _over_lcm
 from dualfx.physical import build_physical, consistency_checks
 from dualfx.pricing import CLAIM_KINDS, PAYOFFS, make_claim
 
@@ -43,7 +44,7 @@ def test_call_put_and_parity_on_example():
 
 def test_zero_claim_prices_to_zero():
     t = two_period_example()
-    zero = TreeClaim({l.id: Fraction(0) for l in t.leaf_rows}, "zero")
+    zero = TreeClaim({nid: Fraction(0) for nid in t.leaves}, "zero")
     assert price_on_tree(t, zero).total_dollar == 0
     price, strategy = superreplicate_backward(t, zero)
     assert price == 0
@@ -78,7 +79,7 @@ def test_self_quantoed_infinite_on_explosion_tree():
 
 def test_claim_consistency_validated():
     t = two_period_example()
-    partial = {l.id: Fraction(2) for l in t.leaf_rows if l.id != "dn_dn"}
+    partial = {nid: Fraction(2) for nid in t.leaves if nid != "dn_dn"}
     with pytest.raises(ClaimError, match="not defined at leaf 'dn_dn'"):
         validate_claim(t, TreeClaim(partial, "broken"))
     with pytest.raises(ClaimError):
@@ -93,14 +94,14 @@ def test_claim_consistency_validated():
 ], ids=["negative_fraction", "negative_int", "float", "string"])
 def test_payoffs_must_be_nonnegative_rationals_or_none(payoff, message):
     t = two_period_example()
-    claim = TreeClaim({l.id: payoff if l.id == "dn_dn" else Fraction(1)
-                       for l in t.leaf_rows}, "bad")
+    claim = TreeClaim({nid: payoff if nid == "dn_dn" else Fraction(1)
+                       for nid in t.leaves}, "bad")
     for check in (validate_claim, price_on_tree, superreplicate_backward):
         with pytest.raises(ClaimError, match=re.escape(message)):
             check(t, claim)
     # ints, Fractions and None (infinite) pass
     for v in (0, 3, Fraction(1, 3), None):
-        validate_claim(t, TreeClaim({l.id: v for l in t.leaf_rows}))
+        validate_claim(t, TreeClaim({nid: v for nid in t.leaves}))
 
 
 def test_price_identity_and_superrep_on_complete_trees():
@@ -123,7 +124,7 @@ def test_strategy_is_self_financing_on_complete_trees():
         claim = random_claim(tree, seed)
         _, strategy = superreplicate_backward(tree, claim)
         for nid, (e0, e1) in strategy.holdings.items():
-            node = tree.node(nid)
+            node = tree.nodes[nid]
             assert strategy.wealth[nid] == e0 + e1 * node.x.fraction
 
 
@@ -500,7 +501,7 @@ def test_price_on_tree_matches_leaf_by_leaf_formula(generate):
                 (seed, claim.kind)
 
 
-def test_exact_sum_matches_fraction_sum():
+def test_over_lcm_matches_fraction_sum():
     rng = random.Random(5)
     primes = [2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1, 10**9 + 7]
     cases = [
@@ -513,9 +514,11 @@ def test_exact_sum_matches_fraction_sum():
          for _ in range(50)],
     ]
     for terms in cases:
-        got = _exact_sum(terms)
-        assert type(got) is Fraction
-        assert got == sum((Fraction(n, d) for n, d in terms), Fraction(0))
+        values = [Fraction(n, d) for n, d in terms]
+        nums, d = _over_lcm(values)
+        assert d == math.lcm(*[v.denominator for v in values])
+        assert [Fraction(n, d) for n in nums] == values
+        assert Fraction(sum(nums), d) == sum(values, Fraction(0))
 
 
 def test_pricing_linearity_exact():
@@ -538,8 +541,9 @@ def test_correction_positive_iff_euro_payoff_on_explosion():
         tree = random_dual_tree(seed + 700)
         claim = random_claim(tree, seed + 41)
         p = price_on_tree(tree, claim)
-        mass = sum((tree.prob_euro[l.id] for l in tree.leaf_rows
-                    if l.x.is_infinite and claim.payoffs[l.id] != 0),
+        mass = sum((tree.prob_euro[nid] for nid in tree.leaves
+                    if tree.nodes[nid].x.is_infinite
+                    and claim.payoffs[nid] != 0),
                    Fraction(0))
         assert (p.correction > 0) == (mass > 0)
 
@@ -630,7 +634,7 @@ def test_table_rational_and_float_evaluations_agree(kind):
             exact = tree_claim(tree, kind, k)
             fk = None if k is None else float(k)
             approx = make_claim(kind, fk)
-            for leaf in tree.leaf_rows:
+            for leaf in map(tree.nodes.get, tree.leaves):
                 v = exact.payoffs[leaf.id]
                 if leaf.x.is_finite:
                     seen.add("finite")

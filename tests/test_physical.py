@@ -11,7 +11,7 @@ def test_mixture_and_conditioning_on_example():
     t = two_period_example()
     pl = build_physical(t)
     # P(explosion) = (0 + 3/4)/2
-    assert sum(pl.p[l.id] for l in t.leaf_rows if l.x.is_infinite) \
+    assert sum(pl.p[nid] for nid in t.leaves if t.nodes[nid].x.is_infinite) \
         == Fraction(3, 8)
     # conditioning on no explosion leaves the single dollar path, weight one
     assert pl.p_dollar["dn_dn"] == 1
@@ -66,11 +66,11 @@ def test_absolute_continuity_support_inclusions():
     for seed in range(40):
         t = random_complete_dual_tree(seed)
         pl = build_physical(t)
-        for leaf in t.leaf_rows:
-            if pl.p_dollar[leaf.id] > 0 or pl.p_euro[leaf.id] > 0:
-                assert pl.p[leaf.id] > 0
-            if pl.p[leaf.id] > 0:
-                assert pl.p_dollar[leaf.id] > 0 or pl.p_euro[leaf.id] > 0
+        for nid in t.leaves:
+            if pl.p_dollar[nid] > 0 or pl.p_euro[nid] > 0:
+                assert pl.p[nid] > 0
+            if pl.p[nid] > 0:
+                assert pl.p_dollar[nid] > 0 or pl.p_euro[nid] > 0
 
 
 def test_cylinder_masses_match_leaf_sums():

@@ -15,19 +15,63 @@ from dualfx.lattice import (build_dual_tree, dump_tree, first_hit_rule,
                             load_tree, period_rule, price_on_tree, random_complete_dual_tree,
                             random_dual_tree, random_rule_pair, tree_to_doc,
                             tree_euro_forward, two_period_example,
-                            verify_numeraire_identity, verify_tree_invariants)
-from dualfx.lattice.tree import MAX_CHAIN_NODES, stop_map
+                            verify_numeraire_identity)
+from dualfx.lattice.tree import MAX_CHAIN_NODES, DualTree, stop_map
+
+
+def verify_tree_invariants(tree: DualTree) -> None:
+    """Assert every structural invariant of the measure pair, exactly, from
+    the nodes and the two mass maps alone: the tests' oracle, independent of
+    the walk that built the tree and of the numerators it recorded."""
+    seen: set[str] = set()
+    for node in tree.nodes.values():
+        if node.parent is not None and node.parent not in seen:
+            raise StructureError(f"node {node.id!r} is listed before its parent")
+        seen.add(node.id)
+        if node.is_terminal:
+            if node.time_index != tree.periods:
+                raise StructureError(
+                    f"terminal node {node.id!r} at period {node.time_index}")
+            # paths touching an absorbed state are null for the blind
+            # measure; the self-chains checked below carry that state here
+            if node.x.is_infinite and tree.prob_dollar[node.id] != 0:
+                raise StructureError(f"dollar measure sees explosion at {node.id!r}")
+            if node.x.is_zero and tree.prob_euro[node.id] != 0:
+                raise StructureError(f"euro measure sees devaluation at {node.id!r}")
+            continue
+        qs = sum((b.q for b in node.branches), Fraction(0))
+        q_hats = sum((b.q_hat for b in node.branches), Fraction(0))
+        if qs != 1 or q_hats != 1:
+            raise NormalizationError(
+                f"node {node.id!r}: branch masses sum to ({qs}, {q_hats})")
+        if not node.x.is_finite:
+            if len(node.branches) != 1:
+                raise StructureError(f"absorbing node {node.id!r} must self-chain")
+            child = tree.nodes[node.branches[0].child]
+            if child.x != node.x:
+                raise StructureError(f"absorbing node {node.id!r} changes state")
+            continue
+        x = node.x.fraction
+        for b in node.branches:
+            cx = tree.nodes[b.child].x
+            if cx.is_infinite and b.q != 0:
+                raise StructureError(f"explosion branch from {node.id!r} has q != 0")
+            if cx.is_zero and b.q_hat != 0:
+                raise StructureError(f"devaluation branch from {node.id!r} has q_hat != 0")
+            if cx.is_finite and b.q * cx.fraction != b.q_hat * x:
+                raise StructureError(
+                    f"density relation fails on branch {node.id!r} -> {b.child!r}")
 
 
 def test_two_period_example_measures():
     t = two_period_example()
-    probs = {row.id: (row.pd, row.pe) for row in t.leaf_rows}
+    probs = {nid: (t.prob_dollar[nid], t.prob_euro[nid]) for nid in t.leaves}
     assert probs["dn_dn"] == (1, Fraction(1, 4))
     assert probs["dn_up"] == (0, Fraction(1, 4))
     assert probs["up~2"] == (0, Fraction(1, 2))
     # the dollar measure rides the deterministic halving path
-    assert t.node("dn").x.fraction == Fraction(1, 2)
-    assert t.node("dn_dn").x.fraction == Fraction(1, 4)
+    assert t.nodes["dn"].x.fraction == Fraction(1, 2)
+    assert t.nodes["dn_dn"].x.fraction == Fraction(1, 4)
 
 
 def test_derived_dollar_mass_must_normalize():
@@ -72,7 +116,7 @@ def test_absorption_chains_autogenerated():
         {"id": "f", "x": "1/2", "branches": [["g", "1"]]},
         {"id": "g", "x": "1/2", "branches": [["h", "1"]]},
         {"id": "h", "x": "1/2"}]})
-    assert t.node("e~3").x.is_infinite
+    assert t.nodes["e~3"].x.is_infinite
     assert t.prob_euro["e~3"] == Fraction(1, 2)
     assert t.prob_dollar["e~3"] == 0
     verify_tree_invariants(t)
@@ -108,7 +152,7 @@ def test_float_numbers_are_read_by_their_shortest_repr():
     floats = build_dual_tree(_one_step_doc(1.5, 1, (0.3, 2.7), (0.1, 0.9)))
     strings = build_dual_tree(_one_step_doc())
     assert tree_to_doc(floats) == tree_to_doc(strings)
-    assert floats.node("dn").x.fraction == Fraction(3, 10)
+    assert floats.nodes["dn"].x.fraction == Fraction(3, 10)
     assert floats.prob_euro["dn"] == Fraction(1, 10)
     assert floats.prob_dollar["dn"] == Fraction(1, 2)
 
@@ -184,11 +228,11 @@ def one_step(t, node):
 def test_one_step_defects_equal_absorption_masses():
     t = two_period_example()
     for nid in ("r", "dn"):
-        d_dollar, d_euro, explosion, devaluation = one_step(t, t.node(nid))
-        x = t.node(nid).x.fraction
+        d_dollar, d_euro, explosion, devaluation = one_step(t, t.nodes[nid])
+        x = t.nodes[nid].x.fraction
         assert d_dollar == x * explosion
         assert d_euro == (1 / x) * devaluation
-    _, _, explosion, devaluation = one_step(t, t.node("r"))
+    _, _, explosion, devaluation = one_step(t, t.nodes["r"])
     assert explosion == Fraction(1, 2)
     assert devaluation == 0
 
@@ -266,7 +310,7 @@ def test_stop_map_is_kept_per_valid_rule():
 
 @pytest.mark.parametrize("generate", [random_dual_tree,
                                       random_complete_dual_tree])
-def test_leaf_rows_and_supported_set_match_a_fresh_scan(generate):
+def test_numerators_leaves_and_supported_set_match_a_fresh_scan(generate):
     for seed in range(300):
         t = generate(seed)
         verify_tree_invariants(t)
@@ -276,11 +320,24 @@ def test_leaf_rows_and_supported_set_match_a_fresh_scan(generate):
             for b in n.branches:
                 pd[b.child], pe[b.child] = pd[n.id] * b.q, pe[n.id] * b.q_hat
         assert (t.prob_dollar, t.prob_euro) == (pd, pe)
-        leaves = [n for n in t.nodes.values() if n.time_index == t.periods]
-        assert [tuple(row) for row in t.leaf_rows] == [
-            (n.id, n.x, t.prob_dollar[n.id], t.prob_euro[n.id],
-             t.prob_euro[n.id] / n.x.fraction if n.x.is_finite else None)
-            for n in leaves]
+        assert list(t.leaves) == [n.id for n in t.nodes.values()
+                                  if n.time_index == t.periods]
+        # each numerator over the least common denominator of its kind
+        xs = {nid: n.x.value for nid, n in t.nodes.items()}
+        finite = [x for x in xs.values() if x]
+        assert t.denominators == (
+            math.lcm(*[Fraction(v).denominator for v in pd.values()]),
+            math.lcm(*[Fraction(v).denominator for v in pe.values()]),
+            math.lcm(*[x.denominator for x in finite]),
+            math.lcm(*[(1 / x).denominator for x in finite]))
+        d_pd, d_pe, d_x, d_inv = t.denominators
+        for nid, (n_pd, n_pe, n_x, n_inv) in t.numerators.items():
+            x = xs[nid]
+            assert (Fraction(n_pd, d_pd), Fraction(n_pe, d_pe)) \
+                == (pd[nid], pe[nid])
+            assert (None if n_x is None else Fraction(n_x, d_x)) == x
+            assert (None if n_inv is None else Fraction(n_inv, d_inv)) == (
+                0 if x is None else None if x == 0 else 1 / x)
         assert t.supported == {nid for nid in t.nodes
                                if t.prob_dollar[nid] > 0
                                or t.prob_euro[nid] > 0}
@@ -429,6 +486,6 @@ def test_any_document_builds_or_raises_a_package_error(doc):
     verify_tree_invariants(tree)
     # invariants local to each node miss a node made twice; the masses and
     # the forward's price see it
-    assert sum(row.pd for row in tree.leaf_rows) == 1
-    assert sum(row.pe for row in tree.leaf_rows) == 1
+    assert sum(tree.prob_dollar[nid] for nid in tree.leaves) == 1
+    assert sum(tree.prob_euro[nid] for nid in tree.leaves) == 1
     assert price_on_tree(tree, tree_euro_forward(tree)).total_dollar == tree.x0

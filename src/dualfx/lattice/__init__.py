@@ -11,13 +11,14 @@ from .random_trees import (random_claim, random_complete_dual_tree,
                            random_terminal_values)
 from .tree import (Branch, DualTree, TreeNode, build_dual_tree, dump_tree,
                    first_hit_rule, load_tree, period_rule, tree_to_doc,
-                   two_period_example)
+                   two_period_example, verify_tree_invariants)
 
 __all__ = [
     "Branch", "DualTree", "TreeNode", "TreeClaim", "TreeDualPrice",
     "TreeStrategy", "ParityRow",
     "build_dual_tree", "load_tree", "dump_tree", "tree_to_doc",
-    "two_period_example", "period_rule", "first_hit_rule",
+    "two_period_example", "verify_tree_invariants",
+    "period_rule", "first_hit_rule",
     "verify_numeraire_identity", "bayes_check", "martingale_transfer_check",
     "price_on_tree", "superreplicate_backward",
     "parity_and_equivalence_report", "verify_strategy", "validate_claim",

@@ -179,7 +179,8 @@ def _solve_hull_lp(points: list[tuple[Fraction, Fraction]],
     the required euros at an exploded child.  By the one-period duality its
     cost is the upper concave envelope of the points at x (Foellmer & Schied,
     *Stochastic Finance*).  The upper hull is built by monotone chain with
-    exact cross products, and the optimal slopes [lo, hi] of the envelope at
+    integer cross products over the points' common denominators, only the
+    results are formed as Fractions, and the optimal slopes [lo, hi] at
     x are clamped from below by the largest floor s.  If s > hi, the slope is
     s and the line passes through the point maximizing r - s*y.
 

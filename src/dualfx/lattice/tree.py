@@ -53,9 +53,11 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class DualTree:
-    """A finished tree, as `build_dual_tree` returns it: every field is
-    recorded by the walk that builds it.  Fields cannot be reassigned; only
-    the per-rule cache of `stop_map` fills in after the build."""
+    """A finished tree, as `build_dual_tree` returns it: its nodes, the path
+    probabilities, their integer numerators, the leaves and the supported set
+    are all recorded by the walk that builds it.  Fields cannot be
+    reassigned; only the per-rule cache of `stop_map` fills in after the
+    build."""
 
     periods: int
     x0: Fraction
@@ -196,6 +198,8 @@ def build_dual_tree(doc: Mapping) -> DualTree:
                     f"finite node {nid!r} at period {t} < {periods} has no branches")
             branches = []
             children = []
+            q_hat_sum = Fraction(0)
+            q_sum = Fraction(0)
             for child_id, mass in declared:
                 child_id = str(child_id)
                 child_entry = by_id.get(child_id)
@@ -204,7 +208,7 @@ def build_dual_tree(doc: Mapping) -> DualTree:
                         f"branch references unknown node {child_id!r}")
                 cx = _as_x(child_entry["x"])
                 m = _rational(mass)
-                if m.numerator < 0:
+                if m < 0:
                     raise NormalizationError(f"negative branch mass {m}")
                 if cx.is_zero:
                     q, q_hat = m, Fraction(0)
@@ -213,17 +217,18 @@ def build_dual_tree(doc: Mapping) -> DualTree:
                 else:
                     # density relation: q * x_child = q_hat * x_node
                     q, q_hat = m * x.fraction / cx.fraction, m
+                q_sum += q
+                q_hat_sum += q_hat
                 branches.append(Branch(child_id, q, q_hat))
                 children.append((child_id, t + 1, nid, cx))
                 prob_dollar[child_id], prob_euro[child_id] = pd * q, pe * q_hat
-            # a derived dollar sum off 1 breaks the martingale constraint
-            for measure, ps in (("euro", [b.q_hat for b in branches]),
-                                ("derived dollar", [b.q for b in branches])):
-                ns, d = _over_lcm(ps)
-                if sum(ns) != d:
-                    raise NormalizationError(
-                        f"node {nid!r}: {measure}-measure masses sum to "
-                        f"{Fraction(sum(ns), d)}, not 1")
+            if q_hat_sum != 1:
+                raise NormalizationError(
+                    f"node {nid!r}: euro-measure masses sum to {q_hat_sum}, not 1")
+            if q_sum != 1:
+                raise NormalizationError(
+                    f"node {nid!r}: derived dollar-measure masses sum to {q_sum}, "
+                    "not 1 (martingale constraint violated)")
             nodes[nid] = TreeNode(nid, t, x, tuple(branches), parent)
             stack.extend(reversed(children))
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
@@ -250,6 +255,50 @@ def build_dual_tree(doc: Mapping) -> DualTree:
                           if pd or pe)
     return DualTree(periods, x0, root_id, nodes, prob_dollar, prob_euro,
                     numerators, dens, tuple(leaves), supported)
+
+
+def verify_tree_invariants(tree: DualTree) -> None:
+    """Assert every structural invariant of the measure pair, exactly, from
+    the nodes and the two mass maps alone: an oracle independent of the walk
+    that built the tree and of the numerators it recorded."""
+    seen: set[str] = set()
+    for node in tree.nodes.values():
+        if node.parent is not None and node.parent not in seen:
+            raise StructureError(f"node {node.id!r} is listed before its parent")
+        seen.add(node.id)
+        if node.is_terminal:
+            if node.time_index != tree.periods:
+                raise StructureError(
+                    f"terminal node {node.id!r} at period {node.time_index}")
+            # paths touching an absorbed state are null for the blind
+            # measure; the self-chains checked below carry that state here
+            if node.x.is_infinite and tree.prob_dollar[node.id] != 0:
+                raise StructureError(f"dollar measure sees explosion at {node.id!r}")
+            if node.x.is_zero and tree.prob_euro[node.id] != 0:
+                raise StructureError(f"euro measure sees devaluation at {node.id!r}")
+            continue
+        qs = sum((b.q for b in node.branches), Fraction(0))
+        q_hats = sum((b.q_hat for b in node.branches), Fraction(0))
+        if qs != 1 or q_hats != 1:
+            raise NormalizationError(
+                f"node {node.id!r}: branch masses sum to ({qs}, {q_hats})")
+        if not node.x.is_finite:
+            if len(node.branches) != 1:
+                raise StructureError(f"absorbing node {node.id!r} must self-chain")
+            child = tree.nodes[node.branches[0].child]
+            if child.x != node.x:
+                raise StructureError(f"absorbing node {node.id!r} changes state")
+            continue
+        x = node.x.fraction
+        for b in node.branches:
+            cx = tree.nodes[b.child].x
+            if cx.is_infinite and b.q != 0:
+                raise StructureError(f"explosion branch from {node.id!r} has q != 0")
+            if cx.is_zero and b.q_hat != 0:
+                raise StructureError(f"devaluation branch from {node.id!r} has q_hat != 0")
+            if cx.is_finite and b.q * cx.fraction != b.q_hat * x:
+                raise StructureError(
+                    f"density relation fails on branch {node.id!r} -> {b.child!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Measure-pair identity checks: worked examples plus shrinking property tests."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,38 @@ def test_bayes_names_the_tau_nodes_without_a_payoff():
     assert isinstance(info.value, DualFXError)
     assert str(info.value) == \
         "payoff not defined at tau nodes ['dn_up', 'up~2']"
+
+
+@pytest.mark.parametrize("value, shown", [
+    (Fraction(-1), "Fraction(-1, 1)"), (-2, "-2"), (0.5, "0.5"),
+    (True, "True"), ("1/2", "'1/2'")],
+    ids=["negative_fraction", "negative_int", "float", "bool", "string"])
+def test_bayes_and_transfer_refuse_values_that_are_not_rationals_ge_0(
+        value, shown):
+    t = two_period_example()
+    tau = period_rule(t, 2)
+    y = {nid: value if nid == "dn_dn" else Fraction(1) for nid in tau}
+    with pytest.raises(ClaimError, match=re.escape(
+            f"payoff {shown} at tau node 'dn_dn' is not an int or Fraction")):
+        bayes_check(t, y, period_rule(t, 1), tau)
+    n = {nid: value if nid == "dn" else Fraction(1) for nid in t.nodes}
+    with pytest.raises(ClaimError, match=re.escape(
+            f"process value {shown} at node 'dn' is not an int or Fraction")):
+        martingale_transfer_check(t, n, tau)
+
+
+def test_transfer_names_the_nodes_without_a_value():
+    t = two_period_example()
+    n = {nid: Fraction(1) for nid in t.nodes if nid not in ("dn", "dn_dn")}
+    with pytest.raises(ClaimError) as info:
+        martingale_transfer_check(t, n, period_rule(t, 2))
+    assert isinstance(info.value, DualFXError)
+    assert str(info.value) == \
+        "process value not defined at nodes ['dn', 'dn_dn']"
+    # nodes after the rule and absorbed nodes are never read
+    early = {nid: Fraction(1) for nid in ("r", "dn")}
+    assert martingale_transfer_check(t, early, period_rule(t, 1)) \
+        == (True, True)
 
 
 def test_bayes_residuals_in_tree_order():

@@ -592,6 +592,30 @@ def test_parity_residuals_on_random_trees():
             assert row.classical_violation == -row.explosion_mass
 
 
+@pytest.mark.parametrize("strike, message", [
+    (math.nan, "strike nan is not a number"),
+    (math.inf, "strike inf is not a number"),
+    (True, "strike True is not a number"),
+    (None, "strike None is not a number"),
+    (0, "strikes must be positive, not 0"),
+    (-0.5, "strikes must be positive, not -0.5"),
+    (Fraction(-1, 3), "strikes must be positive, not Fraction(-1, 3)"),
+], ids=["nan", "inf", "bool", "none", "zero", "negative_float",
+        "negative_fraction"])
+def test_parity_report_refuses_a_strike_that_is_not_positive(strike, message):
+    with pytest.raises(ClaimError, match=re.escape(message)):
+        parity_and_equivalence_report(two_period_example(), [strike])
+
+
+def test_parity_report_reads_a_float_strike_by_its_shortest_repr():
+    t = two_period_example()
+    row, = parity_and_equivalence_report(t, [0.1])
+    assert row.strike == Fraction(1, 10)
+    assert row == parity_and_equivalence_report(t, [Fraction(1, 10)])[0]
+    assert parity_and_equivalence_report(t, [2.0, "7/3"]) \
+        == parity_and_equivalence_report(t, [2, Fraction(7, 3)])
+
+
 def test_dollar_claims_consistency():
     t = two_period_example()
     for claim in (tree_claim(t, "dollar_call", 2),

@@ -15,52 +15,8 @@ from dualfx.lattice import (build_dual_tree, dump_tree, first_hit_rule,
                             load_tree, period_rule, price_on_tree, random_complete_dual_tree,
                             random_dual_tree, random_rule_pair, tree_to_doc,
                             tree_euro_forward, two_period_example,
-                            verify_numeraire_identity)
-from dualfx.lattice.tree import MAX_CHAIN_NODES, DualTree, stop_map
-
-
-def verify_tree_invariants(tree: DualTree) -> None:
-    """Assert every structural invariant of the measure pair, exactly, from
-    the nodes and the two mass maps alone: the tests' oracle, independent of
-    the walk that built the tree and of the numerators it recorded."""
-    seen: set[str] = set()
-    for node in tree.nodes.values():
-        if node.parent is not None and node.parent not in seen:
-            raise StructureError(f"node {node.id!r} is listed before its parent")
-        seen.add(node.id)
-        if node.is_terminal:
-            if node.time_index != tree.periods:
-                raise StructureError(
-                    f"terminal node {node.id!r} at period {node.time_index}")
-            # paths touching an absorbed state are null for the blind
-            # measure; the self-chains checked below carry that state here
-            if node.x.is_infinite and tree.prob_dollar[node.id] != 0:
-                raise StructureError(f"dollar measure sees explosion at {node.id!r}")
-            if node.x.is_zero and tree.prob_euro[node.id] != 0:
-                raise StructureError(f"euro measure sees devaluation at {node.id!r}")
-            continue
-        qs = sum((b.q for b in node.branches), Fraction(0))
-        q_hats = sum((b.q_hat for b in node.branches), Fraction(0))
-        if qs != 1 or q_hats != 1:
-            raise NormalizationError(
-                f"node {node.id!r}: branch masses sum to ({qs}, {q_hats})")
-        if not node.x.is_finite:
-            if len(node.branches) != 1:
-                raise StructureError(f"absorbing node {node.id!r} must self-chain")
-            child = tree.nodes[node.branches[0].child]
-            if child.x != node.x:
-                raise StructureError(f"absorbing node {node.id!r} changes state")
-            continue
-        x = node.x.fraction
-        for b in node.branches:
-            cx = tree.nodes[b.child].x
-            if cx.is_infinite and b.q != 0:
-                raise StructureError(f"explosion branch from {node.id!r} has q != 0")
-            if cx.is_zero and b.q_hat != 0:
-                raise StructureError(f"devaluation branch from {node.id!r} has q_hat != 0")
-            if cx.is_finite and b.q * cx.fraction != b.q_hat * x:
-                raise StructureError(
-                    f"density relation fails on branch {node.id!r} -> {b.child!r}")
+                            verify_numeraire_identity, verify_tree_invariants)
+from dualfx.lattice.tree import MAX_CHAIN_NODES, stop_map
 
 
 def test_two_period_example_measures():

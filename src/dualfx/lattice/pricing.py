@@ -366,8 +366,9 @@ def parity_and_equivalence_report(tree: DualTree,
                                   strikes) -> list[ParityRow]:
     """One row per strike, each read exactly by `tree._rational`; ClaimError
     refuses a strike that is not a positive rational (a bool, nan, inf)."""
-    mass = tree.x0 * sum((tree.prob_euro[nid] for nid in tree.leaves
-                          if tree.nodes[nid].x.is_infinite), Fraction(0))
+    mass = tree.x0 * Fraction(sum(tree.numerators[nid][1] for nid in tree.leaves
+                                  if tree.nodes[nid].x.is_infinite),
+                              tree.denominators[1])
     rows = []
     for strike in strikes:
         try:

@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from ..errors import MeasurabilityError, NormalizationError, StructureError
@@ -53,11 +54,12 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class DualTree:
-    """A finished tree, as `build_dual_tree` returns it: its nodes, the path
-    probabilities, their integer numerators, the leaves and the supported set
-    are all recorded by the walk that builds it.  Fields cannot be
-    reassigned; only the per-rule cache of `stop_map` fills in after the
-    build."""
+    """A finished tree, as `build_dual_tree` returns it: its nodes, their
+    integer numerators, the leaves and the supported set are all recorded by
+    the walk that builds it.  Fields cannot be reassigned; the exact path
+    probabilities `prob_dollar` and `prob_euro` are formed from the
+    numerators on first use, and the per-rule cache of `stop_map` fills in
+    after the build."""
 
     periods: int
     x0: Fraction
@@ -65,9 +67,6 @@ class DualTree:
     # parents first, in branch order: every pass over the tree runs over
     # nodes.values(), forward or reversed
     nodes: dict[str, TreeNode]
-    # exact path probabilities of the cylinder at each node, per measure
-    prob_dollar: dict[str, Fraction]
-    prob_euro: dict[str, Fraction]
     # per node (Q$ mass, Qe mass, x, 1/x) as numerators over `denominators`;
     # x is None where it is inf, 1/x None where x is 0
     numerators: dict[str, tuple[int, int, int | None, int | None]]
@@ -77,6 +76,18 @@ class DualTree:
     # stop_map's results, by rule; only valid rules are kept
     _stop_maps: dict[frozenset[str], dict[str, str | None]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def prob_dollar(self) -> dict[str, Fraction]:
+        """Exact Q$ path probability of the cylinder at each node."""
+        return {nid: Fraction(n[0], self.denominators[0])
+                for nid, n in self.numerators.items()}
+
+    @cached_property
+    def prob_euro(self) -> dict[str, Fraction]:
+        """Exact Qe path probability of the cylinder at each node."""
+        return {nid: Fraction(n[1], self.denominators[1])
+                for nid, n in self.numerators.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +156,8 @@ def build_dual_tree(doc: Mapping) -> DualTree:
         raise StructureError(f"root {root_id!r} not among nodes")
 
     nodes: dict[str, TreeNode] = {}
-    prob_dollar = {root_id: ONE}
-    prob_euro = {root_id: ONE}
+    # each node's Q$ and Qe masses as reduced (numerator, denominator) pairs
+    masses = {root_id: (1, 1, 1, 1)}
     leaves: list[str] = []
     chained = 0     # nodes the absorption chains have added so far
     try:
@@ -164,7 +175,6 @@ def build_dual_tree(doc: Mapping) -> DualTree:
                 raise StructureError(
                     f"node {nid!r} reached twice; specs must be trees")
             declared = by_id[nid].get("branches") or []
-            pd, pe = prob_dollar[nid], prob_euro[nid]
             if not x.is_finite:
                 if declared:
                     raise StructureError(f"node {nid!r} is absorbing ({x}); "
@@ -182,7 +192,7 @@ def build_dual_tree(doc: Mapping) -> DualTree:
                         raise StructureError(f"absorption id collision at {cid!r}")
                     nodes[prev] = TreeNode(prev, k - 1, x,
                                            (Branch(cid, ONE, ONE),), parent)
-                    prob_dollar[cid], prob_euro[cid] = pd, pe
+                    masses[cid] = masses[nid]
                     prev, parent = cid, prev
                 nodes[prev] = TreeNode(prev, periods, x, (), parent)
                 leaves.append(prev)
@@ -196,10 +206,9 @@ def build_dual_tree(doc: Mapping) -> DualTree:
             if not declared:
                 raise StructureError(
                     f"finite node {nid!r} at period {t} < {periods} has no branches")
+            pdn, pdd, pen, ped = masses[nid]
             branches = []
             children = []
-            q_hat_sum = Fraction(0)
-            q_sum = Fraction(0)
             for child_id, mass in declared:
                 child_id = str(child_id)
                 child_entry = by_id.get(child_id)
@@ -217,18 +226,20 @@ def build_dual_tree(doc: Mapping) -> DualTree:
                 else:
                     # density relation: q * x_child = q_hat * x_node
                     q, q_hat = m * x.fraction / cx.fraction, m
-                q_sum += q
-                q_hat_sum += q_hat
                 branches.append(Branch(child_id, q, q_hat))
                 children.append((child_id, t + 1, nid, cx))
-                prob_dollar[child_id], prob_euro[child_id] = pd * q, pe * q_hat
-            if q_hat_sum != 1:
-                raise NormalizationError(
-                    f"node {nid!r}: euro-measure masses sum to {q_hat_sum}, not 1")
-            if q_sum != 1:
-                raise NormalizationError(
-                    f"node {nid!r}: derived dollar-measure masses sum to {q_sum}, "
-                    "not 1 (martingale constraint violated)")
+                dn, dd = pdn * q.numerator, pdd * q.denominator
+                en, ed = pen * q_hat.numerator, ped * q_hat.denominator
+                g, h = math.gcd(dn, dd), math.gcd(en, ed)
+                masses[child_id] = (dn // g, dd // g, en // h, ed // h)
+            # a derived dollar sum off 1 breaks the martingale constraint
+            for measure, ps in (("euro", [b.q_hat for b in branches]),
+                                ("derived dollar", [b.q for b in branches])):
+                ns, d = _over_lcm(ps)
+                if sum(ns) != d:
+                    raise NormalizationError(
+                        f"node {nid!r}: {measure}-measure masses sum to "
+                        f"{Fraction(sum(ns), d)}, not 1")
             nodes[nid] = TreeNode(nid, t, x, tuple(branches), parent)
             stack.extend(reversed(children))
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
@@ -239,22 +250,22 @@ def build_dual_tree(doc: Mapping) -> DualTree:
 
     # the per-tree denominators, then every node's numerators over them
     finite = [n.x.value for n in nodes.values() if n.x.is_finite]
-    dens = (math.lcm(*[p.denominator for p in prob_dollar.values()]),
-            math.lcm(*[p.denominator for p in prob_euro.values()]),
+    dens = (math.lcm(*[m[1] for m in masses.values()]),
+            math.lcm(*[m[3] for m in masses.values()]),
             math.lcm(*[f.denominator for f in finite]),
             math.lcm(*[f.numerator for f in finite]))
     numerators = {}
     for nid, node in nodes.items():
-        pd, pe, f = prob_dollar[nid], prob_euro[nid], node.x.value
-        numerators[nid] = (pd.numerator * (dens[0] // pd.denominator),
-                           pe.numerator * (dens[1] // pe.denominator),
+        pdn, pdd, pen, ped = masses[nid]
+        f = node.x.value
+        numerators[nid] = (pdn * (dens[0] // pdd), pen * (dens[1] // ped),
                            *((None, 0) if f is None else (0, None) if not f
                              else (f.numerator * (dens[2] // f.denominator),
                                    f.denominator * (dens[3] // f.numerator))))
     supported = frozenset(nid for nid, (pd, pe, *_) in numerators.items()
                           if pd or pe)
-    return DualTree(periods, x0, root_id, nodes, prob_dollar, prob_euro,
-                    numerators, dens, tuple(leaves), supported)
+    return DualTree(periods, x0, root_id, nodes, numerators, dens,
+                    tuple(leaves), supported)
 
 
 def verify_tree_invariants(tree: DualTree) -> None:

@@ -109,7 +109,8 @@ def price_on_tree(tree: DualTree, claim: TreeClaim) -> TreeDualPrice:
     Fraction per part of the price; zero payoffs are skipped."""
     validate_claim(tree, claim)
     payoffs = claim.payoffs
-    d_v = math.lcm(*[v.denominator for v in map(payoffs.get, tree.leaves) if v])
+    d_v = math.lcm(*[v.denominator for v in map(payoffs.get, tree.leaves)
+                      if v])
     classical = devalued = euro_finite = exploded = 0
     for nid in tree.leaves:
         v = payoffs[nid]
@@ -366,9 +367,9 @@ def parity_and_equivalence_report(tree: DualTree,
                                   strikes) -> list[ParityRow]:
     """One row per strike, each read exactly by `tree._rational`; ClaimError
     refuses a strike that is not a positive rational (a bool, nan, inf)."""
-    mass = tree.x0 * Fraction(sum(tree.numerators[nid][1] for nid in tree.leaves
-                                  if tree.nodes[nid].x.is_infinite),
-                              tree.denominators[1])
+    exploded = sum(tree.numerators[nid][1] for nid in tree.leaves
+                   if tree.nodes[nid].x.is_infinite)
+    mass = tree.x0 * Fraction(exploded, tree.denominators[1])
     rows = []
     for strike in strikes:
         try:

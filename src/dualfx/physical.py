@@ -112,7 +112,8 @@ def consistency_checks(pl: PhysicalLattice,
     d_pd, d_pe, d_x, d_inv = tree.denominators
     x0n, x0d = tree.x0.numerator, tree.x0.denominator
     defect_dollar = Fraction(x0n * d_pd * d_x - x0d * e_x, x0d * d_pd * d_x)
-    defect_euro = Fraction(x0d * d_pe * d_inv - x0n * e_inv, x0n * d_pe * d_inv)
+    defect_euro = Fraction(x0d * d_pe * d_inv - x0n * e_inv,
+                           x0n * d_pe * d_inv)
     interpretation = ((explosion > 0) == (defect_dollar.numerator > 0)
                       and (devaluation > 0) == (defect_euro.numerator > 0))
 

@@ -1,4 +1,4 @@
-"""Every exact lattice result, pinned by digest, and exact on big denominators."""
+"""Every exact lattice result pinned by digest; big denominators stay exact."""
 
 import hashlib
 from fractions import Fraction
@@ -35,8 +35,9 @@ def _exact_results(tree, seed):
     the leaf rows are (id, state, Q$ mass, Qe mass, Qe mass / x or None)."""
     pd, pe = tree.prob_dollar, tree.prob_euro
     out = [tree_to_doc(tree),
-           [(nid, str(x), pd[nid], pe[nid], pe[nid] / x.value if x.is_finite
-             else None) for nid, x in ((i, tree.nodes[i].x) for i in tree.leaves)],
+           [(nid, str(x), pd[nid], pe[nid],
+             pe[nid] / x.value if x.is_finite else None)
+            for nid, x in ((i, tree.nodes[i].x) for i in tree.leaves)],
            [(nid, pd[nid], pe[nid]) for nid in tree.nodes]]
     claims = [random_claim(tree, seed)]
     for kind in CLAIM_KINDS:
@@ -169,7 +170,8 @@ def _identity_oracle(tree, event):
 
 
 def _bayes_oracle(tree, y, v, under):
-    """E_Qe[Y 1{X>0} / X | v] 1{X_v>0} - E_Q$[Y 1{X>0} | v] 1{1/X_v>0} / X_v."""
+    """E_Qe[Y 1{X>0} / X | v] 1{X_v>0}
+    - E_Q$[Y 1{X>0} | v] 1{1/X_v>0} / X_v."""
     pd, pe, xv = tree.prob_dollar, tree.prob_euro, tree.nodes[v].x
     fin = [w for w in under if tree.nodes[w].x.is_finite]
     euro = (Fraction(0) if xv.is_zero else sum(

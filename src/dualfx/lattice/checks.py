@@ -115,18 +115,20 @@ def martingale_transfer_check(tree: DualTree, process: Mapping[str, Fraction],
                               rule: Iterable[str]) -> tuple[bool, bool]:
     """Martingale property of N 1{X > 0} under Q$ and (N 1{1/X > 0})/X under Qe.
 
-    `process` assigns a nonnegative rational N to every finite node up to
-    `rule`, where both processes stop (else ClaimError names the node).
-    Returns the pair of booleans; the two are always equal on a valid tree
+    `process` assigns a nonnegative rational N to every finite node before
+    `rule`, where both processes stop, and to their finite children (else
+    ClaimError names the node).  Returns the pair of booleans; the two are always equal on a valid tree
     (the transfer principle the lattice certifies).  Each one-step identity
     is compared times the node's mass, over its finite children b:
     sum pd_b N_b = pd N, and sum pe_b N_b / x_b = pe N / x.
     """
     at = stop_map(tree, rule)
     num = tree.numerators
+    # the nodes read: the finite ones whose parent, or which as the root,
+    # comes before the rule
     n, _ = _numerators(process, [
-        nid for nid, node in tree.nodes.items()
-        if num[nid][2] and (node.parent is None or at[node.parent] is None)],
+        nid for nid, node in tree.nodes.items() if num[nid][2]
+        and at[nid if node.parent is None else node.parent] is None],
         "process value", "node")
     is_q = is_q_hat = True
     for node in tree.nodes.values():

@@ -95,6 +95,7 @@ def test_transfer_names_the_nodes_without_a_value():
     early = {nid: Fraction(1) for nid in ("r", "dn")}
     assert martingale_transfer_check(t, early, period_rule(t, 1)) \
         == (True, True)
+    assert martingale_transfer_check(t, {}, period_rule(t, 0)) == (True, True)
 
 
 def test_bayes_residuals_in_tree_order():

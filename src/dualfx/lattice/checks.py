@@ -14,20 +14,26 @@ from ..errors import ClaimError, MeasurabilityError
 from .tree import DualTree, _over_lcm, stop_map
 
 
+def _check_value(v, what: str, where: str, nid: str) -> None:
+    """ClaimError, naming nid, unless v is a non-bool int or Fraction >= 0."""
+    if (isinstance(v, bool) or not isinstance(v, (int, Fraction))
+            or v.numerator < 0):
+        raise ClaimError(f"{what} {v!r} at {where} {nid!r} is not an int "
+                         "or Fraction >= 0")
+
+
 def _numerators(values: Mapping, ids: list[str], what: str, where: str
                 ) -> tuple[dict[str, int], int]:
     """The values at `ids` over their least common denominator, checked by the
     pass that collects them: ClaimError names every id without a value, or
-    the first whose value is not an int or Fraction >= 0."""
+    the first that fails `_check_value`."""
     missing, vs = [], []
     for nid in ids:
         v = values.get(nid)
         if v is None:
             missing.append(nid)
-        elif (isinstance(v, bool) or not isinstance(v, (int, Fraction))
-              or v.numerator < 0):
-            raise ClaimError(f"{what} {v!r} at {where} {nid!r} is not an int "
-                             "or Fraction >= 0")
+        else:
+            _check_value(v, what, where, nid)
         vs.append(v)
     if missing:
         raise ClaimError(f"{what} not defined at {where}s {sorted(missing)}")

@@ -12,11 +12,15 @@ at every node a two-asset portfolio (money market, euros) is chosen so that
 next-period wealth dominates the required wealth under both measures.  The
 two-variable linear program is solved exactly on the upper concave hull of
 the children's (state, required dollars) points, with the exploded children's
-required euros as floors on the euro holding.  On trees whose
-nodes carry at most two supported branches (the complete-market case the
-pricing theorem assumes) the program is tight and the two routes agree
-exactly; with three or more supported branches the hedging cost is strictly
-larger, which `test_lattice_pricing` pins down with a counterexample.
+required euros as floors on the euro holding.  On trees whose nodes carry at
+most two supported branches (the complete-market case the pricing theorem
+assumes) the program is tight and the two routes agree exactly; with three
+or more supported branches the hedging cost is strictly larger, which
+`test_lattice_pricing` pins down with a counterexample.
+
+Both routes work in the tree's integer numerators and form one Fraction per
+value returned: `price_on_tree` and the parity report share one core,
+`_formula_sums`; the hedge's states and each wealth e0 + e1*x use them too.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from ..errors import (ClaimError, InfeasibleError, InfinitePrice,
-                      StructureError)
+from ..errors import ClaimError, InfeasibleError, InfinitePrice
 from ..pricing import payoff_row
+from .checks import _check_value
 from .tree import DualTree, _over_lcm, _rational
 
 
@@ -49,8 +53,8 @@ class TreeClaim:
 
 
 def validate_claim(tree: DualTree, claim: TreeClaim) -> None:
-    """Raise ClaimError unless the claim has a payoff at every leaf, each an
-    int or Fraction >= 0 or None (infinite).
+    """Raise ClaimError unless the claim has a payoff at every leaf, each
+    None (infinite) or a non-bool int or Fraction >= 0 (`_check_value`).
 
     The pricers call this once per pricing call, where a claim meets a tree.
     """
@@ -58,21 +62,15 @@ def validate_claim(tree: DualTree, claim: TreeClaim) -> None:
     for nid in tree.leaves:
         if nid not in payoffs:
             raise ClaimError(f"claim not defined at leaf {nid!r}")
-        v = payoffs[nid]
-        if v is None:
-            continue
-        if not isinstance(v, (int, Fraction)):
-            raise ClaimError(f"payoff {v!r} at leaf {nid!r} is not an "
-                             "int, a Fraction or None (infinite)")
-        if v.numerator < 0:     # the sign, without a Fraction comparison
-            raise ClaimError(f"negative payoff {v} at leaf {nid!r}")
+        if payoffs[nid] is not None:
+            _check_value(payoffs[nid], "payoff", "leaf", nid)
 
 
 def tree_claim(tree: DualTree, kind: str, strike=None) -> TreeClaim:
-    """The `TreeClaim` of a claim kind from the `pricing.PAYOFFS` table: the
-    exact dollar leg at a finite or zero rate, the euro value at an
-    explosion."""
-    row, k = payoff_row(kind, strike, Fraction)
+    """The `TreeClaim` of a claim kind from the `pricing.PAYOFFS` table, at a
+    strike read by `tree._rational`: the exact dollar leg at a finite or zero
+    rate, the euro value at an explosion."""
+    row, k = payoff_row(kind, strike, _rational)
     dollar, euro = row.dollar, row.euro_at_explosion(k)
     if euro == math.inf:
         euro = None
@@ -103,10 +101,10 @@ class TreeDualPrice:
     euro_correction: Fraction
 
 
-def price_on_tree(tree: DualTree, claim: TreeClaim) -> TreeDualPrice:
-    """The exact two-measure price of a claim, summed over the leaves: the
-    payoffs over their common denominator Dv times the leaf numerators, one
-    Fraction per part of the price; zero payoffs are skipped."""
+def _formula_sums(tree: DualTree, claim: TreeClaim) -> tuple:
+    """`price_on_tree`'s checked integer core: the payoffs over their common
+    denominator Dv times the leaf numerators, zero payoffs skipped.  Returns
+    the six parts of `TreeDualPrice` as (numerator, denominator) pairs."""
     validate_claim(tree, claim)
     payoffs = claim.payoffs
     d_v = math.lcm(*[v.denominator for v in map(payoffs.get, tree.leaves)
@@ -118,12 +116,9 @@ def price_on_tree(tree: DualTree, claim: TreeClaim) -> TreeDualPrice:
         if v is None:
             # pd > 0 only at finite and zero rates, pe > 0 only at finite
             # and infinite ones: the dollar error wins where both see v
-            if pd:
-                raise InfinitePrice(
-                    f"dollar payoff infinite on supported leaf {nid!r}")
-            if pe:
-                raise InfinitePrice(
-                    f"euro payoff infinite on supported leaf {nid!r}")
+            if pd or pe:
+                raise InfinitePrice(f"{'dollar' if pd else 'euro'} payoff "
+                                    f"infinite on supported leaf {nid!r}")
             continue
         if not v:
             continue
@@ -138,19 +133,22 @@ def price_on_tree(tree: DualTree, claim: TreeClaim) -> TreeDualPrice:
             devalued += pd * v
     d_pd, d_pe, _, d_inv = tree.denominators
     x0n, x0d = tree.x0.numerator, tree.x0.denominator
-    # the total over D$ De Dv x0d, the euro parts over De Dv D1/x, D$ Dv x0n
     total = classical * x0d * d_pe + exploded * x0n * d_pd
     euro_classical = euro_finite + exploded * d_inv
     assert total * d_inv == (euro_classical * d_pd * x0n
                              + devalued * x0d * d_pe * d_inv), \
         "euro-side decomposition disagrees; tree invariants must be broken"
-    return TreeDualPrice(
-        Fraction(classical, d_pd * d_v),
-        Fraction(exploded * x0n, d_pe * d_v * x0d),
-        Fraction(total, d_pd * d_pe * d_v * x0d),
-        Fraction(total, d_pd * d_pe * d_v * x0n),
-        Fraction(euro_classical, d_pe * d_v * d_inv),
-        Fraction(devalued * x0d, d_pd * d_v * x0n))
+    return ((classical, d_pd * d_v), (exploded * x0n, d_pe * d_v * x0d),
+            (total, d_pd * d_pe * d_v * x0d), (total, d_pd * d_pe * d_v * x0n),
+            (euro_classical, d_pe * d_v * d_inv),
+            (devalued * x0d, d_pd * d_v * x0n))
+
+
+def price_on_tree(tree: DualTree, claim: TreeClaim) -> TreeDualPrice:
+    """The exact two-measure price of a claim, summed over the leaves in
+    integers by `_formula_sums`, one Fraction per part of the price."""
+    return TreeDualPrice(*(Fraction(*part)
+                           for part in _formula_sums(tree, claim)))
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +167,12 @@ class TreeStrategy:
     wealth: dict[str, Fraction] = field(default_factory=dict)
 
 
-def _solve_hull_lp(points: list[tuple[Fraction, Fraction]],
-                   floors: list[Fraction],
-                   x: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+def _solve_hull_lp(points: list[tuple[int, Fraction]],
+                   floors: list[Fraction], x: int,
+                   d_x: int) -> tuple[Fraction, Fraction, Fraction]:
     """The cheapest line y -> e0 + e1*y on or above every point (y, r) whose
-    slope e1 is at least every floor; returns (e0, e1, e0 + e1*x).
+    slope e1 is at least every floor; returns (e0, e1, e0 + e1*x), where
+    the states x and y are integer numerators over d_x, as in a tree.
 
     This is the one-period superhedging program at a node with state x: a
     point is a finite or devalued child (state, required dollars), a floor
@@ -200,11 +199,10 @@ def _solve_hull_lp(points: list[tuple[Fraction, Fraction]],
     x * (1 - explosion mass) <= x, so a point lies at or below x, and with no
     explosion mass the mean is x, so a point lies at or above x.
     """
-    ys, d_y = _over_lcm([x, *(y for y, _ in points)])
     rs, d_r = _over_lcm([*(r for _, r in points), *floors])
-    # states over d_y, requirements over d_r d_y and floors over d_r: a
+    # states over d_x, requirements over d_r d_x and floors over d_r: a
     # slope t read in these units is the slope t / d_r
-    X, pts = ys[0], [(y, r * d_y) for y, r in zip(ys[1:], rs)]
+    X, pts = x, [(y, r * d_x) for (y, _), r in zip(points, rs)]
     fl = rs[len(points):]
     top: dict[int, int] = {}
     for y, r in pts:
@@ -225,9 +223,10 @@ def _solve_hull_lp(points: list[tuple[Fraction, Fraction]],
     k = next((i for i, (y, _) in enumerate(hull) if y >= X), None)
     if not hull or hull[0][0] > X or (k is None and s is None):
         raise InfeasibleError(
-            f"unbounded hedging program at x = {x}: no supported branch at "
-            "or below x, or none at or above x and none exploded")
-    den = d_r * d_y
+            f"unbounded hedging program at x = {Fraction(x, d_x)}: no "
+            "supported branch at or below x, or none at or above x and none "
+            "exploded")
+    den = d_r * d_x
     if k is not None and hull[k][0] > X:
         # x inside a hull segment: its slope is the only optimal one
         (yj, rj), (yk, rk) = hull[k - 1], hull[k]
@@ -275,7 +274,7 @@ def superreplicate_backward(tree: DualTree, claim: TreeClaim
     validate_claim(tree, claim)
     required: dict[str, Fraction] = {}
     holdings: dict[str, tuple[Fraction, Fraction]] = {}
-
+    num, d_x = tree.numerators, tree.denominators[2]
     for node in reversed(tree.nodes.values()):
         if node.id not in tree.supported:
             continue
@@ -283,49 +282,46 @@ def superreplicate_backward(tree: DualTree, claim: TreeClaim
             v = claim.payoffs[node.id]
             if v is None:
                 raise InfinitePrice(f"infinite payoff at {node.id!r}")
-            required[node.id] = Fraction(v)
+            required[node.id] = v
             continue
-        if not node.x.is_finite:
+        x = num[node.id][2]
+        if not x:       # absorbed: the child's requirement, in its unit
             required[node.id] = required[node.branches[0].child]
             continue
-        points = []
-        floors = []
+        points, floors = [], []
         for b in node.branches:
             if b.child not in tree.supported:
                 continue
-            cx = tree.nodes[b.child].x
-            if cx.is_infinite:
+            cx = num[b.child][2]
+            if cx is None:
                 floors.append(required[b.child])
             else:
-                points.append((cx.fraction, required[b.child]))
-        e0, e1, cost = _solve_hull_lp(points, floors, node.x.fraction)
+                points.append((cx, required[b.child]))
+        e0, e1, cost = _solve_hull_lp(points, floors, x, d_x)
         holdings[node.id] = (e0, e1)
         required[node.id] = cost
 
+    # wealth e0 + e1*x at each supported node from the holdings in force at
+    # its parent, one Fraction each: e1 euros where x = inf, e0 where x = 0
     price = required[tree.root]
-    strategy = TreeStrategy(price, holdings)
-    _fill_wealth(tree, strategy)
-    return price, strategy
-
-
-def _fill_wealth(tree: DualTree, strategy: TreeStrategy) -> None:
-    """Wealth e0 + e1*x at each supported node from the holdings in force at
-    its parent: e1 euros at an explosion, e0 dollars at a devaluation."""
-    if strategy.price < 0:
+    if price.numerator < 0:
         raise InfeasibleError("negative superreplication price for a claim >= 0")
-    strategy.wealth[tree.root] = strategy.price
-    # holdings in force at each reached node: its own, else its parent's
-    held = {tree.root: strategy.holdings.get(tree.root)}
+    wealth, held = {tree.root: price}, {tree.root: holdings[tree.root]}
     for node in tree.nodes.values():
         if node.parent not in held or node.id not in tree.supported:
             continue
         e0, e1 = held[node.parent]
-        w = e1 if node.x.is_infinite else e0 + e1 * node.x.fraction
+        x = num[node.id][2]
+        w = e1 if x is None else Fraction(
+            e0.numerator * e1.denominator * d_x
+            + e1.numerator * x * e0.denominator,
+            e0.denominator * e1.denominator * d_x)
         if w.numerator < 0:
             raise InfeasibleError(
                 f"negative wealth at supported node {node.id!r}")
-        strategy.wealth[node.id] = w
-        held[node.id] = strategy.holdings.get(node.id, (e0, e1))
+        wealth[node.id] = w
+        held[node.id] = holdings.get(node.id, (e0, e1))
+    return price, TreeStrategy(price, holdings, wealth)
 
 
 def verify_strategy(tree: DualTree, claim: TreeClaim, strategy: TreeStrategy,
@@ -363,35 +359,43 @@ class ParityRow:
     explosion_mass: Fraction           # x0 * Qe(X_T = inf); violation == -this
 
 
+def _one_fraction(plus, minus) -> Fraction:
+    """The integer pairs (n, d) of `plus`, as n/d each, minus those of
+    `minus`: one Fraction over the least common d."""
+    d = math.lcm(*[e for _, e in (*plus, *minus)])
+    return Fraction(sum(n * (d // e) for n, e in plus)
+                    - sum(n * (d // e) for n, e in minus), d)
+
+
 def parity_and_equivalence_report(tree: DualTree,
                                   strikes) -> list[ParityRow]:
     """One row per strike, each read exactly by `tree._rational`; ClaimError
-    refuses a strike that is not a positive rational (a bool, nan, inf)."""
+    refuses a strike that is not a positive rational (a bool, nan, inf).
+    The four claims of a strike are summed by `_formula_sums`, and each
+    field is one Fraction of their integer parts."""
     exploded = sum(tree.numerators[nid][1] for nid in tree.leaves
                    if tree.nodes[nid].x.is_infinite)
     mass = tree.x0 * Fraction(exploded, tree.denominators[1])
+    x0 = (tree.x0.numerator, tree.x0.denominator)
     rows = []
     for strike in strikes:
         try:
             k = _rational(strike)
-        except (StructureError, TypeError, ValueError, ArithmeticError) as exc:
+        except (TypeError, ValueError, ArithmeticError) as exc:
             raise ClaimError(f"strike {strike!r} is not a number") from exc
         if k <= 0:
             raise ClaimError(f"strikes must be positive, not {strike!r}")
-        call = price_on_tree(tree, tree_claim(tree, "call", k))
-        put = price_on_tree(tree, tree_claim(tree, "put", k))
-        d_call = price_on_tree(tree, tree_claim(tree, "dollar_call", 1 / k))
-        d_put = price_on_tree(tree, tree_claim(tree, "dollar_put", 1 / k))
-        pe_put = d_put.euro_classical + d_put.euro_correction
-        pe_call = d_call.euro_classical + d_call.euro_correction
+        kn, kd, inv = k.numerator, k.denominator, 1 / k
+        (cc, _, c, *_), (pc, _, p, *_), (_, _, dc, *_), (_, _, dp, *_) = (
+            _formula_sums(tree, tree_claim(tree, kind, s)) for kind, s in
+            (("call", k), ("put", k), ("dollar_call", inv),
+             ("dollar_put", inv)))
+        # x0 K pe(D) = K p$(D): the euro-side assertion of `_formula_sums`
         rows.append(ParityRow(
-            strike=k,
-            call_price=call.total_dollar,
-            put_price=put.total_dollar,
-            parity_residual=call.total_dollar + k - put.total_dollar - tree.x0,
-            intl_call_residual=call.total_dollar - tree.x0 * k * pe_put,
-            intl_put_residual=put.total_dollar - tree.x0 * k * pe_call,
-            classical_violation=call.classical + k - put.classical - tree.x0,
-            explosion_mass=mass,
-        ))
+            strike=k, call_price=Fraction(*c), put_price=Fraction(*p),
+            parity_residual=_one_fraction([c, (kn, kd)], [p, x0]),
+            intl_call_residual=_one_fraction([c], [(kn * dp[0], kd * dp[1])]),
+            intl_put_residual=_one_fraction([p], [(kn * dc[0], kd * dc[1])]),
+            classical_violation=_one_fraction([cc, (kn, kd)], [pc, x0]),
+            explosion_mass=mass))
     return rows

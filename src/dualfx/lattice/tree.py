@@ -102,11 +102,11 @@ def _over_lcm(values) -> tuple[list[int], int]:
 
 
 def _rational(v) -> Fraction:
-    """A document number, exactly: a float by its shortest repr (0.1 is
-    1/10, not its binary value), else by Fraction; a bool is refused."""
+    """A document number, exactly: a float by its shortest str (0.1 is 1/10,
+    not its binary value), else by Fraction; a bool raises TypeError."""
     if isinstance(v, bool):
-        raise StructureError(f"a bool is not a number: {v!r}")
-    return Fraction(repr(v) if isinstance(v, float) else v)
+        raise TypeError(f"a bool is not a number: {v!r}")
+    return Fraction(str(v) if isinstance(v, float) else v)
 
 
 def _as_x(x) -> ExtendedValue:

@@ -19,8 +19,9 @@ default, so check (c) runs the program as it is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ConditioningError
 from .lattice.pricing import (TreeClaim, price_on_tree, superreplicate_backward,
@@ -28,12 +29,23 @@ from .lattice.pricing import (TreeClaim, price_on_tree, superreplicate_backward,
 from .lattice.tree import DualTree
 
 
+def _normalized(masses: dict) -> dict[str, Fraction]:
+    """Integer masses over their sum, one Fraction each."""
+    total = sum(masses.values())
+    return {nid: Fraction(m, total) for nid, m in masses.items()}
+
+
 @dataclass
 class PhysicalLattice:
+    """P on a tree's leaves, kept as `build_physical`'s integer leaf masses;
+    each Fraction map is formed on first read, as `DualTree.prob_dollar` is."""
+
     tree: DualTree
-    p: dict[str, Fraction]          # leaf-level physical measure
-    p_dollar: dict[str, Fraction]   # P( . | no explosion)
-    p_euro: dict[str, Fraction]     # P( . | no devaluation)
+    _masses: tuple[dict, dict, dict] = field(repr=False)
+    # leaf-level P, P( . | no explosion) and P( . | no devaluation)
+    p = cached_property(lambda self: _normalized(self._masses[0]))
+    p_dollar = cached_property(lambda self: _normalized(self._masses[1]))
+    p_euro = cached_property(lambda self: _normalized(self._masses[2]))
 
 
 def cylinder_masses(tree: DualTree, leaf_mass: dict) -> dict:
@@ -46,9 +58,10 @@ def cylinder_masses(tree: DualTree, leaf_mass: dict) -> dict:
     return mass
 
 
-def _leaf_masses(tree: DualTree) -> tuple[dict, dict, dict, int]:
-    """P = (Q$ + Qe)/2 per leaf as a numerator over 2 D$ De, P restricted to
-    no explosion and to no devaluation, and that denominator."""
+def build_physical(tree: DualTree) -> PhysicalLattice:
+    """P = (Q$ + Qe)/2 on paths, as numerators over 2 D$ De per leaf, and
+    its restrictions to no explosion and to no devaluation, on which it is
+    conditioned exactly; ConditioningError if either has probability zero."""
     d_pd, d_pe = tree.denominators[:2]
     p, dollar, euro = {}, {}, {}
     for nid in tree.leaves:
@@ -56,21 +69,11 @@ def _leaf_masses(tree: DualTree) -> tuple[dict, dict, dict, int]:
         p[nid] = m = pd * d_pe + pe * d_pd
         dollar[nid] = 0 if x is None else m
         euro[nid] = 0 if x == 0 else m
-    return p, dollar, euro, 2 * d_pd * d_pe
-
-
-def build_physical(tree: DualTree) -> PhysicalLattice:
-    """P = (Q$ + Qe)/2 on paths, conditioned exactly on the no-inflation events."""
-    p, dollar, euro, total = _leaf_masses(tree)
-    no_explosion, no_devaluation = sum(dollar.values()), sum(euro.values())
-    if not no_explosion:
+    if not any(dollar.values()):
         raise ConditioningError("no-explosion event has probability zero")
-    if not no_devaluation:
+    if not any(euro.values()):
         raise ConditioningError("no-devaluation event has probability zero")
-    return PhysicalLattice(
-        tree, {nid: Fraction(m, total) for nid, m in p.items()},
-        {nid: Fraction(m, no_explosion) for nid, m in dollar.items()},
-        {nid: Fraction(m, no_devaluation) for nid, m in euro.items()})
+    return PhysicalLattice(tree, (p, dollar, euro))
 
 
 @dataclass(frozen=True)
@@ -93,9 +96,10 @@ def consistency_checks(pl: PhysicalLattice,
     complete trees both agree by the pricing theorem.
     """
     tree = pl.tree
-    p, dollar, euro, total = _leaf_masses(tree)
-    explosion = sum(p.values()) - sum(dollar.values())
-    devaluation = sum(p.values()) - sum(euro.values())
+    p, dollar, euro = pl._masses
+    total = sum(p.values())     # 2 D$ De
+    explosion = total - sum(dollar.values())
+    devaluation = total - sum(euro.values())
     # the supports need only signs: the restrictions' numerators suffice
     dollar_mass, euro_mass = (cylinder_masses(tree, dollar),
                               cylinder_masses(tree, euro))
@@ -117,16 +121,12 @@ def consistency_checks(pl: PhysicalLattice,
     interpretation = ((explosion > 0) == (defect_dollar.numerator > 0)
                       and (devaluation > 0) == (defect_euro.numerator > 0))
 
-    if claims is None:
-        claims = [tree_euro_forward(tree)]
-
     replication_ok = True
-    for claim in claims:
+    for claim in [tree_euro_forward(tree)] if claims is None else claims:
         formula = price_on_tree(tree, claim).total_dollar
         cost, strategy = superreplicate_backward(tree, claim)
         verify_strategy(tree, claim, strategy)
-        if cost != formula:
-            replication_ok = False
+        replication_ok &= cost == formula
 
     return PhysicalReport(Fraction(explosion, total),
                           Fraction(devaluation, total),

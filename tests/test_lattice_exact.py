@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from dualfx import InfinitePrice
-from dualfx.lattice import (bayes_check, build_dual_tree, first_hit_rule,
+from dualfx.lattice import (ParityRow, bayes_check, build_dual_tree,
+                            first_hit_rule,
                             martingale_transfer_check,
                             parity_and_equivalence_report, period_rule,
                             price_on_tree, random_claim,
@@ -17,6 +18,7 @@ from dualfx.lattice import (bayes_check, build_dual_tree, first_hit_rule,
 from dualfx.lattice.tree import stop_map
 from dualfx.physical import build_physical, consistency_checks
 from dualfx.pricing import CLAIM_KINDS, PAYOFFS
+from tests.test_lattice_pricing import _wealth_oracle
 
 STRIKES = (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(7, 3))
 
@@ -139,6 +141,21 @@ def _price_oracle(tree, claim):
             euro_correction)
 
 
+def _parity_oracle(tree, k):
+    """One parity row from `_price_oracle` of the four claims of strike k."""
+    x0 = tree.x0
+    call, put, d_call, d_put = (
+        _price_oracle(tree, tree_claim(tree, kind, s)) for kind, s in
+        (("call", k), ("put", k), ("dollar_call", 1 / k),
+         ("dollar_put", 1 / k)))
+    mass = x0 * sum((tree.prob_euro[nid] for nid in tree.leaves
+                     if tree.nodes[nid].x.is_infinite), Fraction(0))
+    return ParityRow(k, call[2], put[2], call[2] + k - put[2] - x0,
+                     call[2] - x0 * k * (d_put[4] + d_put[5]),
+                     put[2] - x0 * k * (d_call[4] + d_call[5]),
+                     call[0] + k - put[0] - x0, mass)
+
+
 def _replication_oracle(tree, claim):
     """Backward replication on a complete tree: at each finite node the
     line through its two supported children (a finite or devalued child is
@@ -215,6 +232,14 @@ def test_big_denominators_match_a_fraction_oracle():
         cost, strategy = superreplicate_backward(tree, claim)
         assert cost == _replication_oracle(tree, claim) == p.total_dollar
         verify_strategy(tree, claim, strategy, require_equality=True)
+        assert strategy.wealth == _wealth_oracle(tree, strategy)
+    strikes = [Fraction(1), Fraction(P4, P1), tree.nodes["uf"].x.fraction]
+    rows = parity_and_equivalence_report(tree, strikes)
+    assert rows == [_parity_oracle(tree, k) for k in strikes]
+    assert all(r.parity_residual == r.intl_call_residual
+               == r.intl_put_residual == 0
+               and r.classical_violation == -r.explosion_mass != 0
+               for r in rows)
     for t in range(tree.periods + 1):
         rule = period_rule(tree, t)
         for event in [rule, *([nid] for nid in rule)]:

@@ -8,8 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dualfx import ClaimError, InfeasibleError, InfinitePrice
-from dualfx.lattice import (build_dual_tree, parity_and_equivalence_report,
+from dualfx import ClaimError, ConfigError, InfeasibleError, InfinitePrice
+from dualfx.lattice import (ParityRow, build_dual_tree,
+                            parity_and_equivalence_report,
                             price_on_tree,
                             random_claim, random_complete_dual_tree,
                             random_dual_tree, superreplicate_backward,
@@ -86,13 +87,15 @@ def test_claim_consistency_validated():
         price_on_tree(t, TreeClaim(partial, "broken"))
 
 
-@pytest.mark.parametrize("payoff, message", [
-    (Fraction(-1, 2), "negative payoff -1/2 at leaf 'dn_dn'"),
-    (-1, "negative payoff -1 at leaf 'dn_dn'"),
-    (0.5, "payoff 0.5 at leaf 'dn_dn' is not an int, a Fraction or None"),
-    ("1/2", "payoff '1/2' at leaf 'dn_dn' is not an int, a Fraction or"),
-], ids=["negative_fraction", "negative_int", "float", "string"])
-def test_payoffs_must_be_nonnegative_rationals_or_none(payoff, message):
+@pytest.mark.parametrize("payoff, shown", [
+    (Fraction(-1, 2), "Fraction(-1, 2)"), (-1, "-1"), (0.5, "0.5"),
+    ("1/2", "'1/2'"), (True, "True"), (False, "False"),
+], ids=["negative_fraction", "negative_int", "float", "string", "bool",
+        "bool_false"])
+def test_payoffs_must_be_nonnegative_rationals_or_none(payoff, shown):
+    """The check `bayes_check` and `martingale_transfer_check` make: a bool
+    is not the payoff 1 (or 0), though `isinstance(True, int)` holds."""
+    message = f"payoff {shown} at leaf 'dn_dn' is not an int or Fraction >= 0"
     t = two_period_example()
     claim = TreeClaim({nid: payoff if nid == "dn_dn" else Fraction(1)
                        for nid in t.leaves}, "bad")
@@ -247,6 +250,14 @@ def _corner_lp_reference(points, floors, x):
     return best
 
 
+def _solve(points, floors, x):
+    """`_solve_hull_lp` on a program with Fraction states, put over their
+    common denominator as the tree's numerators are."""
+    ys, d = _over_lcm([x, *(y for y, _ in points)])
+    return _solve_hull_lp([(y, r) for y, (_, r) in zip(ys[1:], points)],
+                          floors, ys[0], d)
+
+
 def _bounded(points, floors, x):
     return (any(y <= x for y, _ in points)
             and (any(y >= x for y, _ in points) or bool(floors)))
@@ -278,10 +289,10 @@ def test_hull_solver_matches_enumeration_on_random_programs():
         points, floors, x = _random_program(rng)
         if not _bounded(points, floors, x):
             with pytest.raises(InfeasibleError):
-                _solve_hull_lp(points, floors, x)
+                _solve(points, floors, x)
             continue
         bounded += 1
-        assert _solve_hull_lp(points, floors, x) \
+        assert _solve(points, floors, x) \
             == _corner_lp_reference(points, floors, x), (trial, points, floors, x)
     assert bounded > 2000
 
@@ -295,8 +306,11 @@ def test_hull_solver_matches_enumeration_on_tree_programs(monkeypatch):
     seen = {"programs": 0, "point_at_x": 0, "floors": 0}
     solve = lpricing._solve_hull_lp
 
-    def checked(points, floors, x):
-        got = solve(points, floors, x)
+    def checked(points, floors, x, d_x):
+        got = solve(points, floors, x, d_x)
+        # the states arrive as integer numerators over d_x
+        points = [(Fraction(y, d_x), r) for y, r in points]
+        x = Fraction(x, d_x)
         assert got == _corner_lp_reference(points, floors, x), \
             (points, floors, x)
         seen["programs"] += 1
@@ -371,7 +385,7 @@ TIE_CASES = {
 def test_hull_solver_tie_cases(case):
     points, floors, x, expected = TIE_CASES[case]
     assert _corner_lp_reference(points, floors, x) == expected
-    assert _solve_hull_lp(points, floors, x) == expected
+    assert _solve(points, floors, x) == expected
 
 
 @pytest.mark.parametrize("points,floors,x", [
@@ -384,7 +398,7 @@ def test_hull_solver_tie_cases(case):
 ])
 def test_unbounded_hedging_program_raises(points, floors, x):
     with pytest.raises(InfeasibleError):
-        _solve_hull_lp(points, floors, x)
+        _solve(points, floors, x)
 
 
 def _linprog(points, floors, x):
@@ -409,9 +423,9 @@ def test_unbounded_exactly_where_linprog_says_so():
         assert res.status in (0, 3), trial
         if res.status == 3:
             with pytest.raises(InfeasibleError):
-                _solve_hull_lp(points, floors, x)
+                _solve(points, floors, x)
         else:
-            _, _, cost = _solve_hull_lp(points, floors, x)
+            _, _, cost = _solve(points, floors, x)
             assert abs(float(cost) - res.fun) < 1e-9, trial
 
 
@@ -438,7 +452,7 @@ def test_corner_lp_agrees_with_scipy_linprog():
         # keep the program bounded the way real trees do: pin both axes
         points.append((Fraction(0), Fraction(0)))
         floors.append(Fraction(0))
-        e0, e1, cost = _solve_hull_lp(points, floors, x)
+        e0, e1, cost = _solve(points, floors, x)
         res = _linprog(points, floors, x)
         assert res.status == 0, trial
         assert abs(float(cost) - res.fun) < 1e-9, (trial, cost, res.fun)
@@ -499,6 +513,84 @@ def test_price_on_tree_matches_leaf_by_leaf_formula(generate):
             assert (p.classical, p.correction, p.total_dollar, p.total_euro,
                     p.euro_classical, p.euro_correction) == want, \
                 (seed, claim.kind)
+
+
+def _parity_rows_by_price(tree, strikes):
+    """The parity report as first written: each row from the `price_on_tree`
+    decompositions of the four claims of its strike, in Fraction arithmetic,
+    with the explosion mass from the Qe path probabilities."""
+    mass = tree.x0 * sum((tree.prob_euro[nid] for nid in tree.leaves
+                          if tree.nodes[nid].x.is_infinite), Fraction(0))
+    rows = []
+    for k in strikes:
+        call = price_on_tree(tree, tree_claim(tree, "call", k))
+        put = price_on_tree(tree, tree_claim(tree, "put", k))
+        d_call = price_on_tree(tree, tree_claim(tree, "dollar_call", 1 / k))
+        d_put = price_on_tree(tree, tree_claim(tree, "dollar_put", 1 / k))
+        pe_put = d_put.euro_classical + d_put.euro_correction
+        pe_call = d_call.euro_classical + d_call.euro_correction
+        rows.append(ParityRow(
+            strike=k,
+            call_price=call.total_dollar,
+            put_price=put.total_dollar,
+            parity_residual=call.total_dollar + k - put.total_dollar - tree.x0,
+            intl_call_residual=call.total_dollar - tree.x0 * k * pe_put,
+            intl_put_residual=put.total_dollar - tree.x0 * k * pe_call,
+            classical_violation=call.classical + k - put.classical - tree.x0,
+            explosion_mass=mass))
+    return rows
+
+
+def _wealth_oracle(tree, strategy):
+    """The wealth at each supported node in Fraction arithmetic, from the
+    holdings in force at its parent (the parent's own, else the ones in
+    force above it): e1 where x = inf, e0 where x = 0, else e0 + e1*x."""
+    wealth = {tree.root: strategy.price}
+    held = {tree.root: strategy.holdings[tree.root]}
+    for node in tree.nodes.values():
+        if node.parent is None or node.id not in tree.supported:
+            continue
+        e0, e1 = held[node.parent]
+        wealth[node.id] = (e1 if node.x.is_infinite else e0 if node.x.is_zero
+                           else e0 + e1 * node.x.fraction)
+        held[node.id] = strategy.holdings.get(node.id, (e0, e1))
+    return wealth
+
+
+PARITY_STRIKES = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2),
+                  Fraction(7, 3)]
+
+
+@pytest.mark.parametrize("generate", [random_dual_tree,
+                                      random_complete_dual_tree])
+def test_parity_report_matches_the_price_decompositions(generate):
+    for seed in range(300):
+        tree = generate(seed)
+        try:
+            want = _parity_rows_by_price(tree, PARITY_STRIKES)
+        except InfinitePrice as exc:
+            with pytest.raises(InfinitePrice, match=re.escape(str(exc))):
+                parity_and_equivalence_report(tree, PARITY_STRIKES)
+            continue
+        assert parity_and_equivalence_report(tree, PARITY_STRIKES) == want, \
+            seed
+
+
+@pytest.mark.parametrize("generate", [random_dual_tree,
+                                      random_complete_dual_tree])
+def test_wealth_matches_the_holdings_in_force_at_the_parent(generate):
+    seen = {"inf": 0, "zero": 0, "finite": 0}
+    for seed in range(300):
+        tree = generate(seed)
+        for claim in (random_claim(tree, seed), tree_claim(tree, "put", 1)):
+            _, strategy = superreplicate_backward(tree, claim)
+            assert strategy.wealth == _wealth_oracle(tree, strategy), \
+                (seed, claim.kind)
+            for nid in strategy.wealth:
+                x = tree.nodes[nid].x
+                seen["inf" if x.is_infinite else "zero" if x.is_zero
+                     else "finite"] += 1
+    assert min(seen.values()) > 0
 
 
 def test_over_lcm_matches_fraction_sum():
@@ -641,6 +733,25 @@ def test_tree_claim_labels():
     assert tree_claim(t, "call", "1/2").kind == "call_1/2"
     assert tree_claim(t, "dollar_put", 2).kind == "dollar_put_2"
     assert tree_claim(t, "euro_forward", 3).kind == "euro_forward"
+
+
+def test_tree_claim_reads_the_strike_as_the_parity_report_does():
+    """A float strike is its shortest decimal form, not its binary value."""
+    t = two_period_example()
+    for strike in (0.1, np.float64(0.1), "1/10", Fraction(1, 10)):
+        claim = tree_claim(t, "call", strike)
+        assert claim.kind == "call_1/10"
+        assert claim.payoffs == tree_claim(t, "call", Fraction(1, 10)).payoffs
+    row, = parity_and_equivalence_report(t, [0.1])
+    assert row.call_price \
+        == price_on_tree(t, tree_claim(t, "call", 0.1)).total_dollar
+
+
+@pytest.mark.parametrize("strike", [True, False])
+def test_tree_claim_refuses_a_bool_strike(strike):
+    with pytest.raises(ConfigError, match=re.escape(
+            f"claim kind 'call' needs a positive finite strike, got {strike}")):
+        tree_claim(two_period_example(), "call", strike)
 
 
 @pytest.mark.parametrize("kind", CLAIM_KINDS)

@@ -112,7 +112,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if bad:
         raise ConfigError(f"strikes must be finite, got {bad[0]!r}")
     cfg = ExperimentConfig(**raw)
-    cfg.mc()   # MCConfig validates n, steps, scheme and workers
+    cfg.mc()   # MCConfig validates n, steps, seed, scheme and workers
     return cfg
 
 
@@ -239,7 +239,7 @@ def _run_defect(cfg: ExperimentConfig, out: Path) -> int:
     return 2 if abs(rep.z) > 3 else 0
 
 
-def _lattice_report(tree: ltree.DualTree, strikes: list[Fraction]) -> dict:
+def _lattice_report(tree: ltree.DualTree, strikes: list[float]) -> dict:
     residuals: list[dict] = []
     for t in range(tree.periods + 1):
         rule = ltree.period_rule(tree, t)
@@ -295,8 +295,7 @@ def _run_lattice_verify(cfg: ExperimentConfig, out: Path) -> int:
     if not cfg.tree:
         raise ConfigError("lattice-verify needs --tree")
     tree = ltree.load_tree(cfg.tree)
-    strikes = [Fraction(str(k)) for k in cfg.strikes]
-    report = _lattice_report(tree, strikes)
+    report = _lattice_report(tree, cfg.strikes)
     _write_json(out / f"{cfg.tag}_lattice.json", report)
     subjects = ("claim", "strike", "event", "node")
     rows = [[r["check"], next(r[k] for k in subjects if k in r), r["residual"]]
@@ -458,12 +457,11 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     try:
         if ns.command == "run":
-            with open(ns.config_path) as fh:
-                cfg = validate_config(json.load(fh))
+            cfg = validate_config(ltree.read_json(ns.config_path, ConfigError))
         else:
             cfg = validate_config(vars(ns))
         return run(cfg)
-    except (DualFXError, OSError, json.JSONDecodeError) as exc:
+    except (DualFXError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

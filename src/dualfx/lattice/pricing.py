@@ -15,7 +15,7 @@ the children's (state, required dollars) points, with the exploded children's
 required euros as floors on the euro holding.  On trees whose nodes carry at
 most two supported branches (the complete-market case the pricing theorem
 assumes) the program is tight and the two routes agree exactly; with three
-or more supported branches the hedging cost is strictly larger, which
+or more supported branches the hedging cost can be strictly larger, which
 `test_lattice_pricing` pins down with a counterexample.
 
 Both routes work in the tree's integer numerators and form one Fraction per
@@ -167,6 +167,16 @@ class TreeStrategy:
     wealth: dict[str, Fraction] = field(default_factory=dict)
 
 
+def _cheapest_line(pts: list[tuple[int, int]], fl: list[int], p: int,
+                   q: int) -> tuple[int, int]:
+    """e0*q of the cheapest line of slope p/q on or above the points (y, r),
+    and the constraints it binds: the points on it, and the floors equal to
+    p/q, each counted as often as it is repeated."""
+    e = [r * q - p * y for y, r in pts]
+    m = max(e)
+    return m, e.count(m) + sum(f * q == p for f in fl)
+
+
 def _solve_hull_lp(points: list[tuple[int, Fraction]],
                    floors: list[Fraction], x: int,
                    d_x: int) -> tuple[Fraction, Fraction, Fraction]:
@@ -179,18 +189,16 @@ def _solve_hull_lp(points: list[tuple[int, Fraction]],
     the required euros at an exploded child.  By the one-period duality its
     cost is the upper concave envelope of the points at x (Foellmer & Schied,
     *Stochastic Finance*).  The upper hull is built by monotone chain with
-    integer cross products over the points' common denominators, only the
-    results are formed as Fractions, and the optimal slopes [lo, hi] at
-    x are clamped from below by the largest floor s.  If s > hi, the slope is
-    s and the line passes through the point maximizing r - s*y.
+    integer cross products over the points' common denominators, the optimal
+    slopes [lo, hi] at x are read off the hull neighbours of x as integer
+    pairs, and lo is raised to the largest floor.
 
-    Ties: a range of optimal slopes exists only when a point sits at y = x.
-    Among the lines through (x, cost) whose slope is lo, hi, 0 or cost/x and
-    lies in the range (the vertices of the program's optimal face), the one
-    binding the most constraints wins, counting repeated points and floors
-    each time, and then the one with the smallest e0.  This is the rule of
-    minimal (cost, slack constraints, e0, e1) over the program's vertices; it
-    makes the strategy replicate, not merely dominate, whenever it can.
+    Ties: the slope is lo if lo >= hi, else the finite end binding more
+    constraints (repeats counted), and hi, with the smaller e0, on a tie.  A
+    slope strictly inside binds only the points at x, so this is the rule of
+    minimal (cost, slack constraints, e0, e1) over the program's vertices;
+    it makes the strategy replicate, not merely dominate, whenever it can.
+    With neither end finite every child sits at x and the slope is cost/x.
 
     Boundedness: the program is bounded iff some point lies at or below x and
     some point lies at or above x or a floor exists; otherwise it raises
@@ -202,15 +210,10 @@ def _solve_hull_lp(points: list[tuple[int, Fraction]],
     rs, d_r = _over_lcm([*(r for _, r in points), *floors])
     # states over d_x, requirements over d_r d_x and floors over d_r: a
     # slope t read in these units is the slope t / d_r
-    X, pts = x, [(y, r * d_x) for (y, _), r in zip(points, rs)]
+    pts = [(y, r * d_x) for (y, _), r in zip(points, rs)]
     fl = rs[len(points):]
-    top: dict[int, int] = {}
-    for y, r in pts:
-        if y not in top or r > top[y]:
-            top[y] = r
     hull: list[tuple[int, int]] = []
-    for y in sorted(top):
-        r = top[y]
+    for y, r in dict(sorted(pts)).items():    # the highest r per state y
         # keep the last hull point only if it lies strictly above the chord
         # from the point before it to (y, r)
         while len(hull) >= 2:
@@ -220,45 +223,33 @@ def _solve_hull_lp(points: list[tuple[int, Fraction]],
             hull.pop()
         hull.append((y, r))
     s = max(fl) if fl else None
-    k = next((i for i, (y, _) in enumerate(hull) if y >= X), None)
-    if not hull or hull[0][0] > X or (k is None and s is None):
+    k = next((i for i, (y, _) in enumerate(hull) if y >= x), None)
+    if not hull or hull[0][0] > x or (k is None and s is None):
         raise InfeasibleError(
             f"unbounded hedging program at x = {Fraction(x, d_x)}: no "
             "supported branch at or below x, or none at or above x and none "
             "exploded")
-    den = d_r * d_x
-    if k is not None and hull[k][0] > X:
-        # x inside a hull segment: its slope is the only optimal one
-        (yj, rj), (yk, rk) = hull[k - 1], hull[k]
-        if s is None or s * (yk - yj) <= rk - rj:
-            return (Fraction(rj * yk - rk * yj, (yk - yj) * den),
-                    Fraction(rk - rj, (yk - yj) * d_r),
-                    Fraction(rj * (yk - X) + rk * (X - yj), (yk - yj) * den))
-    elif k is not None:
-        # a hull point at x: optimal slopes in [lo, hi], None for -inf, +inf
-        v = hull[k][1]
-        hi = Fraction(v - hull[k - 1][1], X - hull[k - 1][0]) if k else None
-        lo = (Fraction(hull[k + 1][1] - v, hull[k + 1][0] - X)
-              if k + 1 < len(hull) else None)
-        if s is None or hi is None or s <= hi:
-            if s is not None and (lo is None or s > lo):
-                lo = Fraction(s)
-            if lo is not None and lo == hi:
-                t = lo
-            else:
-                def tight(t: Fraction) -> int:
-                    return (sum(1 for y, r in pts if v + t * (y - X) == r)
-                            + fl.count(t))
-                t = max((Fraction(t) for t in (lo, hi, 0, Fraction(v, X))
-                         if t is not None and (lo is None or t >= lo)
-                         and (hi is None or t <= hi)),
-                        key=lambda t: (tight(t), t))
-            return (Fraction(v * t.denominator - t.numerator * X,
-                             t.denominator * den),
-                    t / d_r, Fraction(v, den))
-    # the largest floor binds, through the point maximizing r - s*y
-    e0 = max(r - s * y for y, r in top.items())
-    return Fraction(e0, den), Fraction(s, d_r), Fraction(e0 + s * X, den)
+    # slopes as pairs (p, q), q > 0, for p/q; lo None is -inf, hi None +inf.
+    # hi is the chord into hull[k], lo the chord out of x: one chord when x
+    # lies inside it
+    chords = [(r2 - r1, y2 - y1) for (y1, r1), (y2, r2) in zip(hull, hull[1:])]
+    if k is None:       # every state below x: only the floors bound the slope
+        lo = hi = (s, 1)
+    else:
+        j = k + (hull[k][0] == x)
+        hi = chords[k - 1] if k else None
+        lo = chords[j - 1] if j < len(hull) else None
+    if s is not None and (lo is None or s * lo[1] > lo[0]):
+        lo = (s, 1)
+    if lo is None or hi is None:    # the finite end, or with none cost/x
+        t = lo or hi or (hull[k][1], x)
+    elif lo[0] * hi[1] >= hi[0] * lo[1]:
+        t = lo
+    else:   # the end binding more constraints; max keeps hi on a tie
+        t = max(hi, lo, key=lambda t: _cheapest_line(pts, fl, *t)[1])
+    (p, q), (m, _) = t, _cheapest_line(pts, fl, *t)
+    den = q * d_r * d_x
+    return Fraction(m, den), Fraction(p, q * d_r), Fraction(m + p * x, den)
 
 
 def superreplicate_backward(tree: DualTree, claim: TreeClaim

@@ -388,9 +388,19 @@ def tree_to_doc(tree: DualTree) -> dict:
             "root": tree.root, "nodes": nodes}
 
 
-def load_tree(path) -> DualTree:
+def read_json(path, error: type[Exception]):
+    """The document in the JSON file at `path`; `error` where json cannot
+    read it: a syntax error, bytes not UTF-8, an int literal past the
+    interpreter's digit limit, nesting past the recursion limit."""
     with open(path) as fh:
-        return build_dual_tree(json.load(fh))
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise error(f"{path} is not readable JSON: {exc}") from None
+
+
+def load_tree(path) -> DualTree:
+    return build_dual_tree(read_json(path, StructureError))
 
 
 def dump_tree(tree: DualTree, path) -> None:

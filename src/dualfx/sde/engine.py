@@ -49,8 +49,12 @@ class MCConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.n < 1 or self.steps < 1:
-            raise ConfigError("n and steps must be >= 1")
+        for name in ("n", "steps", "seed", "workers"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ConfigError(f"{name} must be an int, got {v!r}")
+        if self.n < 1 or self.steps < 1 or self.workers < 1:
+            raise ConfigError("n, steps and workers must be >= 1")
         if self.n * self.steps > MAX_PATH_STEPS:
             raise ConfigError(
                 f"n * steps must be at most MAX_PATH_STEPS = "
@@ -58,9 +62,6 @@ class MCConfig:
         if self.scheme not in SCHEMES:
             raise SchemeUnsupported(
                 f"unknown scheme {self.scheme!r}; known: {', '.join(SCHEMES)}")
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise ConfigError(
-                f"workers must be an int >= 1, got {self.workers!r}")
 
 
 @dataclass

@@ -112,3 +112,36 @@ def test_compare_includes_cli_rows_both_records_carry():
     old["cli"] = {"price": 1000.0}
     assert bench_record.compare(old, new)[-1] == (
         "cli", "wall_ms", "price", 1000.0, 1500.0, pytest.approx(0.5))
+
+
+def test_host_scaled_divides_the_calibration_ratio_out_of_layer_times():
+    """The host probe reads 40 -> 30 ms: an unchanged layer reading -25%
+    raw is +0% scaled; only per-layer _ms rows get a scaled change."""
+    old = _record(lattice_corpus={
+        "end_to_end": {"op_p50_ms": 2.0},
+        "per_layer": {"host.calib_ms": 40.0, "lattice.tree.build_ms": 0.8,
+                      "lattice.pricing.superrep_ms": 0.5,
+                      "lattice.pricing.lp_solves": 10.0,
+                      "lattice.checks.verify_ms": 0.0}})
+    new = _record(lattice_corpus={
+        "end_to_end": {"op_p50_ms": 1.5},
+        "per_layer": {"host.calib_ms": 30.0, "lattice.tree.build_ms": 0.6,
+                      "lattice.pricing.superrep_ms": 0.45,
+                      "lattice.pricing.lp_solves": 12.0,
+                      "lattice.checks.verify_ms": 0.1}})
+    rows = bench_record.compare(old, new)
+    scaled = {r[2]: bench_record.host_scaled(old, new, r) for r in rows}
+    assert scaled["lattice.tree.build_ms"] == pytest.approx(0.0)
+    assert scaled["lattice.pricing.superrep_ms"] == pytest.approx(0.2)
+    assert scaled["host.calib_ms"] == pytest.approx(0.0)
+    # not a layer time, an end-to-end metric, or no old value to scale
+    assert scaled["lattice.pricing.lp_solves"] is None
+    assert scaled["op_p50_ms"] is None
+    assert scaled["lattice.checks.verify_ms"] is None
+    # compare's own rows stay raw
+    assert next(r for r in rows if r[2] == "lattice.tree.build_ms")[5] \
+        == pytest.approx(-0.25)
+    # a record without the probe has no scaled change
+    del old["workloads"]["lattice_corpus"]["per_layer"]["host.calib_ms"]
+    assert bench_record.host_scaled(old, new, next(
+        r for r in rows if r[2] == "lattice.tree.build_ms")) is None

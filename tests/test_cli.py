@@ -387,6 +387,28 @@ def test_model_parameter_out_of_float_range_exits_1(bad, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+# files json cannot read for a reason other than a syntax error
+UNREADABLE_JSON = {
+    "int beyond the digit limit": b'{"x0": ' + b"1" * 5000 + b"}",
+    "not utf-8": b'{"x0": "\xff"}',
+    "nesting beyond the recursion limit": b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("content", UNREADABLE_JSON.values(),
+                         ids=list(UNREADABLE_JSON))
+@pytest.mark.parametrize("command", ["run", "lattice-verify", "physical"])
+def test_unreadable_json_file_exits_1(command, content, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    argv = ([command, str(path)] if command == "run" else
+            [command, "--tree", str(path), "--out-dir", str(tmp_path / "out")])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
+
+
 def test_run_command_bad_config_exits_1(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"command": "price", "bogus_key": 1}))

@@ -238,6 +238,16 @@ def test_mcconfig_validates_scheme_and_workers():
         with pytest.raises(ConfigError):
             MCConfig(**bad)
     assert MCConfig(n=10, steps=MAX_PATH_STEPS // 10).steps == 10**9
+
+
+@pytest.mark.parametrize("bad", [
+    {"n": 100.5}, {"n": True}, {"n": "100"},
+    {"steps": 2.5, "scheme": "euler_absorbed"}, {"steps": True},
+    {"seed": 1.5}, {"seed": True}, {"seed": None}, {"workers": True}])
+def test_mcconfig_refuses_non_int_counts_and_seeds(bad):
+    with pytest.raises(ConfigError, match=next(iter(bad))):
+        MCConfig(**bad)
+    assert MCConfig(seed=-1).seed == -1
     for n, steps in ((10, MAX_PATH_STEPS // 10 + 1), (100, 10**12),
                      (1, 10**400)):
         with pytest.raises(ConfigError, match="MAX_PATH_STEPS = 1e\\+10"):

@@ -332,6 +332,11 @@ def test_hull_solver_matches_enumeration_on_tree_programs(monkeypatch):
     assert seen["point_at_x"] > 0 and seen["floors"] > 0
 
 
+# points on both edges of the envelope at x = 2: four on the edge of slope 1,
+# three on the edge of slope 0
+_TWO_EDGES = [(Fraction(y), Fraction(r)) for y, r in
+              [(0, 0), (1, 1), ("3/2", "3/2"), (2, 2), (3, 2), (4, 2)]]
+
 # (points, floors, x, expected (e0, e1, cost)); every case is also checked
 # against the enumeration
 TIE_CASES = {
@@ -378,6 +383,16 @@ TIE_CASES = {
                       (Fraction(0), Fraction(0))],
                      [Fraction(1)], Fraction(1),
                      (Fraction(0), Fraction(2), Fraction(2))),
+    # slopes in [0, 1] are optimal: slope 1 binds four points, slope 0 three
+    "edges at x, hi binds more": (_TWO_EDGES, [], Fraction(2),
+                                  (Fraction(0), Fraction(1), Fraction(2))),
+    # ... two floors at 0 lift slope 0 to five constraints
+    "edges at x, floors make lo bind more": (
+        _TWO_EDGES, [Fraction(0), Fraction(0)], Fraction(2),
+        (Fraction(2), Fraction(0), Fraction(2))),
+    # ... one floor at 0 ties them at four, and hi, the smaller e0, wins
+    "edges at x, floor ties": (_TWO_EDGES, [Fraction(0)], Fraction(2),
+                               (Fraction(0), Fraction(1), Fraction(2))),
 }
 
 

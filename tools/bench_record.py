@@ -11,7 +11,9 @@ seeds.  Under its `cli` entry go the wall times of the CLI commands at their
 default sizes, each the median of CLI_RUNS fresh `python -m dualfx.cli`
 processes.  It then prints every metric's relative change against the newest
 BENCH_<n>.json with n < pr at the checkout's root, if there is one and it
-was recorded with the same seeds and run length.  Standard library only.
+was recorded with the same seeds and run length, and beside each per-layer
+time its change scaled by the host speed probe (`host_scaled`).  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -148,6 +150,23 @@ def compare(old: dict, new: dict) -> list[tuple]:
                            new.get("cli", {}))
 
 
+def host_scaled(old: dict, new: dict, row: tuple) -> float | None:
+    """A `compare` row's change with the host's speed divided out, for a
+    per-layer time (a name ending in `_ms`): (new / old) over the workload's
+    host.calib_ms ratio new / old, minus 1.  The traced layer times are raw
+    wall-clock ms, so on a host faster by some factor an unchanged layer
+    reads faster by the same factor.  None for any other row, or where the
+    old value or either probe is 0 or missing."""
+    workload, section, name, was, value, _ = row
+    if section != "per_layer" or not name.endswith("_ms") or not was:
+        return None
+    calib = [r["workloads"][workload]["per_layer"].get("host.calib_ms")
+             for r in (old, new)]
+    if not all(calib):
+        return None
+    return value / was / (calib[1] / calib[0]) - 1
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int, required=True,
@@ -188,15 +207,20 @@ def main(argv=None) -> int:
         print("no earlier BENCH file to compare with")
         return 0
     try:
-        rows = compare(json.loads(prev.read_text()), record)
+        old = json.loads(prev.read_text())
+        rows = compare(old, record)
     except ValueError as exc:
         print(f"not compared with {prev.name}: {exc}")
         return 0
-    print(f"relative change against {prev.name}:")
-    for workload, section, name, was, value, rel in rows:
+    print(f"relative change against {prev.name}; per-layer times also with "
+          "the host.calib_ms ratio divided out:")
+    for row in rows:
+        workload, section, name, was, value, rel = row
         change = "n/a" if rel is None else f"{rel:+.1%}"
+        scaled = host_scaled(old, record, row)
         print(f"  {workload:15s} {section:10s} {name:32s} {was:12.6g} -> "
-              f"{value:12.6g}  {change:>8s}")
+              f"{value:12.6g}  {change:>8s}"
+              + ("" if scaled is None else f"  {scaled:+8.1%} host-scaled"))
     return 0
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import json
 import math
 import numbers
@@ -27,12 +26,10 @@ from .lattice import checks as lchecks
 from .lattice import pricing as lpricing
 from .lattice import tree as ltree
 from .physical import build_physical, consistency_checks
-from .pricing import (intl_equivalence_table, make_claim, martingale_defect,
-                      parity_table, price, scheme_convergence)
-from .sde.engine import MCConfig
-
-COMMANDS = ("price", "parity", "intl", "defect", "lattice-verify", "physical",
-            "convergence", "catalog")
+from .pricing import (intl_equivalence_table, make_batches, make_claim,
+                      martingale_defect, parity_table, price,
+                      scheme_convergence)
+from .sde.engine import MCConfig, dump_batch_csv
 
 ENV_OUT_DIR = "DUALFX_OUT_DIR"
 
@@ -48,11 +45,11 @@ class ExperimentConfig:
     x0: float = 1.0
     horizon: float = 1.0
     vol: float = 0.5
-    n: int = 100_000
-    steps: int = 64
-    seed: int = 0
-    scheme: str = "auto"
-    workers: int = 1
+    n: int = MCConfig.n
+    steps: int = MCConfig.steps
+    seed: int = MCConfig.seed
+    scheme: str = MCConfig.scheme
+    workers: int = MCConfig.workers
     levels: list[int] = field(default_factory=lambda: [32, 128, 512])
     out_dir: str | None = None
     tag: str = "report"
@@ -142,15 +139,11 @@ def _write_json(path: Path, payload) -> None:
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        csv.writer(fh).writerows([header, *rows])
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
-    base = cfg.out_dir or os.environ.get(ENV_OUT_DIR, ".")
-    p = Path(base)
+    p = Path(cfg.out_dir or os.environ.get(ENV_OUT_DIR, "."))
     p.mkdir(parents=True, exist_ok=True)
     return p
 
@@ -180,14 +173,10 @@ def _price_payload(p) -> dict:
 
 
 def _run_price(cfg: ExperimentConfig, out: Path) -> int:
-    from .pricing import make_batches
-    from .sde.engine import dump_batch_csv
-
     entry = _entry(cfg)
     claim = make_claim(cfg.claim or "euro_forward", cfg.strike)
     batches = make_batches(entry.model, cfg.mc())
-    result = price(entry.model, claim, cfg.mc(), batches)
-    payload = _price_payload(result)
+    payload = _price_payload(price(entry.model, claim, cfg.mc(), batches))
     _write_json(out / f"{cfg.tag}_price.json", payload)
     if cfg.dump_samples:
         dump_batch_csv(batches[0], out / f"{cfg.tag}_samples_dollar.csv")
@@ -291,10 +280,14 @@ def _lattice_report(tree: ltree.DualTree, strikes: list[float]) -> dict:
     return {"residuals": residuals, "prices": prices, "parity": parity_rows}
 
 
-def _run_lattice_verify(cfg: ExperimentConfig, out: Path) -> int:
+def _tree(cfg: ExperimentConfig) -> ltree.DualTree:
     if not cfg.tree:
-        raise ConfigError("lattice-verify needs --tree")
-    tree = ltree.load_tree(cfg.tree)
+        raise ConfigError(f"{cfg.command} needs --tree")
+    return ltree.load_tree(cfg.tree)
+
+
+def _run_lattice_verify(cfg: ExperimentConfig, out: Path) -> int:
+    tree = _tree(cfg)
     report = _lattice_report(tree, cfg.strikes)
     _write_json(out / f"{cfg.tag}_lattice.json", report)
     subjects = ("claim", "strike", "event", "node")
@@ -308,10 +301,7 @@ def _run_lattice_verify(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _run_physical(cfg: ExperimentConfig, out: Path) -> int:
-    if not cfg.tree:
-        raise ConfigError("physical needs --tree")
-    tree = ltree.load_tree(cfg.tree)
-    rep = consistency_checks(build_physical(tree))
+    rep = consistency_checks(build_physical(_tree(cfg)))
     _write_json(out / f"{cfg.tag}_physical.json", rep)
     print(f"p_explosion={rep.p_explosion} p_devaluation={rep.p_devaluation} "
           f"interpretation={rep.interpretation_holds} "
@@ -348,41 +338,14 @@ def _run_catalog(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-_RUNNERS = {
-    "price": _run_price,
-    "parity": _run_parity,
-    "intl": _run_intl,
-    "defect": _run_defect,
-    "lattice-verify": _run_lattice_verify,
-    "physical": _run_physical,
-    "convergence": _run_convergence,
-    "catalog": _run_catalog,
-}
-
-
 def run(cfg: ExperimentConfig) -> int:
     """Execute a validated experiment; returns the process exit code."""
-    return _RUNNERS[cfg.command](cfg, _out_dir(cfg))
+    return _COMMANDS[cfg.command][0](cfg, _out_dir(cfg))
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", help="catalog model name")
-    p.add_argument("--x0", type=float)
-    p.add_argument("--T", dest="horizon", type=float)
-    p.add_argument("--vol", type=float,
-                   help="volatility of the lognormal baseline")
-    p.add_argument("--n", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--scheme", help="auto | exact | euler_absorbed")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--tag", help="artifact filename prefix")
-
 
 class _Parser(argparse.ArgumentParser):
     """A usage error exits 1, as every other usage error does: exit code 2
@@ -397,6 +360,50 @@ def _strike_list(s: str) -> list[float]:
     return [float(tok) for tok in s.split(",") if tok.strip()]
 
 
+# every command-line option and its add_argument keywords; the dest is the
+# ExperimentConfig field
+_OPTIONS = {
+    "--model": {"help": "catalog model name"},
+    "--x0": {"type": float},
+    "--T": {"dest": "horizon", "type": float},
+    "--vol": {"type": float, "help": "volatility of the lognormal baseline"},
+    "--n": {"type": int},
+    "--steps": {"type": int},
+    "--seed": {"type": int},
+    "--scheme": {"help": "auto | exact | euler_absorbed"},
+    "--workers": {"type": int},
+    "--out-dir": {},
+    "--tag": {"help": "artifact filename prefix"},
+    "--claim": {},
+    "--strike": {"type": float},
+    "--dump-samples": {"action": "store_true",
+                       "help": "also write the raw terminal samples as CSV"},
+    "--strikes": {"type": _strike_list},
+    "--tree": {"required": True, "help": "tree spec JSON path"},
+    "--levels": {"type": lambda s: [int(t) for t in s.split(",")]},
+}
+_MC = ("--model", "--x0", "--T", "--vol", "--n", "--steps", "--seed",
+       "--scheme", "--workers", "--out-dir", "--tag")
+# every command: its runner, its help line and its options in usage order
+_COMMANDS = {
+    "price": (_run_price, "price one claim with the decomposition",
+              (*_MC, "--claim", "--strike", "--dump-samples")),
+    "parity": (_run_parity, "put-call parity table", (*_MC, "--strikes")),
+    "intl": (_run_intl, "international put-call equivalence table",
+             (*_MC, "--strikes")),
+    "defect": (_run_defect, "martingale defect vs dual explosion mass", _MC),
+    "lattice-verify": (_run_lattice_verify, "exact identity suite on a tree",
+                       ("--tree", "--strikes", "--out-dir", "--tag")),
+    "physical": (_run_physical, "physical-measure checks on a tree",
+                 ("--tree", "--out-dir", "--tag")),
+    "convergence": (_run_convergence, "euler vs exact scheme study",
+                    (*_MC, "--levels")),
+    "catalog": (_run_catalog, "list catalog models",
+                ("--x0", "--T", "--vol", "--out-dir")),
+}
+COMMANDS = tuple(_COMMANDS)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser.  An option left out is left out of the
     namespace too, so ExperimentConfig's defaults are the only ones."""
@@ -404,51 +411,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dualfx",
         description="two-measure FX pricing engine and verification suite")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    command = functools.partial(sub.add_parser,
-                                argument_default=argparse.SUPPRESS)
-
-    p = command("price", help="price one claim with the decomposition")
-    _add_common(p)
-    p.add_argument("--claim")
-    p.add_argument("--strike", type=float)
-    p.add_argument("--dump-samples", dest="dump_samples", action="store_true",
-                   help="also write the raw terminal samples as CSV")
-
-    p = command("parity", help="put-call parity table")
-    _add_common(p)
-    p.add_argument("--strikes", type=_strike_list)
-
-    p = command("intl", help="international put-call equivalence table")
-    _add_common(p)
-    p.add_argument("--strikes", type=_strike_list)
-
-    p = command("defect", help="martingale defect vs dual explosion mass")
-    _add_common(p)
-
-    p = command("lattice-verify", help="exact identity suite on a tree")
-    p.add_argument("--tree", required=True, help="tree spec JSON path")
-    p.add_argument("--strikes", type=_strike_list)
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--tag")
-
-    p = command("physical", help="physical-measure checks on a tree")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--tag")
-
-    p = command("convergence", help="euler vs exact scheme study")
-    _add_common(p)
-    p.add_argument("--levels", type=lambda s: [int(t) for t in s.split(",")])
-
-    p = command("catalog", help="list catalog models")
-    p.add_argument("--x0", type=float)
-    p.add_argument("--T", dest="horizon", type=float)
-    p.add_argument("--vol", type=float)
-    p.add_argument("--out-dir", dest="out_dir")
-
-    p = command("run", help="run an experiment config JSON file")
-    p.add_argument("config_path")
+    for name, (_, help_line, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line,
+                           argument_default=argparse.SUPPRESS)
+        for flag in flags:
+            p.add_argument(flag, **_OPTIONS[flag])
+    sub.add_parser("run", help="run an experiment config JSON file"
+                   ).add_argument("config_path")
     return parser
 
 
@@ -456,11 +425,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        if ns.command == "run":
-            cfg = validate_config(ltree.read_json(ns.config_path, ConfigError))
-        else:
-            cfg = validate_config(vars(ns))
-        return run(cfg)
+        raw = (ltree.read_json(ns.config_path, ConfigError)
+               if ns.command == "run" else vars(ns))
+        return run(validate_config(raw))
     except (DualFXError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

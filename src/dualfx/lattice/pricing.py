@@ -365,7 +365,7 @@ def parity_and_equivalence_report(tree: DualTree,
     The four claims of a strike are summed by `_formula_sums`, and each
     field is one Fraction of their integer parts."""
     exploded = sum(tree.numerators[nid][1] for nid in tree.leaves
-                   if tree.nodes[nid].x.is_infinite)
+                   if tree.numerators[nid][2] is None)
     mass = tree.x0 * Fraction(exploded, tree.denominators[1])
     x0 = (tree.x0.numerator, tree.x0.denominator)
     rows = []

@@ -270,8 +270,8 @@ def build_dual_tree(doc: Mapping) -> DualTree:
 
 def verify_tree_invariants(tree: DualTree) -> None:
     """Assert every structural invariant of the measure pair, exactly, from
-    the nodes and the two mass maps alone: an oracle independent of the walk
-    that built the tree and of the numerators it recorded."""
+    the nodes' states and branches: an oracle independent of the build walk
+    but for the absorbed-leaf checks, which read its numerators' masses."""
     seen: set[str] = set()
     for node in tree.nodes.values():
         if node.parent is not None and node.parent not in seen:

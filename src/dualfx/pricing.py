@@ -218,6 +218,9 @@ class ParityRow:
 def parity_table(model: DiffusionModel, strikes: Sequence[float],
                  cfg: MCConfig) -> list[ParityRow]:
     """Put-call parity report with common random numbers across all legs."""
+    # the claims first, so a bad strike is refused before the simulation
+    pairs = {k: (make_claim("call", k), make_claim("put", k))
+             for k in strikes if k != 0}
     batches = make_batches(model, cfg)
     x0 = model.x0
     # the euro forward's legs, E_Q$[X_T] and x0 * Qe(explosion), are the
@@ -235,8 +238,7 @@ def parity_table(model: DiffusionModel, strikes: Sequence[float],
             zero = estimate_from_values(np.zeros(len(primal)), primal.seed)
             put = DualPrice("put", 0.0, zero, zero.scale(x0), 0.0, 0.0, {})
         else:
-            call = price(model, make_claim("call", k), cfg, batches)
-            put = price(model, make_claim("put", k), cfg, batches)
+            call, put = (price(model, c, cfg, batches) for c in pairs[k])
         residual = call.total_dollar + k - put.total_dollar - x0
         violation = call.classical.mean + k - put.classical.mean - x0
         rows.append(ParityRow(
@@ -271,27 +273,27 @@ def intl_equivalence_table(model: DiffusionModel, strikes: Sequence[float],
     difference first, so the common random numbers cancel exactly where the
     identity telescopes.
     """
+    # the claims first, so a bad strike is refused before the simulation
+    claims = [(k, make_claim(a, k), make_claim(b, 1.0 / k)) for k in strikes
+              for a, b in (("call", "dollar_put"), ("put", "dollar_call"))]
     primal, dual = make_batches(model, cfg)
     x0 = model.x0
-    rows = []
-    for k in strikes:
-        sides = []
-        for a_kind, b_kind in (("call", "dollar_put"), ("put", "dollar_call")):
-            a, b = make_claim(a_kind, k), make_claim(b_kind, 1.0 / k)
-            a_dollar = a.dollar_finite(primal.x)
-            a_expl = euro_correction_values(a, dual)
-            b_euro = euro_leg_values(b, dual)
-            b_dev = devaluation_values(b, primal)
-            lhs = float(a_dollar.mean()) + float(a_expl.mean()) * x0
-            rhs = x0 * k * (float(b_euro.mean())
-                            + float(b_dev.mean()) * (1.0 / x0))
-            z = z_score(
-                estimate_from_values(a_dollar - k * b_dev, primal.seed),
-                estimate_from_values(x0 * (a_expl - k * b_euro),
-                                     dual.seed).scale(-1.0))
-            sides += [lhs, rhs, z]
-        rows.append(EquivalenceRow(float(k), *sides))
-    return rows
+    sides = []
+    for k, a, b in claims:
+        a_dollar = a.dollar_finite(primal.x)
+        a_expl = euro_correction_values(a, dual)
+        b_euro = euro_leg_values(b, dual)
+        b_dev = devaluation_values(b, primal)
+        lhs = float(a_dollar.mean()) + float(a_expl.mean()) * x0
+        rhs = x0 * k * (float(b_euro.mean())
+                        + float(b_dev.mean()) * (1.0 / x0))
+        z = z_score(
+            estimate_from_values(a_dollar - k * b_dev, primal.seed),
+            estimate_from_values(x0 * (a_expl - k * b_euro),
+                                 dual.seed).scale(-1.0))
+        sides.append((lhs, rhs, z))
+    return [EquivalenceRow(float(k), *call, *put)
+            for k, call, put in zip(strikes, sides[::2], sides[1::2])]
 
 
 # ---------------------------------------------------------------------------

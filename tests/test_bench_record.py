@@ -133,8 +133,9 @@ def test_host_scaled_divides_the_calibration_ratio_out_of_layer_times():
     scaled = {r[2]: bench_record.host_scaled(old, new, r) for r in rows}
     assert scaled["lattice.tree.build_ms"] == pytest.approx(0.0)
     assert scaled["lattice.pricing.superrep_ms"] == pytest.approx(0.2)
-    assert scaled["host.calib_ms"] == pytest.approx(0.0)
-    # not a layer time, an end-to-end metric, or no old value to scale
+    # the probe itself, not a layer time, an end-to-end metric, or no old
+    # value to scale
+    assert scaled["host.calib_ms"] is None
     assert scaled["lattice.pricing.lp_solves"] is None
     assert scaled["op_p50_ms"] is None
     assert scaled["lattice.checks.verify_ms"] is None
@@ -145,3 +146,24 @@ def test_host_scaled_divides_the_calibration_ratio_out_of_layer_times():
     del old["workloads"]["lattice_corpus"]["per_layer"]["host.calib_ms"]
     assert bench_record.host_scaled(old, new, next(
         r for r in rows if r[2] == "lattice.tree.build_ms")) is None
+
+
+def test_host_scaled_reads_only_the_layers_the_probe_tracks():
+    """The pure-Python probe tracks lattice_corpus's own lattice and
+    physical layers; the numpy-bound Monte Carlo layers, and the layers a
+    workload samples without running them, get no scaled change."""
+    layers = {"host.calib_ms": 40.0, "lattice.tree.build_ms": 0.8,
+              "physical.checks_ms": 0.7, "sde.engine.step_ms": 30.0,
+              "pricing.parity_ms": 5.0, "catalog.import_ms": 200.0}
+    old = _record(**{w: {"per_layer": dict(layers)}
+                     for w in ("lattice_corpus", "euler_paths")})
+    new = _record(**{w: {"per_layer": {k: v * 0.75 for k, v in
+                                       layers.items()}}
+                     for w in ("lattice_corpus", "euler_paths")})
+    scaled = {(r[0], r[2]): bench_record.host_scaled(old, new, r)
+              for r in bench_record.compare(old, new)}
+    assert {k for k, v in scaled.items() if v is not None} == {
+        ("lattice_corpus", "lattice.tree.build_ms"),
+        ("lattice_corpus", "physical.checks_ms")}
+    assert scaled["lattice_corpus", "physical.checks_ms"] \
+        == pytest.approx(0.0)

@@ -4,6 +4,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -574,6 +575,27 @@ def _wealth_oracle(tree, strategy):
 
 PARITY_STRIKES = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2),
                   Fraction(7, 3)]
+
+
+# seed 3 has only finite leaves, seed 9 exploded and devalued ones too
+@pytest.mark.parametrize("seed", [3, 9])
+def test_price_on_tree_reads_only_the_terminal_law(seed):
+    """The pricer needs the leaves, their integer numerators, the common
+    denominators and x0, and nothing of the nodes' states or branches."""
+    tree = random_dual_tree(seed, 4)
+    law = SimpleNamespace(leaves=tree.leaves, numerators=tree.numerators,
+                          denominators=tree.denominators, x0=tree.x0)
+    claims = [random_claim(tree, seed)] + [
+        tree_claim(tree, kind, Fraction(3, 2) if PAYOFFS[kind].takes_strike
+                   else None) for kind in CLAIM_KINDS]
+    for claim in claims:
+        try:
+            want = price_on_tree(tree, claim)
+        except InfinitePrice as exc:
+            with pytest.raises(InfinitePrice, match=re.escape(str(exc))):
+                price_on_tree(law, claim)
+            continue
+        assert price_on_tree(law, claim) == want, claim.kind
 
 
 @pytest.mark.parametrize("generate", [random_dual_tree,

@@ -127,6 +127,20 @@ def test_tables_reject_non_finite_strikes():
             intl_equivalence_table(model, [strike], cfg)
 
 
+@pytest.mark.parametrize("table, strikes", [
+    (parity_table, [0.5, -1.0]), (parity_table, [math.nan]),
+    (intl_equivalence_table, [2.0, 0.0]),
+    (intl_equivalence_table, [1e-320])])    # 1/K overflows to inf
+def test_tables_refuse_bad_strikes_before_simulating(table, strikes,
+                                                      monkeypatch):
+    def no_simulation(*args):
+        raise AssertionError("simulated before the strikes were checked")
+
+    monkeypatch.setattr(pricing, "make_batches", no_simulation)
+    with pytest.raises(ConfigError, match="strike"):
+        table(get_model("recip_bessel").model, strikes, MCConfig(n=1000))
+
+
 def test_parity_table_recip_bessel(bessel_batches):
     model = get_model("recip_bessel").model
     rows = parity_table(model, [0.5, 1.0, 2.0], CFG)

@@ -11,9 +11,10 @@ seeds.  Under its `cli` entry go the wall times of the CLI commands at their
 default sizes, each the median of CLI_RUNS fresh `python -m dualfx.cli`
 processes.  It then prints every metric's relative change against the newest
 BENCH_<n>.json with n < pr at the checkout's root, if there is one and it
-was recorded with the same seeds and run length, and beside each per-layer
-time its change scaled by the host speed probe (`host_scaled`).  Standard
-library only.
+was recorded with the same seeds and run length, and beside each layer
+time the probe tracks (lattice_corpus's lattice and physical layers) its
+change scaled by the host speed probe (`host_scaled`).  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -152,13 +153,18 @@ def compare(old: dict, new: dict) -> list[tuple]:
 
 def host_scaled(old: dict, new: dict, row: tuple) -> float | None:
     """A `compare` row's change with the host's speed divided out, for a
-    per-layer time (a name ending in `_ms`): (new / old) over the workload's
+    layer time the probe tracks: (new / old) over the workload's
     host.calib_ms ratio new / old, minus 1.  The traced layer times are raw
     wall-clock ms, so on a host faster by some factor an unchanged layer
-    reads faster by the same factor.  None for any other row, or where the
+    reads faster by the same factor.  The probe is a pure-Python loop, so it
+    tracks only the exact lattice and physical layers of the workload that
+    runs them; numpy-bound layers, and layers a workload samples without
+    running them, do not follow it.  None for any other row, or where the
     old value or either probe is 0 or missing."""
     workload, section, name, was, value, _ = row
-    if section != "per_layer" or not name.endswith("_ms") or not was:
+    if (workload != "lattice_corpus" or section != "per_layer"
+            or not name.startswith(("lattice.", "physical."))
+            or not name.endswith("_ms") or not was):
         return None
     calib = [r["workloads"][workload]["per_layer"].get("host.calib_ms")
              for r in (old, new)]
@@ -212,8 +218,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"not compared with {prev.name}: {exc}")
         return 0
-    print(f"relative change against {prev.name}; per-layer times also with "
-          "the host.calib_ms ratio divided out:")
+    print(f"relative change against {prev.name}; the layer times the probe "
+          "tracks also with the host.calib_ms ratio divided out:")
     for row in rows:
         workload, section, name, was, value, rel = row
         change = "n/a" if rel is None else f"{rel:+.1%}"

@@ -242,8 +242,8 @@ def _lattice_report(tree: ltree.DualTree, strikes: list[float]) -> dict:
                               "residual": lchecks.verify_numeraire_identity(
                                   tree, [nid], rule)})
     terminal = ltree.period_rule(tree, tree.periods)
-    y = {nid: (x.fraction if x.is_finite else Fraction(0))
-         for nid, x in ((i, tree.nodes[i].x) for i in tree.leaves)}
+    y = {nid: Fraction(tree.numerators[nid][2] or 0, tree.denominators[2])
+         for nid in tree.leaves}
     for t in range(tree.periods):
         rho = ltree.period_rule(tree, t)
         for nid, res in lchecks.bayes_check(tree, y, rho, terminal).items():
@@ -408,16 +408,16 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser.  An option left out is left out of the
     namespace too, so ExperimentConfig's defaults are the only ones."""
     parser = _Parser(
-        prog="dualfx",
+        prog="dualfx", allow_abbrev=False,
         description="two-measure FX pricing engine and verification suite")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_line, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_line,
+        p = sub.add_parser(name, help=help_line, allow_abbrev=False,
                            argument_default=argparse.SUPPRESS)
         for flag in flags:
             p.add_argument(flag, **_OPTIONS[flag])
-    sub.add_parser("run", help="run an experiment config JSON file"
-                   ).add_argument("config_path")
+    sub.add_parser("run", help="run an experiment config JSON file",
+                   allow_abbrev=False).add_argument("config_path")
     return parser
 
 

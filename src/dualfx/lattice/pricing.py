@@ -44,20 +44,24 @@ from .tree import DualTree, _over_lcm, _rational
 class TreeClaim:
     """One payoff per terminal node, in the currency of the measure that sees
     the node: dollars where the rate is finite or zero, euros where it is
-    infinite.  A payoff is an int or Fraction >= 0, or None where it is
-    infinite.  The euro payoff at a finite or zero rate x is the dollar
-    payoff times 1/x (inf * 0 = 0), worked out where it is read."""
+    infinite.  A leaf pays `payoffs[nid] / denominator`, from an int or
+    Fraction >= 0, or None where it is infinite; its euro payoff at a finite
+    or zero rate x is that times 1/x (inf * 0 = 0), worked out where read."""
 
-    payoffs: Mapping[str, Fraction | None]
+    payoffs: Mapping[str, int | Fraction | None]
     kind: str = "custom"
+    denominator: int = 1
 
 
 def validate_claim(tree: DualTree, claim: TreeClaim) -> None:
-    """Raise ClaimError unless the claim has a payoff at every leaf, each
-    None (infinite) or a non-bool int or Fraction >= 0 (`_check_value`).
-
-    The pricers call this once per pricing call, where a claim meets a tree.
+    """Raise ClaimError unless the claim's denominator is an int >= 1 and it
+    has a payoff at every leaf, each None (infinite) or a non-bool int or
+    Fraction >= 0 (`_check_value`).  The pricers call this once per pricing
+    call, where a claim meets a tree.
     """
+    if type(claim.denominator) is not int or claim.denominator < 1:
+        raise ClaimError(f"claim denominator {claim.denominator!r} is not "
+                         "an int >= 1")
     payoffs = claim.payoffs
     for nid in tree.leaves:
         if nid not in payoffs:
@@ -67,16 +71,17 @@ def validate_claim(tree: DualTree, claim: TreeClaim) -> None:
 
 
 def tree_claim(tree: DualTree, kind: str, strike=None) -> TreeClaim:
-    """The `TreeClaim` of a claim kind from the `pricing.PAYOFFS` table, at a
-    strike read by `tree._rational`: the exact dollar leg at a finite or zero
-    rate, the euro value at an explosion."""
+    """The `TreeClaim` of a `pricing.PAYOFFS` kind at a strike p/q read by
+    `tree._rational`, from the terminal law alone: the dollar leg at a rate
+    n/Dx, or the euro value at an explosion, as integers over (Dx*q)**2."""
     row, k = payoff_row(kind, strike, _rational)
-    dollar, euro = row.dollar, row.euro_at_explosion(k)
-    if euro == math.inf:
-        euro = None
-    payoffs = {nid: euro if x.is_infinite else dollar(x.fraction, k)
-               for nid, x in ((i, tree.nodes[i].x) for i in tree.leaves)}
-    return TreeClaim(payoffs, kind if k is None else f"{kind}_{k}")
+    q = 1 if k is None else k.denominator
+    u = tree.denominators[2] * q
+    dollar, ku, euro = row.dollar, k and int(k * u), row.euro_at_explosion(k)
+    euro = None if euro == math.inf else int(euro * u * u)
+    payoffs = {nid: euro if (x := tree.numerators[nid][2]) is None
+               else dollar(x * q, ku, u) for nid in tree.leaves}
+    return TreeClaim(payoffs, kind if k is None else f"{kind}_{k}", u * u)
 
 
 def tree_euro_forward(tree: DualTree) -> TreeClaim:
@@ -131,6 +136,7 @@ def _formula_sums(tree: DualTree, claim: TreeClaim) -> tuple:
             euro_finite += pe * v * inv
         else:
             devalued += pd * v
+    d_v *= claim.denominator
     d_pd, d_pe, _, d_inv = tree.denominators
     x0n, x0d = tree.x0.numerator, tree.x0.denominator
     total = classical * x0d * d_pe + exploded * x0n * d_pd
@@ -265,7 +271,7 @@ def superreplicate_backward(tree: DualTree, claim: TreeClaim
     validate_claim(tree, claim)
     required: dict[str, Fraction] = {}
     holdings: dict[str, tuple[Fraction, Fraction]] = {}
-    num, d_x = tree.numerators, tree.denominators[2]
+    num, d_x, d_v = tree.numerators, tree.denominators[2], claim.denominator
     for node in reversed(tree.nodes.values()):
         if node.id not in tree.supported:
             continue
@@ -273,7 +279,7 @@ def superreplicate_backward(tree: DualTree, claim: TreeClaim
             v = claim.payoffs[node.id]
             if v is None:
                 raise InfinitePrice(f"infinite payoff at {node.id!r}")
-            required[node.id] = v
+            required[node.id] = v if d_v == 1 else Fraction(v, d_v)
             continue
         x = num[node.id][2]
         if not x:       # absorbed: the child's requirement, in its unit
@@ -320,15 +326,17 @@ def verify_strategy(tree: DualTree, claim: TreeClaim, strategy: TreeStrategy,
     """Assert the wealth process superreplicates the claim on supported leaves
     and stays nonnegative, both in the unit of the measure that sees each
     node; at a finite rate x > 0 that one comparison holds in both units."""
+    d_v = claim.denominator
     for nid in tree.leaves:
         if nid not in tree.supported:
             continue
         w, v = strategy.wealth[nid], claim.payoffs[nid]
-        if v is None or w < v:
-            raise AssertionError(f"wealth {w} < payoff "
-                                 f"{'inf' if v is None else v} at {nid!r}")
-        if require_equality and w != v:
-            raise AssertionError(f"wealth {w} != payoff {v} at {nid!r}")
+        if v is None:
+            raise AssertionError(f"wealth {w} < payoff inf at {nid!r}")
+        gap = w.numerator * d_v * v.denominator - v.numerator * w.denominator
+        if gap < 0 or require_equality and gap:
+            raise AssertionError(f"wealth {w} {'<' if gap < 0 else '!='} "
+                                 f"payoff {Fraction(v, d_v)} at {nid!r}")
     for nid, w in strategy.wealth.items():
         if w.numerator < 0:
             raise AssertionError(f"negative wealth at {nid!r}")

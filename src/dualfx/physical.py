@@ -103,8 +103,8 @@ def consistency_checks(pl: PhysicalLattice,
     # the supports need only signs: the restrictions' numerators suffice
     dollar_mass, euro_mass = (cylinder_masses(tree, dollar),
                               cylinder_masses(tree, euro))
-    support_ok = all((dollar_mass[node.id] > 0) == (euro_mass[node.id] > 0)
-                     for node in tree.nodes.values() if node.x.is_finite)
+    support_ok = all((dollar_mass[nid] > 0) == (euro_mass[nid] > 0)
+                     for nid, (*_, x, _) in tree.numerators.items() if x)
 
     # E_Q$[X_T] over D$ Dx and E_Qe[1/X_T] over De D1/x
     e_x = e_inv = 0

@@ -42,13 +42,13 @@ def _const(x, c):
 
 @dataclass(frozen=True)
 class Payoff:
-    """One claim kind, written once for numpy float arrays and for Fractions.
-
-    `dollar(x, k)` is the dollar leg on [0, inf) and `euro(x, k)` the euro leg
-    on (0, inf), equal to dollar / x there.  `euro_at_explosion(k)` is the
-    euro value at explosion, math.inf for an infinite payoff.  The dollar
-    value at explosion is inf times the euro value there, under inf * 0 = 0.
-    """
+    """One claim kind, written once for float arrays, Fractions and integers:
+    `dollar(x, k, u=1)` is the dollar leg on [0, inf), homogeneous of degree
+    2 in (x, k, u): at a rate n/d and a strike p/q, `dollar(n*q, p*d, d*q)`
+    is the integer (d*q)**2 times its value.  `euro(x, k)` is the euro leg on
+    (0, inf), dollar / x there, and `euro_at_explosion(k)` the euro value at
+    explosion, math.inf for an infinite payoff.  The dollar value at
+    explosion is inf times the euro value there, under inf * 0 = 0."""
 
     dollar: Callable
     euro: Callable
@@ -57,20 +57,20 @@ class Payoff:
 
 
 PAYOFFS: dict[str, Payoff] = {
-    "euro_forward": Payoff(lambda x, k: x, lambda x, k: _const(x, 1),
+    "euro_forward": Payoff(lambda x, k, u=1: u * x, lambda x, k: _const(x, 1),
                            lambda k: 1, takes_strike=False),
-    "call": Payoff(lambda x, k: _pos(x - k), lambda x, k: _pos(1 - k / x),
-                   lambda k: 1),
-    "put": Payoff(lambda x, k: _pos(k - x), lambda x, k: _pos(k / x - 1),
-                  lambda k: 0),
+    "call": Payoff(lambda x, k, u=1: u * _pos(x - k),
+                   lambda x, k: _pos(1 - k / x), lambda k: 1),
+    "put": Payoff(lambda x, k, u=1: u * _pos(k - x),
+                  lambda x, k: _pos(k / x - 1), lambda k: 0),
     # call on one dollar, struck in euros
-    "dollar_call": Payoff(lambda x, k: _pos(1 - k * x),
+    "dollar_call": Payoff(lambda x, k, u=1: _pos(u * u - k * x),
                           lambda x, k: _pos(1 / x - k), lambda k: 0),
-    "dollar_put": Payoff(lambda x, k: _pos(k * x - 1),
+    "dollar_put": Payoff(lambda x, k, u=1: _pos(k * x - u * u),
                          lambda x, k: _pos(k - 1 / x), lambda k: k),
-    "self_quantoed": Payoff(lambda x, k: x * _pos(x - k),
+    "self_quantoed": Payoff(lambda x, k, u=1: x * _pos(x - k),
                             lambda x, k: _pos(x - k), lambda k: math.inf),
-    "digital_explosion": Payoff(lambda x, k: _const(x, 0),
+    "digital_explosion": Payoff(lambda x, k, u=1: _const(x, 0),
                                 lambda x, k: _const(x, 0),
                                 lambda k: 1, takes_strike=False),
 }

@@ -126,7 +126,8 @@ def _price_oracle(tree, claim):
     pd, pe, x0 = tree.prob_dollar, tree.prob_euro, tree.x0
     classical = correction = euro_classical = euro_correction = Fraction(0)
     for nid in tree.leaves:
-        x, v = tree.nodes[nid].x, claim.payoffs[nid]
+        x, v = tree.nodes[nid].x, Fraction(claim.payoffs[nid],
+                                           claim.denominator)
         if x.is_infinite:
             correction += x0 * pe[nid] * v
             euro_classical += pe[nid] * v
@@ -163,7 +164,8 @@ def _replication_oracle(tree, claim):
     need = {}
     for node in reversed(tree.nodes.values()):
         if node.is_terminal:
-            need[node.id] = claim.payoffs[node.id]
+            need[node.id] = Fraction(claim.payoffs[node.id],
+                                     claim.denominator)
         elif not node.x.is_finite:
             need[node.id] = need[node.branches[0].child]
         else:

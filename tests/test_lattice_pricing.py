@@ -108,6 +108,26 @@ def test_payoffs_must_be_nonnegative_rationals_or_none(payoff, shown):
         validate_claim(t, TreeClaim({nid: v for nid in t.leaves}))
 
 
+@pytest.mark.parametrize("denominator", [0, -3, True, 2.0, Fraction(1, 2)])
+def test_claim_denominator_must_be_an_int_at_least_1(denominator):
+    t = two_period_example()
+    claim = TreeClaim({nid: 1 for nid in t.leaves}, "bad", denominator)
+    for check in (validate_claim, price_on_tree, superreplicate_backward):
+        with pytest.raises(ClaimError, match=re.escape(
+                f"claim denominator {denominator!r} is not an int >= 1")):
+            check(t, claim)
+
+
+def test_a_leaf_pays_its_payoff_over_the_denominator():
+    t = two_period_example()
+    over = TreeClaim({nid: i for i, nid in enumerate(t.leaves)}, "c", 3)
+    exact = TreeClaim({nid: Fraction(i, 3) for i, nid in enumerate(t.leaves)})
+    assert price_on_tree(t, over) == price_on_tree(t, exact)
+    cost, strategy = superreplicate_backward(t, over)
+    assert (cost, strategy) == superreplicate_backward(t, exact)
+    verify_strategy(t, over, strategy, require_equality=True)
+
+
 def test_price_identity_and_superrep_on_complete_trees():
     for seed in range(120):
         tree = random_complete_dual_tree(seed)
@@ -482,6 +502,7 @@ def _price_leaf_by_leaf(tree, claim):
     for leaf in (n for n in tree.nodes.values() if n.is_terminal):
         pd, pe = tree.prob_dollar[leaf.id], tree.prob_euro[leaf.id]
         v = claim.payoffs[leaf.id]     # None is an infinite payoff
+        v = None if v is None else Fraction(v, claim.denominator)
         if pd > 0:
             if v is None:
                 raise InfinitePrice(
@@ -580,15 +601,19 @@ PARITY_STRIKES = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2),
 # seed 3 has only finite leaves, seed 9 exploded and devalued ones too
 @pytest.mark.parametrize("seed", [3, 9])
 def test_price_on_tree_reads_only_the_terminal_law(seed):
-    """The pricer needs the leaves, their integer numerators, the common
-    denominators and x0, and nothing of the nodes' states or branches."""
+    """The pricer, the table claims and the parity report need the leaves,
+    their integer numerators, the common denominators and x0, and nothing of
+    the nodes' states or branches."""
     tree = random_dual_tree(seed, 4)
     law = SimpleNamespace(leaves=tree.leaves, numerators=tree.numerators,
                           denominators=tree.denominators, x0=tree.x0)
-    claims = [random_claim(tree, seed)] + [
-        tree_claim(tree, kind, Fraction(3, 2) if PAYOFFS[kind].takes_strike
-                   else None) for kind in CLAIM_KINDS]
-    for claim in claims:
+    table = [(kind, Fraction(3, 2) if PAYOFFS[kind].takes_strike else None)
+             for kind in CLAIM_KINDS]
+    claims = [tree_claim(law, kind, k) for kind, k in table]
+    assert claims == [tree_claim(tree, kind, k) for kind, k in table]
+    assert parity_and_equivalence_report(law, PARITY_STRIKES) \
+        == parity_and_equivalence_report(tree, PARITY_STRIKES)
+    for claim in [random_claim(tree, seed)] + claims:
         try:
             want = price_on_tree(tree, claim)
         except InfinitePrice as exc:
@@ -793,10 +818,24 @@ def test_tree_claim_refuses_a_bool_strike(strike):
 
 @pytest.mark.parametrize("kind", CLAIM_KINDS)
 def test_table_rational_and_float_evaluations_agree(kind):
-    """The payoff table evaluated in Fractions on a tree and in floats by
-    make_claim agree on every leaf: finite states, explosions, devaluations.
-    The table's euro column is the dollar column over the rate, exactly."""
+    """The payoff table evaluated on a tree's integer numerators, in
+    Fractions and in floats by make_claim agree on every leaf: finite
+    states, explosions, devaluations.  The table's euro column is the dollar
+    column over the rate, exactly."""
     row = PAYOFFS[kind]
+    for generate in (random_dual_tree, random_complete_dual_tree):
+        for seed in range(300):
+            tree = generate(seed)
+            for k in ([Fraction(1, 2), Fraction(1), Fraction(3, 2),
+                       Fraction(2)] if row.takes_strike else [None]):
+                claim = tree_claim(tree, kind, k)
+                for leaf in map(tree.nodes.get, tree.leaves):
+                    v = claim.payoffs[leaf.id]
+                    want = (row.euro_at_explosion(k) if leaf.x.is_infinite
+                            else row.dollar(leaf.x.fraction, k))
+                    assert (math.inf if v is None
+                            else Fraction(v, claim.denominator)) == want, \
+                        (generate.__name__, seed, kind, k, leaf.id)
     strikes = ([Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(7, 3)]
                if row.takes_strike else [None])
     seen = set()
@@ -808,6 +847,7 @@ def test_table_rational_and_float_evaluations_agree(kind):
             approx = make_claim(kind, fk)
             for leaf in map(tree.nodes.get, tree.leaves):
                 v = exact.payoffs[leaf.id]
+                v = None if v is None else Fraction(v, exact.denominator)
                 if leaf.x.is_finite:
                     seen.add("finite")
                     x = leaf.x.fraction

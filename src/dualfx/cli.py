@@ -127,7 +127,7 @@ def _plain(obj):
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
     if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
+        return "inf" if obj > 0 else "-inf"
     return obj
 
 

@@ -106,7 +106,9 @@ class Claim:
 
     The euro leg equals dollar leg / rate wherever the rate is finite; the
     absorbed-state values apply the inf * 0 = 0 convention before any
-    arithmetic so digital and forward payoffs stay well defined.
+    arithmetic so digital and forward payoffs stay well defined.  Both legs
+    are called once on a whole batch, and `euro_finite` only ever sees
+    finite positive rates.
     """
 
     kind: str
@@ -126,17 +128,16 @@ def make_claim(kind: str, strike: float | None = None) -> Claim:
 
 def euro_correction_values(claim: Claim, dual: TerminalBatch) -> np.ndarray:
     """Per-path euro payoff on the explosion event, zero elsewhere."""
-    out = np.zeros(len(dual))
-    out[dual.hit_infinity] = claim.euro_at_explosion
-    return out
+    return np.where(dual.hit_infinity, claim.euro_at_explosion, 0.0)
 
 
 def euro_leg_values(claim: Claim, dual: TerminalBatch) -> np.ndarray:
-    """Per-path euro payoff on a dual batch (survivors plus explosion value)."""
-    surv = ~dual.hit_infinity
-    out = np.full(len(dual), float(claim.euro_at_explosion))
-    out[surv] = claim.euro_finite(dual.x[surv])
-    return out
+    """Per-path euro payoff on a dual batch (survivors plus explosion value),
+    from one `euro_finite` call on the whole batch with each exploded rate
+    replaced by 1, so that it sees only finite positive rates."""
+    hit = dual.hit_infinity
+    return np.where(hit, claim.euro_at_explosion,
+                    claim.euro_finite(np.where(hit, 1.0, dual.x)))
 
 
 def devaluation_values(claim: Claim, primal: TerminalBatch) -> np.ndarray:
@@ -375,17 +376,17 @@ def tail_diagnostic(model: DiffusionModel, claim: Claim,
     climbing level after level (the truncated mean of a fat tail grows with
     the truncation) instead of settling.
     Advisory evidence for the analytic-infinity verdict, never a price.
+    Raises ConfigError, before simulating, if MCConfig refuses a level.
     """
-    sizes = sorted(int(n) for n in ns)
+    levels = [replace(cfg, n=n, steps=cfg.steps * 4**i)
+              for i, n in enumerate(sorted(ns))]
     out = []
-    steps = cfg.steps
     cap = 10.0
-    for n in sizes:
-        vals = _naive_dual_values(model, claim, n, steps,
-                                  dual_seed(cfg.seed) + steps)
-        out.append(TailPoint(n, steps, cap,
+    for level in levels:
+        vals = _naive_dual_values(model, claim, level.n, level.steps,
+                                  dual_seed(cfg.seed) + level.steps)
+        out.append(TailPoint(level.n, level.steps, cap,
                              float(np.minimum(vals, cap).mean())))
-        steps *= 4
         cap *= 10.0
     return out
 

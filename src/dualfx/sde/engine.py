@@ -88,6 +88,9 @@ class Estimate:
 
 
 def estimate_from_values(values: np.ndarray, seed: int) -> Estimate:
+    """Mean and standard error of per-path values, each one whole-batch pass:
+    the deviations are squared from the one mean in numpy's own order, so
+    both equal `mean()` and `std(ddof=1) / sqrt(n)` bit for bit."""
     values = np.asarray(values, dtype=float)
     if not np.isfinite(values).all():
         raise InfiniteContribution(
@@ -96,7 +99,10 @@ def estimate_from_values(values: np.ndarray, seed: int) -> Estimate:
     try:
         with np.errstate(over="raise"):
             mean = float(values.mean())
-            stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+            dev = values - mean
+            dev *= dev
+            stderr = (math.sqrt(dev.sum() / (n - 1)) / math.sqrt(n)
+                      if n > 1 else 0.0)
     except FloatingPointError as exc:
         raise InfiniteContribution(
             f"the mean or standard error of {n} finite values left the "
@@ -112,7 +118,7 @@ def z_score(lhs: Estimate, rhs: Estimate) -> float:
     se = combined_stderr(lhs, rhs)
     diff = lhs.mean - rhs.mean
     if se == 0.0:
-        return 0.0 if diff == 0.0 else math.inf
+        return 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
     return diff / se
 
 
@@ -387,7 +393,8 @@ def cross_measure_check(model: DiffusionModel, f: Callable[[float], float],
     # exploded paths have y == 0 and add nothing
     rhs_vals = np.zeros(len(dual))
     alive = y > 0.0
-    rhs_vals[alive] = _mapped(f, 1.0 / y[alive]) * y[alive]
+    ya = y[alive]
+    rhs_vals[alive] = _mapped(f, 1.0 / ya) * ya
     lhs = estimate_from_values(lhs_vals, primal.seed)
     rhs = estimate_from_values(rhs_vals, dual.seed).scale(model.x0)
     return CrossMeasureResult(z_score(lhs, rhs), lhs, rhs)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import dualfx
 
+from dualfx import cli
 from dualfx.catalog import MODEL_NAMES, get_model
 from dualfx.cli import COMMANDS, main, validate_config
 from dualfx.errors import ConfigError, SchemeUnsupported
@@ -224,6 +225,23 @@ def test_parity_on_qnv_at_the_defaults(tmp_path):
     defaults the residual reads -0.0915 (se 0.0026) and the command exits 2."""
     assert main(["parity", "--model", "qnv(1,0,0)",
                  "--out-dir", str(tmp_path)]) == 0
+
+
+@pytest.mark.xfail(strict=True, reason="float rounding at a zero standard "
+                   "error reads as a violation")
+@pytest.mark.parametrize("argv", [
+    ["parity", "--strikes", "0.1,1.4"],   # residual +-2.2e-16, se 0
+    ["intl", "--strikes", "0.9"]])        # z_call -55.9
+def test_identities_hold_on_a_deterministic_rate(argv, tmp_path):
+    """sigma = 0: X_T = x0 on every path, so put-call parity and the intl
+    equivalence hold exactly, yet rounding of the compared means, against a
+    standard error of about 0, exits 2."""
+    assert main([*argv, "--model", "qnv(0,0,0)", "--n", "1000",
+                 "--out-dir", str(tmp_path)]) == 0
+
+
+def test_infinite_values_keep_their_sign_in_reports():
+    assert cli._plain([math.inf, -math.inf, 1.5]) == ["inf", "-inf", 1.5]
 
 
 def test_intl_command(tmp_path):

@@ -14,7 +14,7 @@ from dualfx import (ConfigError, DiffusionModel, InfiniteContribution,
                     MCConfig, NumericalBlowup, SchemeUnsupported,
                     derive_dual_model, simulate)
 from dualfx.catalog import MAX_REJECTION_ROUNDS, get_model
-from dualfx.sde import (BLOCK, cross_measure_check, dual_seed,
+from dualfx.sde import (BLOCK, Estimate, cross_measure_check, dual_seed,
                         estimate_from_values, z_score)
 from dualfx.sde import engine
 from dualfx.sde.engine import (MAX_PATH_STEPS, block_generator,
@@ -274,6 +274,34 @@ def test_estimate_basics_and_infinite_contribution():
     e2 = estimate_from_values(np.where(dual.hit_infinity, 0.0, dual.x),
                               dual.seed)
     assert math.isfinite(e2.mean)
+
+
+def test_estimate_equals_numpy_mean_and_std_bitwise():
+    """One mean, reused for the deviations, gives numpy's own numbers."""
+    rng = np.random.default_rng(20120229)
+    sizes = [1, 2, *rng.integers(3, 5001, size=1000)]
+    for n in sizes:
+        scale = 10.0 ** rng.uniform(-5, 5)
+        v = scale * (rng.standard_normal(n) + rng.uniform(-3, 3))
+        e = estimate_from_values(v, 0)
+        assert e.mean.hex() == float(v.mean()).hex()
+        want = float(v.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        assert e.stderr.hex() == want.hex(), n
+
+
+@pytest.mark.parametrize("values", [[1e200, -1e200],
+                                    [-1e200, 1e200, 3e200]])
+def test_estimate_raises_when_the_deviations_overflow(values):
+    with pytest.raises(InfiniteContribution, match="left the float range"):
+        estimate_from_values(np.array(values), 0)
+
+
+def test_z_score_keeps_the_sign_at_zero_stderr():
+    def at(mean):
+        return Estimate(mean, 0.0, 1, 0)
+    assert z_score(at(1.0), at(0.0)) == math.inf
+    assert z_score(at(-1.0), at(0.0)) == -math.inf
+    assert z_score(at(2.0), at(2.0)) == 0.0
 
 
 def test_estimate_dual_absorption_indicator():

@@ -1,14 +1,15 @@
 """The Monte Carlo pricing operator: decompositions, parity, equivalence,
 defects, infinite-price verdicts and estimator properties."""
 
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dualfx import (ConfigError, InfiniteContribution, MCConfig,
-                    derive_dual_model, pricing, simulate)
+from dualfx import (ConfigError, DualFXError, InfiniteContribution,
+                    MCConfig, derive_dual_model, pricing, simulate)
 from dualfx.catalog import get_model
 from dualfx.lattice import tree_claim, two_period_example
 from dualfx.pricing import (CLAIM_KINDS, PAYOFFS, Claim,
@@ -16,7 +17,7 @@ from dualfx.pricing import (CLAIM_KINDS, PAYOFFS, Claim,
                             martingale_defect, parity_table, price,
                             price_euro_side, scheme_convergence,
                             tail_diagnostic)
-from dualfx.sde import dual_seed
+from dualfx.sde import BLOCK, dual_seed
 from tests.test_oracles import DUAL_ABSORPTION, EXPECTED_X
 
 CFG = MCConfig(n=100_000, seed=7)
@@ -265,6 +266,25 @@ def test_tail_diagnostic_grows_for_nonintegrable_claims():
         assert means[0] < means[1] < means[2], (name, means)
 
 
+@pytest.mark.parametrize("ns", [[0, 64], [-5], [64.7]])
+def test_tail_diagnostic_refuses_bad_sizes(ns):
+    with pytest.raises(ConfigError):
+        tail_diagnostic(get_model("recip_bessel").model,
+                        make_claim("self_quantoed", 1.0), ns, MCConfig())
+
+
+def test_tail_diagnostic_bounds_every_level_before_simulating(monkeypatch):
+    """steps grows 4x per level: the third level, 3 paths x 1.6e10 steps,
+    exceeds MAX_PATH_STEPS, and no level is simulated."""
+    def refuse(*args):
+        raise AssertionError("simulated a level")
+    monkeypatch.setattr(pricing, "_naive_dual_values", refuse)
+    cfg = MCConfig(n=1, steps=10**9)
+    with pytest.raises(ConfigError, match="MAX_PATH_STEPS"):
+        tail_diagnostic(get_model("recip_bessel").model,
+                        make_claim("self_quantoed", 1.0), [1, 2, 3], cfg)
+
+
 def test_scheme_convergence_recip_bessel():
     ref, rows = scheme_convergence(get_model("recip_bessel").model,
                                    [32, 128, 512], MCConfig(n=40_000, seed=1))
@@ -308,3 +328,100 @@ def test_tables_equal_with_and_without_the_kept_pair(name, scheme,
     monkeypatch.setattr(pricing, "make_batches", _explicit_batches)
     explicit = [table(model, strikes, cfg) for table in tables]
     assert cold == warm == explicit
+
+
+# ---------------------------------------------------------------------------
+# every Monte Carlo report number pinned by digest
+# ---------------------------------------------------------------------------
+
+def _mc_results(name):
+    """Each claim's two decompositions at three strikes (or the error one
+    raises), the parity and intl tables and the defect, on one exact pair."""
+    model = get_model(name).model
+    cfg = MCConfig(n=BLOCK + 3, seed=20120229, scheme="exact")
+    out = []
+    for kind in CLAIM_KINDS:
+        for k in (0.5, 1.0, 2.0):
+            claim = make_claim(kind, k)
+            for operator in (price, price_euro_side):
+                try:
+                    out.append(operator(model, claim, cfg))
+                except DualFXError as exc:
+                    out.append((type(exc).__name__, str(exc)))
+    out.append(parity_table(model, (0, 0.5, 1, 2), cfg))
+    out.append(intl_equivalence_table(model, (0.5, 1, 2), cfg))
+    out.append(martingale_defect(model, cfg))
+    return repr(out)
+
+
+# SHA-256 over _mc_results, recorded before the claim legs were evaluated
+# on the whole batch
+MC_DIGESTS = {
+    "recip_bessel":
+        "c3111c77b4ecd5a56246223f85cc1f405e6c23ad5634064328eb1fad22ce4150",
+    "stopped_bm":
+        "47b1cf40e95afe5a96119736707c105f8eb580cd7b4670fd5d2e32575ab75273",
+    "exp_martingale_baseline":
+        "002b9fcc2e7cd54b4c4e03dcaec8eb8c755825d04e555283fd59f303c47d95f5",
+    "singular_timechange":
+        "1bf10b5a375a5f618ade3590fd5fdeea9c4fac35fb02e778d5643fc5e8501dbe",
+}
+
+
+@pytest.mark.parametrize("name", list(MC_DIGESTS))
+def test_monte_carlo_results_are_pinned(name):
+    digest = hashlib.sha256(_mc_results(name).encode()).hexdigest()
+    assert digest == MC_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# the claim legs on the whole batch equal the boolean gather and scatter
+# ---------------------------------------------------------------------------
+
+def _gathered_correction(claim, dual):
+    out = np.zeros(len(dual))
+    out[dual.hit_infinity] = claim.euro_at_explosion
+    return out
+
+
+def _gathered_euro_leg(claim, dual):
+    surv = ~dual.hit_infinity
+    out = np.full(len(dual), float(claim.euro_at_explosion))
+    out[surv] = claim.euro_finite(dual.x[surv])
+    return out
+
+
+def _gathered_devaluation(claim, primal):
+    dev = primal.x == 0.0
+    out = np.zeros(len(primal))
+    out[dev] = claim.dollar_finite(primal.x[dev])
+    return out
+
+
+def _spy(claim):
+    """The claim, with a euro leg that refuses a rate outside (0, inf)."""
+    def euro_finite(x):
+        assert np.all(np.isfinite(x) & (x > 0.0)), "euro leg off (0, inf)"
+        return claim.euro_finite(x)
+    return replace(claim, euro_finite=euro_finite)
+
+
+@pytest.mark.parametrize("name, event", [("recip_bessel", "hit_infinity"),
+                                         ("stopped_bm", "devalued")])
+def test_whole_batch_legs_equal_the_gathered_legs(name, event):
+    primal, dual = make_batches(
+        get_model(name).model,
+        MCConfig(n=BLOCK + 3, seed=20120229, scheme="exact"))
+    # each batch carries the event its legs single out
+    assert (dual.hit_infinity if event == "hit_infinity"
+            else primal.x == 0.0).any()
+    legs = ((pricing.euro_leg_values, _gathered_euro_leg, dual),
+            (pricing.euro_correction_values, _gathered_correction, dual),
+            (pricing.devaluation_values, _gathered_devaluation, primal))
+    for kind in CLAIM_KINDS:
+        for k in (0.5, 1.0, 2.0):
+            claim = _spy(make_claim(kind, k))
+            for leg, gathered, batch in legs:
+                got, want = leg(claim, batch), gathered(claim, batch)
+                assert got.dtype == want.dtype == np.float64
+                assert got.tobytes() == want.tobytes(), (kind, k, leg)

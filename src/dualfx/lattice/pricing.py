@@ -18,9 +18,9 @@ assumes) the program is tight and the two routes agree exactly; with three
 or more supported branches the hedging cost can be strictly larger, which
 `test_lattice_pricing` pins down with a counterexample.
 
-Both routes work in the tree's integer numerators and form one Fraction per
-value returned: `price_on_tree` and the parity report share one core,
-`_formula_sums`; the hedge's states and each wealth e0 + e1*x use them too.
+Both routes work in ints and form one Fraction per value returned: the
+formula and the parity report sum leaf-ordered values in `_formula_sums`,
+and the hedge solves each node in ints on (numerator, denominator) pairs.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from fractions import Fraction
 from typing import Mapping
 
 from ..errors import ClaimError, InfeasibleError, InfinitePrice
-from ..pricing import payoff_row
+from ..pricing import PAYOFFS, Payoff, payoff_row
 from .checks import _check_value
-from .tree import DualTree, _over_lcm, _rational
+from .tree import DualTree, _rational
 
 
 # ---------------------------------------------------------------------------
@@ -70,18 +70,25 @@ def validate_claim(tree: DualTree, claim: TreeClaim) -> None:
             _check_value(payoffs[nid], "payoff", "leaf", nid)
 
 
-def tree_claim(tree: DualTree, kind: str, strike=None) -> TreeClaim:
-    """The `TreeClaim` of a `pricing.PAYOFFS` kind at a strike p/q read by
-    `tree._rational`, from the terminal law alone: the dollar leg at a rate
-    n/Dx, or the euro value at an explosion, as integers over (Dx*q)**2."""
-    row, k = payoff_row(kind, strike, _rational)
+def _table_values(tree: DualTree, row: Payoff, k) -> tuple[list, int]:
+    """A `pricing.PAYOFFS` row at a strike k = p/q from the terminal law
+    alone, in `tree.leaves` order: the dollar leg at a rate n/Dx, or the euro
+    value at an explosion, as ints over (Dx*q)**2 (None if infinite)."""
     q = 1 if k is None else k.denominator
     u = tree.denominators[2] * q
     dollar, ku, euro = row.dollar, k and int(k * u), row.euro_at_explosion(k)
     euro = None if euro == math.inf else int(euro * u * u)
-    payoffs = {nid: euro if (x := tree.numerators[nid][2]) is None
-               else dollar(x * q, ku, u) for nid in tree.leaves}
-    return TreeClaim(payoffs, kind if k is None else f"{kind}_{k}", u * u)
+    return [euro if (x := tree.numerators[nid][2]) is None
+            else dollar(x * q, ku, u) for nid in tree.leaves], u * u
+
+
+def tree_claim(tree: DualTree, kind: str, strike=None) -> TreeClaim:
+    """The `TreeClaim` of a `pricing.PAYOFFS` kind at a strike read by
+    `tree._rational`: its `_table_values`, keyed by leaf."""
+    row, k = payoff_row(kind, strike, _rational)
+    values, d = _table_values(tree, row, k)
+    return TreeClaim(dict(zip(tree.leaves, values)),
+                     kind if k is None else f"{kind}_{k}", d)
 
 
 def tree_euro_forward(tree: DualTree) -> TreeClaim:
@@ -106,17 +113,14 @@ class TreeDualPrice:
     euro_correction: Fraction
 
 
-def _formula_sums(tree: DualTree, claim: TreeClaim) -> tuple:
-    """`price_on_tree`'s checked integer core: the payoffs over their common
-    denominator Dv times the leaf numerators, zero payoffs skipped.  Returns
-    the six parts of `TreeDualPrice` as (numerator, denominator) pairs."""
-    validate_claim(tree, claim)
-    payoffs = claim.payoffs
-    d_v = math.lcm(*[v.denominator for v in map(payoffs.get, tree.leaves)
-                      if v])
+def _formula_sums(tree: DualTree, values: list, denominator: int) -> tuple:
+    """The formula's integer core on checked leaf values in `tree.leaves`
+    order over `denominator`: summed over their common denominator Dv times
+    the leaf numerators, zero values skipped.  Returns the six parts of
+    `TreeDualPrice` as (numerator, denominator) pairs."""
+    d_v = math.lcm(*[v.denominator for v in values if v])
     classical = devalued = euro_finite = exploded = 0
-    for nid in tree.leaves:
-        v = payoffs[nid]
+    for nid, v in zip(tree.leaves, values):
         pd, pe, x, inv = tree.numerators[nid]
         if v is None:
             # pd > 0 only at finite and zero rates, pe > 0 only at finite
@@ -136,7 +140,7 @@ def _formula_sums(tree: DualTree, claim: TreeClaim) -> tuple:
             euro_finite += pe * v * inv
         else:
             devalued += pd * v
-    d_v *= claim.denominator
+    d_v *= denominator
     d_pd, d_pe, _, d_inv = tree.denominators
     x0n, x0d = tree.x0.numerator, tree.x0.denominator
     total = classical * x0d * d_pe + exploded * x0n * d_pd
@@ -151,10 +155,11 @@ def _formula_sums(tree: DualTree, claim: TreeClaim) -> tuple:
 
 
 def price_on_tree(tree: DualTree, claim: TreeClaim) -> TreeDualPrice:
-    """The exact two-measure price of a claim, summed over the leaves in
-    integers by `_formula_sums`, one Fraction per part of the price."""
-    return TreeDualPrice(*(Fraction(*part)
-                           for part in _formula_sums(tree, claim)))
+    """The exact two-measure price of a claim, validated once and summed over
+    the leaves in integers by `_formula_sums`, one Fraction per part."""
+    validate_claim(tree, claim)
+    return TreeDualPrice(*(Fraction(*part) for part in _formula_sums(
+        tree, [claim.payoffs[nid] for nid in tree.leaves], claim.denominator)))
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +188,14 @@ def _cheapest_line(pts: list[tuple[int, int]], fl: list[int], p: int,
     return m, e.count(m) + sum(f * q == p for f in fl)
 
 
-def _solve_hull_lp(points: list[tuple[int, Fraction]],
-                   floors: list[Fraction], x: int,
-                   d_x: int) -> tuple[Fraction, Fraction, Fraction]:
+def _solve_hull_lp(points: list[tuple[int, tuple[int, int]]],
+                   floors: list[tuple[int, int]], x: int,
+                   d_x: int) -> tuple[int, int, int, int, int]:
     """The cheapest line y -> e0 + e1*y on or above every point (y, r) whose
-    slope e1 is at least every floor; returns (e0, e1, e0 + e1*x), where
-    the states x and y are integer numerators over d_x, as in a tree.
+    slope e1 is at least every floor, in ints: the states x and y are
+    numerators over d_x, as in a tree, each requirement r and floor a pair
+    (numerator, denominator > 0).  Returns (m, p, d0, d1, c), unreduced:
+    e0 = m/d0, e1 = p/d1 and the cost e0 + e1*x = c/d0, with d0 = d1*d_x.
 
     This is the one-period superhedging program at a node with state x: a
     point is a finite or devalued child (state, required dollars), a floor
@@ -213,11 +220,11 @@ def _solve_hull_lp(points: list[tuple[int, Fraction]],
     x * (1 - explosion mass) <= x, so a point lies at or below x, and with no
     explosion mass the mean is x, so a point lies at or above x.
     """
-    rs, d_r = _over_lcm([*(r for _, r in points), *floors])
+    d_r = math.lcm(*[d for _, (_, d) in points], *[d for _, d in floors])
     # states over d_x, requirements over d_r d_x and floors over d_r: a
     # slope t read in these units is the slope t / d_r
-    pts = [(y, r * d_x) for (y, _), r in zip(points, rs)]
-    fl = rs[len(points):]
+    pts = [(y, n * (d_r // d) * d_x) for y, (n, d) in points]
+    fl = [n * (d_r // d) for n, d in floors]
     hull: list[tuple[int, int]] = []
     for y, r in dict(sorted(pts)).items():    # the highest r per state y
         # keep the last hull point only if it lies strictly above the chord
@@ -254,8 +261,7 @@ def _solve_hull_lp(points: list[tuple[int, Fraction]],
     else:   # the end binding more constraints; max keeps hi on a tie
         t = max(hi, lo, key=lambda t: _cheapest_line(pts, fl, *t)[1])
     (p, q), (m, _) = t, _cheapest_line(pts, fl, *t)
-    den = q * d_r * d_x
-    return Fraction(m, den), Fraction(p, q * d_r), Fraction(m + p * x, den)
+    return m, p, q * d_r * d_x, q * d_r, m + p * x
 
 
 def superreplicate_backward(tree: DualTree, claim: TreeClaim
@@ -269,8 +275,9 @@ def superreplicate_backward(tree: DualTree, claim: TreeClaim
     as the claim's payoffs are, so an absorbed node inherits its child's.
     """
     validate_claim(tree, claim)
-    required: dict[str, Fraction] = {}
-    holdings: dict[str, tuple[Fraction, Fraction]] = {}
+    # reduced (n, d) requirements; lines (m, p, d0, d1): e0 = m/d0, e1 = p/d1
+    required: dict[str, tuple[int, int]] = {}
+    lines: dict[str, tuple[int, int, int, int]] = {}
     num, d_x, d_v = tree.numerators, tree.denominators[2], claim.denominator
     for node in reversed(tree.nodes.values()):
         if node.id not in tree.supported:
@@ -279,45 +286,45 @@ def superreplicate_backward(tree: DualTree, claim: TreeClaim
             v = claim.payoffs[node.id]
             if v is None:
                 raise InfinitePrice(f"infinite payoff at {node.id!r}")
-            required[node.id] = v if d_v == 1 else Fraction(v, d_v)
-            continue
-        x = num[node.id][2]
-        if not x:       # absorbed: the child's requirement, in its unit
+            n, d = v.numerator, v.denominator * d_v
+        elif not (x := num[node.id][2]):
+            # absorbed: the child's requirement, in its unit
             required[node.id] = required[node.branches[0].child]
             continue
-        points, floors = [], []
-        for b in node.branches:
-            if b.child not in tree.supported:
-                continue
-            cx = num[b.child][2]
-            if cx is None:
-                floors.append(required[b.child])
-            else:
-                points.append((cx, required[b.child]))
-        e0, e1, cost = _solve_hull_lp(points, floors, x, d_x)
-        holdings[node.id] = (e0, e1)
-        required[node.id] = cost
+        else:
+            points, floors = [], []
+            for b in node.branches:
+                if b.child not in tree.supported:
+                    continue
+                cx = num[b.child][2]
+                if cx is None:
+                    floors.append(required[b.child])
+                else:
+                    points.append((cx, required[b.child]))
+            m, p, d, d1, n = _solve_hull_lp(points, floors, x, d_x)
+            lines[node.id] = (m, p, d, d1)
+        g = math.gcd(n, d)
+        required[node.id] = (n // g, d // g)
 
     # wealth e0 + e1*x at each supported node from the holdings in force at
     # its parent, one Fraction each: e1 euros where x = inf, e0 where x = 0
-    price = required[tree.root]
+    price = Fraction(*required[tree.root])
     if price.numerator < 0:
         raise InfeasibleError("negative superreplication price for a claim >= 0")
-    wealth, held = {tree.root: price}, {tree.root: holdings[tree.root]}
+    wealth, held = {tree.root: price}, {tree.root: lines[tree.root]}
     for node in tree.nodes.values():
         if node.parent not in held or node.id not in tree.supported:
             continue
-        e0, e1 = held[node.parent]
+        m, p, d0, d1 = held[node.parent]
         x = num[node.id][2]
-        w = e1 if x is None else Fraction(
-            e0.numerator * e1.denominator * d_x
-            + e1.numerator * x * e0.denominator,
-            e0.denominator * e1.denominator * d_x)
-        if w.numerator < 0:
+        n, d = (p, d1) if x is None else (m + p * x, d0)
+        if n < 0:
             raise InfeasibleError(
                 f"negative wealth at supported node {node.id!r}")
-        wealth[node.id] = w
-        held[node.id] = holdings.get(node.id, (e0, e1))
+        wealth[node.id] = Fraction(n, d)
+        held[node.id] = lines.get(node.id, held[node.parent])
+    holdings = {nid: (Fraction(m, d0), Fraction(p, d1))
+                for nid, (m, p, d0, d1) in lines.items()}
     return price, TreeStrategy(price, holdings, wealth)
 
 
@@ -370,8 +377,8 @@ def parity_and_equivalence_report(tree: DualTree,
                                   strikes) -> list[ParityRow]:
     """One row per strike, each read exactly by `tree._rational`; ClaimError
     refuses a strike that is not a positive rational (a bool, nan, inf).
-    The four claims of a strike are summed by `_formula_sums`, and each
-    field is one Fraction of their integer parts."""
+    The four table rows of a strike, ints by construction, are summed by
+    `_formula_sums`; each field is one Fraction of their integer parts."""
     exploded = sum(tree.numerators[nid][1] for nid in tree.leaves
                    if tree.numerators[nid][2] is None)
     mass = tree.x0 * Fraction(exploded, tree.denominators[1])
@@ -386,9 +393,9 @@ def parity_and_equivalence_report(tree: DualTree,
             raise ClaimError(f"strikes must be positive, not {strike!r}")
         kn, kd, inv = k.numerator, k.denominator, 1 / k
         (cc, _, c, *_), (pc, _, p, *_), (_, _, dc, *_), (_, _, dp, *_) = (
-            _formula_sums(tree, tree_claim(tree, kind, s)) for kind, s in
-            (("call", k), ("put", k), ("dollar_call", inv),
-             ("dollar_put", inv)))
+            _formula_sums(tree, *_table_values(tree, PAYOFFS[kind], s))
+            for kind, s in (("call", k), ("put", k), ("dollar_call", inv),
+                            ("dollar_put", inv)))
         # x0 K pe(D) = K p$(D): the euro-side assertion of `_formula_sums`
         rows.append(ParityRow(
             strike=k, call_price=Fraction(*c), put_price=Fraction(*p),

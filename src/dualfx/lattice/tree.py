@@ -28,7 +28,7 @@ from typing import Iterable, Mapping
 from ..errors import MeasurabilityError, NormalizationError, StructureError
 from ..extended import ExtendedValue
 
-ONE = Fraction(1)
+ZERO, ONE = Fraction(0), Fraction(1)
 MAX_CHAIN_NODES = 20_000    # most nodes one document's absorption chains add
 
 
@@ -114,6 +114,14 @@ def _as_x(x) -> ExtendedValue:
             else ExtendedValue.of(_rational(x)))
 
 
+def _read_once(read):
+    """`read`, reading each distinct str once per function returned; other
+    arguments (a bool, an int, a float) are read afresh each time."""
+    seen = {}
+    return lambda v: (read(v) if type(v) is not str else seen[v] if v in seen
+                      else seen.setdefault(v, read(v)))
+
+
 def build_dual_tree(doc: Mapping) -> DualTree:
     """Build a finished DualTree from a node-list document in one walk.
 
@@ -129,7 +137,8 @@ def build_dual_tree(doc: Mapping) -> DualTree:
     one is refused.  A document of any depth builds within the chain
     bound: the walk is iterative.  The walk refuses, as it makes each node,
     every document that breaks an invariant of the measure pair, and the
-    integer numerators are formed from the masses it records.
+    integer numerators are formed from the masses it records.  Each distinct
+    state or mass string is read once per call (`_read_once`).
     """
     try:
         x0 = _rational(doc["x0"])
@@ -160,8 +169,9 @@ def build_dual_tree(doc: Mapping) -> DualTree:
     masses = {root_id: (1, 1, 1, 1)}
     leaves: list[str] = []
     chained = 0     # nodes the absorption chains have added so far
+    as_x, rational = _read_once(_as_x), _read_once(_rational)
     try:
-        root_x = _as_x(by_id[root_id]["x"])
+        root_x = as_x(by_id[root_id]["x"])
         # checked before the walk, so an absorbing root is never chained out
         if not (root_x.is_finite and root_x.fraction == x0):
             raise StructureError(f"root state {root_x} disagrees with x0 = {x0}")
@@ -215,17 +225,18 @@ def build_dual_tree(doc: Mapping) -> DualTree:
                 if child_entry is None:
                     raise StructureError(
                         f"branch references unknown node {child_id!r}")
-                cx = _as_x(child_entry["x"])
-                m = _rational(mass)
-                if m < 0:
+                cx = as_x(child_entry["x"])
+                m = rational(mass)
+                if m.numerator < 0:
                     raise NormalizationError(f"negative branch mass {m}")
                 if cx.is_zero:
-                    q, q_hat = m, Fraction(0)
+                    q, q_hat = m, ZERO
                 elif cx.is_infinite:
-                    q, q_hat = Fraction(0), m
-                else:
-                    # density relation: q * x_child = q_hat * x_node
-                    q, q_hat = m * x.fraction / cx.fraction, m
+                    q, q_hat = ZERO, m
+                else:   # density relation: q * x_child = q_hat * x_node
+                    f, g, q_hat = x.value, cx.value, m
+                    q = Fraction(m.numerator * f.numerator * g.denominator,
+                                 m.denominator * f.denominator * g.numerator)
                 branches.append(Branch(child_id, q, q_hat))
                 children.append((child_id, t + 1, nid, cx))
                 dn, dd = pdn * q.numerator, pdd * q.denominator

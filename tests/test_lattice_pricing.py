@@ -271,12 +271,24 @@ def _corner_lp_reference(points, floors, x):
     return best
 
 
+def _pair(r):
+    return r.numerator, r.denominator
+
+
+def _as_fractions(got):
+    """`_solve_hull_lp`'s ints (m, p, d0, d1, c) as (e0, e1, cost)."""
+    m, p, d0, d1, c = got
+    return Fraction(m, d0), Fraction(p, d1), Fraction(c, d0)
+
+
 def _solve(points, floors, x):
-    """`_solve_hull_lp` on a program with Fraction states, put over their
-    common denominator as the tree's numerators are."""
+    """`_solve_hull_lp` on a program of Fractions: the states put over their
+    common denominator as the tree's numerators are, the requirements and
+    floors as (numerator, denominator) pairs, and the result as Fractions."""
     ys, d = _over_lcm([x, *(y for y, _ in points)])
-    return _solve_hull_lp([(y, r) for y, (_, r) in zip(ys[1:], points)],
-                          floors, ys[0], d)
+    return _as_fractions(_solve_hull_lp(
+        [(y, _pair(r)) for y, (_, r) in zip(ys[1:], points)],
+        [_pair(f) for f in floors], ys[0], d))
 
 
 def _bounded(points, floors, x):
@@ -329,10 +341,15 @@ def test_hull_solver_matches_enumeration_on_tree_programs(monkeypatch):
 
     def checked(points, floors, x, d_x):
         got = solve(points, floors, x, d_x)
-        # the states arrive as integer numerators over d_x
-        points = [(Fraction(y, d_x), r) for y, r in points]
+        assert all(type(i) is int for i in
+                   [x, d_x, *got, *(i for y, r in points for i in (y, *r)),
+                    *(i for f in floors for i in f)]), (points, floors, got)
+        # the states arrive as integer numerators over d_x, the requirements
+        # and floors as (numerator, denominator) pairs
+        points = [(Fraction(y, d_x), Fraction(*r)) for y, r in points]
+        floors = [Fraction(*f) for f in floors]
         x = Fraction(x, d_x)
-        assert got == _corner_lp_reference(points, floors, x), \
+        assert _as_fractions(got) == _corner_lp_reference(points, floors, x), \
             (points, floors, x)
         seen["programs"] += 1
         seen["point_at_x"] += any(y == x for y, _ in points)

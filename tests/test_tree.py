@@ -138,6 +138,103 @@ def test_bools_are_not_numbers(where):
         build_dual_tree(doc)
 
 
+def _written_fresh(doc):
+    """The document with the k-th occurrence of each state or mass string
+    p/q written as (k*p)/(k*q): the same numbers, no string repeated."""
+    seen: dict[str, int] = {}
+
+    def fresh(s):
+        if s == "inf":
+            return s
+        k = seen[s] = seen.get(s, 0) + 1
+        f = Fraction(s)
+        return f"{k * f.numerator}/{k * f.denominator}"
+    return {**doc, "nodes": [
+        {**entry, "x": fresh(entry["x"]),
+         **({"branches": [[c, fresh(m)] for c, m in entry["branches"]]}
+            if "branches" in entry else {})}
+        for entry in doc["nodes"]]}
+
+
+def test_repeated_number_strings_build_the_fresh_tree():
+    repeats = 0
+    for seed in range(40):
+        doc = tree_to_doc(random_dual_tree(seed, 4))
+        strings = [s for e in doc["nodes"] for s in
+                   [e["x"], *(m for _, m in e.get("branches", []))]]
+        repeats += len(strings) - len(set(strings))
+        assert build_dual_tree(doc) == build_dual_tree(_written_fresh(doc))
+    assert repeats > 100
+
+
+@pytest.mark.parametrize("earlier", ["1", 1])
+@pytest.mark.parametrize("where", ["x", "mass"])
+def test_a_bool_after_an_equal_number_is_refused(earlier, where):
+    """True hashes and compares as 1, and is still no number."""
+    doc = {"x0": "1", "periods": 1, "nodes": [
+        {"id": "r", "x": earlier,
+         "branches": [["a", earlier], ["b", "0"]]},
+        {"id": "a", "x": earlier}, {"id": "b", "x": "1"}]}
+    build_dual_tree(doc)
+    if where == "x":
+        doc["nodes"][2]["x"] = True
+    else:
+        doc["nodes"][0]["branches"][1][1] = True
+    with pytest.raises(StructureError, match="bool"):
+        build_dual_tree(doc)
+
+
+def test_a_float_after_an_equal_string_reads_by_its_shortest_repr():
+    t = build_dual_tree({"x0": "1/10", "periods": 1, "nodes": [
+        {"id": "r", "x": "1/10",
+         "branches": [["a", "1/10"], ["b", 0.1], ["c", "4/5"]]},
+        {"id": "a", "x": "1/10"}, {"id": "b", "x": 0.1},
+        {"id": "c", "x": "1/10"}]})
+    assert [b.q_hat for b in t.nodes["r"].branches] == [
+        Fraction(1, 10), Fraction(1, 10), Fraction(4, 5)]
+    assert t.nodes["b"].x.fraction == Fraction(1, 10)
+
+
+@pytest.mark.parametrize("where", ["x", "mass"])
+def test_a_repeated_malformed_string_fails_at_its_first_reading(where):
+    def doc(bad_twice):
+        xs, ms = ["1", "1"], ["1/2", "1/2"]
+        (xs if where == "x" else ms)[0] = "1/x"
+        if bad_twice:
+            (xs if where == "x" else ms)[1] = "1/x"
+        return {"x0": "1", "periods": 1, "nodes": [
+            {"id": "r", "x": "1",
+             "branches": [["a", ms[0]], ["b", ms[1]]]},
+            {"id": "a", "x": xs[0]}, {"id": "b", "x": xs[1]}]}
+
+    messages = []
+    for bad_twice in (False, True):
+        with pytest.raises(StructureError, match="1/x") as err:
+            build_dual_tree(doc(bad_twice))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_builds_share_no_parsed_number():
+    """Each build reads its own strings: a state or mass string read twice
+    in one build gives one object, and two builds share none."""
+    doc = tree_to_doc(random_dual_tree(3, 4))
+    first, second = build_dual_tree(doc), build_dual_tree(doc)
+    declared = {e["id"] for e in doc["nodes"]}
+    for nid in declared:
+        assert first.nodes[nid].x is not second.nodes[nid].x
+        for b, c in zip(first.nodes[nid].branches, second.nodes[nid].branches):
+            # the mass read from the document: q at a devalued child
+            mass = b.q if first.nodes[b.child].x.is_zero else b.q_hat
+            other = c.q if first.nodes[b.child].x.is_zero else c.q_hat
+            assert mass is not other
+    by_state: dict[str, list] = {}
+    for entry in doc["nodes"]:
+        by_state.setdefault(entry["x"], []).append(first.nodes[entry["id"]].x)
+    assert any(len(xs) > 1 for xs in by_state.values())
+    assert all(x is xs[0] for xs in by_state.values() for x in xs)
+
+
 def test_orphan_nodes_rejected():
     with pytest.raises(StructureError):
         build_dual_tree({"x0": "1", "periods": 1, "nodes": [

@@ -162,8 +162,8 @@ def _price_payload(p) -> dict:
     return {
         "claim": p.claim,
         "K": p.strike,
-        "classical": None if p.classical is None else p.classical.mean,
-        "classical_se": None if p.classical is None else p.classical.stderr,
+        "classical": p.classical.mean,
+        "classical_se": p.classical.stderr,
         "correction": None if p.correction is None else p.correction.mean,
         "correction_se": None if p.correction is None else p.correction.stderr,
         "total_dollar": p.total_dollar,

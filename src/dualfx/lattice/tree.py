@@ -228,7 +228,7 @@ def build_dual_tree(doc: Mapping) -> DualTree:
                 cx = as_x(child_entry["x"])
                 m = rational(mass)
                 if m.numerator < 0:
-                    raise NormalizationError(f"negative branch mass {m}")
+                    raise NormalizationError(f"negative branch mass {m} to {child_id!r}")
                 if cx.is_zero:
                     q, q_hat = m, ZERO
                 elif cx.is_infinite:

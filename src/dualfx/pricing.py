@@ -153,7 +153,7 @@ def devaluation_values(claim: Claim, primal: TerminalBatch) -> np.ndarray:
 class DualPrice:
     claim: str
     strike: float | None
-    classical: Estimate | None
+    classical: Estimate
     correction: Estimate | None
     total_dollar: float          # inf when the analytic flag fires
     total_euro: float
@@ -161,8 +161,8 @@ class DualPrice:
 
     @property
     def total_stderr(self) -> float:
-        legs = [e for e in (self.classical, self.correction) if e is not None]
-        return combined_stderr(*legs) if legs else 0.0
+        extra = () if self.correction is None else (self.correction,)
+        return combined_stderr(self.classical, *extra)
 
 
 def price(model: DiffusionModel, claim: Claim, cfg: MCConfig,
@@ -352,8 +352,6 @@ def _naive_dual_values(model: DiffusionModel, claim: Claim, n: int,
             # naive pricer would run; only y == 0 needs a division guard
             s = np.asarray(dual.sigma(np.where(y == 0.0, 1e-300, y), k * dt),
                            float)
-            if s.shape != y.shape:
-                s = np.broadcast_to(s, y.shape)
             y = y + s * sqdt * z
         vals = np.zeros(m)
         # overflowed reciprocal rates sit in the devalued region where the

@@ -195,8 +195,6 @@ def euler_absorbed(gen: np.random.Generator, m: int, sigma, start: float,
             break
         z = gen.standard_normal(live.size)
         s = np.asarray(sigma(x, k * dt), dtype=float)
-        if s.shape != x.shape:
-            s = np.broadcast_to(s, x.shape)
         # x' = x + (s sqdt) z, in that operation order; `sigma` may return
         # its argument, so s is never written to
         with np.errstate(over="ignore", invalid="ignore"):

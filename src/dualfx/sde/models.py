@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-SigmaFn = Callable[[object, float], object]  # accepts numpy arrays in x
+SigmaFn = Callable[[object, float], object]  # see DiffusionModel
 # (generator, m, start, horizon) -> (values, hit_times): m exact terminal
 # samples from `start`, with a nan hit time where a path never hit zero
 ExactSampler = Callable[[object, int, float, float], tuple]
@@ -25,10 +25,12 @@ ExactSampler = Callable[[object, int, float, float], tuple]
 class DiffusionModel:
     """Diffusion of X under the dollar measure: dX = sigma(X, t) dW, X_0 = x0.
 
-    `sigma` must be finite on (0, inf) x [0, T); a singularity as t -> T is
-    allowed (the deterministically time-changed model uses one) and must be
-    handled by the model's exact sampler; such a model sets `exact_only`, and
-    the Euler scheme is refused on it and on its dual.  `exact` samples the
+    `sigma(x, t)` is called on a float array x of live rates and returns
+    sigma at each, as an array of x's shape or as one scalar; it must be
+    finite on (0, inf) x [0, T).  A singularity as t -> T is allowed (the
+    deterministically time-changed model uses one) and must be handled by
+    the model's exact sampler; such a model sets `exact_only`, and the Euler
+    scheme is refused on it and on its dual.  `exact` samples the
     terminal law of X and `dual_exact` that of Y = 1/X under the euro
     measure; either is None where the model has no exact sampler.
     `dual_payoff_flags` maps claim kinds to "integrable" / "nonintegrable" /

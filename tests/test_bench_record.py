@@ -1,7 +1,10 @@
 """tools/bench_record.py: the reduction over seeds, the choice of the
-previous BENCH file and the comparison, on synthetic records only."""
+previous BENCH file, the comparison and its printout, on synthetic records
+only."""
 
 import importlib.util
+import json
+import re
 from pathlib import Path
 
 import pytest
@@ -114,56 +117,52 @@ def test_compare_includes_cli_rows_both_records_carry():
         "cli", "wall_ms", "price", 1000.0, 1500.0, pytest.approx(0.5))
 
 
-def test_host_scaled_divides_the_calibration_ratio_out_of_layer_times():
-    """The host probe reads 40 -> 30 ms: an unchanged layer reading -25%
-    raw is +0% scaled; only per-layer _ms rows get a scaled change."""
-    old = _record(lattice_corpus={
-        "end_to_end": {"op_p50_ms": 2.0},
-        "per_layer": {"host.calib_ms": 40.0, "lattice.tree.build_ms": 0.8,
-                      "lattice.pricing.superrep_ms": 0.5,
-                      "lattice.pricing.lp_solves": 10.0,
-                      "lattice.checks.verify_ms": 0.0}})
-    new = _record(lattice_corpus={
-        "end_to_end": {"op_p50_ms": 1.5},
-        "per_layer": {"host.calib_ms": 30.0, "lattice.tree.build_ms": 0.6,
-                      "lattice.pricing.superrep_ms": 0.45,
-                      "lattice.pricing.lp_solves": 12.0,
-                      "lattice.checks.verify_ms": 0.1}})
-    rows = bench_record.compare(old, new)
-    scaled = {r[2]: bench_record.host_scaled(old, new, r) for r in rows}
-    assert scaled["lattice.tree.build_ms"] == pytest.approx(0.0)
-    assert scaled["lattice.pricing.superrep_ms"] == pytest.approx(0.2)
-    # the probe itself, not a layer time, an end-to-end metric, or no old
-    # value to scale
-    assert scaled["host.calib_ms"] is None
-    assert scaled["lattice.pricing.lp_solves"] is None
-    assert scaled["op_p50_ms"] is None
-    assert scaled["lattice.checks.verify_ms"] is None
-    # compare's own rows stay raw
-    assert next(r for r in rows if r[2] == "lattice.tree.build_ms")[5] \
-        == pytest.approx(-0.25)
-    # a record without the probe has no scaled change
-    del old["workloads"]["lattice_corpus"]["per_layer"]["host.calib_ms"]
-    assert bench_record.host_scaled(old, new, next(
-        r for r in rows if r[2] == "lattice.tree.build_ms")) is None
+def test_main_writes_the_record_and_prints_raw_changes_only(
+        tmp_path, monkeypatch, capsys):
+    """`main` end to end with the benchmark and the CLI stubbed: the record
+    keeps its keys, and each printed row is old -> new and its raw change,
+    with nothing derived beside it (the host probe moves 40 -> 30 ms, a
+    ratio no row divides out)."""
+    per_seed = {0: {"ops_per_s": [120.0, 125.0, 130.0]},
+                1: {"lattice.tree.build_ms": [0.6, 0.6, 0.6],
+                    "host.calib_ms": [30.0, 30.0, 30.0]}}
 
+    def run_bench(workload, seed, seconds, trace):
+        assert seconds == 30
+        return _run(4, 0, **{k: v[seed - 1]
+                             for k, v in per_seed[trace].items()})
 
-def test_host_scaled_reads_only_the_layers_the_probe_tracks():
-    """The pure-Python probe tracks lattice_corpus's own lattice and
-    physical layers; the numpy-bound Monte Carlo layers, and the layers a
-    workload samples without running them, get no scaled change."""
-    layers = {"host.calib_ms": 40.0, "lattice.tree.build_ms": 0.8,
-              "physical.checks_ms": 0.7, "sde.engine.step_ms": 30.0,
-              "pricing.parity_ms": 5.0, "catalog.import_ms": 200.0}
-    old = _record(**{w: {"per_layer": dict(layers)}
-                     for w in ("lattice_corpus", "euler_paths")})
-    new = _record(**{w: {"per_layer": {k: v * 0.75 for k, v in
-                                       layers.items()}}
-                     for w in ("lattice_corpus", "euler_paths")})
-    scaled = {(r[0], r[2]): bench_record.host_scaled(old, new, r)
-              for r in bench_record.compare(old, new)}
-    assert {k for k, v in scaled.items() if v is not None} == {
-        ("lattice_corpus", "lattice.tree.build_ms"),
-        ("lattice_corpus", "physical.checks_ms")}
-    assert scaled["lattice_corpus", "physical.checks_ms"] \
-        == pytest.approx(0.0)
+    monkeypatch.setattr(bench_record, "run_bench", run_bench)
+    monkeypatch.setattr(bench_record, "record_cli",
+                        lambda: {"price": 1500.0})
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 30}))
+    old = dict(_record(lattice_corpus={
+        "end_to_end": {"ops_per_s": 100.0},
+        "per_layer": {"lattice.tree.build_ms": 0.8, "host.calib_ms": 40.0}}),
+        cli={"price": 1000.0})
+    (tmp_path / "BENCH_3.json").write_text(json.dumps(old))
+
+    assert bench_record.main(["--pr", "4"]) == 0
+    record = json.loads((tmp_path / "BENCH_4.json").read_text())
+    # the keys of every committed BENCH file since the CLI rows came in
+    assert set(record) == {"cli", "command", "host", "pr", "reduction",
+                           "seconds", "seeds", "workloads"}
+    assert record["workloads"]["lattice_corpus"]["end_to_end"] == {
+        "ops_per_s": 125.0}
+    assert record["cli"] == {"price": 1500.0}
+
+    out = capsys.readouterr().out.splitlines()
+    head = next(i for i, line in enumerate(out)
+                if line.startswith("relative change against BENCH_3.json"))
+    rows = {}
+    for line in out[head + 1:]:
+        m = re.fullmatch(r" +(\S+) +(\S+) +(\S+) +(\S+) -> +(\S+) +(\S+)",
+                         line)
+        assert m, line
+        rows[m[1], m[3]] = m[4], m[5], m[6]
+    assert rows == {
+        ("lattice_corpus", "ops_per_s"): ("100", "125", "+25.0%"),
+        ("lattice_corpus", "lattice.tree.build_ms"): ("0.8", "0.6", "-25.0%"),
+        ("lattice_corpus", "host.calib_ms"): ("40", "30", "-25.0%"),
+        ("cli", "price"): ("1000", "1500", "+50.0%")}

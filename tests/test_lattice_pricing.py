@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from dualfx import ClaimError, ConfigError, InfeasibleError, InfinitePrice
-from dualfx.lattice import (ParityRow, build_dual_tree,
-                            parity_and_equivalence_report,
+from dualfx.lattice import (ParityRow, bayes_check, build_dual_tree,
+                            parity_and_equivalence_report, period_rule,
                             price_on_tree,
                             random_claim, random_complete_dual_tree,
                             random_dual_tree, superreplicate_backward,
@@ -32,6 +32,29 @@ def test_euro_forward_decomposition_on_example():
     assert p.total_dollar == 1 == t.x0
     assert p.total_euro == 1
     assert p.euro_classical + p.euro_correction == p.total_euro
+
+
+def test_nodes_neither_measure_sees_are_skipped():
+    """u (x = 2) has mass 0 under both measures, so neither it nor its child
+    is supported: the formula skips u1's infinite payoff, the hedge leaves no
+    wealth and no holding there, and bayes_check no residual."""
+    t = build_dual_tree({"x0": "1", "periods": 2, "nodes": [
+        {"id": "r", "x": "1",
+         "branches": [["a", "1/4"], ["b", "3/4"], ["u", "0"]]},
+        *({"id": nid, "x": x, "branches": [[f"{nid}1", "1"]]}
+          for nid, x in (("a", "1/2"), ("b", "3/2"), ("u", "2"))),
+        {"id": "a1", "x": "1/2"}, {"id": "b1", "x": "3/2"},
+        {"id": "u1", "x": "2"}]})
+    assert t.supported == {"r", "a", "b", "a1", "b1"}
+    claim = TreeClaim({"a1": 1, "b1": 2, "u1": None})
+    assert price_on_tree(t, claim).total_dollar == Fraction(3, 2)
+    cost, strategy = superreplicate_backward(t, claim)
+    assert cost == Fraction(3, 2)
+    assert not {"u", "u1"} & (strategy.wealth.keys() | strategy.holdings.keys())
+    verify_strategy(t, claim, strategy, require_equality=True)
+    residuals = bayes_check(t, {"a1": 1, "b1": 2, "u1": 5},
+                            period_rule(t, 1), period_rule(t, 2))
+    assert residuals == {"a": 0, "b": 0}
 
 
 def test_call_put_and_parity_on_example():

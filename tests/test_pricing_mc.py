@@ -8,8 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dualfx import (ConfigError, DualFXError, InfiniteContribution,
-                    MCConfig, derive_dual_model, pricing, simulate)
+from dualfx import (ConfigError, DiffusionModel, DualFXError,
+                    InfiniteContribution, MCConfig, derive_dual_model, pricing,
+                    simulate)
 from dualfx.catalog import get_model
 from dualfx.lattice import tree_claim, two_period_example
 from dualfx.pricing import (CLAIM_KINDS, PAYOFFS, Claim,
@@ -283,6 +284,29 @@ def test_tail_diagnostic_bounds_every_level_before_simulating(monkeypatch):
     with pytest.raises(ConfigError, match="MAX_PATH_STEPS"):
         tail_diagnostic(get_model("recip_bessel").model,
                         make_claim("self_quantoed", 1.0), [1, 2, 3], cfg)
+
+
+def test_a_scalar_sigma_runs_as_its_array_of_live_rates():
+    """A constant sigma returned as one float gives the same bits as the same
+    sigma returned as an array of the live rates' shape: the Euler legs, both
+    of them, and the naive dual running means.  Paths absorb on the dollar
+    leg, so the scalar also meets a shrinking live set."""
+    def model(sigma):
+        return DiffusionModel("const", sigma, x0=1.0, horizon=1.0)
+
+    scalar = model(lambda x, t: 0.5)
+    array = model(lambda x, t: np.full_like(x, 0.5))
+    cfg = MCConfig(n=5_000, steps=32, seed=3, scheme="euler_absorbed")
+    for leg in (lambda m: m, derive_dual_model):
+        a, b = simulate(leg(scalar), cfg), simulate(leg(array), cfg)
+        for field in ("x", "hit_zero_time", "hit_infinity", "y"):
+            fa, fb = getattr(a, field), getattr(b, field)
+            assert (fa is None and fb is None
+                    or fa.tobytes() == fb.tobytes()), field
+    assert 0 < np.count_nonzero(simulate(scalar, cfg).x == 0.0) < cfg.n
+    claim = make_claim("self_quantoed", 1.0)
+    assert (tail_diagnostic(scalar, claim, [1000, 4000], cfg)
+            == tail_diagnostic(array, claim, [1000, 4000], cfg))
 
 
 def test_scheme_convergence_recip_bessel():

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from dualfx.lattice import (build_dual_tree, dump_tree, first_hit_rule,
                             random_dual_tree, random_rule_pair, tree_to_doc,
                             tree_euro_forward, two_period_example,
                             verify_numeraire_identity, verify_tree_invariants)
-from dualfx.lattice.tree import MAX_CHAIN_NODES, stop_map
+from dualfx.lattice.tree import MAX_CHAIN_NODES, Branch, stop_map
 
 
 def test_two_period_example_measures():
@@ -406,6 +407,100 @@ def test_invariants_require_parents_first():
     children_first = dataclasses.replace(t, nodes=reordered)
     with pytest.raises(StructureError):
         verify_tree_invariants(children_first)
+
+
+# r at x = 1 branches to a devaluation z (q = 1/4), an explosion e
+# (q_hat = 1/4) and a finite a (q = q_hat = 3/4), each carried to period 2
+_ORACLE_DOC = {"x0": "1", "periods": 2, "nodes": [
+    {"id": "r", "x": "1",
+     "branches": [["z", "1/4"], ["e", "1/4"], ["a", "3/4"]]},
+    {"id": "z", "x": "0"}, {"id": "e", "x": "inf"},
+    {"id": "a", "x": "1", "branches": [["a1", "1"]]}, {"id": "a1", "x": "1"}]}
+
+
+def _with_node(tree, nid, **changes):
+    return dataclasses.replace(tree, nodes={
+        **tree.nodes, nid: dataclasses.replace(tree.nodes[nid], **changes)})
+
+
+def _with_masses(tree, nid, **masses):
+    """`nid`'s branches with the (q, q_hat) of each child named in `masses`."""
+    return _with_node(tree, nid, branches=tuple(
+        Branch(b.child, *masses.get(b.child, (b.q, b.q_hat)))
+        for b in tree.nodes[nid].branches))
+
+
+def _with_numerators(tree, nid, pd, pe):
+    return dataclasses.replace(tree, numerators={
+        **tree.numerators, nid: (pd, pe, *tree.numerators[nid][2:])})
+
+
+_Q = Fraction(1, 4)
+
+
+@pytest.mark.parametrize("tamper, error, fragment", [
+    (lambda t: _with_masses(t, "r", z=(_Q + 1, 0)),
+     NormalizationError, "node 'r': branch masses sum to (2, 1)"),
+    (lambda t: _with_masses(t, "r", z=(0, 0), e=(_Q, _Q)),
+     StructureError, "explosion branch from 'r' has q != 0"),
+    (lambda t: _with_masses(t, "r", z=(_Q, _Q), e=(0, 0)),
+     StructureError, "devaluation branch from 'r' has q_hat != 0"),
+    (lambda t: _with_masses(t, "r", e=(0, 2 * _Q), a=(3 * _Q, 2 * _Q)),
+     StructureError, "density relation fails on branch 'r' -> 'a'"),
+    (lambda t: _with_node(t, "e", branches=2 * (
+        Branch("e~2", Fraction(1, 2), Fraction(1, 2)),)),
+     StructureError, "absorbing node 'e' must self-chain"),
+    (lambda t: _with_node(t, "e~2", x=t.nodes["a1"].x),
+     StructureError, "absorbing node 'e' changes state"),
+    (lambda t: _with_node(t, "a1", time_index=1),
+     StructureError, "terminal node 'a1' at period 1"),
+    (lambda t: _with_numerators(t, "e~2", 1, t.numerators["e~2"][1]),
+     StructureError, "dollar measure sees explosion at 'e~2'"),
+    (lambda t: _with_numerators(t, "z~2", t.numerators["z~2"][0], 1),
+     StructureError, "euro measure sees devaluation at 'z~2'"),
+], ids=["normalization", "q-into-explosion", "q_hat-into-devaluation",
+        "density", "absorbing-branches", "absorbing-state", "short-terminal",
+        "dollar-mass-on-explosion", "euro-mass-on-devaluation"])
+def test_invariant_oracle_refuses_tampered_trees(tamper, error, fragment):
+    """One tampered copy of a built tree per refusal after the parents-first
+    check.  Each copy but the first moves mass between branches, so both
+    measures still sum to 1 and the normalization check does not fire."""
+    tree = build_dual_tree(_ORACLE_DOC)
+    verify_tree_invariants(tree)
+    with pytest.raises(error, match=re.escape(fragment)):
+        verify_tree_invariants(tamper(tree))
+
+
+def _root_doc(*nodes, branches=(("a", "1"),)):
+    """A one-period document: the root r at x = 1 with `branches`, then
+    `nodes`."""
+    return {"x0": "1", "periods": 1, "nodes": [
+        {"id": "r", "x": "1", "branches": [list(b) for b in branches]},
+        *nodes]}
+
+
+_A, _B = {"id": "a", "x": "1"}, {"id": "b", "x": "1"}
+
+
+@pytest.mark.parametrize("doc, rule, error, fragment", [
+    (_root_doc(_A, _A), {"r"}, StructureError, "duplicate node id 'a'"),
+    (_root_doc(_A, branches=[("a", "1/2"), ("a", "1/2")]), {"r"},
+     StructureError, "node 'a' reached twice"),
+    (_root_doc(dict(_A, branches=[["b", "1"]]), _B), {"r"},
+     StructureError, "terminal node 'a' declares branches"),
+    (_root_doc(branches=[("c", "1")]), {"r"},
+     StructureError, "branch references unknown node 'c'"),
+    (_root_doc(_A, _B, branches=[("a", "-1/2"), ("b", "3/2")]), {"r"},
+     NormalizationError, "negative branch mass -1/2 to 'a'"),
+    (_root_doc(_A), {"r", "nowhere"},
+     MeasurabilityError, "unknown nodes in stopping rule: ['nowhere']"),
+], ids=["duplicate-id", "reached-twice", "terminal-branches",
+        "unknown-child", "negative-mass", "unknown-rule-node"])
+def test_builder_refusals_name_the_node(doc, rule, error, fragment):
+    """One minimal document or stopping rule per refusal of the build walk
+    and of `stop_map`; the root alone is a valid rule on any tree."""
+    with pytest.raises(error, match=re.escape(fragment)):
+        stop_map(build_dual_tree(doc), rule)
 
 
 def _absorbing_pair(periods):

@@ -9,12 +9,10 @@ per-layer metrics), one run at a time, each for BENCHMARK.json's
 `run_seconds`, and writes BENCH_<pr>.json with each metric's median over the
 seeds.  Under its `cli` entry go the wall times of the CLI commands at their
 default sizes, each the median of CLI_RUNS fresh `python -m dualfx.cli`
-processes.  It then prints every metric's relative change against the newest
-BENCH_<n>.json with n < pr at the checkout's root, if there is one and it
-was recorded with the same seeds and run length, and beside each layer
-time the probe tracks (lattice_corpus's lattice and physical layers) its
-change scaled by the host speed probe (`host_scaled`).  Standard library
-only.
+processes.  It then prints each metric's old value, new value and relative
+change against the newest BENCH_<n>.json with n < pr at the checkout's root,
+if there is one and it was recorded with the same seeds and run length.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -151,28 +149,6 @@ def compare(old: dict, new: dict) -> list[tuple]:
                            new.get("cli", {}))
 
 
-def host_scaled(old: dict, new: dict, row: tuple) -> float | None:
-    """A `compare` row's change with the host's speed divided out, for a
-    layer time the probe tracks: (new / old) over the workload's
-    host.calib_ms ratio new / old, minus 1.  The traced layer times are raw
-    wall-clock ms, so on a host faster by some factor an unchanged layer
-    reads faster by the same factor.  The probe is a pure-Python loop, so it
-    tracks only the exact lattice and physical layers of the workload that
-    runs them; numpy-bound layers, and layers a workload samples without
-    running them, do not follow it.  None for any other row, or where the
-    old value or either probe is 0 or missing."""
-    workload, section, name, was, value, _ = row
-    if (workload != "lattice_corpus" or section != "per_layer"
-            or not name.startswith(("lattice.", "physical."))
-            or not name.endswith("_ms") or not was):
-        return None
-    calib = [r["workloads"][workload]["per_layer"].get("host.calib_ms")
-             for r in (old, new)]
-    if not all(calib):
-        return None
-    return value / was / (calib[1] / calib[0]) - 1
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int, required=True,
@@ -213,20 +189,15 @@ def main(argv=None) -> int:
         print("no earlier BENCH file to compare with")
         return 0
     try:
-        old = json.loads(prev.read_text())
-        rows = compare(old, record)
+        rows = compare(json.loads(prev.read_text()), record)
     except ValueError as exc:
         print(f"not compared with {prev.name}: {exc}")
         return 0
-    print(f"relative change against {prev.name}; the layer times the probe "
-          "tracks also with the host.calib_ms ratio divided out:")
-    for row in rows:
-        workload, section, name, was, value, rel = row
+    print(f"relative change against {prev.name}:")
+    for workload, section, name, was, value, rel in rows:
         change = "n/a" if rel is None else f"{rel:+.1%}"
-        scaled = host_scaled(old, record, row)
         print(f"  {workload:15s} {section:10s} {name:32s} {was:12.6g} -> "
-              f"{value:12.6g}  {change:>8s}"
-              + ("" if scaled is None else f"  {scaled:+8.1%} host-scaled"))
+              f"{value:12.6g}  {change:>8s}")
     return 0
 
 

@@ -127,22 +127,28 @@ def make_claim(kind: str, strike: float | None = None) -> Claim:
 
 
 def euro_correction_values(claim: Claim, dual: TerminalBatch) -> np.ndarray:
-    """Per-path euro payoff on the explosion event, zero elsewhere."""
-    return np.where(dual.hit_infinity, claim.euro_at_explosion, 0.0)
+    """Per-path euro payoff on the explosion event, zero elsewhere: (0.0, c)
+    looked up through the mask, exact for every c (inf * False is nan)."""
+    return np.array((0.0, claim.euro_at_explosion)).take(dual.hit_infinity)
 
 
 def euro_leg_values(claim: Claim, dual: TerminalBatch) -> np.ndarray:
-    """Per-path euro payoff on a dual batch (survivors plus explosion value),
-    from one `euro_finite` call on the whole batch with each exploded rate
-    replaced by 1, so that it sees only finite positive rates."""
-    hit = dual.hit_infinity
-    return np.where(hit, claim.euro_at_explosion,
-                    claim.euro_finite(np.where(hit, 1.0, dual.x)))
+    """Per-path euro payoff on a dual batch: one `euro_finite` call on the
+    whole batch with the exploded paths, found once, at rate 1 (it sees only
+    finite positive rates); they take the explosion value in a copy."""
+    hit = np.flatnonzero(dual.hit_infinity)
+    x = dual.x.copy()
+    x[hit] = 1.0
+    out = np.array(claim.euro_finite(x), dtype=float)
+    out[hit] = claim.euro_at_explosion
+    return out
 
 
 def devaluation_values(claim: Claim, primal: TerminalBatch) -> np.ndarray:
-    """Per-path dollar payoff on the devaluation event, zero elsewhere."""
-    return np.where(primal.x == 0.0, claim.dollar_finite(primal.x), 0.0)
+    """Per-path dollar payoff on the devaluation event, zero elsewhere, with
+    the dollar leg evaluated once, at the devalued state 0.0."""
+    at_zero = claim.dollar_finite(np.zeros(1))[0]
+    return np.array((0.0, at_zero)).take(primal.x == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +209,18 @@ def price_euro_side(model: DiffusionModel, claim: Claim, cfg: MCConfig,
 # parity and equivalence tables
 # ---------------------------------------------------------------------------
 
+def _rounding(*terms: float) -> float:
+    """64 ulps of the terms' magnitudes, the floor of an identity's stderr."""
+    return 2.0 ** -46 * math.fsum(map(abs, terms))
+
+
 @dataclass(frozen=True)
 class ParityRow:
     strike: float
     call: DualPrice
     put: DualPrice
     residual: float              # p(C) + K - p(P) - x0
-    residual_stderr: float
+    residual_stderr: float       # floored at its terms' _rounding
     classical_violation: float   # E[(X-K)^+] + K - E[(K-X)^+] - x0
     violation_stderr: float
     minus_correction_mass: float  # -x0 * Qe(explosion), what the violation is
@@ -244,7 +255,8 @@ def parity_table(model: DiffusionModel, strikes: Sequence[float],
         violation = call.classical.mean + k - put.classical.mean - x0
         rows.append(ParityRow(
             strike=float(k), call=call, put=put,
-            residual=residual, residual_stderr=residual_se,
+            residual=residual, residual_stderr=max(residual_se, _rounding(
+                call.total_dollar, k, put.total_dollar, x0)),
             classical_violation=violation, violation_stderr=se_dollar,
             minus_correction_mass=-mass.mean,
             mass_stderr=mass.stderr,
@@ -288,11 +300,10 @@ def intl_equivalence_table(model: DiffusionModel, strikes: Sequence[float],
         lhs = float(a_dollar.mean()) + float(a_expl.mean()) * x0
         rhs = x0 * k * (float(b_euro.mean())
                         + float(b_dev.mean()) * (1.0 / x0))
-        z = z_score(
-            estimate_from_values(a_dollar - k * b_dev, primal.seed),
-            estimate_from_values(x0 * (a_expl - k * b_euro),
-                                 dual.seed).scale(-1.0))
-        sides.append((lhs, rhs, z))
+        dollar = estimate_from_values(a_dollar - k * b_dev, primal.seed)
+        euro = estimate_from_values(x0 * (k * b_euro - a_expl), dual.seed)
+        se = max(combined_stderr(dollar, euro), _rounding(lhs, rhs, x0, k))
+        sides.append((lhs, rhs, (dollar.mean - euro.mean) / se))
     return [EquivalenceRow(float(k), *call, *put)
             for k, call, put in zip(strikes, sides[::2], sides[1::2])]
 
@@ -318,9 +329,10 @@ def martingale_defect(model: DiffusionModel, cfg: MCConfig,
     forward = price(model, make_claim("euro_forward"), cfg, batches)
     ex, mass = forward.classical, forward.correction
     defect = model.x0 - ex.mean
-    z = z_score(Estimate(defect, ex.stderr, ex.n, ex.seed), mass)
+    se = max(ex.stderr, _rounding(model.x0, ex.mean, mass.mean))
+    z = z_score(Estimate(defect, se, ex.n, ex.seed), mass)
     return DefectReport(defect, ex.stderr, mass.mean, mass.stderr, z,
-                        strict=defect > 3.0 * ex.stderr)
+                        strict=defect > 3.0 * se)
 
 
 @dataclass(frozen=True)

@@ -299,21 +299,24 @@ def dump_batch_csv(batch: TerminalBatch, path) -> None:
 
     Byte contract: each float is written as its shortest round-trip `repr`
     (`inf` for an exploded path), a nan hit time as an empty field, and the
-    explosion flag as `0` or `1`.  The rows are formatted a column at a time
-    and written BLOCK rows per write, so memory stays bounded for any batch
-    size.
-    """
+    explosion flag as `0` or `1`.  Each BLOCK of rows (memory stays bounded)
+    is one join of the x column's `repr`s, the only per-value Python the
+    contract needs, with one tail per row, `,,0` or `,,1` by the flag, and a
+    hit time's `repr` put between its commas where the time is not nan."""
     x = np.asarray(batch.x, dtype=float)
     hit = np.asarray(batch.hit_zero_time, dtype=float)
+    tail = np.array([",,0\n", ",,1\n"], dtype=object)   # by the flag
     with open(path, "w") as fh:
         fh.write("x_T,hit_zero_time,hit_infinity\n")
         for lo in range(0, len(batch), BLOCK):
             hi = lo + BLOCK
-            xs = map(repr, x[lo:hi].tolist())
-            ts = ["" if math.isnan(t) else repr(t)
-                  for t in hit[lo:hi].tolist()]
-            flags = np.where(batch.hit_infinity[lo:hi], "1", "0").tolist()
-            fh.write("\n".join(map(",".join, zip(xs, ts, flags))) + "\n")
+            tails = tail.take(batch.hit_infinity[lo:hi]).tolist()
+            for i in np.flatnonzero(~np.isnan(hit[lo:hi])).tolist():
+                tails[i] = f",{float(hit[lo + i])!r}{tails[i][1:]}"
+            cells = [""] * (2 * len(tails))
+            cells[::2] = map(repr, x[lo:hi].tolist())
+            cells[1::2] = tails
+            fh.write("".join(cells))
 
 
 # ---------------------------------------------------------------------------

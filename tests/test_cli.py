@@ -227,15 +227,15 @@ def test_parity_on_qnv_at_the_defaults(tmp_path):
                  "--out-dir", str(tmp_path)]) == 0
 
 
-@pytest.mark.xfail(strict=True, reason="float rounding at a zero standard "
-                   "error reads as a violation")
 @pytest.mark.parametrize("argv", [
-    ["parity", "--strikes", "0.1,1.4"],   # residual +-2.2e-16, se 0
-    ["intl", "--strikes", "0.9"]])        # z_call -55.9
+    ["parity", "--strikes", "0.1,1.4"],   # residual +-2.2e-16
+    ["intl", "--strikes", "0.9"],         # lhs 0.1, rhs 0.10000000000000006
+    ["defect", "--x0", "0.3"]])           # mean of 1000 copies of 0.3
 def test_identities_hold_on_a_deterministic_rate(argv, tmp_path):
-    """sigma = 0: X_T = x0 on every path, so put-call parity and the intl
-    equivalence hold exactly, yet rounding of the compared means, against a
-    standard error of about 0, exits 2."""
+    """sigma = 0: X_T = x0 on every path, so put-call parity, the intl
+    equivalence and a zero martingale defect hold exactly.  The compared
+    means differ by rounding alone, against a standard error of about 0,
+    which each identity floors at the rounding of its terms."""
     assert main([*argv, "--model", "qnv(0,0,0)", "--n", "1000",
                  "--out-dir", str(tmp_path)]) == 0
 

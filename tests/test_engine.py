@@ -17,7 +17,7 @@ from dualfx.catalog import MAX_REJECTION_ROUNDS, get_model
 from dualfx.sde import (BLOCK, Estimate, cross_measure_check, dual_seed,
                         estimate_from_values, z_score)
 from dualfx.sde import engine
-from dualfx.sde.engine import (MAX_PATH_STEPS, block_generator,
+from dualfx.sde.engine import (MAX_PATH_STEPS, TerminalBatch, block_generator,
                                dump_batch_csv, euler_absorbed, make_batches)
 from tests.test_oracles import DUAL_ABSORPTION, EXPECTED_X
 
@@ -399,6 +399,42 @@ def test_dump_batch_csv_matches_row_oracle(tmp_path):
                 covered |= [np.isnan(t).any(), np.isfinite(t).any(),
                             np.isinf(batch.x).any(), (batch.x == 0.0).any()]
     assert covered.all()
+
+
+# floats whose repr is special: signed zeros, subnormals, the float range's
+# ends, and both sides of repr's switches to exponent notation at 1e16 and
+# below 1e-4
+CSV_FLOATS = (0.0, -0.0, 5e-324, 2.5e-310, sys.float_info.min,
+              sys.float_info.max, math.inf, 1e16, np.nextafter(1e16, 0.0),
+              1e-4, np.nextafter(1e-4, 0.0), 1e-5, np.nextafter(1e-5, 1.0),
+              0.1, 1.0)
+
+
+def _csv_floats(gen, m: int) -> np.ndarray:
+    """m floats of either sign across the whole exponent range, CSV_FLOATS
+    among them at random rows."""
+    v = np.ldexp(gen.random(m), gen.integers(-1074, 1024, m))
+    v *= gen.choice([-1.0, 1.0], m)
+    v[:len(CSV_FLOATS)] = CSV_FLOATS[:m]
+    return gen.permutation(v)
+
+
+@pytest.mark.parametrize("m", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("timed", [(0.0, 0.3), (0.3, 0.0), (1.0, 0.5)])
+def test_dump_batch_csv_matches_row_oracle_on_synthetic_batches(m, timed,
+                                                                tmp_path):
+    """Block b's rows carry a finite hit time with probability timed[b]:
+    blocks with no hit time, with nan and finite hit times mixed, and with a
+    hit time on every row."""
+    gen = np.random.default_rng([m, *(int(10 * f) for f in timed)])
+    hit = np.abs(_csv_floats(gen, m))
+    for b, lo in enumerate(range(0, m, BLOCK)):
+        t = hit[lo:lo + BLOCK]
+        t[gen.random(t.size) >= timed[b]] = np.nan
+    batch = TerminalBatch(_csv_floats(gen, m), hit, gen.random(m) < 0.3, 0)
+    path = tmp_path / "batch.csv"
+    dump_batch_csv(batch, path)
+    assert path.read_bytes() == csv_oracle(batch)
 
 
 # SHA-256 of dump_batch_csv for the primal and dual batch of make_batches on

@@ -379,7 +379,9 @@ def _mc_results(name):
 
 
 # SHA-256 over _mc_results, recorded before the claim legs were evaluated
-# on the whole batch
+# on the whole batch; singular_timechange's since its parity rows, whose
+# standard error is 0 (X_T = 0 and the explosion are sure), read the
+# rounding floor as residual_stderr
 MC_DIGESTS = {
     "recip_bessel":
         "c3111c77b4ecd5a56246223f85cc1f405e6c23ad5634064328eb1fad22ce4150",
@@ -388,7 +390,7 @@ MC_DIGESTS = {
     "exp_martingale_baseline":
         "002b9fcc2e7cd54b4c4e03dcaec8eb8c755825d04e555283fd59f303c47d95f5",
     "singular_timechange":
-        "1bf10b5a375a5f618ade3590fd5fdeea9c4fac35fb02e778d5643fc5e8501dbe",
+        "5b21cd6a3a9c5c6f107baa69f3c107006c263b5471d790a10f754b9f10a55207",
 }
 
 
@@ -449,3 +451,28 @@ def test_whole_batch_legs_equal_the_gathered_legs(name, event):
                 got, want = leg(claim, batch), gathered(claim, batch)
                 assert got.dtype == want.dtype == np.float64
                 assert got.tobytes() == want.tobytes(), (kind, k, leg)
+
+
+@pytest.mark.parametrize("name", ["recip_bessel", "stopped_bm"])
+def test_legs_of_a_custom_claim_equal_the_gathered_legs(name):
+    """A claim built positionally, with a euro leg that returns its own
+    argument and is infinite at explosion: each leg is the gathered leg bit
+    for bit, and a batch whose explosion mask is an int 0/1 array gives the
+    legs of its bool twin."""
+    primal, dual = make_batches(
+        get_model(name).model,
+        MCConfig(n=BLOCK + 3, seed=20120229, scheme="exact"))
+    claim = _spy(Claim("custom", None, lambda x: np.exp(-x), lambda x: x,
+                       math.inf))
+    for leg, gathered, batch in (
+            (pricing.euro_leg_values, _gathered_euro_leg, dual),
+            (pricing.euro_correction_values, _gathered_correction, dual),
+            (pricing.devaluation_values, _gathered_devaluation, primal)):
+        got = leg(claim, batch)
+        assert got.tobytes() == gathered(claim, batch).tobytes(), leg
+        twin = replace(batch, hit_infinity=batch.hit_infinity.astype(np.int64))
+        assert leg(claim, twin).tobytes() == got.tobytes(), leg
+    # the event each leg singles out is on the batch, and the explosion value
+    # reaches the euro legs
+    assert (np.isinf(pricing.euro_leg_values(claim, dual)).any()
+            if name == "recip_bessel" else (primal.x == 0.0).any())

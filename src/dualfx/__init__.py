@@ -7,25 +7,24 @@ measures) with an exact rational lattice oracle that verifies every identity
 the pricing operator relies on: the change-of-numeraire relation, conditional
 Bayes formula, put-call parity, international put-call equivalence, and the
 equality between the pricing formula and backward superreplication.
+
+Each public name has one address.  The package root holds the error classes
+only, so `import dualfx` loads nothing else.  The Monte Carlo models, config,
+simulation and estimates are in `dualfx.sde`, the engine's building blocks in
+`dualfx.sde.engine`, the claims and the Monte Carlo pricing operator in
+`dualfx.pricing`, the exact lattice in `dualfx.lattice`, the named models in
+`dualfx.catalog`, the dominating measure in `dualfx.physical`, and
+`ExtendedValue` in `dualfx.extended`.
 """
 
-from . import catalog, lattice, physical, pricing
 from .errors import (ClaimError, ConditioningError, ConfigError, DualFXError,
                      InfeasibleError, InfiniteContribution, InfinitePrice,
                      MeasurabilityError, NormalizationError, NumericalBlowup,
                      SchemeUnsupported, StructureError, UnknownModel)
-from .extended import ExtendedValue
-from .sde import (DiffusionModel, DualDiffusion, Estimate, MCConfig,
-                  TerminalBatch, cross_measure_check, derive_dual_model,
-                  simulate)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExtendedValue", "DiffusionModel", "DualDiffusion", "MCConfig",
-    "Estimate", "TerminalBatch",
-    "derive_dual_model", "simulate", "cross_measure_check",
-    "catalog", "lattice", "physical", "pricing",
     "DualFXError", "NormalizationError", "StructureError",
     "MeasurabilityError", "ClaimError", "InfinitePrice", "InfeasibleError",
     "ConditioningError", "UnknownModel", "SchemeUnsupported",

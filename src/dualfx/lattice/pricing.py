@@ -375,8 +375,9 @@ def _one_fraction(plus, minus) -> Fraction:
 
 def parity_and_equivalence_report(tree: DualTree,
                                   strikes) -> list[ParityRow]:
-    """One row per strike, each read exactly by `tree._rational`; ClaimError
-    refuses a strike that is not a positive rational (a bool, nan, inf).
+    """One row per strike, each read exactly by `tree._rational` through
+    `pricing.payoff_row`, whose ConfigError refuses a strike that is not a
+    positive rational (a bool, None, nan, inf).
     The four table rows of a strike, ints by construction, are summed by
     `_formula_sums`; each field is one Fraction of their integer parts."""
     exploded = sum(tree.numerators[nid][1] for nid in tree.leaves
@@ -385,12 +386,7 @@ def parity_and_equivalence_report(tree: DualTree,
     x0 = (tree.x0.numerator, tree.x0.denominator)
     rows = []
     for strike in strikes:
-        try:
-            k = _rational(strike)
-        except (TypeError, ValueError, ArithmeticError) as exc:
-            raise ClaimError(f"strike {strike!r} is not a number") from exc
-        if k <= 0:
-            raise ClaimError(f"strikes must be positive, not {strike!r}")
+        k = payoff_row("call", strike, _rational)[1]
         kn, kd, inv = k.numerator, k.denominator, 1 / k
         (cc, _, c, *_), (pc, _, p, *_), (_, _, dc, *_), (_, _, dp, *_) = (
             _formula_sums(tree, *_table_values(tree, PAYOFFS[kind], s))

@@ -20,9 +20,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .sde.engine import (Estimate, MCConfig, TerminalBatch, _run_blocks,
-                         combined_stderr, dual_seed, estimate_from_values,
-                         make_batches, simulate, z_score)
+from .sde.engine import (Estimate, MCConfig, TerminalBatch, _rounding,
+                         _run_blocks, combined_stderr, dual_seed,
+                         estimate_from_values, make_batches, simulate, z_score)
 from .sde.models import DiffusionModel, derive_dual_model
 
 
@@ -91,8 +91,8 @@ def payoff_row(kind: str, strike, num: type = float) -> tuple[Payoff, object]:
         return row, None
     try:
         k = num(strike)
-    except (TypeError, ValueError, OverflowError):
-        k = math.nan   # None, text, or a nan or inf strike read as a Fraction
+    except (TypeError, ValueError, ArithmeticError):
+        k = math.nan   # None, text, "1/0", or nan or inf read as a Fraction
     if not 0 < k < math.inf:
         raise ConfigError(f"claim kind {kind!r} needs a positive finite "
                           f"strike, got {strike!r}")
@@ -208,11 +208,6 @@ def price_euro_side(model: DiffusionModel, claim: Claim, cfg: MCConfig,
 # ---------------------------------------------------------------------------
 # parity and equivalence tables
 # ---------------------------------------------------------------------------
-
-def _rounding(*terms: float) -> float:
-    """64 ulps of the terms' magnitudes, the floor of an identity's stderr."""
-    return 2.0 ** -46 * math.fsum(map(abs, terms))
-
 
 @dataclass(frozen=True)
 class ParityRow:

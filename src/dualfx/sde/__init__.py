@@ -1,15 +1,13 @@
-"""Monte Carlo simulation of the rate under both measures."""
+"""Monte Carlo simulation of the rate under both measures: the models, the
+config, the simulation and its estimates.  The engine's building blocks (the
+Euler kernel, the estimator, its z-score, the dual seed) are in `.engine`."""
 
 from .engine import (BLOCK, CrossMeasureResult, Estimate, MCConfig,
-                     TerminalBatch, combined_stderr, cross_measure_check,
-                     dual_seed, estimate_from_values, euler_absorbed,
-                     simulate, z_score)
+                     TerminalBatch, cross_measure_check, simulate)
 from .models import DiffusionModel, DualDiffusion, derive_dual_model
 
 __all__ = [
     "BLOCK", "MCConfig", "Estimate", "TerminalBatch",
     "CrossMeasureResult", "DiffusionModel", "DualDiffusion",
-    "derive_dual_model", "simulate", "estimate_from_values",
-    "euler_absorbed", "cross_measure_check", "combined_stderr", "z_score",
-    "dual_seed",
+    "derive_dual_model", "simulate", "cross_measure_check",
 ]

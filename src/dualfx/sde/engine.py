@@ -114,6 +114,11 @@ def combined_stderr(*estimates: Estimate) -> float:
     return math.hypot(*(e.stderr for e in estimates))
 
 
+def _rounding(*terms: float) -> float:
+    """64 ulps of the terms' magnitudes, the floor of an identity's stderr."""
+    return 2.0 ** -46 * math.fsum(map(abs, terms))
+
+
 def z_score(lhs: Estimate, rhs: Estimate) -> float:
     se = combined_stderr(lhs, rhs)
     diff = lhs.mean - rhs.mean
@@ -383,8 +388,8 @@ def cross_measure_check(model: DiffusionModel, f: Callable[[float], float],
     """Two-sided estimate of the change-of-numeraire identity for bounded f,
     on the pair make_batches gives for (model, cfg).
 
-    Returns the z-score of LHS - RHS; |z| <= 3 in roughly 99.7% of runs when
-    the identity holds.
+    Returns the z-score of LHS - RHS, its stderr floored at the means'
+    `_rounding`; |z| <= 3 in roughly 99.7% of runs when the identity holds.
     """
     primal, dual = make_batches(model, cfg)
     x, y = primal.x, dual.y
@@ -398,4 +403,5 @@ def cross_measure_check(model: DiffusionModel, f: Callable[[float], float],
     rhs_vals[alive] = _mapped(f, 1.0 / ya) * ya
     lhs = estimate_from_values(lhs_vals, primal.seed)
     rhs = estimate_from_values(rhs_vals, dual.seed).scale(model.x0)
-    return CrossMeasureResult(z_score(lhs, rhs), lhs, rhs)
+    se = max(lhs.stderr, _rounding(lhs.mean, rhs.mean))
+    return CrossMeasureResult(z_score(replace(lhs, stderr=se), rhs), lhs, rhs)

@@ -15,7 +15,6 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from dualfx import MCConfig, derive_dual_model, simulate
 from dualfx.catalog import get_model
 from dualfx.lattice import (bayes_check, first_hit_rule,
                             parity_and_equivalence_report, period_rule,
@@ -27,7 +26,8 @@ from dualfx.lattice import (bayes_check, first_hit_rule,
                             verify_strategy)
 from dualfx.physical import build_physical, consistency_checks
 from dualfx.pricing import make_claim, parity_table, price, tail_diagnostic
-from dualfx.sde import cross_measure_check
+from dualfx.sde import (MCConfig, cross_measure_check, derive_dual_model,
+                        simulate)
 from tests.test_oracles import DUAL_ABSORPTION, EXPECTED_X
 
 

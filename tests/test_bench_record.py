@@ -166,3 +166,37 @@ def test_main_writes_the_record_and_prints_raw_changes_only(
         ("lattice_corpus", "lattice.tree.build_ms"): ("0.8", "0.6", "-25.0%"),
         ("lattice_corpus", "host.calib_ms"): ("40", "30", "-25.0%"),
         ("cli", "price"): ("1000", "1500", "+50.0%")}
+
+
+def test_main_prints_differences_for_percent_sigma_and_ratio_units(
+        tmp_path, monkeypatch, capsys):
+    """A metric whose BENCHMARK.json unit is %, sigma or ratio sits near 0 or
+    is relative already, so its printed change is new - old; every other
+    metric, and a CLI row, keeps its relative change."""
+    units = {"trace.overhead_pct": "%", "sde.engine.bias_z": "sigma",
+             "trace.coverage": "ratio", "sde.engine.step_ms": "ms"}
+    new = {"trace.overhead_pct": 0.397, "sde.engine.bias_z": -0.0077,
+           "trace.coverage": 0.99, "sde.engine.step_ms": 6.0}
+    old = {"trace.overhead_pct": 0.036, "sde.engine.bias_z": -0.0086,
+           "trace.coverage": 0.98, "sde.engine.step_ms": 5.0}
+    monkeypatch.setattr(bench_record, "run_bench",
+                        lambda workload, seed, seconds, trace: _run(
+                            4, 0, **(new if trace else {"ops_per_s": 12.0})))
+    monkeypatch.setattr(bench_record, "record_cli", lambda: {"price": 900.0})
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 30,
+        "end_to_end": [{"name": "ops_per_s", "unit": "1/s"}],
+        "per_layer": [{"name": k, "unit": u} for k, u in units.items()]}))
+    (tmp_path / "BENCH_3.json").write_text(json.dumps(dict(
+        _record(euler_paths={"end_to_end": {"ops_per_s": 10.0},
+                             "per_layer": old}),
+        cli={"price": 1000.0})))
+
+    assert bench_record.main(["--pr", "4"]) == 0
+    rows = (re.fullmatch(r" +\S+ +\S+ +(\S+) +\S+ -> +\S+ +(\S+)", line)
+            for line in capsys.readouterr().out.splitlines())
+    assert dict(m.groups() for m in rows if m) == {
+        "ops_per_s": "+20.0%", "sde.engine.step_ms": "+20.0%",
+        "trace.overhead_pct": "+0.361", "sde.engine.bias_z": "+0.0009",
+        "trace.coverage": "+0.01", "price": "-10.0%"}

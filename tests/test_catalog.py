@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import dualfx
-from dualfx import MCConfig, UnknownModel, derive_dual_model, simulate
-from dualfx import catalog
+from dualfx import UnknownModel, catalog
 from dualfx.catalog import get_model, list_models
+from dualfx.sde import MCConfig, derive_dual_model, simulate
 from dualfx.sde.engine import estimate_from_values
 from tests.test_oracles import (DUAL_ABSORPTION, EXPECTED_X,
                                 EXPECTED_X_SQUARED)

@@ -10,15 +10,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dualfx import (ConfigError, DiffusionModel, InfiniteContribution,
-                    MCConfig, NumericalBlowup, SchemeUnsupported,
-                    derive_dual_model, simulate)
+from dualfx import (ConfigError, InfiniteContribution, NumericalBlowup,
+                    SchemeUnsupported)
 from dualfx.catalog import MAX_REJECTION_ROUNDS, get_model
-from dualfx.sde import (BLOCK, Estimate, cross_measure_check, dual_seed,
-                        estimate_from_values, z_score)
+from dualfx.sde import (BLOCK, DiffusionModel, Estimate, MCConfig,
+                        cross_measure_check, derive_dual_model, simulate)
 from dualfx.sde import engine
 from dualfx.sde.engine import (MAX_PATH_STEPS, TerminalBatch, block_generator,
-                               dump_batch_csv, euler_absorbed, make_batches)
+                               dual_seed, dump_batch_csv, estimate_from_values,
+                               euler_absorbed, make_batches, z_score)
 from tests.test_oracles import DUAL_ABSORPTION, EXPECTED_X
 
 
@@ -337,6 +337,19 @@ def test_cross_measure_degenerate_and_singular():
     r2 = cross_measure_check(sing, lambda x: min(x, 1.0),
                              MCConfig(n=5000, seed=8))
     assert r2.lhs.mean == 0.0 and r2.rhs.mean == 0.0 and r2.z == 0.0
+
+
+@pytest.mark.parametrize("x0", [0.3, 0.7, 1.3, 3.0])
+def test_cross_measure_check_holds_on_a_constant_rate(x0):
+    """On X = x0 both sides are one constant each, equal up to the rounding
+    of their means: the stderr, about 1e-18 or 0, is floored at that
+    rounding, so an ulp apart is no violation."""
+    model = get_model("qnv(0,0,0)", x0=x0).model
+    r = cross_measure_check(model, lambda x: min(x, 1.0),
+                            MCConfig(n=1000, steps=4, seed=1))
+    assert r.lhs.mean == pytest.approx(r.rhs.mean, rel=1e-15)
+    assert r.lhs.stderr < 1e-17 and r.rhs.stderr < 1e-17
+    assert abs(r.z) < 1.0
 
 
 def test_dual_seed_differs():

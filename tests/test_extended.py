@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dualfx import ExtendedValue as EV
+from dualfx.extended import ExtendedValue as EV
 
 
 def test_predicates_and_values():

@@ -787,17 +787,17 @@ def test_parity_residuals_on_random_trees():
 
 
 @pytest.mark.parametrize("strike, message", [
-    (math.nan, "strike nan is not a number"),
-    (math.inf, "strike inf is not a number"),
-    (True, "strike True is not a number"),
-    (None, "strike None is not a number"),
-    (0, "strikes must be positive, not 0"),
-    (-0.5, "strikes must be positive, not -0.5"),
-    (Fraction(-1, 3), "strikes must be positive, not Fraction(-1, 3)"),
+    (math.nan, "needs a positive finite strike, got nan"),
+    (math.inf, "needs a positive finite strike, got inf"),
+    (True, "needs a positive finite strike, got True"),
+    (None, "needs a positive finite strike, got None"),
+    (0, "needs a positive finite strike, got 0"),
+    (-0.5, "needs a positive finite strike, got -0.5"),
+    (Fraction(-1, 3), "needs a positive finite strike, got Fraction(-1, 3)"),
 ], ids=["nan", "inf", "bool", "none", "zero", "negative_float",
         "negative_fraction"])
 def test_parity_report_refuses_a_strike_that_is_not_positive(strike, message):
-    with pytest.raises(ClaimError, match=re.escape(message)):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         parity_and_equivalence_report(two_period_example(), [strike])
 
 
@@ -854,6 +854,18 @@ def test_tree_claim_refuses_a_bool_strike(strike):
     with pytest.raises(ConfigError, match=re.escape(
             f"claim kind 'call' needs a positive finite strike, got {strike}")):
         tree_claim(two_period_example(), "call", strike)
+
+
+@pytest.mark.parametrize("strike", ["1/0", "x", "-1/3", "0"])
+def test_tree_claim_and_parity_report_refuse_the_same_text_strikes(strike):
+    """One reader, `pricing.payoff_row`, refuses a text strike for both, a
+    zero denominator included."""
+    message = re.escape(f"needs a positive finite strike, got {strike!r}")
+    t = two_period_example()
+    with pytest.raises(ConfigError, match=message):
+        tree_claim(t, "call", strike)
+    with pytest.raises(ConfigError, match=message):
+        parity_and_equivalence_report(t, [strike])
 
 
 @pytest.mark.parametrize("kind", CLAIM_KINDS)

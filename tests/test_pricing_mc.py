@@ -8,9 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dualfx import (ConfigError, DiffusionModel, DualFXError,
-                    InfiniteContribution, MCConfig, derive_dual_model, pricing,
-                    simulate)
+from dualfx import ConfigError, DualFXError, InfiniteContribution, pricing
 from dualfx.catalog import get_model
 from dualfx.lattice import tree_claim, two_period_example
 from dualfx.pricing import (CLAIM_KINDS, PAYOFFS, Claim,
@@ -18,7 +16,9 @@ from dualfx.pricing import (CLAIM_KINDS, PAYOFFS, Claim,
                             martingale_defect, parity_table, price,
                             price_euro_side, scheme_convergence,
                             tail_diagnostic)
-from dualfx.sde import BLOCK, dual_seed
+from dualfx.sde import (BLOCK, DiffusionModel, MCConfig, derive_dual_model,
+                        simulate)
+from dualfx.sde.engine import dual_seed
 from tests.test_oracles import DUAL_ABSORPTION, EXPECTED_X
 
 CFG = MCConfig(n=100_000, seed=7)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dualfx import DiffusionModel, derive_dual_model
+from dualfx.sde import DiffusionModel, derive_dual_model
 
 
 def _model(sigma, x0=1.0, horizon=1.0):

@@ -9,9 +9,11 @@ per-layer metrics), one run at a time, each for BENCHMARK.json's
 `run_seconds`, and writes BENCH_<pr>.json with each metric's median over the
 seeds.  Under its `cli` entry go the wall times of the CLI commands at their
 default sizes, each the median of CLI_RUNS fresh `python -m dualfx.cli`
-processes.  It then prints each metric's old value, new value and relative
-change against the newest BENCH_<n>.json with n < pr at the checkout's root,
-if there is one and it was recorded with the same seeds and run length.
+processes.  It then prints each metric's old value, new value and change
+against the newest BENCH_<n>.json with n < pr at the checkout's root, if
+there is one and it was recorded with the same seeds and run length: the
+relative change, or new - old for a metric whose BENCHMARK.json unit is in
+DIFFERENCE_UNITS.
 Standard library only.
 """
 
@@ -33,6 +35,9 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("euler_paths", "exact_report", "lattice_corpus")
 SECTIONS = {0: "end_to_end", 1: "per_layer"}     # by the --trace flag
 CLI_RUNS = 5
+# units of readings near 0 or already relative, whose change is new - old:
+# a relative change of 0.036 -> 0.397 % would print as +1002%
+DIFFERENCE_UNITS = ("%", "sigma", "ratio")
 # each CLI command at its default size: the Monte Carlo ones on recip_bessel,
 # the lattice ones on two_period_example, whose document is at {tree}
 CLI_COMMANDS = {
@@ -149,13 +154,25 @@ def compare(old: dict, new: dict) -> list[tuple]:
                            new.get("cli", {}))
 
 
+def change_text(unit: str | None, was: float, value: float,
+                rel: float | None) -> str:
+    """new - old for a unit in DIFFERENCE_UNITS, else `compare`'s relative
+    change `rel` in %."""
+    if unit in DIFFERENCE_UNITS:
+        return f"{value - was:+.4g}"
+    return "n/a" if rel is None else f"{rel:+.1%}"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int, required=True,
                     help="number in the output name BENCH_<pr>.json")
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     args = ap.parse_args(argv)
-    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    units = {m["name"]: m["unit"] for section in SECTIONS.values()
+             for m in bench.get(section, [])}
 
     runs: dict[str, dict[int, list[dict]]] = {}
     for workload in WORKLOADS:
@@ -193,9 +210,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"not compared with {prev.name}: {exc}")
         return 0
-    print(f"relative change against {prev.name}:")
+    print(f"relative change against {prev.name} (new - old for units "
+          f"{', '.join(DIFFERENCE_UNITS)}):")
     for workload, section, name, was, value, rel in rows:
-        change = "n/a" if rel is None else f"{rel:+.1%}"
+        change = change_text(units.get(name), was, value, rel)
         print(f"  {workload:15s} {section:10s} {name:32s} {was:12.6g} -> "
               f"{value:12.6g}  {change:>8s}")
     return 0

@@ -20,16 +20,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .catalog import get_model, list_models
 from .errors import ConfigError, DualFXError
+from .inputs import MCConfig
 from .lattice import checks as lchecks
 from .lattice import pricing as lpricing
 from .lattice import tree as ltree
 from .physical import build_physical, consistency_checks
-from .pricing import (intl_equivalence_table, make_batches, make_claim,
-                      martingale_defect, parity_table, price,
-                      scheme_convergence)
-from .sde.engine import MCConfig, dump_batch_csv
 
 ENV_OUT_DIR = "DUALFX_OUT_DIR"
 
@@ -152,7 +148,9 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 # command implementations
 # ---------------------------------------------------------------------------
 
+# the runners import the Monte Carlo modules, which load numpy, on use
 def _entry(cfg: ExperimentConfig):
+    from .catalog import get_model
     if not cfg.model:
         raise ConfigError("this command needs --model")
     return get_model(cfg.model, x0=cfg.x0, horizon=cfg.horizon, vol=cfg.vol)
@@ -173,6 +171,8 @@ def _price_payload(p) -> dict:
 
 
 def _run_price(cfg: ExperimentConfig, out: Path) -> int:
+    from .pricing import make_batches, make_claim, price
+    from .sde.engine import dump_batch_csv
     entry = _entry(cfg)
     claim = make_claim(cfg.claim or "euro_forward", cfg.strike)
     batches = make_batches(entry.model, cfg.mc())
@@ -186,6 +186,7 @@ def _run_price(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _run_parity(cfg: ExperimentConfig, out: Path) -> int:
+    from .pricing import parity_table
     entry = _entry(cfg)
     rows = parity_table(entry.model, cfg.strikes, cfg.mc())
     header = ["strike", "call_total", "put_total", "residual", "residual_se",
@@ -205,6 +206,7 @@ def _run_parity(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _run_intl(cfg: ExperimentConfig, out: Path) -> int:
+    from .pricing import intl_equivalence_table
     entry = _entry(cfg)
     rows = intl_equivalence_table(entry.model, cfg.strikes, cfg.mc())
     header = ["strike", "call_lhs", "call_rhs", "z_call",
@@ -220,6 +222,7 @@ def _run_intl(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _run_defect(cfg: ExperimentConfig, out: Path) -> int:
+    from .pricing import martingale_defect
     entry = _entry(cfg)
     rep = martingale_defect(entry.model, cfg.mc())
     _write_json(out / f"{cfg.tag}_defect.json", rep)
@@ -313,6 +316,7 @@ def _run_physical(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _run_convergence(cfg: ExperimentConfig, out: Path) -> int:
+    from .pricing import scheme_convergence
     entry = _entry(cfg)
     ref, rows = scheme_convergence(entry.model, cfg.levels, cfg.mc())
     _write_csv(out / f"{cfg.tag}_convergence.csv",
@@ -327,6 +331,7 @@ def _run_convergence(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _run_catalog(cfg: ExperimentConfig, out: Path) -> int:
+    from .catalog import get_model, list_models
     for name in list_models():
         if name.startswith("qnv"):
             print(f"{name}: quadratic diffusion family, euler scheme only")

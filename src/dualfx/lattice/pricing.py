@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from ..errors import ClaimError, InfeasibleError, InfinitePrice
-from ..pricing import PAYOFFS, Payoff, payoff_row
+from ..inputs import PAYOFFS, Payoff, payoff_row
 from .checks import _check_value
 from .tree import DualTree, _rational
 
@@ -71,7 +71,7 @@ def validate_claim(tree: DualTree, claim: TreeClaim) -> None:
 
 
 def _table_values(tree: DualTree, row: Payoff, k) -> tuple[list, int]:
-    """A `pricing.PAYOFFS` row at a strike k = p/q from the terminal law
+    """An `inputs.PAYOFFS` row at a strike k = p/q from the terminal law
     alone, in `tree.leaves` order: the dollar leg at a rate n/Dx, or the euro
     value at an explosion, as ints over (Dx*q)**2 (None if infinite)."""
     q = 1 if k is None else k.denominator
@@ -83,7 +83,7 @@ def _table_values(tree: DualTree, row: Payoff, k) -> tuple[list, int]:
 
 
 def tree_claim(tree: DualTree, kind: str, strike=None) -> TreeClaim:
-    """The `TreeClaim` of a `pricing.PAYOFFS` kind at a strike read by
+    """The `TreeClaim` of an `inputs.PAYOFFS` kind at a strike read by
     `tree._rational`: its `_table_values`, keyed by leaf."""
     row, k = payoff_row(kind, strike, _rational)
     values, d = _table_values(tree, row, k)
@@ -376,7 +376,7 @@ def _one_fraction(plus, minus) -> Fraction:
 def parity_and_equivalence_report(tree: DualTree,
                                   strikes) -> list[ParityRow]:
     """One row per strike, each read exactly by `tree._rational` through
-    `pricing.payoff_row`, whose ConfigError refuses a strike that is not a
+    `inputs.payoff_row`, whose ConfigError refuses a strike that is not a
     positive rational (a bool, None, nan, inf).
     The four table rows of a strike, ints by construction, are summed by
     `_formula_sums`; each field is one Fraction of their integer parts."""

@@ -20,84 +20,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .sde.engine import (Estimate, MCConfig, TerminalBatch, _rounding,
-                         _run_blocks, combined_stderr, dual_seed,
-                         estimate_from_values, make_batches, simulate, z_score)
+# CLAIM_KINDS is also read from here, by the benchmark
+from .inputs import CLAIM_KINDS, MCConfig, payoff_row
+from .sde.engine import (Estimate, TerminalBatch, _rounding, _run_blocks,
+                         combined_stderr, dual_seed, estimate_from_values,
+                         make_batches, simulate, z_score)
 from .sde.models import DiffusionModel, derive_dual_model
 
 
 # ---------------------------------------------------------------------------
 # claims
 # ---------------------------------------------------------------------------
-
-def _pos(v):
-    """Positive part, on numpy float arrays and on scalars (Fractions)."""
-    return np.maximum(v, 0.0) if isinstance(v, np.ndarray) else max(v, 0)
-
-
-def _const(x, c):
-    """The constant c shaped like x: a float array on arrays, c on scalars."""
-    return np.full_like(x, c) if isinstance(x, np.ndarray) else c
-
-
-@dataclass(frozen=True)
-class Payoff:
-    """One claim kind, written once for float arrays, Fractions and integers:
-    `dollar(x, k, u=1)` is the dollar leg on [0, inf), homogeneous of degree
-    2 in (x, k, u): at a rate n/d and a strike p/q, `dollar(n*q, p*d, d*q)`
-    is the integer (d*q)**2 times its value.  `euro(x, k)` is the euro leg on
-    (0, inf), dollar / x there, and `euro_at_explosion(k)` the euro value at
-    explosion, math.inf for an infinite payoff.  The dollar value at
-    explosion is inf times the euro value there, under inf * 0 = 0."""
-
-    dollar: Callable
-    euro: Callable
-    euro_at_explosion: Callable
-    takes_strike: bool = True
-
-
-PAYOFFS: dict[str, Payoff] = {
-    "euro_forward": Payoff(lambda x, k, u=1: u * x, lambda x, k: _const(x, 1),
-                           lambda k: 1, takes_strike=False),
-    "call": Payoff(lambda x, k, u=1: u * _pos(x - k),
-                   lambda x, k: _pos(1 - k / x), lambda k: 1),
-    "put": Payoff(lambda x, k, u=1: u * _pos(k - x),
-                  lambda x, k: _pos(k / x - 1), lambda k: 0),
-    # call on one dollar, struck in euros
-    "dollar_call": Payoff(lambda x, k, u=1: _pos(u * u - k * x),
-                          lambda x, k: _pos(1 / x - k), lambda k: 0),
-    "dollar_put": Payoff(lambda x, k, u=1: _pos(k * x - u * u),
-                         lambda x, k: _pos(k - 1 / x), lambda k: k),
-    "self_quantoed": Payoff(lambda x, k, u=1: x * _pos(x - k),
-                            lambda x, k: _pos(x - k), lambda k: math.inf),
-    "digital_explosion": Payoff(lambda x, k, u=1: _const(x, 0),
-                                lambda x, k: _const(x, 0),
-                                lambda k: 1, takes_strike=False),
-}
-
-CLAIM_KINDS = tuple(PAYOFFS)
-
-
-def payoff_row(kind: str, strike, num: type = float) -> tuple[Payoff, object]:
-    """The table row of a claim kind and its strike converted by `num`.
-
-    The strike is None for kinds that take none.  Raises ConfigError for an
-    unknown kind and for a missing, nonpositive, nan or infinite strike.
-    """
-    row = PAYOFFS.get(kind)
-    if row is None:
-        raise ConfigError(f"unknown claim kind {kind!r}; known: {CLAIM_KINDS}")
-    if not row.takes_strike:
-        return row, None
-    try:
-        k = num(strike)
-    except (TypeError, ValueError, ArithmeticError):
-        k = math.nan   # None, text, "1/0", or nan or inf read as a Fraction
-    if not 0 < k < math.inf:
-        raise ConfigError(f"claim kind {kind!r} needs a positive finite "
-                          f"strike, got {strike!r}")
-    return row, k
-
 
 @dataclass(frozen=True)
 class Claim:
@@ -119,7 +52,7 @@ class Claim:
 
 
 def make_claim(kind: str, strike: float | None = None) -> Claim:
-    """Float evaluation of a `PAYOFFS` row; a kind without a strike ignores
+    """Float evaluation of an `inputs.PAYOFFS` row; a kind without a strike ignores
     the one given."""
     row, k = payoff_row(kind, strike)
     return Claim(kind, k, lambda x: row.dollar(x, k), lambda x: row.euro(x, k),
@@ -226,6 +159,8 @@ def parity_table(model: DiffusionModel, strikes: Sequence[float],
                  cfg: MCConfig) -> list[ParityRow]:
     """Put-call parity report with common random numbers across all legs."""
     # the claims first, so a bad strike is refused before the simulation
+    if not strikes:
+        raise ConfigError("the parity table needs at least one strike")
     pairs = {k: (make_claim("call", k), make_claim("put", k))
              for k in strikes if k != 0}
     batches = make_batches(model, cfg)
@@ -282,6 +217,8 @@ def intl_equivalence_table(model: DiffusionModel, strikes: Sequence[float],
     identity telescopes.
     """
     # the claims first, so a bad strike is refused before the simulation
+    if not strikes:
+        raise ConfigError("the equivalence table needs at least one strike")
     claims = [(k, make_claim(a, k), make_claim(b, 1.0 / k)) for k in strikes
               for a, b in (("call", "dollar_put"), ("put", "dollar_call"))]
     primal, dual = make_batches(model, cfg)
@@ -406,13 +343,15 @@ class ConvergenceRow:
 
 def scheme_convergence(model: DiffusionModel, levels: Sequence[int],
                        cfg: MCConfig) -> tuple[Estimate, list[ConvergenceRow]]:
-    """Euler estimates of E[X_T] against the exact scheme across grid levels."""
+    """Euler estimates of E[X_T] against the exact scheme across grid levels.
+    Raises ConfigError, before simulating, if MCConfig refuses a level."""
+    grids = [replace(cfg, scheme="euler_absorbed", steps=s) for s in levels]
     exact = simulate(model, replace(cfg, scheme="exact"))
     ref = estimate_from_values(exact.x, exact.seed)
     rows = []
-    for steps in levels:
-        b = simulate(model, replace(cfg, scheme="euler_absorbed", steps=steps))
+    for grid in grids:
+        b = simulate(model, grid)
         est = estimate_from_values(b.x, b.seed)
-        rows.append(ConvergenceRow(steps, est.mean, est.stderr,
+        rows.append(ConvergenceRow(grid.steps, est.mean, est.stderr,
                                    abs(est.mean - ref.mean)))
     return ref, rows

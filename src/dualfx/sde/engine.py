@@ -26,42 +26,11 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import (ConfigError, InfiniteContribution, NumericalBlowup,
-                      SchemeUnsupported)
+from ..errors import InfiniteContribution, NumericalBlowup, SchemeUnsupported
+from ..inputs import MCConfig
 from .models import DiffusionModel, DualDiffusion, derive_dual_model
 
 BLOCK = 8192
-
-SCHEMES = ("auto", "euler_absorbed", "exact")
-
-# the Euler kernel steps about 2e7 path-steps/s on one core, so this bound
-# refuses a config that would run for more than minutes; the largest default
-# use, convergence at 100,000 paths x 512 steps, is 5.1e7 path-steps
-MAX_PATH_STEPS = 10**10
-
-
-@dataclass(frozen=True)
-class MCConfig:
-    n: int = 100_000
-    steps: int = 64
-    seed: int = 0
-    scheme: str = "auto"     # one of SCHEMES
-    workers: int = 1
-
-    def __post_init__(self):
-        for name in ("n", "steps", "seed", "workers"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ConfigError(f"{name} must be an int, got {v!r}")
-        if self.n < 1 or self.steps < 1 or self.workers < 1:
-            raise ConfigError("n, steps and workers must be >= 1")
-        if self.n * self.steps > MAX_PATH_STEPS:
-            raise ConfigError(
-                f"n * steps must be at most MAX_PATH_STEPS = "
-                f"{MAX_PATH_STEPS:.0e} path-steps per simulation")
-        if self.scheme not in SCHEMES:
-            raise SchemeUnsupported(
-                f"unknown scheme {self.scheme!r}; known: {', '.join(SCHEMES)}")
 
 
 @dataclass

@@ -16,12 +16,13 @@ from hypothesis import strategies as st
 
 import dualfx
 
-from dualfx import cli
+from dualfx import cli, pricing
 from dualfx.catalog import MODEL_NAMES, get_model
 from dualfx.cli import COMMANDS, main, validate_config
 from dualfx.errors import ConfigError, SchemeUnsupported
+from dualfx.inputs import PAYOFFS
 from dualfx.lattice import build_dual_tree, dump_tree, two_period_example
-from dualfx.pricing import PAYOFFS, make_batches
+from dualfx.pricing import make_batches
 from dualfx.sde import BLOCK, MCConfig
 from tests.test_engine import csv_oracle
 from tests.test_tree import chain_doc, collision_doc
@@ -373,6 +374,20 @@ def test_non_finite_strike_is_usage_error(args, strike, example_tree_path,
     assert err.startswith("error: strikes must be finite")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["parity", "intl"])
+@pytest.mark.parametrize("strikes", [",", ""])
+def test_empty_strike_list_is_refused_before_simulating(
+        command, strikes, tmp_path, capsys, monkeypatch):
+    """A table of no strike checks nothing, so it is no passing gate."""
+    def refuse(*args):
+        raise AssertionError("simulated")
+    monkeypatch.setattr(pricing, "make_batches", refuse)
+    assert main([command, "--model", "recip_bessel", "--strikes", strikes,
+                 "--out-dir", str(tmp_path)]) == 1
+    assert "needs at least one strike" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [["price", "--bogus"],

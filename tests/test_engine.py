@@ -13,11 +13,12 @@ import pytest
 from dualfx import (ConfigError, InfiniteContribution, NumericalBlowup,
                     SchemeUnsupported)
 from dualfx.catalog import MAX_REJECTION_ROUNDS, get_model
+from dualfx.inputs import MAX_PATH_STEPS
 from dualfx.sde import (BLOCK, DiffusionModel, Estimate, MCConfig,
                         cross_measure_check, derive_dual_model, simulate)
 from dualfx.sde import engine
-from dualfx.sde.engine import (MAX_PATH_STEPS, TerminalBatch, block_generator,
-                               dual_seed, dump_batch_csv, estimate_from_values,
+from dualfx.sde.engine import (TerminalBatch, block_generator, dual_seed,
+                               dump_batch_csv, estimate_from_values,
                                euler_absorbed, make_batches, z_score)
 from tests.test_oracles import DUAL_ABSORPTION, EXPECTED_X
 

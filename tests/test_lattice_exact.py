@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dualfx import InfinitePrice
+from dualfx.inputs import CLAIM_KINDS, PAYOFFS
 from dualfx.lattice import (ParityRow, bayes_check, build_dual_tree,
                             first_hit_rule,
                             martingale_transfer_check,
@@ -17,7 +18,6 @@ from dualfx.lattice import (ParityRow, bayes_check, build_dual_tree,
                             verify_numeraire_identity, verify_strategy)
 from dualfx.lattice.tree import stop_map
 from dualfx.physical import build_physical, consistency_checks
-from dualfx.pricing import CLAIM_KINDS, PAYOFFS
 from tests.test_lattice_pricing import _wealth_oracle
 
 STRIKES = (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(7, 3))

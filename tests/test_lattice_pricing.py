@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from dualfx import ClaimError, ConfigError, InfeasibleError, InfinitePrice
+from dualfx.inputs import CLAIM_KINDS, PAYOFFS
 from dualfx.lattice import (ParityRow, bayes_check, build_dual_tree,
                             parity_and_equivalence_report, period_rule,
                             price_on_tree,
@@ -21,7 +22,7 @@ from dualfx.lattice import (ParityRow, bayes_check, build_dual_tree,
 from dualfx.lattice.pricing import TreeClaim, _solve_hull_lp
 from dualfx.lattice.tree import _over_lcm
 from dualfx.physical import build_physical, consistency_checks
-from dualfx.pricing import CLAIM_KINDS, PAYOFFS, make_claim
+from dualfx.pricing import make_claim
 
 
 def test_euro_forward_decomposition_on_example():
@@ -858,7 +859,7 @@ def test_tree_claim_refuses_a_bool_strike(strike):
 
 @pytest.mark.parametrize("strike", ["1/0", "x", "-1/3", "0"])
 def test_tree_claim_and_parity_report_refuse_the_same_text_strikes(strike):
-    """One reader, `pricing.payoff_row`, refuses a text strike for both, a
+    """One reader, `inputs.payoff_row`, refuses a text strike for both, a
     zero denominator included."""
     message = re.escape(f"needs a positive finite strike, got {strike!r}")
     t = two_period_example()

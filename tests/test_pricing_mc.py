@@ -10,11 +10,11 @@ import pytest
 
 from dualfx import ConfigError, DualFXError, InfiniteContribution, pricing
 from dualfx.catalog import get_model
+from dualfx.inputs import CLAIM_KINDS, PAYOFFS
 from dualfx.lattice import tree_claim, two_period_example
-from dualfx.pricing import (CLAIM_KINDS, PAYOFFS, Claim,
-                            intl_equivalence_table, make_batches, make_claim,
-                            martingale_defect, parity_table, price,
-                            price_euro_side, scheme_convergence,
+from dualfx.pricing import (Claim, intl_equivalence_table, make_batches,
+                            make_claim, martingale_defect, parity_table,
+                            price, price_euro_side, scheme_convergence,
                             tail_diagnostic)
 from dualfx.sde import (BLOCK, DiffusionModel, MCConfig, derive_dual_model,
                         simulate)
@@ -117,6 +117,41 @@ def test_non_finite_strike_rejected(kind, strike):
         make_claim(kind, strike)
     with pytest.raises(ConfigError):
         tree_claim(two_period_example(), kind, strike)
+
+
+# sha256 of each kind's make_claim legs at strikes 0.5, 1 and 2: the dollar
+# leg on every rate of LEG_RATES, the euro leg on its positive finite ones
+LEG_RATES = np.array([0.0, -0.0, 5e-324, 1e-300, 1.0, 1e300, math.inf])
+LEG_DIGESTS = {
+    "euro_forward":
+        "2f22cc1d8b90e889a781d105ba3fc6d6d6f0ac720e7966f080c730d72af11b1e",
+    "call": "4769b77af43c3436072fee6bcc24f6f905a4a29d9b83ad3adc46bd40cf8ff568",
+    "put": "339eff43dacf3c98a188148bad6add3cf8e9c52fd084a2757df31f291bca8664",
+    "dollar_call":
+        "08d6964cecd49f1028f01aa1bdf0cfab0bf1cacb92d801fd850bbdfa671bac01",
+    "dollar_put":
+        "407016c0b17a3656c6e83daa9e5c080fbba64bc7cb4ccdb912c85ef1fbae95b2",
+    "self_quantoed":
+        "412aa4acc09c02aad86ba2223c2d6f00fdda3e1f9c32bc262b9dcb27e630d555",
+    "digital_explosion":
+        "5be741e7f1b16ee2fe79558090da03232c1141eb821ee77b0bc4ae55361d5fb4",
+}
+
+
+@pytest.mark.parametrize("kind", CLAIM_KINDS)
+def test_float_legs_of_the_table_are_pinned(kind):
+    """Dtype and bytes of the float legs, signed zeros, subnormals, overflow
+    and inf included: a constant leg is 1.0 or 0.0 at inf, not nan."""
+    euro_rates = LEG_RATES[(LEG_RATES > 0) & np.isfinite(LEG_RATES)]
+    h = hashlib.sha256()
+    for k in (0.5, 1.0, 2.0):
+        claim = make_claim(kind, k)
+        with np.errstate(all="ignore"):
+            legs = claim.dollar_finite(LEG_RATES), claim.euro_finite(euro_rates)
+        for leg in legs:
+            h.update(leg.dtype.str.encode())
+            h.update(leg.tobytes())
+    assert h.hexdigest() == LEG_DIGESTS[kind]
 
 
 def test_tables_reject_non_finite_strikes():
@@ -315,6 +350,16 @@ def test_scheme_convergence_recip_bessel():
     diffs = [r.abs_diff for r in rows]
     assert diffs[0] > diffs[1] > diffs[2]
     assert diffs[2] < 0.05
+
+
+def test_scheme_convergence_refuses_a_bad_level_before_simulating(
+        monkeypatch):
+    def refuse(*args):
+        raise AssertionError("simulated a level")
+    monkeypatch.setattr(pricing, "simulate", refuse)
+    with pytest.raises(ConfigError, match="got 100000, 0 and 1"):
+        scheme_convergence(get_model("recip_bessel").model,
+                           [32, 128, 512, 0], MCConfig())
 
 
 def test_scheme_convergence_euler_exact_for_bm():

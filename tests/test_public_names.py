@@ -7,21 +7,38 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import dualfx
 from dualfx import errors
+from dualfx.lattice import dump_tree, two_period_example
 
 PACKAGES = ("dualfx", "dualfx.sde", "dualfx.lattice")
 
 
-def test_importing_dualfx_loads_no_numpy_and_no_subpackage():
+# the exact half, its two commands included, loads no numpy either
+CLI = "from dualfx.cli import main; assert main([{!r}, '--tree', TREE]) == 0"
+
+
+@pytest.mark.parametrize("code", [
+    "import dualfx", "import dualfx.lattice, dualfx.physical",
+    CLI.format("lattice-verify"), CLI.format("physical")],
+    ids=["root", "exact_half", "lattice_verify", "physical"])
+def test_importing_dualfx_loads_no_numpy_and_no_subpackage(code, tmp_path):
+    tree = tmp_path / "two_period.json"
+    dump_tree(two_period_example(), tree)
     src = str(Path(dualfx.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, dualfx; print(sorted("
-         "m for m in sys.modules if m.split('.')[0] in ('numpy', 'dualfx')))"],
-        env=env, check=True, capture_output=True, text=True)
-    assert out.stdout.strip() == "['dualfx', 'dualfx.errors']"
+        [sys.executable, "-c", f"import sys; TREE = {str(tree)!r}; {code}; "
+         "print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] in ('numpy', 'dualfx')))"],
+        env=env, cwd=tmp_path, check=True, capture_output=True, text=True)
+    loaded = out.stdout.splitlines()[-1]
+    assert "numpy" not in loaded
+    if code == "import dualfx":
+        assert loaded == "['dualfx', 'dualfx.errors']"
 
 
 def test_the_root_exports_the_errors_and_the_version_only():

@@ -6,6 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+_INF_SPELLINGS = ("inf", "Inf", "INF", "infinity")
+
 
 @dataclass(frozen=True)
 class ExtendedValue:
@@ -15,7 +17,7 @@ class ExtendedValue:
 
     def __post_init__(self):
         v = self.value
-        if v is not None and not (type(v) is Fraction and v >= 0):
+        if v is not None and not (type(v) is Fraction and v.numerator >= 0):
             raise ValueError(f"an extended value is a Fraction >= 0 or None, "
                              f"not {v!r}")
 
@@ -28,7 +30,7 @@ class ExtendedValue:
     def parse(s: str) -> "ExtendedValue":
         """Parse "p/q", "0" or "inf" (exact string forms used in JSON specs)."""
         s = s.strip()
-        if s in ("inf", "Inf", "INF", "infinity"):
+        if s in _INF_SPELLINGS:
             return ExtendedValue(None)
         return ExtendedValue.of(Fraction(s))
 

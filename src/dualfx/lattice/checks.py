@@ -11,12 +11,13 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from ..errors import ClaimError, MeasurabilityError
-from .tree import DualTree, _over_lcm, stop_map
+from .tree import ZERO, DualTree, _over_lcm, _ratio, stop_map
 
 
 def _check_value(v, what: str, where: str, nid: str) -> None:
     """ClaimError, naming nid, unless v is a non-bool int or Fraction >= 0."""
-    if (isinstance(v, bool) or not isinstance(v, (int, Fraction))
+    if (type(v) not in (int, Fraction)
+            and (isinstance(v, bool) or not isinstance(v, (int, Fraction)))
             or v.numerator < 0):
         raise ClaimError(f"{what} {v!r} at {where} {nid!r} is not an int "
                          "or Fraction >= 0")
@@ -61,8 +62,8 @@ def verify_numeraire_identity(tree: DualTree, event: Iterable[str],
             rhs += pd * x
     d_pd, d_pe, d_x, _ = tree.denominators
     x0n, x0d = tree.x0.numerator, tree.x0.denominator
-    return Fraction(lhs * d_pd * d_x * x0n - rhs * d_pe * x0d,
-                    d_pe * d_pd * d_x * x0n)
+    return _ratio(lhs * d_pd * d_x * x0n - rhs * d_pe * x0d,
+                  d_pe * d_pd * d_x * x0n)
 
 
 def bayes_check(tree: DualTree, terminal_values: Mapping[str, Fraction],
@@ -100,7 +101,7 @@ def bayes_check(tree: DualTree, terminal_values: Mapping[str, Fraction],
         if not (pd or pe):
             continue
         if x == 0:      # both sides vanish: 1{X_v > 0}, and inf * 0 = 0
-            residuals[v] = Fraction(0)
+            residuals[v] = ZERO
             continue
         # over Dy D1/x De and Dy D$; X_v > 0 with mass forces pe > 0
         euro = dollar = 0
@@ -110,10 +111,10 @@ def bayes_check(tree: DualTree, terminal_values: Mapping[str, Fraction],
                 euro += pe_w * y[w] * inv_w
                 dollar += pd_w * y[w]
         if x is None:   # 1{1/X_v > 0} kills the dollar side
-            residuals[v] = Fraction(euro, d_y * d_inv * pe)
+            residuals[v] = _ratio(euro, d_y * d_inv * pe)
         else:
-            residuals[v] = Fraction(euro * pd - dollar * inv * pe,
-                                    d_y * d_inv * pe * pd)
+            residuals[v] = _ratio(euro * pd - dollar * inv * pe,
+                                  d_y * d_inv * pe * pd)
     return residuals
 
 

@@ -33,7 +33,7 @@ from typing import Mapping
 from ..errors import ClaimError, InfeasibleError, InfinitePrice
 from ..inputs import PAYOFFS, Payoff, payoff_row
 from .checks import _check_value
-from .tree import DualTree, _rational
+from .tree import DualTree, _ratio, _rational
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +158,7 @@ def price_on_tree(tree: DualTree, claim: TreeClaim) -> TreeDualPrice:
     """The exact two-measure price of a claim, validated once and summed over
     the leaves in integers by `_formula_sums`, one Fraction per part."""
     validate_claim(tree, claim)
-    return TreeDualPrice(*(Fraction(*part) for part in _formula_sums(
+    return TreeDualPrice(*(_ratio(*part) for part in _formula_sums(
         tree, [claim.payoffs[nid] for nid in tree.leaves], claim.denominator)))
 
 
@@ -308,7 +308,7 @@ def superreplicate_backward(tree: DualTree, claim: TreeClaim
 
     # wealth e0 + e1*x at each supported node from the holdings in force at
     # its parent, one Fraction each: e1 euros where x = inf, e0 where x = 0
-    price = Fraction(*required[tree.root])
+    price = _ratio(*required[tree.root])
     if price.numerator < 0:
         raise InfeasibleError("negative superreplication price for a claim >= 0")
     wealth, held = {tree.root: price}, {tree.root: lines[tree.root]}
@@ -321,9 +321,9 @@ def superreplicate_backward(tree: DualTree, claim: TreeClaim
         if n < 0:
             raise InfeasibleError(
                 f"negative wealth at supported node {node.id!r}")
-        wealth[node.id] = Fraction(n, d)
+        wealth[node.id] = _ratio(n, d)
         held[node.id] = lines.get(node.id, held[node.parent])
-    holdings = {nid: (Fraction(m, d0), Fraction(p, d1))
+    holdings = {nid: (_ratio(m, d0), _ratio(p, d1))
                 for nid, (m, p, d0, d1) in lines.items()}
     return price, TreeStrategy(price, holdings, wealth)
 
@@ -369,8 +369,8 @@ def _one_fraction(plus, minus) -> Fraction:
     """The integer pairs (n, d) of `plus`, as n/d each, minus those of
     `minus`: one Fraction over the least common d."""
     d = math.lcm(*[e for _, e in (*plus, *minus)])
-    return Fraction(sum(n * (d // e) for n, e in plus)
-                    - sum(n * (d // e) for n, e in minus), d)
+    return _ratio(sum(n * (d // e) for n, e in plus)
+                  - sum(n * (d // e) for n, e in minus), d)
 
 
 def parity_and_equivalence_report(tree: DualTree,
@@ -394,7 +394,7 @@ def parity_and_equivalence_report(tree: DualTree,
                             ("dollar_put", inv)))
         # x0 K pe(D) = K p$(D): the euro-side assertion of `_formula_sums`
         rows.append(ParityRow(
-            strike=k, call_price=Fraction(*c), put_price=Fraction(*p),
+            strike=k, call_price=_ratio(*c), put_price=_ratio(*p),
             parity_residual=_one_fraction([c, (kn, kd)], [p, x0]),
             intl_call_residual=_one_fraction([c], [(kn * dp[0], kd * dp[1])]),
             intl_put_residual=_one_fraction([p], [(kn * dc[0], kd * dc[1])]),

@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from ..errors import MeasurabilityError, NormalizationError, StructureError
-from ..extended import ExtendedValue
+from ..extended import _INF_SPELLINGS, ExtendedValue
 
 ZERO, ONE = Fraction(0), Fraction(1)
 MAX_CHAIN_NODES = 20_000    # most nodes one document's absorption chains add
@@ -80,13 +80,13 @@ class DualTree:
     @cached_property
     def prob_dollar(self) -> dict[str, Fraction]:
         """Exact Q$ path probability of the cylinder at each node."""
-        return {nid: Fraction(n[0], self.denominators[0])
+        return {nid: _ratio(n[0], self.denominators[0])
                 for nid, n in self.numerators.items()}
 
     @cached_property
     def prob_euro(self) -> dict[str, Fraction]:
         """Exact Qe path probability of the cylinder at each node."""
-        return {nid: Fraction(n[1], self.denominators[1])
+        return {nid: _ratio(n[1], self.denominators[1])
                 for nid, n in self.numerators.items()}
 
 
@@ -101,17 +101,29 @@ def _over_lcm(values) -> tuple[list[int], int]:
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
+def _ratio(n: int, d: int) -> Fraction:
+    """n/d as a Fraction, the shared ZERO when n is 0."""
+    return Fraction(n, d) if n else ZERO
+
+
 def _rational(v) -> Fraction:
-    """A document number, exactly: a float by its shortest str (0.1 is 1/10,
-    not its binary value), else by Fraction; a bool raises TypeError."""
+    """A document number, exactly: a str as Fraction reads it (plain ASCII
+    "n" or "p/q" by int()), an int, or a float by its shortest str (0.1 is
+    1/10, not its binary value); a bool raises TypeError."""
+    if type(v) is str and v.isascii():
+        n, slash, d = v.partition("/")
+        if n.isdigit() and (d.isdigit() or not slash):
+            return Fraction(int(n), int(d)) if slash else Fraction(int(n))
     if isinstance(v, bool):
         raise TypeError(f"a bool is not a number: {v!r}")
     return Fraction(str(v) if isinstance(v, float) else v)
 
 
 def _as_x(x) -> ExtendedValue:
-    return (ExtendedValue.parse(x) if isinstance(x, str)
-            else ExtendedValue.of(_rational(x)))
+    """A state: a str as `ExtendedValue.parse` reads it, else `_rational`."""
+    if isinstance(x, str) and (x := x.strip()) in _INF_SPELLINGS:
+        return ExtendedValue(None)
+    return ExtendedValue(_rational(x))
 
 
 def _read_once(read):
@@ -130,15 +142,16 @@ def build_dual_tree(doc: Mapping) -> DualTree:
     {"id", "x", "branches": [[child_id, mass], ...]}.  The mass of a branch is
     q_hat when the child state is nonzero and q when the child state is zero.
     Every number, x0, periods, a state or a mass, is read exactly by
-    `_rational`; a state may also be "inf".  Absorbing states must not
-    declare branches; their absorption chains up to the horizon,
+    `_rational`, which reads any string Fraction reads, an int or a float,
+    never a bool; a state may also spell inf (`_as_x`).  Absorbing states
+    must not declare branches; their absorption chains up to the horizon,
     MAX_CHAIN_NODES nodes at most, are generated automatically, with ids
     "<id>~<k>" for period k.  Those ids are reserved: a document id equal to
-    one is refused.  A document of any depth builds within the chain
-    bound: the walk is iterative.  The walk refuses, as it makes each node,
-    every document that breaks an invariant of the measure pair, and the
-    integer numerators are formed from the masses it records.  Each distinct
-    state or mass string is read once per call (`_read_once`).
+    one is refused.  A document of any depth builds within the chain bound:
+    the walk is iterative.  The walk refuses, as it makes each node, every
+    document that breaks an invariant of the measure pair, and the integer
+    numerators are formed from the masses it records.  Each distinct state or
+    mass string is read once per call (`_read_once`).
     """
     try:
         x0 = _rational(doc["x0"])

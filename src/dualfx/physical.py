@@ -26,7 +26,7 @@ from functools import cached_property
 from .errors import ConditioningError
 from .lattice.pricing import (TreeClaim, price_on_tree, superreplicate_backward,
                               tree_euro_forward, verify_strategy)
-from .lattice.tree import DualTree
+from .lattice.tree import DualTree, _ratio
 
 
 def _normalized(masses: dict) -> dict[str, Fraction]:
@@ -115,9 +115,9 @@ def consistency_checks(pl: PhysicalLattice,
             e_inv += pe * inv
     d_pd, d_pe, d_x, d_inv = tree.denominators
     x0n, x0d = tree.x0.numerator, tree.x0.denominator
-    defect_dollar = Fraction(x0n * d_pd * d_x - x0d * e_x, x0d * d_pd * d_x)
-    defect_euro = Fraction(x0d * d_pe * d_inv - x0n * e_inv,
-                           x0n * d_pe * d_inv)
+    defect_dollar = _ratio(x0n * d_pd * d_x - x0d * e_x, x0d * d_pd * d_x)
+    defect_euro = _ratio(x0d * d_pe * d_inv - x0n * e_inv,
+                         x0n * d_pe * d_inv)
     interpretation = ((explosion > 0) == (defect_dollar.numerator > 0)
                       and (devaluation > 0) == (defect_euro.numerator > 0))
 
@@ -128,7 +128,7 @@ def consistency_checks(pl: PhysicalLattice,
         verify_strategy(tree, claim, strategy)
         replication_ok &= cost == formula
 
-    return PhysicalReport(Fraction(explosion, total),
-                          Fraction(devaluation, total),
+    return PhysicalReport(_ratio(explosion, total),
+                          _ratio(devaluation, total),
                           defect_dollar, defect_euro, interpretation,
                           support_ok, replication_ok)

@@ -344,7 +344,10 @@ class ConvergenceRow:
 def scheme_convergence(model: DiffusionModel, levels: Sequence[int],
                        cfg: MCConfig) -> tuple[Estimate, list[ConvergenceRow]]:
     """Euler estimates of E[X_T] against the exact scheme across grid levels.
-    Raises ConfigError, before simulating, if MCConfig refuses a level."""
+    Raises ConfigError, before simulating, if there is no level or MCConfig
+    refuses one."""
+    if not levels:
+        raise ConfigError("the convergence study needs at least one level")
     grids = [replace(cfg, scheme="euler_absorbed", steps=s) for s in levels]
     exact = simulate(model, replace(cfg, scheme="exact"))
     ref = estimate_from_values(exact.x, exact.seed)

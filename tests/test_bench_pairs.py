@@ -1,0 +1,70 @@
+"""tools/bench_pairs.py: the summary of alternating pairs and its printout,
+on synthetic readings only."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = [{"name": "ops_per_s", "better": "higher"},
+           {"name": "op_p90_ms", "better": "lower"}]
+
+
+def _pairs(base_ops, new_ops, base_p90, new_p90):
+    return [({"ops_per_s": a, "op_p90_ms": c}, {"ops_per_s": b, "op_p90_ms": d})
+            for a, b, c, d in zip(base_ops, new_ops, base_p90, new_p90)]
+
+
+def test_medians_quartiles_and_change_per_metric():
+    pairs = _pairs([100, 110, 90, 120, 105], [110, 121, 99, 132, 115.5],
+                   [4, 4, 4, 4, 4], [3, 3, 3, 3, 3])
+    got = bench_pairs.summarize(pairs, METRICS)
+    assert got["ops_per_s"]["base"] == (100, 105, 110)
+    assert got["ops_per_s"]["new"] == (110, 115.5, 121)
+    assert got["ops_per_s"]["change"] == pytest.approx(0.1)
+    assert got["op_p90_ms"]["change"] == pytest.approx(-0.25)
+    # only the claimed metric counts wins
+    assert "wins" not in got["ops_per_s"] and "wins" not in got["op_p90_ms"]
+
+
+def test_wins_follow_the_better_direction_and_ties_count_for_neither():
+    pairs = _pairs([100, 100, 100, 100], [101, 99, 100, 102],
+                   [4, 4, 4, 4], [3, 5, 4, 4])
+    higher = bench_pairs.summarize(pairs, METRICS, "ops_per_s")["ops_per_s"]
+    assert (higher["wins"], higher["losses"], higher["ties"]) == (2, 1, 1)
+    lower = bench_pairs.summarize(pairs, METRICS, "op_p90_ms")["op_p90_ms"]
+    assert (lower["wins"], lower["losses"], lower["ties"]) == (1, 1, 2)
+
+
+def test_a_gain_counts_beyond_the_base_iqr_only_when_wider():
+    base = [100, 104, 96, 108, 92]      # q1 96, median 100, q3 104: IQR 8
+    wide = bench_pairs.summarize(
+        _pairs(base, [109] * 5, [1] * 5, [1] * 5), METRICS, "ops_per_s")
+    narrow = bench_pairs.summarize(
+        _pairs(base, [108] * 5, [1] * 5, [1] * 5), METRICS, "ops_per_s")
+    assert wide["ops_per_s"]["beyond_iqr"]
+    assert not narrow["ops_per_s"]["beyond_iqr"]
+
+
+def test_one_pair_and_a_zero_base_median_are_summarized():
+    got = bench_pairs.summarize(_pairs([0], [5], [2], [2]), METRICS,
+                                "ops_per_s")
+    assert got["ops_per_s"]["base"] == (0, 0, 0)
+    assert got["ops_per_s"]["change"] is None
+    assert got["op_p90_ms"]["change"] == 0
+
+
+def test_report_prints_every_metric_and_the_claim_tally():
+    pairs = _pairs([100, 100], [110, 100], [4, 4], [3, 3])
+    text = bench_pairs.report(
+        bench_pairs.summarize(pairs, METRICS, "ops_per_s"), len(pairs))
+    ops, p90 = text.splitlines()
+    assert ops.startswith("ops_per_s") and "+5.0%" in ops
+    assert "wins 1/2 (losses 0, ties 1)" in ops
+    assert p90.startswith("op_p90_ms") and "-25.0%" in p90
+    assert "wins" not in p90

@@ -390,6 +390,21 @@ def test_empty_strike_list_is_refused_before_simulating(
     assert not list(tmp_path.iterdir())
 
 
+def test_empty_level_list_is_refused_before_simulating(tmp_path, capsys,
+                                                      monkeypatch):
+    """A study of no level compares nothing, so it is no passing gate."""
+    def refuse(*args):
+        raise AssertionError("simulated")
+    monkeypatch.setattr(pricing, "simulate", refuse)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": "convergence",
+                                "model": "recip_bessel", "levels": [],
+                                "n": 1000, "out_dir": str(tmp_path / "out")}))
+    assert main(["run", str(path)]) == 1
+    assert "needs at least one level" in capsys.readouterr().err
+    assert not list((tmp_path / "out").iterdir())
+
+
 @pytest.mark.parametrize("argv", [["price", "--bogus"],
                                   ["parity", "--strikes", "-inf"]])
 def test_argparse_usage_error_exits_1(argv, capsys):

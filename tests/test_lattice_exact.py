@@ -77,7 +77,8 @@ def _exact_results(tree, seed):
 
 
 # SHA-256 over _exact_results of seeds 0-49 at 5 periods, per generator,
-# recorded before the lattice sums moved to integer numerators
+# recorded before the lattice sums moved to integer numerators; the trees
+# rebuilt from their documents' strings give the same digest
 LATTICE_DIGESTS = {
     "random_dual_tree":
         "3ddbd9c6e395969c7c93b3eeb4145913fc65dc9016ff8c3c19e5f791bd246b9d",
@@ -89,11 +90,14 @@ LATTICE_DIGESTS = {
 @pytest.mark.parametrize("generate", [random_dual_tree,
                                       random_complete_dual_tree])
 def test_exact_lattice_results_are_pinned(generate):
-    h = hashlib.sha256()
+    h, from_doc = hashlib.sha256(), hashlib.sha256()
     for seed in range(50):
         tree = generate(seed, 5)
         h.update(_canon(_exact_results(tree, seed)).encode())
+        from_doc.update(_canon(_exact_results(
+            build_dual_tree(tree_to_doc(tree)), seed)).encode())
     assert h.hexdigest() == LATTICE_DIGESTS[generate.__name__]
+    assert from_doc.hexdigest() == LATTICE_DIGESTS[generate.__name__]
 
 
 # ---------------------------------------------------------------------------

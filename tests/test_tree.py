@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,9 @@ from dualfx.lattice import (build_dual_tree, dump_tree, first_hit_rule,
                             random_dual_tree, random_rule_pair, tree_to_doc,
                             tree_euro_forward, two_period_example,
                             verify_numeraire_identity, verify_tree_invariants)
-from dualfx.lattice.tree import MAX_CHAIN_NODES, Branch, stop_map
+from dualfx.extended import ExtendedValue
+from dualfx.lattice.tree import (MAX_CHAIN_NODES, Branch, _as_x, _rational,
+                                 stop_map)
 
 
 def test_two_period_example_measures():
@@ -234,6 +237,44 @@ def test_builds_share_no_parsed_number():
         by_state.setdefault(entry["x"], []).append(first.nodes[entry["id"]].x)
     assert any(len(xs) > 1 for xs in by_state.values())
     assert all(x is xs[0] for xs in by_state.values() for x in xs)
+
+
+def _outcome(read, s):
+    """What `read(s)` gives: its value and the types of it and of any value
+    it carries, or its exception's class and message."""
+    try:
+        v = read(s)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(v), v, type(getattr(v, "value", None))
+
+
+# pieces of the strings Fraction reads and refuses: whitespace, signs and
+# leading zeros, slashes, points, exponents and underscores, non-ASCII digits
+# (Arabic-Indic three, fullwidth five, superscript two), empty parts, 1/0 and
+# the spellings of inf; an exponent has at most 3 digits, as 10**exponent is
+# formed in full
+_pieces = st.sampled_from([
+    "0", "1", "7", "00", "012", "10", "987654321", " ", "\t", "\n", "\u00a0",
+    "\u2003", "+", "-", "/", ".", "e", "E", "e-", "_", "\u0663", "\uff15",
+    "\u00b2", "1/0", "inf", "Inf", "INF", "infinity", "nan", "x", ""])
+_number_strings = st.lists(_pieces, max_size=6).map("".join).filter(
+    lambda s: not re.search(r"[eE][-+]?[\d_]{4}", s))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(s=_number_strings)
+def test_the_reader_reads_every_string_as_fraction_does(s):
+    assert _outcome(_rational, s) == _outcome(Fraction, s)
+    assert _outcome(_as_x, s) == _outcome(ExtendedValue.parse, s)
+
+
+@pytest.mark.parametrize("s", ["1" * (sys.get_int_max_str_digits() + 1),
+                               "1/" + "3" * (sys.get_int_max_str_digits() + 1)])
+def test_the_reader_refuses_digits_past_the_int_limit_as_fraction_does(s):
+    assert _outcome(_rational, s)[0] is ValueError
+    assert _outcome(_rational, s) == _outcome(Fraction, s)
+    assert _outcome(_as_x, s) == _outcome(ExtendedValue.parse, s)
 
 
 def test_orphan_nodes_rejected():

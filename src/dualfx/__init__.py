@@ -14,9 +14,10 @@ simulation and estimates are in `dualfx.sde`, the engine's building blocks in
 `dualfx.sde.engine`, the claims and the Monte Carlo pricing operator in
 `dualfx.pricing`, the exact lattice in `dualfx.lattice`, the named models in
 `dualfx.catalog`, the dominating measure in `dualfx.physical`, and
-`ExtendedValue` in `dualfx.extended`.  The payoff table and the definition of
-`MCConfig`, which both halves share, are in `dualfx.inputs`; it loads no
-numpy, and neither do `dualfx.lattice` and `dualfx.physical`.
+`ExtendedValue`, a lattice node's state, in `dualfx.lattice.tree`.  The
+payoff table and the definition of `MCConfig`, which both halves share, are
+in `dualfx.inputs`; it loads no numpy, and neither do `dualfx.lattice` and
+`dualfx.physical`.
 """
 
 from .errors import (ClaimError, ConditioningError, ConfigError, DualFXError,

@@ -302,7 +302,3 @@ def get_model(name: str, x0: float = 1.0, horizon: float = 1.0,
             raise UnknownModel(f"qnv coefficients must be finite: {name!r}")
         return _qnv(a, b, c, x0, horizon)
     raise UnknownModel(f"unknown model {name!r}; known: {', '.join(MODEL_NAMES)}")
-
-
-def list_models() -> list[str]:
-    return list(MODEL_NAMES)

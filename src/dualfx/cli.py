@@ -331,8 +331,8 @@ def _run_convergence(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _run_catalog(cfg: ExperimentConfig, out: Path) -> int:
-    from .catalog import get_model, list_models
-    for name in list_models():
+    from .catalog import MODEL_NAMES, get_model
+    for name in MODEL_NAMES:
         if name.startswith("qnv"):
             print(f"{name}: quadratic diffusion family, euler scheme only")
             continue

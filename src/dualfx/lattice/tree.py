@@ -20,16 +20,20 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
 from ..errors import MeasurabilityError, NormalizationError, StructureError
-from ..extended import _INF_SPELLINGS, ExtendedValue
 
 ZERO, ONE = Fraction(0), Fraction(1)
 MAX_CHAIN_NODES = 20_000    # most nodes one document's absorption chains add
+_INF_SPELLINGS = ("inf", "Inf", "INF", "infinity")
+# the decimal exponent at the end of a str, as Fraction's grammar spells it
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 @dataclass(frozen=True)
@@ -37,6 +41,44 @@ class Branch:
     child: str
     q: Fraction        # one-step probability under the dollar measure
     q_hat: Fraction    # one-step probability under the euro measure
+
+
+@dataclass(frozen=True)
+class ExtendedValue:
+    """A point of the extended half line [0, inf], where the exchange rate
+    at a node lives: a Fraction >= 0, or None for inf.  0 is a devaluation
+    and inf an explosion."""
+
+    value: Fraction | None
+
+    def __post_init__(self):
+        v = self.value
+        if v is not None and not (type(v) is Fraction and v.numerator >= 0):
+            raise ValueError(f"an extended value is a Fraction >= 0 or None, "
+                             f"not {v!r}")
+
+    # the predicates read None and the numerator: no Fraction comparison
+    @property
+    def is_zero(self) -> bool:
+        return self.value is not None and self.value.numerator == 0
+
+    @property
+    def is_finite(self) -> bool:
+        return self.value is not None and self.value.numerator != 0
+
+    @property
+    def is_infinite(self) -> bool:
+        return self.value is None
+
+    @property
+    def fraction(self) -> Fraction:
+        """Exact rational value; infinite raises."""
+        if self.value is None:
+            raise OverflowError("infinite value has no rational representation")
+        return self.value
+
+    def __str__(self) -> str:
+        return "inf" if self.value is None else str(self.value)
 
 
 @dataclass(frozen=True)
@@ -109,18 +151,27 @@ def _ratio(n: int, d: int) -> Fraction:
 def _rational(v) -> Fraction:
     """A document number, exactly: a str as Fraction reads it (plain ASCII
     "n" or "p/q" by int()), an int, or a float by its shortest str (0.1 is
-    1/10, not its binary value); a bool raises TypeError."""
-    if type(v) is str and v.isascii():
-        n, slash, d = v.partition("/")
-        if n.isdigit() and (d.isdigit() or not slash):
-            return Fraction(int(n), int(d)) if slash else Fraction(int(n))
-    if isinstance(v, bool):
+    1/10, not its binary value); a bool raises TypeError.  A str whose
+    decimal exponent is past `sys.get_int_max_str_digits()` (no bound at 0)
+    raises ValueError before Fraction forms 10**exponent in full."""
+    if type(v) is str:
+        if v.isascii():
+            n, slash, d = v.partition("/")
+            if n.isdigit() and (d.isdigit() or not slash):
+                return Fraction(int(n), int(d)) if slash else Fraction(int(n))
+        # Fraction itself refuses an exponent of more digits than the limit
+        e, limit = _EXPONENT.search(v), sys.get_int_max_str_digits()
+        if e and limit and (sum(map(str.isdecimal, e[1])) <= limit
+                            < abs(int(e[1]))):
+            raise ValueError(
+                f"the exponent of {v!r} is past the int digit limit {limit}")
+    elif isinstance(v, bool):
         raise TypeError(f"a bool is not a number: {v!r}")
     return Fraction(str(v) if isinstance(v, float) else v)
 
 
 def _as_x(x) -> ExtendedValue:
-    """A state: a str as `ExtendedValue.parse` reads it, else `_rational`."""
+    """A state: a str that, stripped, spells inf, else `_rational` of it."""
     if isinstance(x, str) and (x := x.strip()) in _INF_SPELLINGS:
         return ExtendedValue(None)
     return ExtendedValue(_rational(x))
@@ -142,16 +193,17 @@ def build_dual_tree(doc: Mapping) -> DualTree:
     {"id", "x", "branches": [[child_id, mass], ...]}.  The mass of a branch is
     q_hat when the child state is nonzero and q when the child state is zero.
     Every number, x0, periods, a state or a mass, is read exactly by
-    `_rational`, which reads any string Fraction reads, an int or a float,
-    never a bool; a state may also spell inf (`_as_x`).  Absorbing states
-    must not declare branches; their absorption chains up to the horizon,
-    MAX_CHAIN_NODES nodes at most, are generated automatically, with ids
-    "<id>~<k>" for period k.  Those ids are reserved: a document id equal to
-    one is refused.  A document of any depth builds within the chain bound:
-    the walk is iterative.  The walk refuses, as it makes each node, every
-    document that breaks an invariant of the measure pair, and the integer
-    numerators are formed from the masses it records.  Each distinct state or
-    mass string is read once per call (`_read_once`).
+    `_rational`, which reads any string Fraction reads whose exponent is
+    within the int digit limit, an int or a float, never a bool; a state may
+    also spell inf (`_as_x`).  Absorbing states must not declare branches;
+    their absorption chains up to the horizon, MAX_CHAIN_NODES nodes at
+    most, are generated automatically, with ids "<id>~<k>" for period k.
+    Those ids are reserved: a document id equal to one is refused.  A
+    document of any depth builds within the chain bound: the walk is
+    iterative.  The walk refuses, as it makes each node, every document that
+    breaks an invariant of the measure pair, and the integer numerators are
+    formed from the masses it records.  Each distinct state or mass string
+    is read once per call (`_read_once`).
     """
     try:
         x0 = _rational(doc["x0"])
@@ -163,27 +215,24 @@ def build_dual_tree(doc: Mapping) -> DualTree:
             if nid in by_id:
                 raise StructureError(f"duplicate node id {nid!r}")
             by_id[nid] = entry
-    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
-        raise StructureError(f"malformed tree document: {exc!r}") from exc
-    if x0 <= 0:
-        raise StructureError("x0 must be positive")
-    if periods.denominator != 1 or periods < 1:
-        raise StructureError(
-            f"periods must be an integer >= 1, not {doc['periods']!r}")
-    periods = int(periods)
-    if not raw:
-        raise StructureError("empty node list")
-    root_id = str(doc.get("root", raw[0]["id"]))
-    if root_id not in by_id:
-        raise StructureError(f"root {root_id!r} not among nodes")
+        if x0 <= 0:
+            raise StructureError("x0 must be positive")
+        if periods.denominator != 1 or periods < 1:
+            raise StructureError(
+                f"periods must be an integer >= 1, not {doc['periods']!r}")
+        periods = int(periods)
+        if not raw:
+            raise StructureError("empty node list")
+        root_id = str(doc.get("root", raw[0]["id"]))
+        if root_id not in by_id:
+            raise StructureError(f"root {root_id!r} not among nodes")
 
-    nodes: dict[str, TreeNode] = {}
-    # each node's Q$ and Qe masses as reduced (numerator, denominator) pairs
-    masses = {root_id: (1, 1, 1, 1)}
-    leaves: list[str] = []
-    chained = 0     # nodes the absorption chains have added so far
-    as_x, rational = _read_once(_as_x), _read_once(_rational)
-    try:
+        nodes: dict[str, TreeNode] = {}
+        # each node's Q$ and Qe masses as reduced (numerator, denominator) pairs
+        masses = {root_id: (1, 1, 1, 1)}
+        leaves: list[str] = []
+        chained = 0     # nodes the absorption chains have added so far
+        as_x, rational = _read_once(_as_x), _read_once(_rational)
         root_x = as_x(by_id[root_id]["x"])
         # checked before the walk, so an absorbing root is never chained out
         if not (root_x.is_finite and root_x.fraction == x0):

@@ -56,7 +56,24 @@ def test_one_pair_and_a_zero_base_median_are_summarized():
                                 "ops_per_s")
     assert got["ops_per_s"]["base"] == (0, 0, 0)
     assert got["ops_per_s"]["change"] is None
+    assert got["ops_per_s"]["paired"] is None
     assert got["op_p90_ms"]["change"] == 0
+
+
+def test_per_pair_changes_show_a_win_that_host_drift_hides():
+    """The base drifts 590 -> 670 while every pair reads +7%: the medians'
+    change is within the base's quartile distance, and the per-pair change
+    reads +7% at each quartile."""
+    base = [590, 592, 594, 596, 598, 662, 664, 666, 668, 670]
+    pairs = _pairs(base, [b * 1.07 for b in base], [1] * 10, [1] * 10)
+    got = bench_pairs.summarize(pairs, METRICS, "ops_per_s")
+    ops = got["ops_per_s"]
+    assert (ops["wins"], ops["losses"], ops["ties"]) == (10, 0, 0)
+    assert not ops["beyond_iqr"]
+    assert ops["paired"] == pytest.approx((0.07, 0.07, 0.07))
+    assert got["op_p90_ms"]["paired"] == (0, 0, 0)
+    assert "per pair +7.0% [+7.0%, +7.0%]" in bench_pairs.report(
+        got, len(pairs)).splitlines()[0]
 
 
 def test_report_prints_every_metric_and_the_claim_tally():

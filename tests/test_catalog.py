@@ -11,7 +11,7 @@ import pytest
 
 import dualfx
 from dualfx import UnknownModel, catalog
-from dualfx.catalog import get_model, list_models
+from dualfx.catalog import MODEL_NAMES, get_model
 from dualfx.sde import MCConfig, derive_dual_model, simulate
 from dualfx.sde.engine import estimate_from_values
 from tests.test_oracles import (DUAL_ABSORPTION, EXPECTED_X,
@@ -19,7 +19,7 @@ from tests.test_oracles import (DUAL_ABSORPTION, EXPECTED_X,
 
 
 def test_catalog_names():
-    assert set(list_models()) == {"recip_bessel", "stopped_bm",
+    assert set(MODEL_NAMES) == {"recip_bessel", "stopped_bm",
                                   "singular_timechange",
                                   "exp_martingale_baseline", "qnv(a,b,c)"}
     with pytest.raises(UnknownModel):

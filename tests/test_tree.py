@@ -5,22 +5,23 @@ import json
 import math
 import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualfx import (DualFXError, MeasurabilityError, NormalizationError,
-                    StructureError)
+from dualfx import (ConfigError, DualFXError, MeasurabilityError,
+                    NormalizationError, StructureError)
+from dualfx.cli import main
 from dualfx.lattice import (build_dual_tree, dump_tree, first_hit_rule,
                             load_tree, period_rule, price_on_tree, random_complete_dual_tree,
                             random_dual_tree, random_rule_pair, tree_to_doc,
-                            tree_euro_forward, two_period_example,
+                            tree_claim, tree_euro_forward, two_period_example,
                             verify_numeraire_identity, verify_tree_invariants)
-from dualfx.extended import ExtendedValue
-from dualfx.lattice.tree import (MAX_CHAIN_NODES, Branch, _as_x, _rational,
-                                 stop_map)
+from dualfx.lattice.tree import (MAX_CHAIN_NODES, Branch, ExtendedValue,
+                                 _as_x, _rational, stop_map)
 
 
 def test_two_period_example_measures():
@@ -239,6 +240,43 @@ def test_builds_share_no_parsed_number():
     assert all(x is xs[0] for xs in by_state.values() for x in xs)
 
 
+def test_state_predicates_and_values():
+    assert _as_x("0").is_zero and _as_x("0") == ExtendedValue(Fraction(0))
+    assert ExtendedValue(Fraction(3, 7)).is_finite
+    assert _as_x("inf").is_infinite and _as_x("inf") == ExtendedValue(None)
+    for x, kinds in ((_as_x(0), (True, False, False)),
+                     (_as_x(5), (False, True, False)),
+                     (ExtendedValue(None), (False, False, True))):
+        assert (x.is_zero, x.is_finite, x.is_infinite) == kinds
+    for bad in (Fraction(-1), Fraction(-1, 3), 0.5, 1):
+        with pytest.raises(ValueError):
+            ExtendedValue(bad)
+    for bad in (-1, "-1/2"):
+        with pytest.raises(ValueError):
+            _as_x(bad)
+
+
+def test_state_str_roundtrip():
+    for s in ("0", "inf", "3/7", "5"):
+        assert str(_as_x(s)) == s
+
+
+def test_state_fraction_access():
+    assert _as_x(0).fraction == 0
+    assert _as_x("3/7").fraction == Fraction(3, 7)
+    with pytest.raises(OverflowError):
+        _as_x("inf").fraction
+
+
+def _state_by_fraction(s):
+    """The state `s` spells, read by Fraction alone: inf for its four
+    spellings, after stripping."""
+    s = s.strip()
+    if s in ("inf", "Inf", "INF", "infinity"):
+        return ExtendedValue(None)
+    return ExtendedValue(Fraction(s))
+
+
 def _outcome(read, s):
     """What `read(s)` gives: its value and the types of it and of any value
     it carries, or its exception's class and message."""
@@ -266,7 +304,7 @@ _number_strings = st.lists(_pieces, max_size=6).map("".join).filter(
 @given(s=_number_strings)
 def test_the_reader_reads_every_string_as_fraction_does(s):
     assert _outcome(_rational, s) == _outcome(Fraction, s)
-    assert _outcome(_as_x, s) == _outcome(ExtendedValue.parse, s)
+    assert _outcome(_as_x, s) == _outcome(_state_by_fraction, s)
 
 
 @pytest.mark.parametrize("s", ["1" * (sys.get_int_max_str_digits() + 1),
@@ -274,7 +312,46 @@ def test_the_reader_reads_every_string_as_fraction_does(s):
 def test_the_reader_refuses_digits_past_the_int_limit_as_fraction_does(s):
     assert _outcome(_rational, s)[0] is ValueError
     assert _outcome(_rational, s) == _outcome(Fraction, s)
-    assert _outcome(_as_x, s) == _outcome(ExtendedValue.parse, s)
+    assert _outcome(_as_x, s) == _outcome(_state_by_fraction, s)
+
+
+def test_the_exponent_bound_is_the_int_digit_limit():
+    """An exponent up to the limit reads as Fraction reads it, with any
+    sign, leading zeros or underscores, and one of more digits than the
+    limit is refused by Fraction itself; one past the limit is refused; at
+    limit 0 no bound applies."""
+    limit = sys.get_int_max_str_digits()
+    for s in (f"1e{limit}", f" 2.5E-{limit} ", f"1e+00{limit}",
+              f"1e{str(limit)[0]}_{str(limit)[1:]}", f"1e{'0' * limit}1",
+              f"xe{'0' * limit}1", f"1e{'9' * (limit + 1)}"):
+        assert _outcome(_rational, s) == _outcome(Fraction, s)
+        assert _outcome(_as_x, s) == _outcome(_state_by_fraction, s)
+    for s in (f"1e{limit + 1}", f"1e-{limit + 1}", f"1e{'9' * limit}",
+              "1e" + "\u0663" * (len(str(limit)) + 1)):
+        with pytest.raises(ValueError, match="exponent"):
+            _rational(s)
+    try:
+        sys.set_int_max_str_digits(0)
+        assert _rational(f"1e-{limit + 1}") == Fraction(1, 10**(limit + 1))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("big", ["1e10000000", "1E-0099999999"])
+def test_a_huge_exponent_is_refused_at_once(big, tmp_path, capsys):
+    """As a state, a strike and a state in a CLI tree; the state is refused
+    within a second, before Fraction would form 10**exponent."""
+    start = time.perf_counter()
+    with pytest.raises(StructureError, match="exponent"):
+        build_dual_tree(_one_step_doc(xs=("0.3", big)))
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ConfigError):
+        tree_claim(two_period_example(), "call", big)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_one_step_doc(xs=("0.3", big))))
+    assert main(["lattice-verify", "--tree", str(path),
+                 "--out-dir", str(tmp_path)]) == 1
+    assert "exponent" in capsys.readouterr().err
 
 
 def test_orphan_nodes_rejected():

@@ -10,9 +10,11 @@ first on even i and the new checkout first on odd i, so that a drift of the
 host's speed during the pairs falls on both sides alike.  Each checkout runs
 its own `bench/` on its own `src/`.  It then prints, for every end-to-end
 metric of the new checkout's BENCHMARK.json, both sides' medians and
-quartiles and the relative change of the medians; for the claimed metric,
-how many pairs the new checkout won (ties count for neither side) and
-whether the change of the medians exceeds the base's quartile distance.
+quartiles, the relative change of the medians, and the median and quartiles
+of the per-pair relative changes (new/base - 1), which a drift shared by
+both sides of each pair leaves alone; for the claimed metric, how many pairs
+the new checkout won (ties count for neither side) and whether the change of
+the medians exceeds the base's quartile distance.
 Standard library only.
 """
 
@@ -47,8 +49,10 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict],
               claim: str | None = None) -> dict:
     """Per metric, from (base, new) readings {name: value} of each pair:
-    both sides' (q1, median, q3) and the relative change of the medians
-    (None where the base median is 0).  The claimed metric also gets its
+    both sides' (q1, median, q3), the relative change of the medians (None
+    where the base median is 0) and `paired`, the (q1, median, q3) of the
+    per-pair relative changes over the pairs whose base reading is not 0
+    (None if there is none).  The claimed metric also gets its
     wins, losses and ties: pairs where the new reading is better, worse or
     equal by the metric's `better` ("higher" or "lower"), and `beyond_iqr`,
     whether the medians differ by more than the base's q3 - q1."""
@@ -57,8 +61,10 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict],
         name = m["name"]
         base = quartiles([b[name] for b, _ in pairs])
         new = quartiles([n[name] for _, n in pairs])
+        ratios = [n[name] / b[name] - 1 for b, n in pairs if b[name]]
         row = {"base": base, "new": new,
-               "change": new[1] / base[1] - 1 if base[1] else None}
+               "change": new[1] / base[1] - 1 if base[1] else None,
+               "paired": quartiles(ratios) if ratios else None}
         if name == claim:
             sign = 1 if m["better"] == "higher" else -1
             diffs = [sign * (n[name] - b[name]) for b, n in pairs]
@@ -76,8 +82,11 @@ def report(summary: dict, pairs: int) -> str:
     for name, row in summary.items():
         (b1, b2, b3), (n1, n2, n3) = row["base"], row["new"]
         change = "n/a" if row["change"] is None else f"{row['change']:+.1%}"
+        paired = ("n/a" if row["paired"] is None else
+                  "{1:+.1%} [{0:+.1%}, {2:+.1%}]".format(*row["paired"]))
         line = (f"{name:12s} base {b2:.4g} [{b1:.4g}, {b3:.4g}]  "
-                f"new {n2:.4g} [{n1:.4g}, {n3:.4g}]  {change}")
+                f"new {n2:.4g} [{n1:.4g}, {n3:.4g}]  {change}  "
+                f"per pair {paired}")
         if "wins" in row:
             line += (f"  wins {row['wins']}/{pairs} (losses {row['losses']},"
                      f" ties {row['ties']}), beyond base IQR: "

@@ -42,7 +42,7 @@ class SchemeUnsupported(DualFXError):
 
 
 class NumericalBlowup(DualFXError):
-    """A finite-difference step left the representable floating-point range."""
+    """An Euler step, a sampler or a simulated value left the float range."""
 
 
 class InfiniteContribution(DualFXError):

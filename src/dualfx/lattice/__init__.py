@@ -7,7 +7,7 @@ from .pricing import (ParityRow, TreeClaim, TreeDualPrice, TreeStrategy,
                       superreplicate_backward, tree_claim, tree_euro_forward,
                       validate_claim, verify_strategy)
 from .random_trees import (random_claim, random_complete_dual_tree,
-                           random_dual_tree, random_rule, random_rule_pair,
+                           random_dual_tree, random_rule_pair,
                            random_terminal_values)
 from .tree import (Branch, DualTree, TreeNode, build_dual_tree, dump_tree,
                    first_hit_rule, load_tree, period_rule, tree_to_doc,
@@ -24,5 +24,5 @@ __all__ = [
     "parity_and_equivalence_report", "verify_strategy", "validate_claim",
     "tree_claim", "tree_euro_forward",
     "random_dual_tree", "random_complete_dual_tree", "random_claim",
-    "random_rule", "random_rule_pair", "random_terminal_values",
+    "random_rule_pair", "random_terminal_values",
 ]

@@ -119,8 +119,8 @@ def random_claim(tree: DualTree, seed: int) -> TreeClaim:
                      f"random_{seed}")
 
 
-def random_rule(tree: DualTree, seed: int,
-                within: frozenset[str] | None = None) -> frozenset[str]:
+def _random_rule(tree: DualTree, seed: int,
+                 within: frozenset[str] | None = None) -> frozenset[str]:
     """Random stopping rule, stopping at each eligible interior node with
     probability 0.3; when `within` is given, the rule refines it (stops at or
     after it path by path)."""
@@ -144,8 +144,8 @@ def random_rule(tree: DualTree, seed: int,
 def random_rule_pair(tree: DualTree, seed: int
                      ) -> tuple[frozenset[str], frozenset[str]]:
     """(rho, tau) with rho <= tau path by path."""
-    rho = random_rule(tree, seed)
-    tau = random_rule(tree, seed + 1, within=rho)
+    rho = _random_rule(tree, seed)
+    tau = _random_rule(tree, seed + 1, within=rho)
     return rho, tau
 
 

@@ -148,6 +148,16 @@ def _ratio(n: int, d: int) -> Fraction:
     return Fraction(n, d) if n else ZERO
 
 
+def _shown(v) -> str:
+    """str(v), or v rounded where the int digit limit refuses its digits."""
+    try:
+        return str(v)
+    except ValueError:
+        f = getattr(v, "value", v)      # an ExtendedValue's rational, or v
+        e = math.log10(abs(f.numerator)) - math.log10(f.denominator)
+        return f"~{'-' * (f < 0)}{10 ** (e % 1):.6g}e{math.floor(e):+d}"
+
+
 def _rational(v) -> Fraction:
     """A document number, exactly: a str as Fraction reads it (plain ASCII
     "n" or "p/q" by int()), an int, or a float by its shortest str (0.1 is
@@ -236,7 +246,8 @@ def build_dual_tree(doc: Mapping) -> DualTree:
         root_x = as_x(by_id[root_id]["x"])
         # checked before the walk, so an absorbing root is never chained out
         if not (root_x.is_finite and root_x.fraction == x0):
-            raise StructureError(f"root state {root_x} disagrees with x0 = {x0}")
+            raise StructureError(f"node {root_id!r}: root state {_shown(root_x)}"
+                                 f" disagrees with x0 = {_shown(x0)}")
         # pre-order: each popped node is made once, with its final branches,
         # and its children are pushed reversed so they are made in branch order
         stack: list[tuple[str, int, str | None, ExtendedValue]] = [
@@ -290,7 +301,8 @@ def build_dual_tree(doc: Mapping) -> DualTree:
                 cx = as_x(child_entry["x"])
                 m = rational(mass)
                 if m.numerator < 0:
-                    raise NormalizationError(f"negative branch mass {m} to {child_id!r}")
+                    raise NormalizationError(f"node {nid!r}: negative branch "
+                                             f"mass {_shown(m)} to {child_id!r}")
                 if cx.is_zero:
                     q, q_hat = m, ZERO
                 elif cx.is_infinite:
@@ -312,7 +324,7 @@ def build_dual_tree(doc: Mapping) -> DualTree:
                 if sum(ns) != d:
                     raise NormalizationError(
                         f"node {nid!r}: {measure}-measure masses sum to "
-                        f"{Fraction(sum(ns), d)}, not 1")
+                        f"{_shown(Fraction(sum(ns), d))}, not 1")
             nodes[nid] = TreeNode(nid, t, x, tuple(branches), parent)
             stack.extend(reversed(children))
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:

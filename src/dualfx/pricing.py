@@ -289,7 +289,7 @@ def _naive_dual_values(model: DiffusionModel, claim: Claim, n: int,
     sqdt = math.sqrt(dt)
 
     def body(gen, m):
-        y = np.full(m, dual.y0)
+        y = np.full(m, dual.x0)
         for k in range(steps):
             z = gen.standard_normal(m)
             # no absorption and no sign handling: this is the estimator a

@@ -4,10 +4,10 @@ Euler kernel, the estimator, its z-score, the dual seed) are in `.engine`."""
 
 from .engine import (BLOCK, CrossMeasureResult, Estimate, MCConfig,
                      TerminalBatch, cross_measure_check, simulate)
-from .models import DiffusionModel, DualDiffusion, derive_dual_model
+from .models import DiffusionModel, derive_dual_model
 
 __all__ = [
     "BLOCK", "MCConfig", "Estimate", "TerminalBatch",
-    "CrossMeasureResult", "DiffusionModel", "DualDiffusion",
-    "derive_dual_model", "simulate", "cross_measure_check",
+    "CrossMeasureResult", "DiffusionModel", "derive_dual_model",
+    "simulate", "cross_measure_check",
 ]

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..errors import InfiniteContribution, NumericalBlowup, SchemeUnsupported
 from ..inputs import MCConfig
-from .models import DiffusionModel, DualDiffusion, derive_dual_model
+from .models import DiffusionModel, derive_dual_model
 
 BLOCK = 8192
 
@@ -215,18 +215,15 @@ def _resolve_scheme(spec, scheme: str) -> str:
     return scheme
 
 
-def simulate(spec: DiffusionModel | DualDiffusion, cfg: MCConfig) -> TerminalBatch:
-    """Terminal samples of X (primal spec) or of Y = 1/X (dual spec).
-
-    The exact scheme calls the spec's own sampler, `spec.exact`, once per
-    block; a spec without one raises SchemeUnsupported, and "auto" resolves
-    to the Euler scheme for it.  Dual batches are reported through the
-    implied X samples: absorption of Y at zero sets hit_infinity and
-    X_T = inf.  Deterministic given (cfg.seed, cfg), independent of
-    cfg.workers.
+def simulate(spec: DiffusionModel, cfg: MCConfig) -> TerminalBatch:
+    """Terminal samples of the spec's rate from spec.x0 and the time each
+    path hit zero; hit_infinity is all False.  The exact scheme calls the
+    spec's own sampler, `spec.exact`, once per block; a spec without one
+    raises SchemeUnsupported, and "auto" resolves to the Euler scheme for
+    it.  A dual spec (derive_dual_model) gives Y's own batch, Y's hit times
+    of zero included; make_batches forms its euro view.  Deterministic given
+    (cfg.seed, cfg), independent of cfg.workers.
     """
-    is_dual = isinstance(spec, DualDiffusion)
-    start = spec.y0 if is_dual else spec.x0
     scheme = _resolve_scheme(spec, cfg.scheme)
 
     if scheme == "euler_absorbed":
@@ -235,14 +232,14 @@ def simulate(spec: DiffusionModel | DualDiffusion, cfg: MCConfig) -> TerminalBat
                 f"the Euler step {spec.horizon!r} / {cfg.steps} underflows to 0")
 
         def body(gen, m):
-            return euler_absorbed(gen, m, spec.sigma, start, spec.horizon,
+            return euler_absorbed(gen, m, spec.sigma, spec.x0, spec.horizon,
                                   cfg.steps)
     else:   # "exact"; MCConfig admits no other scheme
         if spec.exact is None:
             raise SchemeUnsupported(f"model {spec.name!r} declares no exact scheme")
 
         def body(gen, m):
-            return spec.exact(gen, m, start, spec.horizon)
+            return spec.exact(gen, m, spec.x0, spec.horizon)
 
     def run_block(gen, m):
         # numpy's error state is per thread, so it is set in the block's own
@@ -258,13 +255,6 @@ def simulate(spec: DiffusionModel | DualDiffusion, cfg: MCConfig) -> TerminalBat
     values, hit = _run_blocks(cfg.n, cfg.seed, cfg.workers, run_block)
     if not np.isfinite(values).all():
         raise NumericalBlowup("simulated values left the float range")
-
-    if is_dual:
-        exploded = values == 0.0
-        with np.errstate(divide="ignore"):
-            x = np.where(exploded, np.inf, 1.0 / values)
-        return TerminalBatch(x, np.full(cfg.n, np.nan), exploded, cfg.seed,
-                             y=values)
     return TerminalBatch(values, hit, np.zeros(cfg.n, dtype=bool), cfg.seed)
 
 
@@ -313,7 +303,9 @@ _last_pair = None
 
 def make_batches(model: DiffusionModel, cfg: MCConfig
                  ) -> tuple[TerminalBatch, TerminalBatch]:
-    """Primal and dual batches on independent substreams of one seed.
+    """Primal and dual batches on independent substreams of one seed; the
+    dual batch is the euro view of Y = 1/X: X_T = inf with hit_infinity
+    where Y hit zero, else 1/Y, with Y's values in `y` and no hit times.
 
     Only the last pair is kept.  A call with the same model object (`is`)
     and an equal config, every field of MCConfig including `workers`,
@@ -326,11 +318,15 @@ def make_batches(model: DiffusionModel, cfg: MCConfig
     if last is not None and last[0] is model and last[1] == cfg:
         return last[2]
     primal = simulate(model, cfg)
-    dual = simulate(derive_dual_model(model), replace(cfg, seed=dual_seed(cfg.seed)))
-    for batch in (primal, dual):
-        for arr in (batch.x, batch.hit_zero_time, batch.hit_infinity, batch.y):
-            if arr is not None:
-                arr.flags.writeable = False
+    seed = dual_seed(cfg.seed)
+    y = simulate(derive_dual_model(model), replace(cfg, seed=seed)).x
+    exploded = y == 0.0
+    with np.errstate(divide="ignore"):
+        x = np.where(exploded, np.inf, 1.0 / y)
+    dual = TerminalBatch(x, np.full(cfg.n, np.nan), exploded, seed, y=y)
+    for arr in (primal.x, primal.hit_zero_time, primal.hit_infinity,
+                x, dual.hit_zero_time, exploded, y):
+        arr.flags.writeable = False
     pair = (primal, dual)
     _last_pair = (model, cfg, pair)
     return pair

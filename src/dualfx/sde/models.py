@@ -1,8 +1,8 @@
 """Driftless diffusion models and the change-of-numeraire dual.
 
 A model gives the diffusion coefficient of the exchange rate X under the
-dollar measure.  Its dual is the diffusion of Y = 1/X under the euro measure,
-obtained from the local change of measure:
+dollar measure.  Its dual, a model too, is the diffusion of Y = 1/X, the euro
+price of one dollar, under the euro measure (the local change of measure):
 
     sigma_Y(y, t) = y^2 * sigma(1/y, t),      y0 = 1/x0.
 
@@ -48,30 +48,14 @@ class DiffusionModel:
     exact_only: bool = False
 
 
-@dataclass(frozen=True)
-class DualDiffusion:
-    """Diffusion of Y = 1/X under the euro measure: dY = sigma_y(Y, t) dW."""
-
-    name: str
-    sigma: SigmaFn
-    y0: float
-    horizon: float
-    exact: ExactSampler | None = None
-    exact_only: bool = False
-
-
-def derive_dual_model(model: DiffusionModel) -> DualDiffusion:
-    """The diffusion of the reciprocal rate under the euro measure."""
+def derive_dual_model(model: DiffusionModel) -> DiffusionModel:
+    """The diffusion of the reciprocal rate under the euro measure, with the
+    model's samplers swapped: the dual of the dual samples as the model."""
     primal = model.sigma
 
     def sigma_y(y, t):
         return y * y * primal(1.0 / y, t)
 
-    return DualDiffusion(
-        name=f"{model.name}.dual",
-        sigma=sigma_y,
-        y0=1.0 / model.x0,
-        horizon=model.horizon,
-        exact=model.dual_exact,
-        exact_only=model.exact_only,
-    )
+    return DiffusionModel(f"{model.name}.dual", sigma_y, 1.0 / model.x0,
+                          model.horizon, exact=model.dual_exact,
+                          dual_exact=model.exact, exact_only=model.exact_only)

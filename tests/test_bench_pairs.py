@@ -85,3 +85,26 @@ def test_report_prints_every_metric_and_the_claim_tally():
     assert "wins 1/2 (losses 0, ties 1)" in ops
     assert p90.startswith("op_p90_ms") and "-25.0%" in p90
     assert "wins" not in p90
+
+
+def _failing_checkout(root):
+    """A checkout whose bench/run.py writes 30 lines of noise and then
+    "boom" to stderr, and exits 3."""
+    (root / "bench").mkdir()
+    (root / "bench" / "run.py").write_text(
+        "import sys\n"
+        "for i in range(30):\n"
+        "    print(f'noise {i}', file=sys.stderr)\n"
+        "print('boom', file=sys.stderr)\n"
+        "sys.exit(3)\n")
+    return root
+
+
+def test_a_failed_run_raises_with_its_checkout_seed_code_and_stderr_tail(
+        tmp_path):
+    checkout = _failing_checkout(tmp_path)
+    with pytest.raises(RuntimeError) as info:
+        bench_pairs.run_bench(checkout, "lattice_corpus", 7, 1.0)
+    msg = str(info.value)
+    assert f"in {checkout} at seed 7 exited 3" in msg
+    assert msg.endswith("noise 29\nboom") and "noise 0\n" not in msg

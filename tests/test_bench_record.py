@@ -200,3 +200,27 @@ def test_main_prints_differences_for_percent_sigma_and_ratio_units(
         "ops_per_s": "+20.0%", "sde.engine.step_ms": "+20.0%",
         "trace.overhead_pct": "+0.361", "sde.engine.bias_z": "+0.0009",
         "trace.coverage": "+0.01", "price": "-10.0%"}
+
+
+def _failing_checkout(root):
+    """A checkout whose bench/run.py writes 30 lines of noise and then
+    "boom" to stderr, and exits 3."""
+    (root / "bench").mkdir()
+    (root / "bench" / "run.py").write_text(
+        "import sys\n"
+        "for i in range(30):\n"
+        "    print(f'noise {i}', file=sys.stderr)\n"
+        "print('boom', file=sys.stderr)\n"
+        "sys.exit(3)\n")
+    return root
+
+
+def test_a_failed_run_raises_with_its_checkout_seed_code_and_stderr_tail(
+        tmp_path, monkeypatch):
+    checkout = _failing_checkout(tmp_path)
+    monkeypatch.setattr(bench_record, "ROOT", checkout)
+    with pytest.raises(RuntimeError) as info:
+        bench_record.run_bench("lattice_corpus", 7, 1.0, 0)
+    msg = str(info.value)
+    assert f"in {checkout} at seed 7 exited 3" in msg
+    assert msg.endswith("noise 29\nboom") and "noise 0\n" not in msg

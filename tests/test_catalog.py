@@ -12,7 +12,7 @@ import pytest
 import dualfx
 from dualfx import UnknownModel, catalog
 from dualfx.catalog import MODEL_NAMES, get_model
-from dualfx.sde import MCConfig, derive_dual_model, simulate
+from dualfx.sde import BLOCK, MCConfig, derive_dual_model, simulate
 from dualfx.sde.engine import estimate_from_values
 from tests.test_oracles import (DUAL_ABSORPTION, EXPECTED_X,
                                 EXPECTED_X_SQUARED)
@@ -116,6 +116,28 @@ def test_dual_sigma_matches_hand_reference_on_grid():
                                np.broadcast_to(want, ys.shape), rtol=1e-12), name
 
 
+@pytest.mark.parametrize("x0", [0.25, 1.0, 4.0])
+@pytest.mark.parametrize("name", ["recip_bessel", "stopped_bm",
+                                  "singular_timechange",
+                                  "exp_martingale_baseline"])
+def test_the_dual_of_the_dual_samples_as_the_model(name, x0):
+    """Dualizing swaps the samplers, so dualizing twice gives the model's
+    back; 1/(1/x0) is x0 for a power of 2, so both legs' exact batches agree
+    bit for bit."""
+    model = get_model(name, x0=x0).model
+    twice = derive_dual_model(derive_dual_model(model))
+    assert ((twice.exact, twice.dual_exact, twice.horizon, twice.exact_only)
+            == (model.exact, model.dual_exact, model.horizon,
+                model.exact_only))
+    cfg = MCConfig(n=BLOCK + 3, seed=31, scheme="exact")
+    for a, b in ((model, twice),
+                 (derive_dual_model(model), derive_dual_model(twice))):
+        got, want = simulate(b, cfg), simulate(a, cfg)
+        for field in ("x", "hit_zero_time", "hit_infinity"):
+            assert getattr(got, field).tobytes() \
+                == getattr(want, field).tobytes(), (a.name, field)
+
+
 def test_qnv_coefficients_reverse_under_duality():
     entry = get_model("qnv(0.5,2,0.25)")
     dual = derive_dual_model(entry.model)
@@ -143,7 +165,7 @@ def test_stopped_bm_is_martingale_with_devaluation():
     frac = (b.x == 0.0).mean()
     assert frac == pytest.approx(entry.analytic["devaluation_prob"](), abs=0.01)
     dual = simulate(derive_dual_model(entry.model), MCConfig(n=50_000, seed=22))
-    assert not dual.hit_infinity.any()
+    assert not (dual.x == 0.0).any()     # Y never hits zero: X never explodes
 
 
 def test_singular_model_analytics():
@@ -152,7 +174,7 @@ def test_singular_model_analytics():
     assert (b.x == 0.0).all()
     assert np.all(b.hit_zero_time <= 1.0)
     dual = simulate(derive_dual_model(entry.model), MCConfig(n=50_000, seed=5))
-    assert dual.hit_infinity.all()
+    assert (dual.x == 0.0).all()     # Y hits zero: X explodes
 
 
 def test_horizon_and_spot_parameters():

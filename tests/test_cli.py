@@ -25,7 +25,7 @@ from dualfx.lattice import build_dual_tree, dump_tree, two_period_example
 from dualfx.pricing import make_batches
 from dualfx.sde import BLOCK, MCConfig
 from tests.test_engine import csv_oracle
-from tests.test_tree import chain_doc, collision_doc
+from tests.test_tree import HUGE_MASS_DOC, chain_doc, collision_doc
 
 
 @pytest.fixture()
@@ -150,6 +150,17 @@ def test_lattice_verify_rejects_invalid_tree(tmp_path):
         {"id": "a", "x": "2"}, {"id": "b", "x": "1/2"}]}))
     assert main(["lattice-verify", "--tree", str(path),
                  "--out-dir", str(tmp_path)]) == 1
+
+
+def test_lattice_verify_reports_a_normalization_past_the_digit_limit(
+        tmp_path, capsys):
+    path = tmp_path / "huge_mass.json"
+    path.write_text(json.dumps(HUGE_MASS_DOC))
+    assert main(["lattice-verify", "--tree", str(path),
+                 "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: node 'r': derived dollar-measure masses sum to ~5e+4299, "
+        "not 1\n")
 
 
 def test_lattice_verify_refuses_huge_periods_at_once(tmp_path):

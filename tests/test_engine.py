@@ -83,8 +83,10 @@ def test_exact_recip_bessel_matches_oracle():
 
 
 def test_dual_absorption_matches_oracle():
-    dual = derive_dual_model(get_model("recip_bessel").model)
-    b = simulate(dual, MCConfig(n=100_000, seed=55))
+    """The euro view of Y that make_batches forms, on the dual stream of
+    seed 55 (dual_seed is an involution on seeds below 2**63)."""
+    _, b = make_batches(get_model("recip_bessel").model,
+                        MCConfig(n=100_000, seed=dual_seed(55)))
     est = estimate_from_values(b.hit_infinity.astype(float), b.seed)
     assert abs(est.mean - DUAL_ABSORPTION) < 4 * est.stderr
     assert np.isnan(b.hit_zero_time).all()     # euro measure never devalues
@@ -178,7 +180,7 @@ def test_euler_dual_explosion_mass_matches_reflection_formula():
     dual = derive_dual_model(get_model("qnv(1,0,0)").model)
     b = simulate(dual, MCConfig(n=100_000, steps=16, seed=77,
                                 scheme="euler_absorbed"))
-    e = estimate_from_values(b.hit_infinity.astype(float), b.seed)
+    e = estimate_from_values((b.x == 0.0).astype(float), b.seed)
     assert abs(e.mean - DUAL_ABSORPTION) < 3 * e.stderr
 
 
@@ -268,7 +270,7 @@ def test_estimate_basics_and_infinite_contribution():
     b = simulate(model, MCConfig(n=500, seed=2))
     e = estimate_from_values(np.ones(len(b)), b.seed)
     assert e.mean == 1.0 and e.stderr == 0.0 and e.n == 500
-    dual = simulate(derive_dual_model(model), MCConfig(n=2000, seed=2))
+    _, dual = make_batches(model, MCConfig(n=2000, seed=dual_seed(2)))
     with pytest.raises(InfiniteContribution):
         estimate_from_values(dual.x, dual.seed)   # explosions contribute inf
     # the inf*0 convention applied to the values keeps them finite
@@ -308,7 +310,7 @@ def test_z_score_keeps_the_sign_at_zero_stderr():
 def test_estimate_dual_absorption_indicator():
     dual = simulate(derive_dual_model(get_model("recip_bessel").model),
                     MCConfig(n=50_000, seed=5))
-    e = estimate_from_values(dual.hit_infinity.astype(float), dual.seed)
+    e = estimate_from_values((dual.x == 0.0).astype(float), dual.seed)
     assert abs(e.mean - DUAL_ABSORPTION) < 4 * e.stderr
 
 
@@ -373,7 +375,7 @@ def test_cross_measure_check_matches_numpy_reference_bitwise(name):
     primal = simulate(model, cfg)
     dual = simulate(derive_dual_model(model),
                     replace(cfg, seed=dual_seed(cfg.seed)))
-    x, y = primal.x, dual.y
+    x, y = primal.x, dual.x
     with np.errstate(divide="ignore"):
         rhs_vals = np.where(y > 0.0, np.minimum(1.0 / y, 1.0) * y, 0.0)
     lhs = estimate_from_values(np.where(x > 0.0, np.minimum(x, 1.0), 0.0),
@@ -405,10 +407,11 @@ def test_dump_batch_csv_matches_row_oracle(tmp_path):
         model = get_model(name).model
         for n in (1, BLOCK, BLOCK + 3):
             cfg = MCConfig(n=n, steps=16, seed=n, scheme=scheme)
-            for spec in (model, derive_dual_model(model)):
-                batch = simulate(spec, cfg)
+            # the primal batch, and the euro view of the dual on seed n
+            for batch in (simulate(model, cfg), make_batches(
+                    model, replace(cfg, seed=dual_seed(n)))[1]):
                 dump_batch_csv(batch, path)
-                assert path.read_bytes() == csv_oracle(batch), (name, n, spec)
+                assert path.read_bytes() == csv_oracle(batch), (name, n)
                 t = batch.hit_zero_time
                 covered |= [np.isnan(t).any(), np.isfinite(t).any(),
                             np.isinf(batch.x).any(), (batch.x == 0.0).any()]

@@ -17,8 +17,7 @@ from dualfx.pricing import (Claim, intl_equivalence_table, make_batches,
                             price, price_euro_side, scheme_convergence,
                             tail_diagnostic)
 from dualfx.sde import (BLOCK, DiffusionModel, MCConfig, derive_dual_model,
-                        simulate)
-from dualfx.sde.engine import dual_seed
+                        engine, simulate)
 from tests.test_oracles import DUAL_ABSORPTION, EXPECTED_X
 
 CFG = MCConfig(n=100_000, seed=7)
@@ -371,11 +370,10 @@ def test_scheme_convergence_euler_exact_for_bm():
         assert r.abs_diff <= 4 * math.hypot(r.stderr, ref.stderr)
 
 
-def _explicit_batches(model, cfg):
-    """The pair from two explicit simulate calls, bypassing make_batches."""
-    return (simulate(model, cfg),
-            simulate(derive_dual_model(model),
-                     replace(cfg, seed=dual_seed(cfg.seed))))
+def _fresh_batches(model, cfg):
+    """The pair make_batches simulates afresh, with no pair kept."""
+    engine._last_pair = None
+    return engine.make_batches(model, cfg)
 
 
 @pytest.mark.parametrize("name,scheme", [("recip_bessel", "exact"),
@@ -394,9 +392,9 @@ def test_tables_equal_with_and_without_the_kept_pair(name, scheme,
     kept = make_batches(model, cfg)
     warm = [table(model, strikes, cfg) for table in tables]
     assert make_batches(model, cfg) is kept
-    monkeypatch.setattr(pricing, "make_batches", _explicit_batches)
-    explicit = [table(model, strikes, cfg) for table in tables]
-    assert cold == warm == explicit
+    monkeypatch.setattr(pricing, "make_batches", _fresh_batches)
+    fresh = [table(model, strikes, cfg) for table in tables]
+    assert cold == warm == fresh
 
 
 # ---------------------------------------------------------------------------

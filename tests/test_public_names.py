@@ -56,4 +56,4 @@ def test_every_public_name_resolves_and_has_one_address():
             assert hasattr(module, name), f"{package}.{name}"
             assert name not in seen, f"{name} in {seen.get(name)} and {package}"
             seen[name] = package
-    assert len(seen) == 55
+    assert len(seen) == 53

@@ -14,7 +14,7 @@ def _model(sigma, x0=1.0, horizon=1.0):
 
 def test_quadratic_rate_dualizes_to_unit_volatility():
     dual = derive_dual_model(_model(lambda x, t: x * x, x0=2.0))
-    assert dual.y0 == 0.5
+    assert dual.x0 == 0.5
     ys = np.linspace(0.05, 5.0, 40)
     assert np.allclose(dual.sigma(ys, 0.3), 1.0, rtol=1e-12)
 
@@ -39,5 +39,5 @@ def test_proportional_rate_is_self_dual():
 
 def test_dual_start_is_reciprocal_spot():
     for x0 in (0.25, 1.0, 3.0):
-        assert derive_dual_model(_model(lambda x, t: 1.0, x0=x0)).y0 \
+        assert derive_dual_model(_model(lambda x, t: 1.0, x0=x0)).x0 \
             == pytest.approx(1.0 / x0)

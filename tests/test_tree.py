@@ -598,6 +598,11 @@ def _root_doc(*nodes, branches=(("a", "1"),)):
 
 
 _A, _B = {"id": "a", "x": "1"}, {"id": "b", "x": "1"}
+# 1e-4300 has a 4,301-digit denominator, past the interpreter's default int
+# digit limit, and so has the derived dollar mass 10**4300/2 a child at that
+# state gets: str() of either raises ValueError
+HUGE_MASS_DOC = _root_doc({"id": "a", "x": "1e-4300"}, dict(_B, x="2"),
+                          branches=[("a", "1/2"), ("b", "1/2")])
 
 
 @pytest.mark.parametrize("doc, rule, error, fragment", [
@@ -612,11 +617,21 @@ _A, _B = {"id": "a", "x": "1"}, {"id": "b", "x": "1"}
      NormalizationError, "negative branch mass -1/2 to 'a'"),
     (_root_doc(_A), {"r", "nowhere"},
      MeasurabilityError, "unknown nodes in stopping rule: ['nowhere']"),
+    ({"x0": "1", "periods": 1,
+      "nodes": [dict(_A, id="r", x="1e-4300", branches=[["a", "1"]]), _A]},
+     {"r"}, StructureError,
+     "node 'r': root state ~1e-4300 disagrees with x0 = 1"),
+    (_root_doc(_A, _B, branches=[("a", "-1e-4300"), ("b", "1")]), {"r"},
+     NormalizationError, "node 'r': negative branch mass ~-1e-4300 to 'a'"),
+    (HUGE_MASS_DOC, {"r"}, NormalizationError,
+     "node 'r': derived dollar-measure masses sum to ~5e+4299, not 1"),
 ], ids=["duplicate-id", "reached-twice", "terminal-branches",
-        "unknown-child", "negative-mass", "unknown-rule-node"])
+        "unknown-child", "negative-mass", "unknown-rule-node",
+        "huge-root-state", "huge-negative-mass", "huge-normalization"])
 def test_builder_refusals_name_the_node(doc, rule, error, fragment):
     """One minimal document or stopping rule per refusal of the build walk
-    and of `stop_map`; the root alone is a valid rule on any tree."""
+    and of `stop_map`; the root alone is a valid rule on any tree.  A number
+    whose digits str() refuses is shown rounded in the refusal."""
     with pytest.raises(error, match=re.escape(fragment)):
         stop_map(build_dual_tree(doc), rule)
 

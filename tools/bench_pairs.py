@@ -30,11 +30,16 @@ from pathlib import Path
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float
               ) -> dict:
-    """One untraced benchmark run in `checkout`; its last output line."""
+    """One untraced benchmark run in `checkout`; its last output line.  A
+    failed run raises RuntimeError with its exit code and the tail of its
+    stderr."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                         check=True)
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if out.returncode:
+        tail = "\n".join(out.stderr.strip().splitlines()[-20:])
+        raise RuntimeError(f"bench/run.py in {checkout} at seed {seed} "
+                           f"exited {out.returncode}:\n{tail}")
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 

@@ -48,12 +48,16 @@ CLI_COMMANDS = {
 
 
 def run_bench(workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One benchmark run; its last output line, parsed."""
+    """One benchmark run; its last output line, parsed.  A failed run raises
+    RuntimeError with its exit code and the tail of its stderr."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(trace)]
-    out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
-                         check=True)
+    out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    if out.returncode:
+        tail = "\n".join(out.stderr.strip().splitlines()[-20:])
+        raise RuntimeError(f"bench/run.py in {ROOT} at seed {seed} exited "
+                           f"{out.returncode}:\n{tail}")
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 

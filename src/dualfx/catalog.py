@@ -251,10 +251,22 @@ _QNV_RE = re.compile(r"qnv\(\s*([^,]+)\s*,\s*([^,]+)\s*,\s*([^)]+)\s*\)")
 
 
 def _qnv(a: float, b: float, c: float, x0: float, horizon: float) -> CatalogEntry:
+    def sigma(x, t):
+        # |a x^2 + b x + c| from its nonzero terms, in the formula's order:
+        # its bits where all terms are finite, and no 0 * inf = nan
+        x = np.asarray(x, float)
+        s = np.multiply(x, x, out=np.empty_like(x)) if a else np.zeros_like(x)
+        if a != 1:
+            s *= a
+        if b:
+            s += b * x
+        if c:
+            s += c
+        return np.abs(s, out=s)
+
     model = DiffusionModel(
         name=f"qnv({a:g},{b:g},{c:g})",
-        sigma=lambda x, t: np.abs(a * np.asarray(x, float) ** 2
-                                  + b * np.asarray(x, float) + c),
+        sigma=sigma,
         x0=x0,
         horizon=horizon,
         dual_payoff_flags={"self_quantoed": "unknown"},

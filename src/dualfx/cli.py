@@ -114,8 +114,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 def _plain(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
+    if isinstance(obj, Fraction):   # rounded past the int digit limit
+        return ltree._shown(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {k: _plain(v) for k, v in dataclasses.asdict(obj).items()}
     if isinstance(obj, dict):

@@ -454,20 +454,21 @@ def first_hit_rule(tree: DualTree, predicate) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 def tree_to_doc(tree: DualTree) -> dict:
-    """Canonical document form; generated absorption chains are omitted and
-    re-created on load."""
+    """Canonical document form, absorption chains omitted (re-created on
+    load); a number past the int digit limit raises StructureError."""
     nodes = []
     for node in sorted(tree.nodes.values(), key=lambda n: (n.time_index, n.id)):
         if node.parent is not None and not tree.nodes[node.parent].x.is_finite:
             continue
-        entry: dict = {"id": node.id, "x": str(node.x)}
-        if node.branches and node.x.is_finite:
-            out = []
-            for b in node.branches:
-                cx = tree.nodes[b.child].x
-                mass = b.q if cx.is_zero else b.q_hat
-                out.append([b.child, str(mass)])
-            entry["branches"] = out
+        try:    # x0 is the root's state, so it is written if the root is
+            entry: dict = {"id": node.id, "x": str(node.x)}
+            if node.branches and node.x.is_finite:
+                entry["branches"] = [
+                    [b.child, str(b.q if tree.nodes[b.child].x.is_zero
+                                  else b.q_hat)] for b in node.branches]
+        except ValueError:
+            raise StructureError(f"node {node.id!r} has a number past the "
+                                 f"int digit limit") from None
         nodes.append(entry)
     return {"x0": str(tree.x0), "periods": tree.periods,
             "root": tree.root, "nodes": nodes}
@@ -489,8 +490,9 @@ def load_tree(path) -> DualTree:
 
 
 def dump_tree(tree: DualTree, path) -> None:
+    doc = tree_to_doc(tree)     # before the file opens: a refusal writes none
     with open(path, "w") as fh:
-        json.dump(tree_to_doc(tree), fh, indent=2)
+        json.dump(doc, fh, indent=2)
 
 
 def two_period_example() -> DualTree:

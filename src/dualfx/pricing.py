@@ -294,9 +294,9 @@ def _naive_dual_values(model: DiffusionModel, claim: Claim, n: int,
             z = gen.standard_normal(m)
             # no absorption and no sign handling: this is the estimator a
             # naive pricer would run; only y == 0 needs a division guard
-            s = np.asarray(dual.sigma(np.where(y == 0.0, 1e-300, y), k * dt),
-                           float)
-            y = y + s * sqdt * z
+            s = dual.sigma(np.where(y == 0.0, 1e-300, y), k * dt) * sqdt
+            s *= z
+            y += s
         vals = np.zeros(m)
         # overflowed reciprocal rates sit in the devalued region where the
         # euro legs of interest vanish; count them as zero

@@ -168,26 +168,25 @@ def euler_absorbed(gen: np.random.Generator, m: int, sigma, start: float,
         if not live.size:
             break
         z = gen.standard_normal(live.size)
-        s = np.asarray(sigma(x, k * dt), dtype=float)
-        # x' = x + (s sqdt) z, in that operation order; `sigma` may return
-        # its argument, so s is never written to
-        with np.errstate(over="ignore", invalid="ignore"):
+        s = np.asarray(sigma(x, k * dt), dtype=float)   # overflow here raises
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # x' = x + (s sqdt) z, in that operation order; `sigma` may
+            # return its argument, so s is never written to
             x_new = np.multiply(s, sqdt)
             x_new *= z
             x_new += x
-        if not np.isfinite(x_new).all():
-            raise NumericalBlowup(
-                f"step {k + 1}/{steps} left the float range on "
-                f"{int((~np.isfinite(x_new)).sum())} path(s)")
-        # a computed as (x/s)(x'/s)(2/dt) is never nan: its sign is the sign
-        # of x' and s == 0 gives +inf, where 2 x x' / (s*s dt) turns nan
-        # (inf/inf) once s*s overflows
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            if not np.isfinite(x_new).all():
+                raise NumericalBlowup(
+                    f"step {k + 1}/{steps} left the float range on "
+                    f"{int((~np.isfinite(x_new)).sum())} path(s)")
+            # a = (x/s)(x'/s)(2/dt) is never nan: x' gives its sign, s == 0
+            # +inf; 2 x x' / (s*s dt) is inf/inf once s*s overflows
             a = np.divide(x, s)
             a *= np.divide(x_new, s, out=z)
             a *= 2.0 / dt
-            near = np.flatnonzero(a < BRIDGE_CUTOFF)
-            p_hit = np.exp(-a[near])
+            near = (a < BRIDGE_CUTOFF).nonzero()[0]
+            p_hit = a[near]
+            np.exp(np.negative(p_hit, out=p_hit), out=p_hit)
         dead = near[gen.random(near.size) < p_hit]
         if dead.size:
             hit[live[dead]] = (k + 1) * dt

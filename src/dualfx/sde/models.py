@@ -54,7 +54,9 @@ def derive_dual_model(model: DiffusionModel) -> DiffusionModel:
     primal = model.sigma
 
     def sigma_y(y, t):
-        return y * y * primal(1.0 / y, t)
+        s = y * y
+        s *= primal(1.0 / y, t)
+        return s
 
     return DiffusionModel(f"{model.name}.dual", sigma_y, 1.0 / model.x0,
                           model.horizon, exact=model.dual_exact,

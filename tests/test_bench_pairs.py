@@ -108,3 +108,9 @@ def test_a_failed_run_raises_with_its_checkout_seed_code_and_stderr_tail(
     msg = str(info.value)
     assert f"in {checkout} at seed 7 exited 3" in msg
     assert msg.endswith("noise 29\nboom") and "noise 0\n" not in msg
+
+
+def test_the_pairs_share_the_record_tools_run_bench():
+    """One definition of a benchmark run serves both tools."""
+    assert Path(bench_pairs.run_bench.__code__.co_filename).name == \
+        "bench_record.py"

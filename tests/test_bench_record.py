@@ -127,8 +127,8 @@ def test_main_writes_the_record_and_prints_raw_changes_only(
                 1: {"lattice.tree.build_ms": [0.6, 0.6, 0.6],
                     "host.calib_ms": [30.0, 30.0, 30.0]}}
 
-    def run_bench(workload, seed, seconds, trace):
-        assert seconds == 30
+    def run_bench(checkout, workload, seed, seconds, trace):
+        assert checkout == tmp_path and seconds == 30
         return _run(4, 0, **{k: v[seed - 1]
                              for k, v in per_seed[trace].items()})
 
@@ -180,7 +180,7 @@ def test_main_prints_differences_for_percent_sigma_and_ratio_units(
     old = {"trace.overhead_pct": 0.036, "sde.engine.bias_z": -0.0086,
            "trace.coverage": 0.98, "sde.engine.step_ms": 5.0}
     monkeypatch.setattr(bench_record, "run_bench",
-                        lambda workload, seed, seconds, trace: _run(
+                        lambda checkout, workload, seed, seconds, trace: _run(
                             4, 0, **(new if trace else {"ops_per_s": 12.0})))
     monkeypatch.setattr(bench_record, "record_cli", lambda: {"price": 900.0})
     monkeypatch.setattr(bench_record, "ROOT", tmp_path)
@@ -216,11 +216,10 @@ def _failing_checkout(root):
 
 
 def test_a_failed_run_raises_with_its_checkout_seed_code_and_stderr_tail(
-        tmp_path, monkeypatch):
+        tmp_path):
     checkout = _failing_checkout(tmp_path)
-    monkeypatch.setattr(bench_record, "ROOT", checkout)
     with pytest.raises(RuntimeError) as info:
-        bench_record.run_bench("lattice_corpus", 7, 1.0, 0)
+        bench_record.run_bench(checkout, "lattice_corpus", 7, 1.0, 0)
     msg = str(info.value)
     assert f"in {checkout} at seed 7 exited 3" in msg
     assert msg.endswith("noise 29\nboom") and "noise 0\n" not in msg

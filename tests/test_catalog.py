@@ -146,6 +146,33 @@ def test_qnv_coefficients_reverse_under_duality():
                        np.abs(0.25 * ys ** 2 + 2 * ys + 0.5), rtol=1e-12)
 
 
+def _full_quadratic(a, b, c, x):
+    """|a x^2 + b x + c| with every term formed, zero or not."""
+    with np.errstate(all="ignore"):
+        return np.abs(a * np.asarray(x, float) ** 2
+                      + b * np.asarray(x, float) + c)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 0, 0), (0, 0, 1), (0, 0.5, 0),
+                                    (2, -1, 3), (0.5, 0.2, 0.3), (0, 0, 0)])
+def test_qnv_sigma_equals_the_full_formula_bit_for_bit(coeffs):
+    """sigma from the nonzero terms alone keeps the full formula's bits
+    wherever all its terms are finite: on both signs and on a scalar."""
+    sigma = get_model("qnv({},{},{})".format(*coeffs)).model.sigma
+    grid = np.geomspace(1e-6, 1e6, 97)
+    for x in (grid, -grid, 1.7):
+        got = sigma(x, 0.3)
+        assert np.array_equal(got, _full_quadratic(*coeffs, x)), x
+        assert np.shape(got) == np.shape(x)
+
+
+def test_qnv_sigma_drops_the_zero_term_that_turns_nan():
+    """0 x^2 is nan once x^2 overflows; sigma leaves that term out."""
+    x = np.array([1e200])
+    assert np.isnan(_full_quadratic(0, 1, 1, x)).all()
+    assert np.array_equal(get_model("qnv(0,1,1)").model.sigma(x, 0.0), x)
+
+
 def test_flags():
     assert get_model("recip_bessel").model.dual_payoff_flags["self_quantoed"] \
         == "nonintegrable"

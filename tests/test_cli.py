@@ -19,7 +19,7 @@ import dualfx
 from dualfx import cli, pricing
 from dualfx.catalog import MODEL_NAMES, get_model
 from dualfx.cli import COMMANDS, main, validate_config
-from dualfx.errors import ConfigError, SchemeUnsupported
+from dualfx.errors import ConfigError, SchemeUnsupported, StructureError
 from dualfx.inputs import PAYOFFS
 from dualfx.lattice import build_dual_tree, dump_tree, two_period_example
 from dualfx.pricing import make_batches
@@ -209,6 +209,43 @@ def test_lattice_verify_refuses_a_chain_id_collision(chain_first, tmp_path,
                  "--out-dir", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith(
         "error: absorption id collision at 'e~2'")
+
+
+# x0, the root state and its one child at 1e-4300: a valid one-period tree
+# whose rationals have more digits than str() writes at the default limit
+HUGE_STATE_DOC = {"x0": "1e-4300", "periods": 1, "nodes": [
+    {"id": "r", "x": "1e-4300", "branches": [["a", "1"]]},
+    {"id": "a", "x": "1e-4300"}]}
+
+
+@pytest.mark.parametrize("command", ["lattice-verify", "physical"])
+def test_tree_reports_round_past_the_digit_limit(command, tmp_path):
+    """Both tree commands check the document and write their JSON report,
+    where such a number is shown rounded, and exit 0 without a traceback."""
+    path = tmp_path / "huge_state.json"
+    path.write_text(json.dumps(HUGE_STATE_DOC))
+    src = str(Path(dualfx.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-m", "dualfx.cli", command,
+                          "--tree", str(path), "--out-dir", str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert "Traceback" not in out.stderr
+    name = "lattice" if command == "lattice-verify" else "physical"
+    json.loads((tmp_path / f"report_{name}.json").read_text())
+    if command == "lattice-verify":
+        assert "~1e-4300" in (tmp_path / "report_lattice.json").read_text()
+
+
+def test_dump_tree_refuses_a_number_past_the_digit_limit(tmp_path):
+    """A document must stay exact, so the writer names the node instead of
+    rounding, and leaves no file."""
+    path = tmp_path / "huge_state.json"
+    with pytest.raises(StructureError,
+                       match="node 'r' has a number past the int digit"):
+        dump_tree(build_dual_tree(HUGE_STATE_DOC), path)
+    assert not path.exists()
 
 
 def test_physical_command(example_tree_path, tmp_path):

@@ -259,10 +259,15 @@ def test_mcconfig_refuses_non_int_counts_and_seeds(bad):
 
 
 def test_qnv_euler_matches_recip_bessel_dynamics():
+    """Both models step sigma = x * x and its dual y * y * (1/y)^2, so their
+    Euler pairs agree array for array, on both legs."""
     cfg = MCConfig(n=20_000, steps=64, seed=12, scheme="euler_absorbed")
-    a = simulate(get_model("recip_bessel").model, cfg)
-    b = simulate(get_model("qnv(1,0,0)").model, cfg)
-    assert np.array_equal(a.x, b.x)
+    a = make_batches(get_model("recip_bessel").model, cfg)
+    b = make_batches(get_model("qnv(1,0,0)").model, cfg)
+    for leg_a, leg_b in zip(a, b):
+        for field in ("x", "hit_zero_time", "hit_infinity", "y"):
+            assert np.array_equal(getattr(leg_a, field), getattr(leg_b, field),
+                                  equal_nan=field == "hit_zero_time"), field
 
 
 def test_estimate_basics_and_infinite_contribution():

@@ -443,6 +443,25 @@ def test_monte_carlo_results_are_pinned(name):
     assert digest == MC_DIGESTS[name]
 
 
+# sha256 of the value bytes of the naive dual step, 16 steps on BLOCK + 3
+# paths, so the second block is a short one, for the self-quantoed claim at
+# strike 0.5 and seed 11
+NAIVE_DIGESTS = {
+    "qnv(1,0,0)":
+        "e9b0fea54243ba9332690a54d1ef579c823a18462cccfbe6e136bdeacc731fa5",
+    "qnv(2,-1,3)":
+        "2379fe402d6b6e0d891ff19f43b2b4df639c99ced26d895266fb6eb7ec155777",
+}
+
+
+@pytest.mark.parametrize("name", list(NAIVE_DIGESTS))
+def test_naive_dual_values_are_pinned(name):
+    vals = pricing._naive_dual_values(
+        get_model(name).model, make_claim("self_quantoed", 0.5), BLOCK + 3,
+        16, 11)
+    assert hashlib.sha256(vals.tobytes()).hexdigest() == NAIVE_DIGESTS[name]
+
+
 # ---------------------------------------------------------------------------
 # the claim legs on the whole batch equal the boolean gather and scatter
 # ---------------------------------------------------------------------------

@@ -23,24 +23,12 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 
-
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float
-              ) -> dict:
-    """One untraced benchmark run in `checkout`; its last output line.  A
-    failed run raises RuntimeError with its exit code and the tail of its
-    stderr."""
-    cmd = [sys.executable, "bench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    if out.returncode:
-        tail = "\n".join(out.stderr.strip().splitlines()[-20:])
-        raise RuntimeError(f"bench/run.py in {checkout} at seed {seed} "
-                           f"exited {out.returncode}:\n{tail}")
-    return json.loads(out.stdout.strip().splitlines()[-1])
+# the sibling tool, importable also where this file is loaded by path
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_record import run_bench  # noqa: E402
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:

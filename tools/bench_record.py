@@ -47,17 +47,19 @@ CLI_COMMANDS = {
 }
 
 
-def run_bench(workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One benchmark run; its last output line, parsed.  A failed run raises
-    RuntimeError with its exit code and the tail of its stderr."""
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
+              trace: int = 0) -> dict:
+    """One run of `checkout`'s own bench/run.py; its last output line,
+    parsed.  A failed run raises RuntimeError with its checkout, seed, exit
+    code and the tail of its stderr."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(trace)]
-    out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if out.returncode:
         tail = "\n".join(out.stderr.strip().splitlines()[-20:])
-        raise RuntimeError(f"bench/run.py in {ROOT} at seed {seed} exited "
-                           f"{out.returncode}:\n{tail}")
+        raise RuntimeError(f"bench/run.py in {checkout} at seed {seed} "
+                           f"exited {out.returncode}:\n{tail}")
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
@@ -185,7 +187,7 @@ def main(argv=None) -> int:
                 print(f"bench_record: {workload} seed {seed} trace {trace}",
                       file=sys.stderr)
                 runs.setdefault(workload, {}).setdefault(trace, []).append(
-                    run_bench(workload, seed, seconds, trace))
+                    run_bench(ROOT, workload, seed, seconds, trace))
     record = {
         "pr": args.pr,
         "command": ["python3", "bench/run.py"],

@@ -9,6 +9,7 @@ Monte Carlo cannot.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import sys
@@ -30,9 +31,6 @@ class CatalogEntry:
     # named reference quantities, each a closed-form evaluator at the
     # entry's x0 and horizon
     analytic: Mapping[str, Callable[..., float]] = field(default_factory=dict)
-    # hand-derived dual diffusion coefficient, for cross-checking the generic
-    # derivation on a grid
-    dual_sigma_reference: Callable[[object, float], object] | None = None
 
     @property
     def name(self) -> str:
@@ -148,137 +146,105 @@ def singular_exact(gen, m, start, horizon):
 
 
 def singular_dual_exact(gen, m, start, horizon):
-    """Dual of the singular model: the reciprocal rate is absorbed at zero by
-    the horizon almost surely (the rate explodes on every path)."""
-    return np.zeros(m), np.full(m, np.nan)
+    """Dual of the singular model: the reciprocal rate is absorbed at zero
+    exactly as the model's clock ln(T / (T - t)) runs out, at the horizon,
+    on every path (the rate explodes surely)."""
+    return np.zeros(m), np.full(m, float(horizon))
 
 
-def _recip_bessel(x0: float, horizon: float) -> CatalogEntry:
+def _on_clock(sampler, rate: float):
+    """`sampler` on the clock rate * t: it runs to rate * horizon, and its
+    hit times are read back on the model's clock."""
+    if rate == 1:
+        return sampler
+
+    @functools.wraps(sampler)
+    def clocked(gen, m, start, horizon):
+        x, hit = sampler(gen, m, start, rate * horizon)
+        return x, hit / rate
+    return clocked
+
+
+def _singular_timechange(x0: float, T: float) -> CatalogEntry:
     model = DiffusionModel(
-        name="recip_bessel",
-        sigma=lambda x, t: x * x,
-        x0=x0,
-        horizon=horizon,
-        dual_payoff_flags={"self_quantoed": "nonintegrable"},
-        exact=bes3_reciprocal,
-        dual_exact=absorbed_bm,     # 1/X is Brownian motion killed at 0
-    )
-    return CatalogEntry(
-        model=model,
-        analytic={
-            # the dual absorbed-BM survival gives E[X_T] = x0 * survival
-            "expected_x": lambda: x0 * _survival_bm(1.0 / x0, horizon),
-            "dual_absorption_prob":
-                lambda: 1.0 - _survival_bm(1.0 / x0, horizon),
-            # x0 E[1/Y_T] for the Brownian motion Y from 1/x0 killed at 0
-            "expected_x_squared": lambda: x0 * math.sqrt(2.0 / horizon)
-                * _dawson(1.0 / (x0 * math.sqrt(2.0 * horizon))),
-        },
-        dual_sigma_reference=lambda y, t: np.ones_like(np.asarray(y, float)),
-    )
-
-
-def _stopped_bm(x0: float, horizon: float) -> CatalogEntry:
-    model = DiffusionModel(
-        name="stopped_bm",
-        sigma=lambda x, t: np.ones_like(np.asarray(x, float)),
-        x0=x0,
-        horizon=horizon,
-        dual_payoff_flags={},
-        exact=absorbed_bm,
-        dual_exact=bes3_reciprocal,
-    )
-    return CatalogEntry(
-        model=model,
-        analytic={
-            "expected_x": lambda: x0,   # true martingale
-            "devaluation_prob":
-                lambda: 1.0 - _survival_bm(x0, horizon),
-            "dual_absorption_prob": lambda: 0.0,
-        },
-        dual_sigma_reference=lambda y, t: np.asarray(y, float) ** 2,
-    )
-
-
-def _singular_timechange(x0: float, horizon: float) -> CatalogEntry:
-    T = horizon
-    model = DiffusionModel(
-        name="singular_timechange",
+        name="singular_timechange", x0=x0, horizon=T,
         sigma=lambda x, t: np.full_like(np.asarray(x, float),
                                         1.0 / math.sqrt(T - t)),
-        x0=x0,
-        horizon=T,
         dual_payoff_flags={"self_quantoed": "nonintegrable"},
-        exact=singular_exact,
-        dual_exact=singular_dual_exact,
-        exact_only=True,   # sigma is singular at T
-    )
-    return CatalogEntry(
-        model=model,
-        analytic={
-            "expected_x": lambda: 0.0,
-            "devaluation_prob": lambda: 1.0,
-            "dual_absorption_prob": lambda: 1.0,
-        },
-        dual_sigma_reference=lambda y, t: np.asarray(y, float) ** 2
-        / math.sqrt(T - t),
-    )
+        exact=singular_exact, dual_exact=singular_dual_exact,
+        exact_only=True)   # sigma is singular at T
+    return CatalogEntry(model, {"expected_x": lambda: 0.0,
+                                "devaluation_prob": lambda: 1.0,
+                                "dual_absorption_prob": lambda: 1.0})
 
 
-def _exp_martingale(x0: float, horizon: float, vol: float) -> CatalogEntry:
-    gbm = _gbm(vol)
-    model = DiffusionModel(
-        name="exp_martingale_baseline",
-        sigma=lambda x, t: vol * np.asarray(x, float),
-        x0=x0,
-        horizon=horizon,
-        dual_payoff_flags={"self_quantoed": "integrable"},
-        exact=gbm,
-        dual_exact=gbm,     # 1/X is lognormal of the same vol
-    )
-    return CatalogEntry(
-        model=model,
-        analytic={
-            "expected_x": lambda: x0,
-            "dual_absorption_prob": lambda: 0.0,
-            "call": lambda strike: _black_call(x0, vol, horizon, strike),
-        },
-        dual_sigma_reference=lambda y, t: vol * np.asarray(y, float),
-    )
+def _quadratic_sigma(a: float, b: float, c: float):
+    """|a x^2 + b x + c| from its nonzero terms, in the formula's order: its
+    bits where all terms are finite, and no 0 * inf = nan.  The abs is taken
+    only where the polynomial can be negative."""
+    signed = b != 0 or a < 0 or c < 0
 
-
-_QNV_RE = re.compile(r"qnv\(\s*([^,]+)\s*,\s*([^,]+)\s*,\s*([^)]+)\s*\)")
-
-
-def _qnv(a: float, b: float, c: float, x0: float, horizon: float) -> CatalogEntry:
     def sigma(x, t):
-        # |a x^2 + b x + c| from its nonzero terms, in the formula's order:
-        # its bits where all terms are finite, and no 0 * inf = nan
         x = np.asarray(x, float)
         s = np.multiply(x, x, out=np.empty_like(x)) if a else np.zeros_like(x)
-        if a != 1:
+        if a not in (0, 1):
             s *= a
         if b:
             s += b * x
         if c:
             s += c
-        return np.abs(s, out=s)
+        return np.abs(s, out=s) if signed else s
+    return sigma
 
+
+def _case(a: float, b: float, c: float, x0: float, T: float):
+    """(exact sampler, dual_payoff_flags, references) of qnv(a,b,c) at x0.
+
+    The one-coefficient cases are recip_bessel, the lognormal baseline and
+    stopped_bm on the clocks a^2 t, b^2 t and c^2 t; every other case has no
+    sampler, no reference and an unknown verdict."""
+    if a and not (b or c):
+        clock = a * a * T   # on it, 1/X is BM from 1/x0 killed at 0 under Qe
+        flags = {"self_quantoed": "nonintegrable"}
+        return _on_clock(bes3_reciprocal, a * a), flags, {
+            # the dual absorbed-BM survival gives E[X_T] = x0 * survival
+            "expected_x": lambda: x0 * _survival_bm(1.0 / x0, clock),
+            "dual_absorption_prob":
+                lambda: 1.0 - _survival_bm(1.0 / x0, clock),
+            # x0 E[1/Y_T] for the Brownian motion Y from 1/x0 killed at 0
+            "expected_x_squared": lambda: x0 * math.sqrt(2.0 / clock)
+                * _dawson(1.0 / (x0 * math.sqrt(2.0 * clock))),
+        }
+    if c and not (a or b):
+        clock = c * c * T   # on it, X is BM from x0 killed at 0 under Q$
+        return _on_clock(absorbed_bm, c * c), {}, {
+            "expected_x": lambda: x0,
+            "devaluation_prob": lambda: 1.0 - _survival_bm(x0, clock),
+            "dual_absorption_prob": lambda: 0.0,
+        }
+    if b and not (a or c):
+        vol = abs(b)
+        return _gbm(vol), {"self_quantoed": "integrable"}, {
+            "expected_x": lambda: x0,
+            "dual_absorption_prob": lambda: 0.0,
+            "call": lambda strike: _black_call(x0, vol, T, strike),
+        }
+    return None, {"self_quantoed": "unknown"}, {}
+
+
+def _quadratic(a: float, b: float, c: float, x0: float, T: float,
+               name: str) -> CatalogEntry:
+    """qnv(a,b,c) from x0 over T.  Its dual is qnv(c,b,a), since sigma_Y(y) =
+    y^2 sigma(1/y), so the dual sampler is the reversed case's."""
+    exact, flags, analytic = _case(a, b, c, x0, T)
     model = DiffusionModel(
-        name=f"qnv({a:g},{b:g},{c:g})",
-        sigma=sigma,
-        x0=x0,
-        horizon=horizon,
-        dual_payoff_flags={"self_quantoed": "unknown"},
-    )
-    return CatalogEntry(
-        model=model,
-        analytic={},
-        # the quadratic family is closed under the reciprocal-rate dual with
-        # reversed coefficients
-        dual_sigma_reference=lambda y, t: np.abs(
-            c * np.asarray(y, float) ** 2 + b * np.asarray(y, float) + a),
-    )
+        name=name, sigma=_quadratic_sigma(a, b, c), x0=x0, horizon=T,
+        dual_payoff_flags=flags, exact=exact,
+        dual_exact=_case(c, b, a, 1.0 / x0, T)[0])
+    return CatalogEntry(model, analytic)
+
+
+_QNV_RE = re.compile(r"qnv\(\s*([^,]+)\s*,\s*([^,]+)\s*,\s*([^)]+)\s*\)")
 
 
 def get_model(name: str, x0: float = 1.0, horizon: float = 1.0,
@@ -286,8 +252,9 @@ def get_model(name: str, x0: float = 1.0, horizon: float = 1.0,
     """Look up a catalog entry by name.
 
     Known names: recip_bessel, stopped_bm, singular_timechange,
-    exp_martingale_baseline, qnv(a,b,c).  `vol` applies to the lognormal
-    baseline only.
+    exp_martingale_baseline, qnv(a,b,c).  The first two and the lognormal
+    baseline are qnv(1,0,0), qnv(0,0,1) and qnv(0,vol,0) under their own
+    names; `vol` applies to the lognormal baseline only.
     """
     # nan fails too, and so does an int beyond float range: int-float
     # comparisons are exact.  The dual leg starts at 1 / x0.
@@ -295,22 +262,28 @@ def get_model(name: str, x0: float = 1.0, horizon: float = 1.0,
             and 1 / x0 <= sys.float_info.max):
         raise UnknownModel(
             "x0, horizon and vol must be positive and finite, and so must 1/x0")
-    if name == "recip_bessel":
-        return _recip_bessel(x0, horizon)
-    if name == "stopped_bm":
-        return _stopped_bm(x0, horizon)
     if name == "singular_timechange":
         return _singular_timechange(x0, horizon)
-    if name == "exp_martingale_baseline":
-        return _exp_martingale(x0, horizon, vol)
-    m = _QNV_RE.fullmatch(name.strip())
-    if m:
+    named = {"recip_bessel": (1.0, 0.0, 0.0), "stopped_bm": (0.0, 0.0, 1.0),
+             "exp_martingale_baseline": (0.0, float(vol), 0.0)}
+    if name in named:
+        coeffs = named[name]
+    else:
+        m = _QNV_RE.fullmatch(name.strip())
+        if not m:
+            raise UnknownModel(
+                f"unknown model {name!r}; known: {', '.join(MODEL_NAMES)}")
         try:
-            a, b, c = (float(g) for g in m.groups())
+            coeffs = tuple(float(g) for g in m.groups())
         except ValueError:
             raise UnknownModel(
                 f"qnv coefficients must be numbers: {name!r}") from None
-        if not all(map(math.isfinite, (a, b, c))):
+        if not all(map(math.isfinite, coeffs)):
             raise UnknownModel(f"qnv coefficients must be finite: {name!r}")
-        return _qnv(a, b, c, x0, horizon)
-    raise UnknownModel(f"unknown model {name!r}; known: {', '.join(MODEL_NAMES)}")
+        name = "qnv({:g},{:g},{:g})".format(*coeffs)
+    # each nonzero coefficient k runs a sampler clock k^2 T
+    if not all(0 < k * k * horizon <= sys.float_info.max for k in coeffs if k):
+        raise UnknownModel(
+            f"{name}: each nonzero coefficient k needs a positive finite "
+            f"clock k^2 * horizon")
+    return _quadratic(*coeffs, x0, horizon, name)

@@ -334,7 +334,8 @@ def _run_catalog(cfg: ExperimentConfig, out: Path) -> int:
     from .catalog import MODEL_NAMES, get_model
     for name in MODEL_NAMES:
         if name.startswith("qnv"):
-            print(f"{name}: quadratic diffusion family, euler scheme only")
+            print(f"{name}: quadratic diffusion family, exact samplers for "
+                  "(a,0,0), (0,b,0) and (0,0,c), euler scheme otherwise")
             continue
         entry = get_model(name, x0=cfg.x0, horizon=cfg.horizon, vol=cfg.vol)
         flags = dict(entry.model.dual_payoff_flags) or "all integrable"

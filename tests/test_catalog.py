@@ -103,17 +103,106 @@ def test_bessel_identity_quadrature_vs_exact_mc():
         <= 3 * est.stderr
 
 
-def test_dual_sigma_matches_hand_reference_on_grid():
+def test_dual_sigma_is_the_reversed_quadratic_on_grid():
+    """sigma_Y(y) = y^2 sigma(1/y): the dual of qnv(a,b,c) steps as
+    qnv(c,b,a), named or not, and the singular model's dual as
+    y^2 / sqrt(T - t), the one time-dependent coefficient."""
     ys = np.linspace(0.05, 4.0, 37)
-    for name in ("recip_bessel", "stopped_bm", "singular_timechange",
-                 "exp_martingale_baseline", "qnv(2,-1,3)"):
-        entry = get_model(name)
-        dual = derive_dual_model(entry.model)
+    cases = {"recip_bessel": (1, 0, 0), "stopped_bm": (0, 0, 1),
+             "exp_martingale_baseline": (0, 0.5, 0)}
+    cases.update({_spelled(c): c for c in (*cases.values(), (2, -1, 3),
+                                           (0.5, 2, 0.25))})
+    for name in (*cases, "singular_timechange"):
+        dual = derive_dual_model(get_model(name).model)
         for t in (0.0, 0.4, 0.9):
             got = np.asarray(dual.sigma(ys, t), dtype=float)
-            want = np.asarray(entry.dual_sigma_reference(ys, t), dtype=float)
+            if name in cases:
+                want = get_model(_spelled(cases[name][::-1])).model.sigma(ys, t)
+            else:
+                want = ys ** 2 / math.sqrt(1.0 - t)
             assert np.allclose(np.broadcast_to(got, ys.shape),
                                np.broadcast_to(want, ys.shape), rtol=1e-12), name
+
+
+def _spelled(coeffs):
+    return "qnv({},{},{})".format(*coeffs)
+
+
+def _same_batches(got, want):
+    for field in ("x", "hit_zero_time", "hit_infinity"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), \
+            field
+
+
+@pytest.mark.parametrize("x0", [0.25, 1.0, 4.0])
+@pytest.mark.parametrize("coeffs", [(1, 0, 0), (2, 0, 0), (0, 0, 1),
+                                    (0, 0, 0.5), (0, 0.5, 0)], ids=_spelled)
+def test_the_dual_of_qnv_is_the_reversed_qnv(coeffs, x0):
+    """The exact dual of qnv(a,b,c) at x0 samples as qnv(c,b,a) at 1/x0 bit
+    for bit (1/x0 is exact for a power of 2), and the pair's references
+    agree: X explodes as its mirror devalues and devalues as its mirror
+    explodes, and each mean is its spot times its survival mass."""
+    entry, mirror = get_model(_spelled(coeffs), x0=x0), \
+        get_model(_spelled(coeffs[::-1]), x0=1 / x0)
+    cfg = MCConfig(n=BLOCK + 3, seed=31, scheme="exact")
+    _same_batches(simulate(derive_dual_model(entry.model), cfg),
+                  simulate(mirror.model, cfg))
+
+    def ref(e, key):
+        return e.analytic[key]() if key in e.analytic else 0.0
+
+    explodes = ref(entry, "dual_absorption_prob")
+    devalues = ref(entry, "devaluation_prob")
+    pairs = [(explodes, ref(mirror, "devaluation_prob")),
+             (devalues, ref(mirror, "dual_absorption_prob")),
+             (ref(entry, "expected_x") / x0 + explodes, 1.0),
+             (ref(mirror, "expected_x") * x0 + devalues, 1.0)]
+    for got, want in pairs:
+        assert math.isclose(got, want, rel_tol=1e-15), (got, want)
+
+
+@pytest.mark.parametrize("negative,positive", [
+    ("qnv(-2,0,0)", "qnv(2,0,0)"), ("qnv(0,-0.5,0)", "qnv(0,0.5,0)"),
+    ("qnv(0,0,-0.5)", "qnv(0,0,0.5)")])
+def test_a_negative_coefficient_samples_as_its_positive_twin(negative,
+                                                             positive):
+    """sigma is |a x^2 + b x + c|, so a sign flip of the one coefficient
+    changes no batch and no reference."""
+    cfg = MCConfig(n=BLOCK + 3, seed=13, scheme="exact")
+    neg, pos = get_model(negative), get_model(positive)
+    for spec_neg, spec_pos in ((neg.model, pos.model),
+                               (derive_dual_model(neg.model),
+                                derive_dual_model(pos.model))):
+        _same_batches(simulate(spec_neg, cfg), simulate(spec_pos, cfg))
+    assert {k: f(1.0) if k == "call" else f()
+            for k, f in neg.analytic.items()} \
+        == {k: f(1.0) if k == "call" else f() for k, f in pos.analytic.items()}
+
+
+def test_exact_qnv_runs_on_its_clock():
+    """qnv(2,0,0) is recip_bessel on the clock 4t, where E[X_1] is 0.383
+    against recip_bessel's 0.683; qnv(0,0,0.5) is absorbed BM on the clock
+    t/4, whose hit times are read back on the model's clock."""
+    entry = get_model("qnv(2,0,0)")
+    b = simulate(entry.model, MCConfig(n=100_000, seed=8, scheme="exact"))
+    est = estimate_from_values(b.x, b.seed)
+    assert abs(est.mean - entry.analytic["expected_x"]()) <= 3 * est.stderr
+    b = simulate(get_model("qnv(0,0,0.5)").model,
+                 MCConfig(n=100_000, seed=9, scheme="exact"))
+    hit = np.nan_to_num(b.hit_zero_time, nan=np.inf)
+    for t in (0.25, 1.0):
+        want = 1.0 - catalog._survival_bm(1.0, 0.25 * t)
+        assert abs((hit <= t).mean() - want) \
+            <= 3 * math.sqrt(want * (1 - want) / len(b)), t
+
+
+@pytest.mark.parametrize("name", ["qnv(1e200,0,0)", "qnv(0,0,1e-200)",
+                                  "qnv(0,1e-170,1)"])
+def test_a_clock_out_of_float_range_is_refused(name):
+    """A nonzero coefficient k runs its sampler on the clock k^2 T, which
+    must be a positive finite float: 1e200^2 is inf and 1e-200^2 is 0."""
+    with pytest.raises(UnknownModel, match="clock"):
+        get_model(name)
 
 
 @pytest.mark.parametrize("x0", [0.25, 1.0, 4.0])
@@ -181,7 +270,9 @@ def test_flags():
     assert get_model("exp_martingale_baseline").model.dual_payoff_flags[
         "self_quantoed"] == "integrable"
     assert get_model("qnv(1,0,0)").model.dual_payoff_flags["self_quantoed"] \
-        == "unknown"
+        == "nonintegrable"
+    assert get_model("qnv(0.5,0.2,0.3)").model.dual_payoff_flags[
+        "self_quantoed"] == "unknown"
 
 
 def test_stopped_bm_is_martingale_with_devaluation():
@@ -202,6 +293,11 @@ def test_singular_model_analytics():
     assert np.all(b.hit_zero_time <= 1.0)
     dual = simulate(derive_dual_model(entry.model), MCConfig(n=50_000, seed=5))
     assert (dual.x == 0.0).all()     # Y hits zero: X explodes
+    # as the clock ln(T / (T - t)) runs out, at the horizon
+    assert (dual.hit_zero_time == 1.0).all()
+    late = get_model("singular_timechange", horizon=2.5).model
+    dual = simulate(derive_dual_model(late), MCConfig(n=100, seed=5))
+    assert (dual.hit_zero_time == 2.5).all()
 
 
 def test_horizon_and_spot_parameters():

@@ -47,7 +47,8 @@ def test_catalog_listing(capsys):
         "dual_exact=singular_dual_exact flags={'self_quantoed': 'nonintegrable'}",
         "exp_martingale_baseline: exact=gbm dual_exact=gbm "
         "flags={'self_quantoed': 'integrable'}",
-        "qnv(a,b,c): quadratic diffusion family, euler scheme only",
+        "qnv(a,b,c): quadratic diffusion family, exact samplers for "
+        "(a,0,0), (0,b,0) and (0,0,c), euler scheme otherwise",
     ]
 
 
@@ -61,6 +62,16 @@ def test_non_numeric_qnv_model_is_usage_error(tmp_path, capsys):
                  "--out-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "qnv(x,0,0)" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_qnv_clock_out_of_float_range_is_usage_error(tmp_path, capsys):
+    """qnv(1e200,0,0) would run its sampler to the horizon 1e400 = inf."""
+    assert main(["price", "--model", "qnv(1e200,0,0)", "--n", "100",
+                 "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "clock" in err
     assert "Traceback" not in err
     assert not list(tmp_path.iterdir())
 
@@ -266,12 +277,8 @@ def test_parity_and_defect_commands(tmp_path):
                  "--seed", "3", "--out-dir", str(tmp_path)]) == 0
 
 
-@pytest.mark.xfail(strict=True, reason="Euler devalues positive rates: "
-                   "ROADMAP items 2 and 3")
 def test_parity_on_qnv_at_the_defaults(tmp_path):
-    """qnv(1,0,0) has recip_bessel's sigma = x^2, on which parity holds.
-    Its only scheme, Euler, devalues paths that cannot reach 0: at the
-    defaults the residual reads -0.0915 (se 0.0026) and the command exits 2."""
+    """qnv(1,0,0) is recip_bessel, on which parity holds under `auto`."""
     assert main(["parity", "--model", "qnv(1,0,0)",
                  "--out-dir", str(tmp_path)]) == 0
 
@@ -481,7 +488,8 @@ def test_config_validation_rejects_non_finite_strikes():
 @pytest.mark.parametrize("bad", [
     {"x0": 10**400}, {"horizon": 10**400}, {"vol": 10**400},
     {"x0": 5e-324, "model": "qnv(1,0,0)"},      # the dual leg starts at inf
-    {"horizon": 5e-324, "model": "qnv(1,0,0)", "steps": 4},  # step is 0.0
+    {"horizon": 5e-324, "model": "qnv(1,0,0)", "steps": 4,
+     "scheme": "euler_absorbed"},                # the Euler step is 0.0
     {"steps": 10**12}])     # n * steps is beyond MAX_PATH_STEPS
 def test_model_parameter_out_of_float_range_exits_1(bad, tmp_path, capsys):
     path = tmp_path / "cfg.json"

@@ -220,7 +220,7 @@ def test_numerical_blowup_is_reported():
 
 
 def test_exact_scheme_requires_declaration():
-    model = get_model("qnv(1,0,0)").model
+    model = get_model("qnv(0.5,0.2,0.3)").model
     with pytest.raises(SchemeUnsupported):
         simulate(model, MCConfig(n=10, scheme="exact"))
     with pytest.raises(SchemeUnsupported):

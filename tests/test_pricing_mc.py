@@ -77,7 +77,7 @@ def test_self_quantoed_analytic_infinity():
 
 
 def test_unknown_flag_propagates_infinite_contribution():
-    model = get_model("qnv(1,0,0)").model   # same dynamics, no verdict
+    model = get_model("qnv(0.5,0.2,0.3)").model   # explodes, no verdict
     with pytest.raises(InfiniteContribution):
         price(model, make_claim("self_quantoed", 1.0),
               MCConfig(n=20_000, steps=32, seed=1))

@@ -232,6 +232,8 @@ def _run_defect(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _lattice_report(tree: ltree.DualTree, strikes: list[float]) -> dict:
+    # first, so that an empty strike list is refused before any check runs
+    parity_rows = lpricing.parity_and_equivalence_report(tree, strikes)
     residuals: list[dict] = []
     for t in range(tree.periods + 1):
         rule = ltree.period_rule(tree, t)
@@ -268,7 +270,6 @@ def _lattice_report(tree: ltree.DualTree, strikes: list[float]) -> dict:
         residuals.append({"check": "superreplication", "claim": name,
                           "residual": sr_price - p.total_dollar})
         prices[name] = p
-    parity_rows = lpricing.parity_and_equivalence_report(tree, strikes)
     for r in parity_rows:
         residuals.extend([
             {"check": "parity", "strike": r.strike,

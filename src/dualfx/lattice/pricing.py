@@ -20,7 +20,9 @@ or more supported branches the hedging cost can be strictly larger, which
 
 Both routes work in ints and form one Fraction per value returned: the
 formula and the parity report sum leaf-ordered values in `_formula_sums`,
-and the hedge solves each node in ints on (numerator, denominator) pairs.
+on payoff tables whose strikes are scaled by integer products, and the hedge
+solves each node in ints on (numerator, denominator) pairs.  A strategy's
+holdings are formed from the nodes' integer lines on first read.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
-from ..errors import ClaimError, InfeasibleError, InfinitePrice
+from ..errors import ClaimError, ConfigError, InfeasibleError, InfinitePrice
 from ..inputs import PAYOFFS, Payoff, payoff_row
 from .checks import _check_value
 from .tree import DualTree, _ratio, _rational
@@ -73,11 +76,15 @@ def validate_claim(tree: DualTree, claim: TreeClaim) -> None:
 def _table_values(tree: DualTree, row: Payoff, k) -> tuple[list, int]:
     """An `inputs.PAYOFFS` row at a strike k = p/q from the terminal law
     alone, in `tree.leaves` order: the dollar leg at a rate n/Dx, or the euro
-    value at an explosion, as ints over (Dx*q)**2 (None if infinite)."""
+    value at an explosion, as ints over (Dx*q)**2 (None if infinite).  The
+    scaled strike k*Dx*q is the integer product p*Dx, and the euro value e
+    at an explosion (an int, or k itself) scales by integer products too."""
     q = 1 if k is None else k.denominator
-    u = tree.denominators[2] * q
-    dollar, ku, euro = row.dollar, k and int(k * u), row.euro_at_explosion(k)
-    euro = None if euro == math.inf else int(euro * u * u)
+    d_x = tree.denominators[2]
+    u, dollar, ku = d_x * q, row.dollar, k and k.numerator * d_x
+    euro = row.euro_at_explosion(k)
+    euro = (None if euro == math.inf
+            else euro.numerator * (u // euro.denominator) * u)
     return [euro if (x := tree.numerators[nid][2]) is None
             else dollar(x * q, ku, u) for nid in tree.leaves], u * u
 
@@ -171,11 +178,21 @@ class TreeStrategy:
     """Holdings (money-market units, euro units) per interior finite node and
     the wealth they generate at every supported node, in the unit of the
     measure that sees the node: euros where X = inf, dollars elsewhere (the
-    unit of `TreeClaim.payoffs`)."""
+    unit of `TreeClaim.payoffs`).  `holdings` is formed on first read from
+    the integer lines of the hedging program, as `DualTree.prob_dollar` is
+    from the tree's numerators; `wealth` is formed with the strategy."""
 
     price: Fraction
-    holdings: dict[str, tuple[Fraction, Fraction]] = field(default_factory=dict)
     wealth: dict[str, Fraction] = field(default_factory=dict)
+    # per interior node the line (m, p, d0, d1): e0 = m/d0 and e1 = p/d1
+    _lines: dict[str, tuple[int, int, int, int]] = field(
+        default_factory=dict, repr=False)
+
+    @cached_property
+    def holdings(self) -> dict[str, tuple[Fraction, Fraction]]:
+        """(e0, e1) per interior finite node, one Fraction pair each."""
+        return {nid: (_ratio(m, d0), _ratio(p, d1))
+                for nid, (m, p, d0, d1) in self._lines.items()}
 
 
 def _cheapest_line(pts: list[tuple[int, int]], fl: list[int], p: int,
@@ -323,9 +340,7 @@ def superreplicate_backward(tree: DualTree, claim: TreeClaim
                 f"negative wealth at supported node {node.id!r}")
         wealth[node.id] = _ratio(n, d)
         held[node.id] = lines.get(node.id, held[node.parent])
-    holdings = {nid: (_ratio(m, d0), _ratio(p, d1))
-                for nid, (m, p, d0, d1) in lines.items()}
-    return price, TreeStrategy(price, holdings, wealth)
+    return price, TreeStrategy(price, wealth, lines)
 
 
 def verify_strategy(tree: DualTree, claim: TreeClaim, strategy: TreeStrategy,
@@ -377,17 +392,22 @@ def parity_and_equivalence_report(tree: DualTree,
                                   strikes) -> list[ParityRow]:
     """One row per strike, each read exactly by `tree._rational` through
     `inputs.payoff_row`, whose ConfigError refuses a strike that is not a
-    positive rational (a bool, None, nan, inf).
+    positive rational (a bool, None, nan, inf); an empty list raises
+    ConfigError, since a report of no strike checks nothing.
     The four table rows of a strike, ints by construction, are summed by
     `_formula_sums`; each field is one Fraction of their integer parts."""
+    if not strikes:
+        raise ConfigError("the lattice parity report needs at least one "
+                          "strike")
     exploded = sum(tree.numerators[nid][1] for nid in tree.leaves
                    if tree.numerators[nid][2] is None)
-    mass = tree.x0 * Fraction(exploded, tree.denominators[1])
     x0 = (tree.x0.numerator, tree.x0.denominator)
+    mass = _ratio(x0[0] * exploded, x0[1] * tree.denominators[1])
     rows = []
     for strike in strikes:
         k = payoff_row("call", strike, _rational)[1]
-        kn, kd, inv = k.numerator, k.denominator, 1 / k
+        kn, kd = k.numerator, k.denominator
+        inv = Fraction(kd, kn)
         (cc, _, c, *_), (pc, _, p, *_), (_, _, dc, *_), (_, _, dp, *_) = (
             _formula_sums(tree, *_table_values(tree, PAYOFFS[kind], s))
             for kind, s in (("call", k), ("put", k), ("dollar_call", inv),

@@ -159,11 +159,14 @@ def _shown(v) -> str:
 
 
 def _rational(v) -> Fraction:
-    """A document number, exactly: a str as Fraction reads it (plain ASCII
-    "n" or "p/q" by int()), an int, or a float by its shortest str (0.1 is
-    1/10, not its binary value); a bool raises TypeError.  A str whose
-    decimal exponent is past `sys.get_int_max_str_digits()` (no bound at 0)
-    raises ValueError before Fraction forms 10**exponent in full."""
+    """A document number, exactly: a Fraction as it is, a str as Fraction
+    reads it (plain ASCII "n" or "p/q" by int()), an int, or a float by its
+    shortest str (0.1 is 1/10, not its binary value); a bool raises
+    TypeError.  A str whose decimal exponent is past
+    `sys.get_int_max_str_digits()` (no bound at 0) raises ValueError before
+    Fraction forms 10**exponent in full."""
+    if type(v) is Fraction:
+        return v
     if type(v) is str:
         if v.isascii():
             n, slash, d = v.partition("/")

@@ -11,8 +11,8 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-METRICS = [{"name": "ops_per_s", "better": "higher"},
-           {"name": "op_p90_ms", "better": "lower"}]
+METRICS = [{"name": "ops_per_s", "better": "higher", "bound": 0.25},
+           {"name": "op_p90_ms", "better": "lower", "bound": 0.25}]
 
 
 def _pairs(base_ops, new_ops, base_p90, new_p90):
@@ -47,8 +47,41 @@ def test_a_gain_counts_beyond_the_base_iqr_only_when_wider():
         _pairs(base, [109] * 5, [1] * 5, [1] * 5), METRICS, "ops_per_s")
     narrow = bench_pairs.summarize(
         _pairs(base, [108] * 5, [1] * 5, [1] * 5), METRICS, "ops_per_s")
+    worse = bench_pairs.summarize(
+        _pairs(base, [91] * 5, [1] * 5, [1] * 5), METRICS, "ops_per_s")
     assert wide["ops_per_s"]["beyond_iqr"]
     assert not narrow["ops_per_s"]["beyond_iqr"]
+    # a loss wider than the base's quartile distance is no gain
+    assert not worse["ops_per_s"]["beyond_iqr"]
+    assert "beyond base IQR: no" in bench_pairs.report(worse, 5)
+    # nor on a metric that is better lower: only a fall counts
+    p90_base = [4, 4.2, 3.8, 4.4, 3.6]  # q1 3.8, median 4, q3 4.2: IQR 0.4
+    fall, rise = (bench_pairs.summarize(
+        _pairs([1] * 5, [1] * 5, p90_base, [v] * 5), METRICS,
+        "op_p90_ms")["op_p90_ms"]["beyond_iqr"] for v in (3.5, 4.5))
+    assert fall and not rise
+
+
+def test_a_median_worse_than_its_bound_is_flagged_in_either_direction():
+    """ops_per_s is better higher and op_p90_ms better lower, both bound by
+    25%: a 30% fall of ops and a 30% rise of p90 are flagged, a 20% move
+    either way or any gain is not, and a zero base median gives no verdict."""
+    got = bench_pairs.summarize(
+        _pairs([100] * 3, [70] * 3, [4] * 3, [5.2] * 3), METRICS)
+    assert got["ops_per_s"]["regressed"] and got["op_p90_ms"]["regressed"]
+    lines = bench_pairs.report(got, 3).splitlines()
+    assert all("worse than bound: yes" in line for line in lines)
+    within = bench_pairs.summarize(
+        _pairs([100] * 3, [80] * 3, [4] * 3, [4.8] * 3), METRICS)
+    gains = bench_pairs.summarize(
+        _pairs([100] * 3, [200] * 3, [4] * 3, [1] * 3), METRICS)
+    for got in (within, gains):
+        assert not got["ops_per_s"]["regressed"]
+        assert not got["op_p90_ms"]["regressed"]
+        assert "worse than bound: no" in bench_pairs.report(got, 3)
+    zero = bench_pairs.summarize(_pairs([0], [5], [2], [2]), METRICS)
+    assert zero["ops_per_s"]["regressed"] is None
+    assert "worse than bound: n/a" in bench_pairs.report(zero, 1)
 
 
 def test_one_pair_and_a_zero_base_median_are_summarized():

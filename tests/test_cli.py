@@ -445,6 +445,27 @@ def test_empty_strike_list_is_refused_before_simulating(
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("how", ["option", "config"])
+def test_lattice_verify_refuses_an_empty_strike_list(how, example_tree_path,
+                                                     tmp_path, capsys):
+    """Without a strike the parity, intl, classical-violation and call/put
+    checks would be dropped, so no report is written."""
+    out = tmp_path / "out"
+    if how == "option":
+        argv = ["lattice-verify", "--tree", str(example_tree_path),
+                "--strikes", "", "--out-dir", str(out)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "command": "lattice-verify", "tree": str(example_tree_path),
+            "strikes": [], "out_dir": str(out)}))
+        argv = ["run", str(cfg)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "needs at least one strike" in err
+    assert not list(out.glob("*"))
+
+
 def test_empty_level_list_is_refused_before_simulating(tmp_path, capsys,
                                                       monkeypatch):
     """A study of no level compares nothing, so it is no passing gate."""

@@ -12,9 +12,11 @@ its own `bench/` on its own `src/`.  It then prints, for every end-to-end
 metric of the new checkout's BENCHMARK.json, both sides' medians and
 quartiles, the relative change of the medians, and the median and quartiles
 of the per-pair relative changes (new/base - 1), which a drift shared by
-both sides of each pair leaves alone; for the claimed metric, how many pairs
-the new checkout won (ties count for neither side) and whether the change of
-the medians exceeds the base's quartile distance.
+both sides of each pair leaves alone; whether the new median is worse than
+the base median by more than the metric's `bound` (a relative change, the
+bound a change must keep within); and, for the claimed metric, how many pairs
+the new checkout won (ties count for neither side) and whether the medians
+moved in the better direction by more than the base's quartile distance.
 Standard library only.
 """
 
@@ -43,28 +45,33 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict],
               claim: str | None = None) -> dict:
     """Per metric, from (base, new) readings {name: value} of each pair:
     both sides' (q1, median, q3), the relative change of the medians (None
-    where the base median is 0) and `paired`, the (q1, median, q3) of the
+    where the base median is 0), `paired`, the (q1, median, q3) of the
     per-pair relative changes over the pairs whose base reading is not 0
-    (None if there is none).  The claimed metric also gets its
+    (None if there is none), and `regressed`, whether the change of the
+    medians is worse by the metric's `better` ("higher" or "lower") than its
+    `bound` (None where the change is).  The claimed metric also gets its
     wins, losses and ties: pairs where the new reading is better, worse or
-    equal by the metric's `better` ("higher" or "lower"), and `beyond_iqr`,
-    whether the medians differ by more than the base's q3 - q1."""
+    equal, and `beyond_iqr`, whether the new median is better than the base
+    median by more than the base's q3 - q1."""
     out = {}
     for m in metrics:
         name = m["name"]
+        sign = 1 if m["better"] == "higher" else -1
         base = quartiles([b[name] for b, _ in pairs])
         new = quartiles([n[name] for _, n in pairs])
         ratios = [n[name] / b[name] - 1 for b, n in pairs if b[name]]
-        row = {"base": base, "new": new,
-               "change": new[1] / base[1] - 1 if base[1] else None,
-               "paired": quartiles(ratios) if ratios else None}
+        change = new[1] / base[1] - 1 if base[1] else None
+        row = {"base": base, "new": new, "change": change,
+               "paired": quartiles(ratios) if ratios else None,
+               "regressed": (None if change is None
+                             else -sign * change > m["bound"])}
         if name == claim:
-            sign = 1 if m["better"] == "higher" else -1
             diffs = [sign * (n[name] - b[name]) for b, n in pairs]
             row.update(wins=sum(d > 0 for d in diffs),
                        losses=sum(d < 0 for d in diffs),
                        ties=sum(d == 0 for d in diffs),
-                       beyond_iqr=abs(new[1] - base[1]) > base[2] - base[0])
+                       beyond_iqr=sign * (new[1] - base[1])
+                       > base[2] - base[0])
         out[name] = row
     return out
 
@@ -77,9 +84,10 @@ def report(summary: dict, pairs: int) -> str:
         change = "n/a" if row["change"] is None else f"{row['change']:+.1%}"
         paired = ("n/a" if row["paired"] is None else
                   "{1:+.1%} [{0:+.1%}, {2:+.1%}]".format(*row["paired"]))
+        regressed = {None: "n/a", True: "yes", False: "no"}[row["regressed"]]
         line = (f"{name:12s} base {b2:.4g} [{b1:.4g}, {b3:.4g}]  "
                 f"new {n2:.4g} [{n1:.4g}, {n3:.4g}]  {change}  "
-                f"per pair {paired}")
+                f"per pair {paired}  worse than bound: {regressed}")
         if "wins" in row:
             line += (f"  wins {row['wins']}/{pairs} (losses {row['losses']},"
                      f" ties {row['ties']}), beyond base IQR: "

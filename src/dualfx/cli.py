@@ -128,20 +128,16 @@ def _plain(obj):
 
 
 def _write_json(path: Path, payload) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(_plain(payload), fh, indent=2)
         fh.write("\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows([header, *rows])
-
-
-def _out_dir(cfg: ExperimentConfig) -> Path:
-    p = Path(cfg.out_dir or os.environ.get(ENV_OUT_DIR, "."))
-    p.mkdir(parents=True, exist_ok=True)
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +343,9 @@ def _run_catalog(cfg: ExperimentConfig, out: Path) -> int:
 
 def run(cfg: ExperimentConfig) -> int:
     """Execute a validated experiment; returns the process exit code."""
-    return _COMMANDS[cfg.command][0](cfg, _out_dir(cfg))
+    # made by the first artifact written, so a run writing none makes none
+    out = Path(cfg.out_dir or os.environ.get(ENV_OUT_DIR, "."))
+    return _COMMANDS[cfg.command][0](cfg, out)
 
 
 # ---------------------------------------------------------------------------

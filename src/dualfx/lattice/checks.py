@@ -61,7 +61,7 @@ def verify_numeraire_identity(tree: DualTree, event: Iterable[str],
             lhs += pe
             rhs += pd * x
     d_pd, d_pe, d_x, _ = tree.denominators
-    x0n, x0d = tree.x0.numerator, tree.x0.denominator
+    x0n, x0d = tree.x0.as_integer_ratio()
     return _ratio(lhs * d_pd * d_x * x0n - rhs * d_pe * x0d,
                   d_pe * d_pd * d_x * x0n)
 

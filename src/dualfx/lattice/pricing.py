@@ -18,16 +18,17 @@ assumes) the program is tight and the two routes agree exactly; with three
 or more supported branches the hedging cost can be strictly larger, which
 `test_lattice_pricing` pins down with a counterexample.
 
-Both routes work in ints and form one Fraction per value returned: the
-formula and the parity report sum leaf-ordered values in `_formula_sums`,
-on payoff tables whose strikes are scaled by integer products, and the hedge
-solves each node in ints on (numerator, denominator) pairs.  A strategy's
-holdings are formed from the nodes' integer lines on first read.
+Both routes work in ints and form one Fraction per value returned:
+`_formula_sums` sums integer payoff tables, all of a parity report's in one
+pass over the leaves, with strikes scaled by integer products, and the hedge
+solves each node on (numerator, denominator) pairs from the two hull chords
+next to its state.  A strategy's holdings form from its integer lines on read.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -120,53 +121,59 @@ class TreeDualPrice:
     euro_correction: Fraction
 
 
-def _formula_sums(tree: DualTree, values: list, denominator: int) -> tuple:
-    """The formula's integer core on checked leaf values in `tree.leaves`
-    order over `denominator`: summed over their common denominator Dv times
-    the leaf numerators, zero values skipped.  Returns the six parts of
+def _formula_sums(tree: DualTree, tables: list[tuple[list, int]]) -> list:
+    """The formula's integer core, one pass over `tree.leaves` for all the
+    tables: each a list of leaf values in that order, ints >= 0 or None, over
+    a denominator, zero values skipped.  Returns per table the six parts of
     `TreeDualPrice` as (numerator, denominator) pairs."""
-    d_v = math.lcm(*[v.denominator for v in values if v])
-    classical = devalued = euro_finite = exploded = 0
-    for nid, v in zip(tree.leaves, values):
+    # per table the classical, devalued, euro-finite and exploded sums
+    sums = [[0] * len(tables) for _ in range(4)]
+    classical, devalued, euro_finite, exploded = sums
+    for nid, vs in zip(tree.leaves, zip(*[values for values, _ in tables])):
         pd, pe, x, inv = tree.numerators[nid]
-        if v is None:
-            # pd > 0 only at finite and zero rates, pe > 0 only at finite
-            # and infinite ones: the dollar error wins where both see v
-            if pd or pe:
-                raise InfinitePrice(f"{'dollar' if pd else 'euro'} payoff "
-                                    f"infinite on supported leaf {nid!r}")
-            continue
-        if not v:
-            continue
-        v = v.numerator * (d_v // v.denominator)
-        if x is None:
-            exploded += pe * v
-            continue
-        classical += pd * v
-        if x:
-            euro_finite += pe * v * inv
-        else:
-            devalued += pd * v
-    d_v *= denominator
+        for i, v in enumerate(vs):
+            if not v:
+                # pd > 0 only at finite and zero rates, pe > 0 only at finite
+                # and infinite ones: the dollar error wins where both see v
+                if v is None and (pd or pe):
+                    raise InfinitePrice(f"{'dollar' if pd else 'euro'} payoff "
+                                        f"infinite on supported leaf {nid!r}")
+            elif x is None:
+                exploded[i] += pe * v
+            else:
+                classical[i] += pd * v
+                if x:
+                    euro_finite[i] += pe * v * inv
+                else:
+                    devalued[i] += pd * v
     d_pd, d_pe, _, d_inv = tree.denominators
-    x0n, x0d = tree.x0.numerator, tree.x0.denominator
-    total = classical * x0d * d_pe + exploded * x0n * d_pd
-    euro_classical = euro_finite + exploded * d_inv
-    assert total * d_inv == (euro_classical * d_pd * x0n
-                             + devalued * x0d * d_pe * d_inv), \
-        "euro-side decomposition disagrees; tree invariants must be broken"
-    return ((classical, d_pd * d_v), (exploded * x0n, d_pe * d_v * x0d),
+    x0n, x0d = tree.x0.as_integer_ratio()
+    parts = []
+    for classical, devalued, euro_finite, exploded, (_, d_v) in zip(*sums,
+                                                                    tables):
+        total = classical * x0d * d_pe + exploded * x0n * d_pd
+        euro_classical = euro_finite + exploded * d_inv
+        assert total * d_inv == (euro_classical * d_pd * x0n
+                                 + devalued * x0d * d_pe * d_inv), \
+            "euro-side decomposition disagrees; tree invariants must be broken"
+        parts.append((
+            (classical, d_pd * d_v), (exploded * x0n, d_pe * d_v * x0d),
             (total, d_pd * d_pe * d_v * x0d), (total, d_pd * d_pe * d_v * x0n),
             (euro_classical, d_pe * d_v * d_inv),
-            (devalued * x0d, d_pd * d_v * x0n))
+            (devalued * x0d, d_pd * d_v * x0n)))
+    return parts
 
 
 def price_on_tree(tree: DualTree, claim: TreeClaim) -> TreeDualPrice:
-    """The exact two-measure price of a claim, validated once and summed over
-    the leaves in integers by `_formula_sums`, one Fraction per part."""
+    """The exact two-measure price of a claim, validated once, put over its
+    payoffs' common denominator Dv and summed over the leaves in integers by
+    `_formula_sums`, one Fraction per part."""
     validate_claim(tree, claim)
-    return TreeDualPrice(*(_ratio(*part) for part in _formula_sums(
-        tree, [claim.payoffs[nid] for nid in tree.leaves], claim.denominator)))
+    values = [claim.payoffs[nid] for nid in tree.leaves]
+    d_v = math.lcm(*[v.denominator for v in values if v])
+    values = [v and v.numerator * (d_v // v.denominator) for v in values]
+    (parts,) = _formula_sums(tree, [(values, d_v * claim.denominator)])
+    return TreeDualPrice(*(_ratio(*part) for part in parts))
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +206,17 @@ def _cheapest_line(pts: list[tuple[int, int]], fl: list[int], p: int,
                    q: int) -> tuple[int, int]:
     """e0*q of the cheapest line of slope p/q on or above the points (y, r),
     and the constraints it binds: the points on it, and the floors equal to
-    p/q, each counted as often as it is repeated."""
-    e = [r * q - p * y for y, r in pts]
-    m = max(e)
-    return m, e.count(m) + sum(f * q == p for f in fl)
+    p/q, each counted as often as it is repeated.  One pass over the points."""
+    m, n = None, 0
+    for y, r in pts:
+        e = r * q - p * y
+        if m is None or e > m:
+            m, n = e, 1
+        elif e == m:
+            n += 1
+    for f in fl:
+        n += f * q == p
+    return m, n
 
 
 def _solve_hull_lp(points: list[tuple[int, tuple[int, int]]],
@@ -218,17 +232,18 @@ def _solve_hull_lp(points: list[tuple[int, tuple[int, int]]],
     point is a finite or devalued child (state, required dollars), a floor
     the required euros at an exploded child.  By the one-period duality its
     cost is the upper concave envelope of the points at x (Foellmer & Schied,
-    *Stochastic Finance*).  The upper hull is built by monotone chain with
-    integer cross products over the points' common denominators, the optimal
-    slopes [lo, hi] at x are read off the hull neighbours of x as integer
-    pairs, and lo is raised to the largest floor.
+    *Stochastic Finance*).  One monotone-chain walk over the sorted points
+    builds the upper hull in integer cross products, keeping each state's
+    highest requirement; the optimal slopes [lo, hi] at x are the two hull
+    chords next to x, as integer pairs, and lo is raised to the largest floor.
 
     Ties: the slope is lo if lo >= hi, else the finite end binding more
-    constraints (repeats counted), and hi, with the smaller e0, on a tie.  A
-    slope strictly inside binds only the points at x, so this is the rule of
-    minimal (cost, slack constraints, e0, e1) over the program's vertices;
-    it makes the strategy replicate, not merely dominate, whenever it can.
-    With neither end finite every child sits at x and the slope is cost/x.
+    constraints (repeats counted), and hi, with the smaller e0, on a tie,
+    each end's line formed once.  A slope strictly inside binds only the
+    points at x, so this is the rule of minimal (cost, slack constraints, e0,
+    e1) over the program's vertices; it makes the strategy replicate, not
+    merely dominate, whenever it can.  With neither end finite every child
+    sits at x and the slope is cost/x.
 
     Boundedness: the program is bounded iff some point lies at or below x and
     some point lies at or above x or a floor exists; otherwise it raises
@@ -237,13 +252,15 @@ def _solve_hull_lp(points: list[tuple[int, tuple[int, int]]],
     x * (1 - explosion mass) <= x, so a point lies at or below x, and with no
     explosion mass the mean is x, so a point lies at or above x.
     """
-    d_r = math.lcm(*[d for _, (_, d) in points], *[d for _, d in floors])
     # states over d_x, requirements over d_r d_x and floors over d_r: a
     # slope t read in these units is the slope t / d_r
-    pts = [(y, n * (d_r // d) * d_x) for y, (n, d) in points]
-    fl = [n * (d_r // d) for n, d in floors]
+    d_r = math.lcm(*[d for _, (_, d) in points], *[d for _, d in floors])
+    fl, u = [n * (d_r // d) for n, d in floors], d_r * d_x
+    pts = sorted([(y, n * (u // d)) for y, (n, d) in points])
     hull: list[tuple[int, int]] = []
-    for y, r in dict(sorted(pts)).items():    # the highest r per state y
+    for y, r in pts:
+        if hull and hull[-1][0] == y:   # sorted: the last r at y is highest
+            hull.pop()
         # keep the last hull point only if it lies strictly above the chord
         # from the point before it to (y, r)
         while len(hull) >= 2:
@@ -253,8 +270,8 @@ def _solve_hull_lp(points: list[tuple[int, tuple[int, int]]],
             hull.pop()
         hull.append((y, r))
     s = max(fl) if fl else None
-    k = next((i for i, (y, _) in enumerate(hull) if y >= x), None)
-    if not hull or hull[0][0] > x or (k is None and s is None):
+    k = bisect_left(hull, (x,))     # the first hull point at or above x
+    if not hull or hull[0][0] > x or (k == len(hull) and s is None):
         raise InfeasibleError(
             f"unbounded hedging program at x = {Fraction(x, d_x)}: no "
             "supported branch at or below x, or none at or above x and none "
@@ -262,23 +279,24 @@ def _solve_hull_lp(points: list[tuple[int, tuple[int, int]]],
     # slopes as pairs (p, q), q > 0, for p/q; lo None is -inf, hi None +inf.
     # hi is the chord into hull[k], lo the chord out of x: one chord when x
     # lies inside it
-    chords = [(r2 - r1, y2 - y1) for (y1, r1), (y2, r2) in zip(hull, hull[1:])]
-    if k is None:       # every state below x: only the floors bound the slope
+    if k == len(hull):  # every state below x: only the floors bound the slope
         lo = hi = (s, 1)
     else:
         j = k + (hull[k][0] == x)
-        hi = chords[k - 1] if k else None
-        lo = chords[j - 1] if j < len(hull) else None
+        hi = ((hull[k][1] - hull[k - 1][1], hull[k][0] - hull[k - 1][0])
+              if k else None)
+        lo = ((hull[j][1] - hull[j - 1][1], hull[j][0] - hull[j - 1][0])
+              if j < len(hull) else None)
     if s is not None and (lo is None or s * lo[1] > lo[0]):
         lo = (s, 1)
-    if lo is None or hi is None:    # the finite end, or with none cost/x
-        t = lo or hi or (hull[k][1], x)
-    elif lo[0] * hi[1] >= hi[0] * lo[1]:
-        t = lo
-    else:   # the end binding more constraints; max keeps hi on a tie
-        t = max(hi, lo, key=lambda t: _cheapest_line(pts, fl, *t)[1])
-    (p, q), (m, _) = t, _cheapest_line(pts, fl, *t)
-    return m, p, q * d_r * d_x, q * d_r, m + p * x
+    t = lo or hi or (hull[k][1], x)     # the finite end, or with none cost/x
+    m, n = _cheapest_line(pts, fl, *t)
+    if lo and hi and lo[0] * hi[1] < hi[0] * lo[1]:   # lo < hi: see Ties
+        m_hi, n_hi = _cheapest_line(pts, fl, *hi)
+        if n_hi >= n:
+            t, m = hi, m_hi
+    p, q = t
+    return m, p, q * u, q * d_r, m + p * x
 
 
 def superreplicate_backward(tree: DualTree, claim: TreeClaim
@@ -393,31 +411,31 @@ def parity_and_equivalence_report(tree: DualTree,
     """One row per strike, each read exactly by `tree._rational` through
     `inputs.payoff_row`, whose ConfigError refuses a strike that is not a
     positive rational (a bool, None, nan, inf); an empty list raises
-    ConfigError, since a report of no strike checks nothing.
-    The four table rows of a strike, ints by construction, are summed by
-    `_formula_sums`; each field is one Fraction of their integer parts."""
+    ConfigError, since a report of no strike checks nothing.  The four
+    table rows of every strike, ints by construction, are summed in one
+    `_formula_sums` pass; each field is one Fraction of their integer parts."""
     if not strikes:
         raise ConfigError("the lattice parity report needs at least one "
                           "strike")
-    exploded = sum(tree.numerators[nid][1] for nid in tree.leaves
-                   if tree.numerators[nid][2] is None)
-    x0 = (tree.x0.numerator, tree.x0.denominator)
-    mass = _ratio(x0[0] * exploded, x0[1] * tree.denominators[1])
+    ks = [payoff_row("call", strike, _rational)[1] for strike in strikes]
+    parts = iter(_formula_sums(tree, [
+        _table_values(tree, PAYOFFS[kind], s)
+        for k in ks for inv in [Fraction(k.denominator, k.numerator)]
+        for kind, s in (("call", k), ("put", k), ("dollar_call", inv),
+                        ("dollar_put", inv))]))
+    x0 = tree.x0.as_integer_ratio()
     rows = []
-    for strike in strikes:
-        k = payoff_row("call", strike, _rational)[1]
+    for k in ks:
         kn, kd = k.numerator, k.denominator
-        inv = Fraction(kd, kn)
-        (cc, _, c, *_), (pc, _, p, *_), (_, _, dc, *_), (_, _, dp, *_) = (
-            _formula_sums(tree, *_table_values(tree, PAYOFFS[kind], s))
-            for kind, s in (("call", k), ("put", k), ("dollar_call", inv),
-                            ("dollar_put", inv)))
-        # x0 K pe(D) = K p$(D): the euro-side assertion of `_formula_sums`
+        (cc, ce, c, *_), (pc, _, p, *_), (_, _, dc, *_), (_, _, dp, *_) = (
+            next(parts) for _ in range(4))
+        # x0 K pe(D) = K p$(D): the euro-side assertion of `_formula_sums`;
+        # the call's correction ce is the explosion mass x0 Qe(X_T = inf)
         rows.append(ParityRow(
             strike=k, call_price=_ratio(*c), put_price=_ratio(*p),
             parity_residual=_one_fraction([c, (kn, kd)], [p, x0]),
             intl_call_residual=_one_fraction([c], [(kn * dp[0], kd * dp[1])]),
             intl_put_residual=_one_fraction([p], [(kn * dc[0], kd * dc[1])]),
             classical_violation=_one_fraction([cc, (kn, kd)], [pc, x0]),
-            explosion_mass=mass))
+            explosion_mass=_ratio(*ce)))
     return rows

@@ -251,6 +251,7 @@ def build_dual_tree(doc: Mapping) -> DualTree:
         if not (root_x.is_finite and root_x.fraction == x0):
             raise StructureError(f"node {root_id!r}: root state {_shown(root_x)}"
                                  f" disagrees with x0 = {_shown(x0)}")
+        states = {root_id: root_x.value.as_integer_ratio()}  # None at inf
         # pre-order: each popped node is made once, with its final branches,
         # and its children are pushed reversed so they are made in branch order
         stack: list[tuple[str, int, str | None, ExtendedValue]] = [
@@ -261,7 +262,8 @@ def build_dual_tree(doc: Mapping) -> DualTree:
                 raise StructureError(
                     f"node {nid!r} reached twice; specs must be trees")
             declared = by_id[nid].get("branches") or []
-            if not x.is_finite:
+            state = states[nid]
+            if state is None or not state[0]:
                 if declared:
                     raise StructureError(f"node {nid!r} is absorbing ({x}); "
                                          "it must not declare branches")
@@ -278,7 +280,7 @@ def build_dual_tree(doc: Mapping) -> DualTree:
                         raise StructureError(f"absorption id collision at {cid!r}")
                     nodes[prev] = TreeNode(prev, k - 1, x,
                                            (Branch(cid, ONE, ONE),), parent)
-                    masses[cid] = masses[nid]
+                    masses[cid], states[cid] = masses[nid], state
                     prev, parent = cid, prev
                 nodes[prev] = TreeNode(prev, periods, x, (), parent)
                 leaves.append(prev)
@@ -293,8 +295,8 @@ def build_dual_tree(doc: Mapping) -> DualTree:
                 raise StructureError(
                     f"finite node {nid!r} at period {t} < {periods} has no branches")
             pdn, pdd, pen, ped = masses[nid]
-            branches = []
-            children = []
+            branches, children = [], []
+            ens, eds, dns, dds = 0, 1, 0, 1  # sum q_hat, sum q over their lcms
             for child_id, mass in declared:
                 child_id = str(child_id)
                 child_entry = by_id.get(child_id)
@@ -303,31 +305,34 @@ def build_dual_tree(doc: Mapping) -> DualTree:
                         f"branch references unknown node {child_id!r}")
                 cx = as_x(child_entry["x"])
                 m = rational(mass)
-                if m.numerator < 0:
+                mn, md = m.as_integer_ratio()
+                if mn < 0:
                     raise NormalizationError(f"node {nid!r}: negative branch "
                                              f"mass {_shown(m)} to {child_id!r}")
-                if cx.is_zero:
-                    q, q_hat = m, ZERO
-                elif cx.is_infinite:
-                    q, q_hat = ZERO, m
+                c = states[child_id] = (None if cx.value is None
+                                        else cx.value.as_integer_ratio())
+                if c is None:
+                    q, q_hat, qn, qd, hn, hd = ZERO, m, 0, 1, mn, md
+                elif not c[0]:
+                    q, q_hat, qn, qd, hn, hd = m, ZERO, mn, md, 0, 1
                 else:   # density relation: q * x_child = q_hat * x_node
-                    f, g, q_hat = x.value, cx.value, m
-                    q = Fraction(m.numerator * f.numerator * g.denominator,
-                                 m.denominator * f.denominator * g.numerator)
+                    qn, qd = mn * state[0] * c[1], md * state[1] * c[0]
+                    q, q_hat, hn, hd = Fraction(qn, qd), m, mn, md
                 branches.append(Branch(child_id, q, q_hat))
                 children.append((child_id, t + 1, nid, cx))
-                dn, dd = pdn * q.numerator, pdd * q.denominator
-                en, ed = pen * q_hat.numerator, ped * q_hat.denominator
+                l, k = math.lcm(eds, hd), math.lcm(dds, qd)
+                ens, eds = ens * (l // eds) + hn * (l // hd), l
+                dns, dds = dns * (k // dds) + qn * (k // qd), k
+                dn, dd, en, ed = pdn * qn, pdd * qd, pen * hn, ped * hd
                 g, h = math.gcd(dn, dd), math.gcd(en, ed)
                 masses[child_id] = (dn // g, dd // g, en // h, ed // h)
             # a derived dollar sum off 1 breaks the martingale constraint
-            for measure, ps in (("euro", [b.q_hat for b in branches]),
-                                ("derived dollar", [b.q for b in branches])):
-                ns, d = _over_lcm(ps)
-                if sum(ns) != d:
+            for measure, n, d in (("euro", ens, eds),
+                                  ("derived dollar", dns, dds)):
+                if n != d:
                     raise NormalizationError(
                         f"node {nid!r}: {measure}-measure masses sum to "
-                        f"{_shown(Fraction(sum(ns), d))}, not 1")
+                        f"{_shown(Fraction(n, d))}, not 1")
             nodes[nid] = TreeNode(nid, t, x, tuple(branches), parent)
             stack.extend(reversed(children))
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
@@ -337,19 +342,18 @@ def build_dual_tree(doc: Mapping) -> DualTree:
         raise StructureError(f"nodes unreachable from the root: {sorted(orphans)}")
 
     # the per-tree denominators, then every node's numerators over them
-    finite = [n.x.value for n in nodes.values() if n.x.is_finite]
+    finite = [f for f in states.values() if f and f[0]]
     dens = (math.lcm(*[m[1] for m in masses.values()]),
             math.lcm(*[m[3] for m in masses.values()]),
-            math.lcm(*[f.denominator for f in finite]),
-            math.lcm(*[f.numerator for f in finite]))
+            math.lcm(*[d for _, d in finite]), math.lcm(*[n for n, _ in finite]))
     numerators = {}
-    for nid, node in nodes.items():
+    for nid in nodes:
         pdn, pdd, pen, ped = masses[nid]
-        f = node.x.value
+        f = states[nid]
         numerators[nid] = (pdn * (dens[0] // pdd), pen * (dens[1] // ped),
-                           *((None, 0) if f is None else (0, None) if not f
-                             else (f.numerator * (dens[2] // f.denominator),
-                                   f.denominator * (dens[3] // f.numerator))))
+                           *((None, 0) if f is None else (0, None) if not f[0]
+                             else (f[0] * (dens[2] // f[1]),
+                                   f[1] * (dens[3] // f[0]))))
     supported = frozenset(nid for nid, (pd, pe, *_) in numerators.items()
                           if pd or pe)
     return DualTree(periods, x0, root_id, nodes, numerators, dens,
@@ -437,7 +441,7 @@ def period_rule(tree: DualTree, t: int) -> frozenset[str]:
     """Deterministic rule: stop at period t."""
     if not 0 <= t <= tree.periods:
         raise MeasurabilityError(f"period {t} outside [0, {tree.periods}]")
-    return frozenset(n.id for n in tree.nodes.values() if n.time_index == t)
+    return frozenset([n.id for n in tree.nodes.values() if n.time_index == t])
 
 
 def first_hit_rule(tree: DualTree, predicate) -> frozenset[str]:

@@ -466,6 +466,27 @@ def test_lattice_verify_refuses_an_empty_strike_list(how, example_tree_path,
     assert not list(out.glob("*"))
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["lattice-verify", "--tree", "TREE", "--strikes", ""], 1),
+    (["price", "--model", "recip_bessel", "--claim", "call"], 1),  # no strike
+    (["catalog"], 0),                                  # writes no artifact
+])
+def test_a_run_that_writes_no_artifact_makes_no_out_dir(
+        argv, code, example_tree_path, tmp_path, capsys):
+    out = tmp_path / "new" / "dir"
+    argv = [str(example_tree_path) if a == "TREE" else a for a in argv]
+    assert main([*argv, "--out-dir", str(out)]) == code
+    assert not (tmp_path / "new").exists()
+
+
+def test_the_first_artifact_makes_the_nested_out_dir(example_tree_path,
+                                                     tmp_path):
+    out = tmp_path / "new" / "dir"
+    assert main(["physical", "--tree", str(example_tree_path),
+                 "--out-dir", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["report_physical.json"]
+
+
 def test_empty_level_list_is_refused_before_simulating(tmp_path, capsys,
                                                       monkeypatch):
     """A study of no level compares nothing, so it is no passing gate."""
@@ -478,7 +499,7 @@ def test_empty_level_list_is_refused_before_simulating(tmp_path, capsys,
                                 "n": 1000, "out_dir": str(tmp_path / "out")}))
     assert main(["run", str(path)]) == 1
     assert "needs at least one level" in capsys.readouterr().err
-    assert not list((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [["price", "--bogus"],

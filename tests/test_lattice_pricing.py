@@ -1,5 +1,6 @@
 """Exact pricing, superreplication LP, parity report and their properties."""
 
+import itertools
 import math
 import random
 import re
@@ -465,6 +466,39 @@ def test_hull_solver_tie_cases(case):
     assert _solve(points, floors, x) == expected
 
 
+# programs with three or more points at one state: below, at or above x
+# by the x each is solved at, and every child at one state
+_REPEATED_STATES = [
+    [(Fraction(1), Fraction(r)) for r in (0, 2, 1, 2)]
+    + [(Fraction(3), Fraction(3))],
+    [(Fraction(2), Fraction(r)) for r in (1, 4, 4)]
+    + [(Fraction(0), Fraction(0)), (Fraction(4), Fraction(2))],
+    [(Fraction(1, 2), Fraction(r, 3)) for r in (3, 1, 2)],
+]
+
+
+@pytest.mark.parametrize("points", _REPEATED_STATES)
+@pytest.mark.parametrize("floors", [[], [Fraction(1)],
+                                    [Fraction(1), Fraction(1)],
+                                    [Fraction(0), Fraction(5, 2)]])
+def test_hull_solver_on_repeated_states_in_every_order(points, floors):
+    """The solver keeps the highest requirement per state whatever the order
+    of the points, and counts repeated points as binding constraints."""
+    solved = 0
+    xs = {y for y, _ in points} | {Fraction(1, 4), Fraction(3, 2), Fraction(5)}
+    for x in sorted(xs):
+        if not _bounded(points, floors, x):
+            for order in itertools.permutations(points):
+                with pytest.raises(InfeasibleError):
+                    _solve(list(order), floors, x)
+            continue
+        want = _corner_lp_reference(points, floors, x)
+        for order in itertools.permutations(points):
+            assert _solve(list(order), floors, x) == want, (order, floors, x)
+        solved += 1
+    assert solved
+
+
 @pytest.mark.parametrize("points,floors,x", [
     ([(Fraction(2), Fraction(1)), (Fraction(3), Fraction(1))], [Fraction(1)],
      Fraction(1)),                                   # every state above x
@@ -677,6 +711,20 @@ def test_parity_report_matches_the_price_decompositions(generate):
             continue
         assert parity_and_equivalence_report(tree, PARITY_STRIKES) == want, \
             seed
+
+
+@pytest.mark.parametrize("generate", [random_dual_tree,
+                                      random_complete_dual_tree])
+def test_a_multi_strike_report_equals_its_one_strike_reports(generate):
+    """One leaf pass sums every table of a report, each over its own integer
+    scaling: Dx*q for the call and put at k = p/q, Dx*p for the dollar legs
+    at 1/k; strikes of distinct denominators and numerators keep them apart."""
+    strikes = [Fraction(2, 3), Fraction(5, 4), Fraction(7, 5)]
+    for seed in range(200):
+        tree = generate(seed)
+        assert parity_and_equivalence_report(tree, strikes) == [
+            row for k in strikes
+            for row in parity_and_equivalence_report(tree, [k])], seed
 
 
 @pytest.mark.parametrize("generate", [random_dual_tree,

@@ -18,11 +18,12 @@ assumes) the program is tight and the two routes agree exactly; with three
 or more supported branches the hedging cost can be strictly larger, which
 `test_lattice_pricing` pins down with a counterexample.
 
-Both routes work in ints and form one Fraction per value returned:
-`_formula_sums` sums integer payoff tables, all of a parity report's in one
-pass over the leaves, with strikes scaled by integer products, and the hedge
-solves each node on (numerator, denominator) pairs from the two hull chords
-next to its state.  A strategy's holdings form from its integer lines on read.
+Both routes work in ints and form one Fraction per value returned: a claim's
+payoff table is summed in one pass over the leaves, the parity report's from
+the terminal law's running sums split at each strike, strikes scale by
+integer products, and the hedge solves each node on (numerator, denominator)
+pairs from the two hull chords next to its state.  A strategy's holdings form
+from its integer lines on read.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Mapping
 from ..errors import ClaimError, ConfigError, InfeasibleError, InfinitePrice
 from ..inputs import PAYOFFS, Payoff, payoff_row
 from .checks import _check_value
-from .tree import DualTree, _ratio, _rational
+from .tree import DualTree, TerminalLaw, _ratio, _rational, terminal_law
 
 
 # ---------------------------------------------------------------------------
@@ -74,29 +75,23 @@ def validate_claim(tree: DualTree, claim: TreeClaim) -> None:
             _check_value(payoffs[nid], "payoff", "leaf", nid)
 
 
-def _table_values(tree: DualTree, row: Payoff, k) -> tuple[list, int]:
-    """An `inputs.PAYOFFS` row at a strike k = p/q from the terminal law
-    alone, in `tree.leaves` order: the dollar leg at a rate n/Dx, or the euro
-    value at an explosion, as ints over (Dx*q)**2 (None if infinite).  The
-    scaled strike k*Dx*q is the integer product p*Dx, and the euro value e
-    at an explosion (an int, or k itself) scales by integer products too."""
+def tree_claim(tree: DualTree, kind: str, strike=None) -> TreeClaim:
+    """The `TreeClaim` of an `inputs.PAYOFFS` kind at a strike k = p/q read
+    by `tree._rational`, from the terminal law alone: per leaf the dollar leg
+    at a rate n/Dx, or the euro value at an explosion, as ints over (Dx*q)**2
+    (None if infinite).  The scaled strike k*Dx*q is the integer product
+    p*Dx, and the euro value e at an explosion (an int, or k itself) scales
+    by integer products too."""
+    row, k = payoff_row(kind, strike, _rational)
     q = 1 if k is None else k.denominator
     d_x = tree.denominators[2]
     u, dollar, ku = d_x * q, row.dollar, k and k.numerator * d_x
     euro = row.euro_at_explosion(k)
     euro = (None if euro == math.inf
             else euro.numerator * (u // euro.denominator) * u)
-    return [euro if (x := tree.numerators[nid][2]) is None
-            else dollar(x * q, ku, u) for nid in tree.leaves], u * u
-
-
-def tree_claim(tree: DualTree, kind: str, strike=None) -> TreeClaim:
-    """The `TreeClaim` of an `inputs.PAYOFFS` kind at a strike read by
-    `tree._rational`: its `_table_values`, keyed by leaf."""
-    row, k = payoff_row(kind, strike, _rational)
-    values, d = _table_values(tree, row, k)
-    return TreeClaim(dict(zip(tree.leaves, values)),
-                     kind if k is None else f"{kind}_{k}", d)
+    return TreeClaim({nid: euro if (x := tree.numerators[nid][2]) is None
+                      else dollar(x * q, ku, u) for nid in tree.leaves},
+                     kind if k is None else f"{kind}_{k}", u * u)
 
 
 def tree_euro_forward(tree: DualTree) -> TreeClaim:
@@ -121,47 +116,64 @@ class TreeDualPrice:
     euro_correction: Fraction
 
 
-def _formula_sums(tree: DualTree, tables: list[tuple[list, int]]) -> list:
-    """The formula's integer core, one pass over `tree.leaves` for all the
-    tables: each a list of leaf values in that order, ints >= 0 or None, over
-    a denominator, zero values skipped.  Returns per table the six parts of
-    `TreeDualPrice` as (numerator, denominator) pairs."""
-    # per table the classical, devalued, euro-finite and exploded sums
-    sums = [[0] * len(tables) for _ in range(4)]
-    classical, devalued, euro_finite, exploded = sums
-    for nid, vs in zip(tree.leaves, zip(*[values for values, _ in tables])):
+def _formula_sums(tree: DualTree, values: list) -> tuple[int, int, int, int]:
+    """The formula's leaf pass: leaf values in `tree.leaves` order, ints >= 0
+    or None, zero values skipped, summed against the leaves' masses into the
+    classical, devalued, euro-finite and exploded sums of `_formula_parts`."""
+    classical = devalued = euro_finite = exploded = 0
+    for nid, v in zip(tree.leaves, values):
         pd, pe, x, inv = tree.numerators[nid]
-        for i, v in enumerate(vs):
-            if not v:
-                # pd > 0 only at finite and zero rates, pe > 0 only at finite
-                # and infinite ones: the dollar error wins where both see v
-                if v is None and (pd or pe):
-                    raise InfinitePrice(f"{'dollar' if pd else 'euro'} payoff "
-                                        f"infinite on supported leaf {nid!r}")
-            elif x is None:
-                exploded[i] += pe * v
+        if not v:
+            # pd > 0 only at finite and zero rates, pe > 0 only at finite
+            # and infinite ones: the dollar error wins where both see v
+            if v is None and (pd or pe):
+                raise InfinitePrice(f"{'dollar' if pd else 'euro'} payoff "
+                                    f"infinite on supported leaf {nid!r}")
+        elif x is None:
+            exploded += pe * v
+        else:
+            classical += pd * v
+            if x:
+                euro_finite += pe * v * inv
             else:
-                classical[i] += pd * v
-                if x:
-                    euro_finite[i] += pe * v * inv
-                else:
-                    devalued[i] += pd * v
-    d_pd, d_pe, _, d_inv = tree.denominators
-    x0n, x0d = tree.x0.as_integer_ratio()
-    parts = []
-    for classical, devalued, euro_finite, exploded, (_, d_v) in zip(*sums,
-                                                                    tables):
-        total = classical * x0d * d_pe + exploded * x0n * d_pd
-        euro_classical = euro_finite + exploded * d_inv
-        assert total * d_inv == (euro_classical * d_pd * x0n
-                                 + devalued * x0d * d_pe * d_inv), \
-            "euro-side decomposition disagrees; tree invariants must be broken"
-        parts.append((
-            (classical, d_pd * d_v), (exploded * x0n, d_pe * d_v * x0d),
+                devalued += pd * v
+    return classical, devalued, euro_finite, exploded
+
+
+def _formula_parts(law: DualTree | TerminalLaw, sums, d_v: int) -> tuple:
+    """The six parts of `TreeDualPrice` as (numerator, denominator) pairs,
+    from a table's four formula sums over d_v and a tree's or a law's x0
+    and denominators; the euro-side decomposition must agree."""
+    classical, devalued, euro_finite, exploded = sums
+    d_pd, d_pe, _, d_inv = law.denominators
+    x0n, x0d = law.x0.as_integer_ratio()
+    total = classical * x0d * d_pe + exploded * x0n * d_pd
+    euro_classical = euro_finite + exploded * d_inv
+    assert total * d_inv == (euro_classical * d_pd * x0n
+                             + devalued * x0d * d_pe * d_inv), \
+        "euro-side decomposition disagrees; tree invariants must be broken"
+    return ((classical, d_pd * d_v), (exploded * x0n, d_pe * d_v * x0d),
             (total, d_pd * d_pe * d_v * x0d), (total, d_pd * d_pe * d_v * x0n),
             (euro_classical, d_pe * d_v * d_inv),
-            (devalued * x0d, d_pd * d_v * x0n)))
-    return parts
+            (devalued * x0d, d_pd * d_v * x0n))
+
+
+def _law_parts(law: TerminalLaw, row: Payoff, k: Fraction, sides) -> tuple:
+    """`_formula_parts` of a kind's `tree_claim` at k, from the sums (Q$,
+    Q$ x, Qe, Qe / x) of the law's states on each side of the kind's kink.
+    On a side the dollar leg is linear in x and of degree 2, so its sum under
+    weights w is `row.dollar` at the w-mean state times w's total: w = Q$ for
+    the classical sum, Qe / x for the euro-finite one (x * 1/x = Dx D1/x)."""
+    d_x, d_inv = law.denominators[2:]
+    q, u, ku = k.denominator, d_x * k.denominator, k.numerator * d_x
+    e, dev = law.exploded and row.euro_at_explosion(k), law.rows[0][1]
+    sums = [0, dev and dev * row.dollar(0, ku, u), 0,
+            e and law.exploded * e.numerator * (u // e.denominator) * u]
+    for m, mx, me, mi in sides:
+        sums[0] += m and row.dollar(mx * q, ku * m, u * m) // m
+        sums[2] += mi and row.dollar(me * d_x * d_inv * q, ku * mi,
+                                     u * mi) // mi
+    return _formula_parts(law, sums, u * u)
 
 
 def price_on_tree(tree: DualTree, claim: TreeClaim) -> TreeDualPrice:
@@ -172,7 +184,8 @@ def price_on_tree(tree: DualTree, claim: TreeClaim) -> TreeDualPrice:
     values = [claim.payoffs[nid] for nid in tree.leaves]
     d_v = math.lcm(*[v.denominator for v in values if v])
     values = [v and v.numerator * (d_v // v.denominator) for v in values]
-    (parts,) = _formula_sums(tree, [(values, d_v * claim.denominator)])
+    parts = _formula_parts(tree, _formula_sums(tree, values),
+                           d_v * claim.denominator)
     return TreeDualPrice(*(_ratio(*part) for part in parts))
 
 
@@ -406,30 +419,33 @@ def _one_fraction(plus, minus) -> Fraction:
                   - sum(n * (d // e) for n, e in minus), d)
 
 
-def parity_and_equivalence_report(tree: DualTree,
+def parity_and_equivalence_report(tree: DualTree | TerminalLaw,
                                   strikes) -> list[ParityRow]:
     """One row per strike, each read exactly by `tree._rational` through
     `inputs.payoff_row`, whose ConfigError refuses a strike that is not a
     positive rational (a bool, None, nan, inf); an empty list raises
-    ConfigError, since a report of no strike checks nothing.  The four
-    table rows of every strike, ints by construction, are summed in one
-    `_formula_sums` pass; each field is one Fraction of their integer parts."""
+    ConfigError, since a report of no strike checks nothing.  It reads only
+    a terminal law, the tree's or one given: the call and put at k and the
+    dollar call and put at 1/k all kink at x = k, so one bisection of the
+    law's rows gives all four `_law_parts`; each field is one Fraction."""
     if not strikes:
         raise ConfigError("the lattice parity report needs at least one "
                           "strike")
     ks = [payoff_row("call", strike, _rational)[1] for strike in strikes]
-    parts = iter(_formula_sums(tree, [
-        _table_values(tree, PAYOFFS[kind], s)
-        for k in ks for inv in [Fraction(k.denominator, k.numerator)]
-        for kind, s in (("call", k), ("put", k), ("dollar_call", inv),
-                        ("dollar_put", inv))]))
-    x0 = tree.x0.as_integer_ratio()
-    rows = []
+    law = (tree if isinstance(tree, TerminalLaw) else tree.law
+           if isinstance(tree, DualTree) else terminal_law(tree))
+    x0, d_x, rows = law.x0.as_integer_ratio(), law.denominators[2], []
     for k in ks:
         kn, kd = k.numerator, k.denominator
+        # the sums over the states x < k, the last row before x >= k Dx
+        _, *low = law.rows[bisect_left(law.rows, (-(-kn * d_x // kd),)) - 1]
+        sides = low, [t - b for t, b in zip(law.rows[-1][1:], low)]
+        inv = Fraction(kd, kn)
         (cc, ce, c, *_), (pc, _, p, *_), (_, _, dc, *_), (_, _, dp, *_) = (
-            next(parts) for _ in range(4))
-        # x0 K pe(D) = K p$(D): the euro-side assertion of `_formula_sums`;
+            _law_parts(law, PAYOFFS[kind], s, sides)
+            for kind, s in (("call", k), ("put", k), ("dollar_call", inv),
+                            ("dollar_put", inv)))
+        # x0 K pe(D) = K p$(D): the euro-side assertion of `_formula_parts`;
         # the call's correction ce is the explosion mass x0 Qe(X_T = inf)
         rows.append(ParityRow(
             strike=k, call_price=_ratio(*c), put_price=_ratio(*p),

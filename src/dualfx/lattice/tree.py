@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from ..errors import MeasurabilityError, NormalizationError, StructureError
 
@@ -94,14 +94,38 @@ class TreeNode:
         return not self.branches
 
 
+class TerminalLaw(NamedTuple):
+    """A terminal law in integers over (D$, De, Dx, D1/x): from the state 0
+    up, one row per leaf at x > 0, the rows (x, Q$, Q$ x, Qe, Qe / x) of the
+    running sums over the states at or below x, and the Qe mass at inf."""
+
+    x0: Fraction
+    denominators: tuple[int, int, int, int]
+    rows: list[tuple[int, int, int, int, int]]
+    exploded: int
+
+
+def terminal_law(tree) -> TerminalLaw:
+    """The `TerminalLaw` of a tree, or of anything with its leaves, their
+    numerators, the denominators and x0."""
+    leaves = [tree.numerators[nid] for nid in tree.leaves]
+    rows = [(0, sum([n[0] for n in leaves if n[2] == 0]), 0, 0, 0)]
+    for pd, pe, x, inv in sorted([n for n in leaves if n[2]],
+                                 key=lambda n: n[2]):
+        _, a, b, c, d = rows[-1]
+        rows.append((x, a + pd, b + pd * x, c + pe, d + pe * inv))
+    return TerminalLaw(tree.x0, tree.denominators, rows,
+                       sum([n[1] for n in leaves if n[2] is None]))
+
+
 @dataclass(frozen=True)
 class DualTree:
     """A finished tree, as `build_dual_tree` returns it: its nodes, their
     integer numerators, the leaves and the supported set are all recorded by
     the walk that builds it.  Fields cannot be reassigned; the exact path
-    probabilities `prob_dollar` and `prob_euro` are formed from the
-    numerators on first use, and the per-rule cache of `stop_map` fills in
-    after the build."""
+    probabilities `prob_dollar` and `prob_euro` and the terminal `law` are
+    formed from the numerators on first use, and the per-rule cache of
+    `stop_map` fills in after the build."""
 
     periods: int
     x0: Fraction
@@ -130,6 +154,8 @@ class DualTree:
         """Exact Qe path probability of the cylinder at each node."""
         return {nid: _ratio(n[1], self.denominators[1])
                 for nid, n in self.numerators.items()}
+
+    law = cached_property(terminal_law)
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +464,20 @@ def stop_map(tree: DualTree, rule: Iterable[str]) -> dict[str, str | None]:
 
 
 def period_rule(tree: DualTree, t: int) -> frozenset[str]:
-    """Deterministic rule: stop at period t."""
+    """Deterministic rule: stop at period t.  Absorbed states chain to the
+    horizon, so every path meets t once: the walk forms the `stop_map` too."""
     if not 0 <= t <= tree.periods:
         raise MeasurabilityError(f"period {t} outside [0, {tree.periods}]")
-    return frozenset([n.id for n in tree.nodes.values() if n.time_index == t])
+    at, ids = {}, []    # the map: None before t, the parent's entry after
+    for n in tree.nodes.values():
+        if n.time_index == t:
+            ids.append(n.id)
+            at[n.id] = n.id
+        else:
+            at[n.id] = at.get(n.parent)
+    rule = frozenset(ids)
+    tree._stop_maps.setdefault(rule, at)
+    return rule
 
 
 def first_hit_rule(tree: DualTree, predicate) -> frozenset[str]:

@@ -106,13 +106,8 @@ def consistency_checks(pl: PhysicalLattice,
     support_ok = all((dollar_mass[nid] > 0) == (euro_mass[nid] > 0)
                      for nid, (*_, x, _) in tree.numerators.items() if x)
 
-    # E_Q$[X_T] over D$ Dx and E_Qe[1/X_T] over De D1/x
-    e_x = e_inv = 0
-    for nid in tree.leaves:
-        pd, pe, x, inv = tree.numerators[nid]
-        if x:
-            e_x += pd * x
-            e_inv += pe * inv
+    # E_Q$[X_T] over D$ Dx and E_Qe[1/X_T] over De D1/x: the law's totals
+    _, _, e_x, _, e_inv = tree.law.rows[-1]
     d_pd, d_pe, d_x, d_inv = tree.denominators
     x0n, x0d = tree.x0.numerator, tree.x0.denominator
     defect_dollar = _ratio(x0n * d_pd * d_x - x0d * e_x, x0d * d_pd * d_x)

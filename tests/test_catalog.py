@@ -275,6 +275,16 @@ def test_flags():
         "self_quantoed"] == "unknown"
 
 
+@pytest.mark.parametrize("name", ["qnv(1,0,1)", "qnv(0,1,1)"])
+def test_a_two_coefficient_case_has_no_sampler_and_no_verdict(name):
+    """Only a one-coefficient qnv is sampled exactly: qnv(1,0,1) and
+    qnv(0,1,1) carry c != 0 beside another coefficient, so neither gets
+    stopped_bm's sampler, and the self-quantoed verdict stays unknown."""
+    model = get_model(name).model
+    assert model.exact is None and model.dual_exact is None
+    assert model.dual_payoff_flags == {"self_quantoed": "unknown"}
+
+
 def test_stopped_bm_is_martingale_with_devaluation():
     entry = get_model("stopped_bm")
     b = simulate(entry.model, MCConfig(n=100_000, seed=21))

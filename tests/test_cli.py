@@ -656,6 +656,8 @@ def _configs(draw):
               "x0": 1e-300, "n": 100})
 @example(cfg={"command": "convergence", "model": "stopped_bm",
               "tree": "example", "x0": 1e300, "n": 200})
+@example(cfg={"command": "intl", "model": "qnv(0,0,0)", "tree": "example",
+              "x0": 1e12, "strikes": [1e300], "n": 100})
 def test_any_config_runs_or_exits_1_with_an_error_line(cfg, tmp_path):
     tree = tmp_path / "example.json"
     if not tree.exists():

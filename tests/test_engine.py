@@ -330,11 +330,15 @@ def test_terminal_sample_view():
 
 
 def test_cross_measure_identity():
-    model = get_model("recip_bessel").model
+    """stopped_bm devalues, so f = 1 reads Q$(X_T > 0) = 0.68 on the left: a
+    devalued path adds nothing there, as it adds nothing on the right."""
     cfg = MCConfig(n=60_000, seed=31)
-    for f in (lambda x: 1.0, lambda x: min(x, 1.0), lambda x: float(x > 1.0)):
-        r = cross_measure_check(model, f, cfg)
-        assert abs(r.z) <= 3.0
+    for name in ("recip_bessel", "stopped_bm"):
+        model = get_model(name).model
+        for f in (lambda x: 1.0, lambda x: min(x, 1.0),
+                  lambda x: float(x > 1.0)):
+            r = cross_measure_check(model, f, cfg)
+            assert abs(r.z) <= 3.0, name
 
 
 def test_cross_measure_degenerate_and_singular():

@@ -21,7 +21,7 @@ from dualfx.lattice import (ParityRow, bayes_check, build_dual_tree,
                             two_period_example, validate_claim,
                             verify_strategy)
 from dualfx.lattice.pricing import TreeClaim, _solve_hull_lp
-from dualfx.lattice.tree import _over_lcm
+from dualfx.lattice.tree import _over_lcm, terminal_law
 from dualfx.physical import build_physical, consistency_checks
 from dualfx.pricing import make_claim
 
@@ -696,6 +696,40 @@ def test_price_on_tree_reads_only_the_terminal_law(seed):
                 price_on_tree(law, claim)
             continue
         assert price_on_tree(law, claim) == want, claim.kind
+
+
+def test_a_walk_law_with_no_tree_prices_through_the_report():
+    """recip_bessel's walk over N = 100 periods, x0 = 1: under Qe, Y = 1/X
+    steps +-h = 1/10 from 1 with mass 1/2 each way and is killed at 0, where
+    X explodes.  Y = jh is reached alive on C(N, (N + j - 10)/2) - C(N, (N +
+    j + 10)/2) of the 2^N paths (reflection), and Q$ is the h-transform
+    pd = pe j / 10.  No `DualTree` holds the law (2^100 paths), yet the
+    report prices it: parity and both cross-currency identities hold
+    exactly, the classical violation is minus the explosion mass, and
+    E_Q$[X_T] = x0 (1 - Qe(X_T = inf))."""
+    n, j0 = 100, 10
+    alive = {j: math.comb(n, (n + j - j0) // 2)
+             - math.comb(n, (n + j + j0) // 2) for j in range(2, n + j0 + 1, 2)}
+    exploded = 2**n - sum(alive.values())
+    d_x = math.lcm(*alive)      # x = 10/j over Dx, 1/x = j/10 over 10
+    numerators = {j: (m * j, m, j0 * d_x // j, j) for j, m in alive.items()}
+    numerators["inf"] = (0, exploded, None, None)
+    law = terminal_law(SimpleNamespace(
+        x0=Fraction(1), denominators=(2**n * j0, 2**n, d_x, j0),
+        leaves=list(numerators), numerators=numerators))
+    assert law.rows[-1][1] == 2**n * j0        # Q$ has mass 1
+    assert Fraction(law.rows[-1][2], 2**n * j0 * d_x) \
+        == 1 - Fraction(exploded, 2**n) < 1
+    pd = {Fraction(j0, j): Fraction(m * j, 2**n * j0) for j, m in alive.items()}
+    for row in parity_and_equivalence_report(law, [Fraction(1, 2), 1, 2]):
+        k = row.strike
+        assert row.parity_residual == row.intl_call_residual \
+            == row.intl_put_residual == 0
+        assert row.classical_violation == -row.explosion_mass \
+            == -Fraction(exploded, 2**n)
+        assert row.call_price == row.explosion_mass + sum(
+            p * max(x - k, 0) for x, p in pd.items())
+        assert row.put_price == sum(p * max(k - x, 0) for x, p in pd.items())
 
 
 @pytest.mark.parametrize("generate", [random_dual_tree,

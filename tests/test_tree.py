@@ -482,6 +482,20 @@ def test_stop_map_is_kept_per_valid_rule():
 
 @pytest.mark.parametrize("generate", [random_dual_tree,
                                       random_complete_dual_tree])
+def test_a_period_rule_keeps_the_map_stop_map_would_form(generate):
+    """The walk that finds a period rule keeps its map unchecked: it equals
+    the map `stop_map`'s checked walk forms on a tree with no kept map, value
+    for value and in key order."""
+    for seed in range(150):
+        t = generate(seed, 1 + seed % 6)
+        for k in range(t.periods + 1):
+            rule = period_rule(t, k)
+            want = stop_map(dataclasses.replace(t), rule)
+            assert list(t._stop_maps[rule].items()) == list(want.items())
+
+
+@pytest.mark.parametrize("generate", [random_dual_tree,
+                                      random_complete_dual_tree])
 def test_numerators_leaves_and_supported_set_match_a_fresh_scan(generate):
     for seed in range(300):
         t = generate(seed)

@@ -36,7 +36,7 @@ from functools import cached_property
 from typing import Mapping
 
 from ..errors import ClaimError, ConfigError, InfeasibleError, InfinitePrice
-from ..inputs import PAYOFFS, Payoff, payoff_row
+from ..inputs import PAYOFFS, payoff_row
 from .checks import _check_value
 from .tree import DualTree, TerminalLaw, _ratio, _rational, terminal_law
 
@@ -158,13 +158,13 @@ def _formula_parts(law: DualTree | TerminalLaw, sums, d_v: int) -> tuple:
             (devalued * x0d, d_pd * d_v * x0n))
 
 
-def _law_parts(law: TerminalLaw, row: Payoff, k: Fraction, sides) -> tuple:
+def _law_parts(law: TerminalLaw, kind: str, k: Fraction, sides) -> tuple:
     """`_formula_parts` of a kind's `tree_claim` at k, from the sums (Q$,
     Q$ x, Qe, Qe / x) of the law's states on each side of the kind's kink.
     On a side the dollar leg is linear in x and of degree 2, so its sum under
     weights w is `row.dollar` at the w-mean state times w's total: w = Q$ for
     the classical sum, Qe / x for the euro-finite one (x * 1/x = Dx D1/x)."""
-    d_x, d_inv = law.denominators[2:]
+    row, (d_x, d_inv) = PAYOFFS[kind], law.denominators[2:]
     q, u, ku = k.denominator, d_x * k.denominator, k.numerator * d_x
     e, dev = law.exploded and row.euro_at_explosion(k), law.rows[0][1]
     sums = [0, dev and dev * row.dollar(0, ku, u), 0,
@@ -411,14 +411,6 @@ class ParityRow:
     explosion_mass: Fraction           # x0 * Qe(X_T = inf); violation == -this
 
 
-def _one_fraction(plus, minus) -> Fraction:
-    """The integer pairs (n, d) of `plus`, as n/d each, minus those of
-    `minus`: one Fraction over the least common d."""
-    d = math.lcm(*[e for _, e in (*plus, *minus)])
-    return _ratio(sum(n * (d // e) for n, e in plus)
-                  - sum(n * (d // e) for n, e in minus), d)
-
-
 def parity_and_equivalence_report(tree: DualTree | TerminalLaw,
                                   strikes) -> list[ParityRow]:
     """One row per strike, each read exactly by `tree._rational` through
@@ -434,24 +426,26 @@ def parity_and_equivalence_report(tree: DualTree | TerminalLaw,
     ks = [payoff_row("call", strike, _rational)[1] for strike in strikes]
     law = (tree if isinstance(tree, TerminalLaw) else tree.law
            if isinstance(tree, DualTree) else terminal_law(tree))
-    x0, d_x, rows = law.x0.as_integer_ratio(), law.denominators[2], []
+    (x0n, x0d), d_x, rows = law.x0.as_integer_ratio(), law.denominators[2], []
     for k in ks:
-        kn, kd = k.numerator, k.denominator
+        (kn, kd), inv = k.as_integer_ratio(), 1 / k
         # the sums over the states x < k, the last row before x >= k Dx
         _, *low = law.rows[bisect_left(law.rows, (-(-kn * d_x // kd),)) - 1]
         sides = low, [t - b for t, b in zip(law.rows[-1][1:], low)]
-        inv = Fraction(kd, kn)
         (cc, ce, c, *_), (pc, _, p, *_), (_, _, dc, *_), (_, _, dp, *_) = (
-            _law_parts(law, PAYOFFS[kind], s, sides)
+            _law_parts(law, kind, s, sides)
             for kind, s in (("call", k), ("put", k), ("dollar_call", inv),
                             ("dollar_put", inv)))
-        # x0 K pe(D) = K p$(D): the euro-side assertion of `_formula_parts`;
-        # the call's correction ce is the explosion mass x0 Qe(X_T = inf)
+        # totals share d = B kd**2 at k and B kn**2 at 1/k, B = D$ De Dx**2
+        # x0d, and x0 K pe(D) = K p$(D); ce is the explosion mass x0 Qe(inf)
+        d, dcl = c[1], cc[1]
         rows.append(ParityRow(
             strike=k, call_price=_ratio(*c), put_price=_ratio(*p),
-            parity_residual=_one_fraction([c, (kn, kd)], [p, x0]),
-            intl_call_residual=_one_fraction([c], [(kn * dp[0], kd * dp[1])]),
-            intl_put_residual=_one_fraction([p], [(kn * dc[0], kd * dc[1])]),
-            classical_violation=_one_fraction([cc, (kn, kd)], [pc, x0]),
+            parity_residual=_ratio(c[0] - p[0] + kn * (d // kd)
+                                   - x0n * (d // x0d), d),
+            intl_call_residual=_ratio(c[0] * kn - dp[0] * kd, d * kn),
+            intl_put_residual=_ratio(p[0] * kn - dc[0] * kd, d * kn),
+            classical_violation=_ratio((cc[0] - pc[0] + kn * (dcl // kd))
+                                       * x0d - x0n * dcl, dcl * x0d),
             explosion_mass=_ratio(*ce)))
     return rows

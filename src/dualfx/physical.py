@@ -14,7 +14,8 @@ investor-specific physical measures; the module verifies, exactly:
 
 P gives a node's cylinder the mass (Q$ + Qe)/2, which is positive exactly
 where Q$ or Qe is: P's support is the support superreplication covers by
-default, so check (c) runs the program as it is.
+default, so check (c) runs the program as it is: on the euro forward by
+default, priced from the tree's terminal law, or on a nonempty claim list.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import ConditioningError
-from .lattice.pricing import (TreeClaim, price_on_tree, superreplicate_backward,
-                              tree_euro_forward, verify_strategy)
+from .errors import ConditioningError, ConfigError
+from .lattice.pricing import (TreeClaim, _law_parts, price_on_tree,
+                              superreplicate_backward, tree_euro_forward,
+                              verify_strategy)
 from .lattice.tree import DualTree, _ratio
 
 
@@ -49,12 +51,15 @@ class PhysicalLattice:
 
 
 def cylinder_masses(tree: DualTree, leaf_mass: dict) -> dict:
-    """Mass of every node's cylinder, summed from the leaves (Fractions, or
-    numerators over one denominator) in one bottom-up pass."""
+    """Mass of every node's cylinder, summed from the leaves (Fractions,
+    numerators over one denominator, or counts) in one bottom-up pass."""
     mass = dict(leaf_mass)
     for node in reversed(tree.nodes.values()):
-        if not node.is_terminal:
-            mass[node.id] = sum(mass[b.child] for b in node.branches)
+        if node.branches:
+            m = 0
+            for b in node.branches:
+                m += mass[b.child]
+            mass[node.id] = m
     return mass
 
 
@@ -69,10 +74,9 @@ def build_physical(tree: DualTree) -> PhysicalLattice:
         p[nid] = m = pd * d_pe + pe * d_pd
         dollar[nid] = 0 if x is None else m
         euro[nid] = 0 if x == 0 else m
-    if not any(dollar.values()):
-        raise ConditioningError("no-explosion event has probability zero")
-    if not any(euro.values()):
-        raise ConditioningError("no-devaluation event has probability zero")
+    for event, masses in (("no-explosion", dollar), ("no-devaluation", euro)):
+        if not any(masses.values()):
+            raise ConditioningError(f"{event} event has probability zero")
     return PhysicalLattice(tree, (p, dollar, euro))
 
 
@@ -89,25 +93,26 @@ class PhysicalReport:
 
 def consistency_checks(pl: PhysicalLattice,
                        claims: list[TreeClaim] | None = None) -> PhysicalReport:
-    """Run checks (a)-(c), exactly, over the integer numerators of P.
-
-    (c) compares the superreplication price on P's support with the
-    expectation-formula price for each claim (euro forward by default); on
-    complete trees both agree by the pricing theorem.
-    """
-    tree = pl.tree
+    """Run checks (a)-(c), exactly, over the integer numerators of P, (a) in
+    one walk.  (c) compares the superreplication price on P's support with
+    the formula price of each claim, by default the euro forward priced from
+    the terminal law; both agree on complete trees by the pricing theorem.
+    An empty claim list checks nothing and raises ConfigError."""
+    if claims is not None and not claims:
+        raise ConfigError("the physical checks need at least one claim")
+    tree, law = pl.tree, pl.tree.law
     p, dollar, euro = pl._masses
-    total = sum(p.values())     # 2 D$ De
-    explosion = total - sum(dollar.values())
-    devaluation = total - sum(euro.values())
-    # the supports need only signs: the restrictions' numerators suffice
-    dollar_mass, euro_mass = (cylinder_masses(tree, dollar),
-                              cylinder_masses(tree, euro))
-    support_ok = all((dollar_mass[nid] > 0) == (euro_mass[nid] > 0)
-                     for nid, (*_, x, _) in tree.numerators.items() if x)
+    total, d_total = sum(p.values()), sum(dollar.values())     # 2 D$ De
+    explosion, devaluation = total - d_total, total - sum(euro.values())
+    # one walk, both supports: count (dollar > 0) + b (euro > 0), b > #leaves
+    b = len(dollar) + 1
+    mass = cylinder_masses(tree, {nid: (d > 0) + b * (euro[nid] > 0)
+                                  for nid, d in dollar.items()})
+    support_ok = all((m % b > 0) == (m >= b) for nid, m in mass.items()
+                     if tree.numerators[nid][2])
 
     # E_Q$[X_T] over D$ Dx and E_Qe[1/X_T] over De D1/x: the law's totals
-    _, _, e_x, _, e_inv = tree.law.rows[-1]
+    _, _, e_x, _, e_inv = law.rows[-1]
     d_pd, d_pe, d_x, d_inv = tree.denominators
     x0n, x0d = tree.x0.numerator, tree.x0.denominator
     defect_dollar = _ratio(x0n * d_pd * d_x - x0d * e_x, x0d * d_pd * d_x)
@@ -117,13 +122,14 @@ def consistency_checks(pl: PhysicalLattice,
                       and (devaluation > 0) == (defect_euro.numerator > 0))
 
     replication_ok = True
-    for claim in [tree_euro_forward(tree)] if claims is None else claims:
-        formula = price_on_tree(tree, claim).total_dollar
+    for claim in claims or [tree_euro_forward(tree)]:
+        formula = (price_on_tree(tree, claim).total_dollar if claims else
+                   _ratio(*_law_parts(law, "euro_forward", 1,
+                                      [law.rows[-1][1:]])[2]))
         cost, strategy = superreplicate_backward(tree, claim)
         verify_strategy(tree, claim, strategy)
         replication_ok &= cost == formula
 
-    return PhysicalReport(_ratio(explosion, total),
-                          _ratio(devaluation, total),
+    return PhysicalReport(_ratio(explosion, total), _ratio(devaluation, total),
                           defect_dollar, defect_euro, interpretation,
                           support_ok, replication_ok)

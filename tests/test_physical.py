@@ -2,9 +2,14 @@
 
 from fractions import Fraction
 
-from dualfx.lattice import (build_dual_tree, random_complete_dual_tree,
+import pytest
+
+from dualfx.errors import ConfigError
+from dualfx.lattice import (build_dual_tree, random_claim,
+                            random_complete_dual_tree, random_dual_tree,
                             tree_claim, tree_euro_forward, two_period_example)
-from dualfx.physical import build_physical, consistency_checks, cylinder_masses
+from dualfx.physical import (PhysicalLattice, build_physical,
+                             consistency_checks, cylinder_masses)
 
 
 def test_mixture_and_conditioning_on_example():
@@ -117,3 +122,48 @@ def test_zero_mass_edge_cases():
         rep = consistency_checks(build_physical(neither))
         assert rep.p_explosion == rep.p_devaluation == 0
         assert rep.interpretation_holds and rep.support_checks_passed
+
+
+def test_support_check_fails_when_the_restrictions_disagree():
+    # (a): a no-explosion map that drops dn_dn leaves the dollar side with no
+    # mass where the euro side still has some
+    t = two_period_example()
+    p, d, e = build_physical(t)._masses
+    rep = consistency_checks(PhysicalLattice(t, (p, {**d, "dn_dn": 0}, e)))
+    assert not rep.support_checks_passed
+    assert rep.interpretation_holds and rep.replication_price_matches
+
+
+def test_interpretation_fails_when_the_explosion_is_hidden():
+    # (b): taking P itself as the no-explosion map gives explosion P-mass 0
+    # against a dollar defect of 3/4
+    t = two_period_example()
+    p, _, e = build_physical(t)._masses
+    rep = consistency_checks(PhysicalLattice(t, (p, dict(p), e)))
+    assert rep.p_explosion == 0 and rep.defect_dollar == Fraction(3, 4)
+    assert not rep.interpretation_holds
+    assert rep.support_checks_passed and rep.replication_price_matches
+
+
+def test_replication_fails_on_an_incomplete_tree():
+    # (c): three supported branches make the hedge cost more than the formula
+    t = random_dual_tree(0, 3)
+    rep = consistency_checks(build_physical(t), [random_claim(t, 0)])
+    assert not rep.replication_price_matches
+    assert rep.support_checks_passed and rep.interpretation_holds
+
+
+def test_an_empty_claim_list_is_refused():
+    with pytest.raises(ConfigError, match="at least one claim"):
+        consistency_checks(build_physical(two_period_example()), claims=[])
+
+
+def test_the_forward_from_the_law_matches_the_forward_per_leaf():
+    # the default prices the euro forward from the terminal law, an explicit
+    # claim list through `price_on_tree`
+    for make in (random_dual_tree, random_complete_dual_tree):
+        for seed in range(300):
+            t = make(seed, 5)
+            pl = build_physical(t)
+            assert consistency_checks(pl) == consistency_checks(
+                pl, [tree_euro_forward(t)]), (make.__name__, seed)

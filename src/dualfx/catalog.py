@@ -130,8 +130,11 @@ def _gbm(vol: float):
     """The driftless lognormal sampler of volatility `vol`."""
     def gbm(gen, m, start, horizon):
         w = math.sqrt(horizon) * gen.standard_normal(m)
-        return (start * np.exp(vol * w - 0.5 * vol * vol * horizon),
-                np.full(m, np.nan))
+        # a lognormal is never 0, so a product rounded to 0 (or to a
+        # subnormal) raises rather than reading as a devaluation
+        with np.errstate(under="raise"):
+            x = start * np.exp(vol * w - 0.5 * vol * vol * horizon)
+        return x, np.full(m, np.nan)
     return gbm
 
 
@@ -247,25 +250,24 @@ def _quadratic(a: float, b: float, c: float, x0: float, T: float,
 _QNV_RE = re.compile(r"qnv\(\s*([^,]+)\s*,\s*([^,]+)\s*,\s*([^)]+)\s*\)")
 
 
-def get_model(name: str, x0: float = 1.0, horizon: float = 1.0,
-              vol: float = 0.5) -> CatalogEntry:
+def get_model(name: str, x0: float = 1.0, horizon: float = 1.0) -> CatalogEntry:
     """Look up a catalog entry by name.
 
     Known names: recip_bessel, stopped_bm, singular_timechange,
     exp_martingale_baseline, qnv(a,b,c).  The first two and the lognormal
-    baseline are qnv(1,0,0), qnv(0,0,1) and qnv(0,vol,0) under their own
-    names; `vol` applies to the lognormal baseline only.
+    baseline are qnv(1,0,0), qnv(0,0,1) and qnv(0,1/2,0) under their own
+    names; a lognormal of any other volatility b is qnv(0,b,0).
     """
     # nan fails too, and so does an int beyond float range: int-float
     # comparisons are exact.  The dual leg starts at 1 / x0.
-    if not (all(0 < v <= sys.float_info.max for v in (x0, horizon, vol))
+    if not (all(0 < v <= sys.float_info.max for v in (x0, horizon))
             and 1 / x0 <= sys.float_info.max):
         raise UnknownModel(
-            "x0, horizon and vol must be positive and finite, and so must 1/x0")
+            "x0 and horizon must be positive and finite, and so must 1/x0")
     if name == "singular_timechange":
         return _singular_timechange(x0, horizon)
     named = {"recip_bessel": (1.0, 0.0, 0.0), "stopped_bm": (0.0, 0.0, 1.0),
-             "exp_martingale_baseline": (0.0, float(vol), 0.0)}
+             "exp_martingale_baseline": (0.0, 0.5, 0.0)}
     if name in named:
         coeffs = named[name]
     else:

@@ -40,7 +40,6 @@ class ExperimentConfig:
     strikes: list[float] = field(default_factory=lambda: [0.5, 1.0, 2.0])
     x0: float = 1.0
     horizon: float = 1.0
-    vol: float = 0.5
     n: int = MCConfig.n
     steps: int = MCConfig.steps
     seed: int = MCConfig.seed
@@ -61,7 +60,7 @@ _STR = ("a string", str)
 # the expected type of every ExperimentConfig field; a field whose default is
 # None also takes None
 _FIELD_TYPES = {
-    **dict.fromkeys(("x0", "horizon", "vol", "strike"), _REAL),
+    **dict.fromkeys(("x0", "horizon", "strike"), _REAL),
     **dict.fromkeys(("n", "steps", "seed", "workers"), _INT),
     **dict.fromkeys(("command", "model", "tree", "claim", "scheme", "tag",
                      "out_dir"), _STR),
@@ -149,7 +148,7 @@ def _entry(cfg: ExperimentConfig):
     from .catalog import get_model
     if not cfg.model:
         raise ConfigError("this command needs --model")
-    return get_model(cfg.model, x0=cfg.x0, horizon=cfg.horizon, vol=cfg.vol)
+    return get_model(cfg.model, x0=cfg.x0, horizon=cfg.horizon)
 
 
 def _price_payload(p) -> dict:
@@ -334,7 +333,7 @@ def _run_catalog(cfg: ExperimentConfig, out: Path) -> int:
             print(f"{name}: quadratic diffusion family, exact samplers for "
                   "(a,0,0), (0,b,0) and (0,0,c), euler scheme otherwise")
             continue
-        entry = get_model(name, x0=cfg.x0, horizon=cfg.horizon, vol=cfg.vol)
+        entry = get_model(name)
         flags = dict(entry.model.dual_payoff_flags) or "all integrable"
         print(f"{name}: exact={entry.model.exact.__name__} "
               f"dual_exact={entry.model.dual_exact.__name__} flags={flags}")
@@ -371,7 +370,6 @@ _OPTIONS = {
     "--model": {"help": "catalog model name"},
     "--x0": {"type": float},
     "--T": {"dest": "horizon", "type": float},
-    "--vol": {"type": float, "help": "volatility of the lognormal baseline"},
     "--n": {"type": int},
     "--steps": {"type": int},
     "--seed": {"type": int},
@@ -387,8 +385,8 @@ _OPTIONS = {
     "--tree": {"required": True, "help": "tree spec JSON path"},
     "--levels": {"type": lambda s: [int(t) for t in s.split(",")]},
 }
-_MC = ("--model", "--x0", "--T", "--vol", "--n", "--steps", "--seed",
-       "--scheme", "--workers", "--out-dir", "--tag")
+_MC = ("--model", "--x0", "--T", "--n", "--steps", "--seed", "--scheme",
+       "--workers", "--out-dir", "--tag")
 # every command: its runner, its help line and its options in usage order
 _COMMANDS = {
     "price": (_run_price, "price one claim with the decomposition",
@@ -402,9 +400,10 @@ _COMMANDS = {
     "physical": (_run_physical, "physical-measure checks on a tree",
                  ("--tree", "--out-dir", "--tag")),
     "convergence": (_run_convergence, "euler vs exact scheme study",
-                    (*_MC, "--levels")),
-    "catalog": (_run_catalog, "list catalog models",
-                ("--x0", "--T", "--vol", "--out-dir")),
+                    # each run sets its own scheme and steps
+                    ("--model", "--x0", "--T", "--n", "--seed", "--workers",
+                     "--out-dir", "--tag", "--levels")),
+    "catalog": (_run_catalog, "list catalog models", ()),
 }
 COMMANDS = tuple(_COMMANDS)
 

@@ -229,13 +229,18 @@ def intl_equivalence_table(model: DiffusionModel, strikes: Sequence[float],
         a_expl = euro_correction_values(a, dual)
         b_euro = euro_leg_values(b, dual)
         b_dev = devaluation_values(b, primal)
-        lhs = float(a_dollar.mean()) + float(a_expl.mean()) * x0
-        rhs = x0 * k * (float(b_euro.mean())
-                        + float(b_dev.mean()) * (1.0 / x0))
+        with np.errstate(over="ignore"):    # a mean's sum may overflow
+            lhs = float(a_dollar.mean()) + float(a_expl.mean()) * x0
+            rhs = x0 * k * (float(b_euro.mean())
+                            + float(b_dev.mean()) * (1.0 / x0))
         dollar = estimate_from_values(a_dollar - k * b_dev, primal.seed)
         euro = estimate_from_values(x0 * (k * b_euro - a_expl), dual.seed)
-        rounding = _rounding(lhs, rhs, x0, k)
-        if math.isnan(rounding):    # a side overflowed: inf * 0 or inf - inf
+        try:
+            rounding = _rounding(lhs, rhs, x0, k)
+        except OverflowError:   # fsum of finite sides past the float range
+            rounding = math.inf
+        # a side overflowed: to inf, or to nan as inf * 0 or inf - inf
+        if not rounding < math.inf:
             raise NumericalBlowup(f"intl sides at strike {k!r} overflowed")
         se = max(combined_stderr(dollar, euro), rounding)
         sides.append((lhs, rhs, z_score(replace(dollar, stderr=se),

@@ -43,13 +43,6 @@ def test_non_finite_model_inputs_are_rejected(name, kwargs):
         get_model(name, **kwargs)
 
 
-@pytest.mark.parametrize("vol", [math.nan, math.inf, -math.inf, -0.5, 0.0])
-@pytest.mark.parametrize("name", ["exp_martingale_baseline", "recip_bessel"])
-def test_bad_volatility_is_rejected(name, vol):
-    with pytest.raises(UnknownModel, match="vol"):
-        get_model(name, vol=vol)
-
-
 @pytest.mark.parametrize("name", ["qnv(x,0,0)", "qnv(1,0x,0)", "qnv(1,0,--2)"])
 def test_non_numeric_qnv_coefficients_are_rejected(name):
     with pytest.raises(UnknownModel, match="numbers"):
@@ -177,6 +170,25 @@ def test_a_negative_coefficient_samples_as_its_positive_twin(negative,
     assert {k: f(1.0) if k == "call" else f()
             for k, f in neg.analytic.items()} \
         == {k: f(1.0) if k == "call" else f() for k, f in pos.analytic.items()}
+
+
+@pytest.mark.parametrize("name,case", [
+    ("recip_bessel", "qnv(1,0,0)"), ("stopped_bm", "qnv(0,0,1)"),
+    ("exp_martingale_baseline", "qnv(0,0.5,0)")])
+def test_a_named_model_is_its_qnv_case(name, case):
+    """The named quadratic models are their qnv cases under their own names:
+    the same exact batches on both legs, flags and references."""
+    cfg = MCConfig(n=BLOCK + 3, seed=17, scheme="exact")
+    named, qnv = get_model(name), get_model(case)
+    assert named.name == name
+    for spec_named, spec_qnv in ((named.model, qnv.model),
+                                 (derive_dual_model(named.model),
+                                  derive_dual_model(qnv.model))):
+        _same_batches(simulate(spec_named, cfg), simulate(spec_qnv, cfg))
+    assert named.model.dual_payoff_flags == qnv.model.dual_payoff_flags
+    assert {k: f(1.0) if k == "call" else f()
+            for k, f in named.analytic.items()} \
+        == {k: f(1.0) if k == "call" else f() for k, f in qnv.analytic.items()}
 
 
 def test_exact_qnv_runs_on_its_clock():
@@ -363,8 +375,8 @@ def test_analytic_values_match_the_scipy_formulas():
                      (bessel["expected_x_squared"](), x2(x0, horizon)),
                      (bm["devaluation_prob"](), 1 - survival(x0, horizon))]
             for vol in (0.1, 0.5, 1.5):
-                call = get_model("exp_martingale_baseline", x0=x0,
-                                 horizon=horizon, vol=vol).analytic["call"]
+                call = get_model(f"qnv(0,{vol},0)", x0=x0,
+                                 horizon=horizon).analytic["call"]
                 pairs += [(call(k), black(x0, vol, horizon, k))
                           for k in (0.5 * x0, x0, 2.0 * x0)]
             for got, want in pairs:

@@ -296,6 +296,20 @@ def test_identities_hold_on_a_deterministic_rate(argv, tmp_path):
                  "--out-dir", str(tmp_path)]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["defect", "--n", "10000"], ["price", "--n", "10000"],
+    ["parity", "--strikes", "1", "--n", "1000"]])
+def test_a_lognormal_rounding_to_zero_is_refused(argv, tmp_path, capsys):
+    """At vol 40 most exact lognormal draws of X and of Y round to 0, which a
+    lognormal never reaches; the run is refused, not read as devaluations
+    and explosions."""
+    assert main([*argv, "--model", "qnv(0,40,0)",
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "underflow" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_infinite_values_keep_their_sign_in_reports():
     assert cli._plain([math.inf, -math.inf, 1.5]) == ["inf", "-inf", 1.5]
 
@@ -398,7 +412,7 @@ def test_run_command_rejects_mistyped_fields(tmp_path, capsys, bad):
 
 
 def test_config_validation_checks_field_types():
-    for bad in ({"vol": True}, {"strike": "1"}, {"seed": "0"},
+    for bad in ({"x0": True}, {"strike": "1"}, {"seed": "0"},
                 {"workers": False}, {"steps": 64.0}, {"tree": ["t.json"]},
                 {"claim": 1}, {"scheme": None}, {"tag": 3}, {"out_dir": 1},
                 {"strikes": 1.0}, {"strikes": [1, "2"]}, {"levels": (32,)},
@@ -472,10 +486,11 @@ def test_lattice_verify_refuses_an_empty_strike_list(how, example_tree_path,
     (["catalog"], 0),                                  # writes no artifact
 ])
 def test_a_run_that_writes_no_artifact_makes_no_out_dir(
-        argv, code, example_tree_path, tmp_path, capsys):
+        argv, code, example_tree_path, tmp_path, monkeypatch):
     out = tmp_path / "new" / "dir"
     argv = [str(example_tree_path) if a == "TREE" else a for a in argv]
-    assert main([*argv, "--out-dir", str(out)]) == code
+    monkeypatch.setenv(cli.ENV_OUT_DIR, str(out))   # catalog takes no --out-dir
+    assert main(argv) == code
     assert not (tmp_path / "new").exists()
 
 
@@ -528,7 +543,7 @@ def test_config_validation_rejects_non_finite_strikes():
 
 
 @pytest.mark.parametrize("bad", [
-    {"x0": 10**400}, {"horizon": 10**400}, {"vol": 10**400},
+    {"x0": 10**400}, {"horizon": 10**400}, {"model": "qnv(0,1e400,0)"},
     {"x0": 5e-324, "model": "qnv(1,0,0)"},      # the dual leg starts at inf
     {"horizon": 5e-324, "model": "qnv(1,0,0)", "steps": 4,
      "scheme": "euler_absorbed"},                # the Euler step is 0.0
@@ -574,8 +589,7 @@ def test_run_command_bad_config_exits_1(tmp_path):
 
 @pytest.mark.parametrize("args", [
     ["price", "--scheme", "euler_absorbed"],
-    ["convergence", "--levels", "8,32"],
-    ["convergence", "--scheme", "euler_absorbed", "--levels", "8"]])
+    ["convergence", "--levels", "8,32"]])
 def test_euler_on_exact_only_model_is_usage_error(args, tmp_path, capsys):
     assert main(args + ["--model", "singular_timechange", "--n", "1000",
                         "--out-dir", str(tmp_path)]) == 1
@@ -617,13 +631,13 @@ def _configs(draw):
             "strike": st.floats(0.05, 4),
             "strikes": st.lists(st.floats(0.05, 4), max_size=3),
             "x0": st.floats(0.05, 4), "horizon": st.floats(0.05, 4),
-            "vol": st.floats(0.05, 4), "seed": st.integers(0, 2**64),
+            "seed": st.integers(0, 2**64),
             "scheme": st.sampled_from(["auto", "exact", "euler_absorbed"]),
             "workers": st.integers(1, 3),
             "tag": st.text(alphabet="ab_-", max_size=3),
             "dump_samples": st.booleans()}))
     if draw(st.booleans()):
-        cfg[draw(st.sampled_from(["x0", "horizon", "vol"]))] = \
+        cfg[draw(st.sampled_from(["x0", "horizon"]))] = \
             draw(_EDGE_NUMBERS)
     if draw(st.booleans()):
         edge = draw(_EDGE_NUMBERS)
@@ -658,6 +672,12 @@ def _configs(draw):
               "tree": "example", "x0": 1e300, "n": 200})
 @example(cfg={"command": "intl", "model": "qnv(0,0,0)", "tree": "example",
               "x0": 1e12, "strikes": [1e300], "n": 100})
+@example(cfg={"command": "intl", "model": "recip_bessel", "tree": "example",
+              "strikes": [1e-308], "n": 100})
+@example(cfg={"command": "intl", "model": "qnv(0,0,0)", "tree": "example",
+              "x0": 8e307, "strikes": [1], "n": 1})
+@example(cfg={"command": "defect", "model": "qnv(0,40,0)", "tree": "example",
+              "n": 1000})
 def test_any_config_runs_or_exits_1_with_an_error_line(cfg, tmp_path):
     tree = tmp_path / "example.json"
     if not tree.exists():

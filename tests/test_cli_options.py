@@ -6,8 +6,8 @@ import pytest
 
 from dualfx.cli import COMMANDS, build_parser
 
-_MC = ["--model", "--x0", "--T", "--vol", "--n", "--steps", "--seed",
-       "--scheme", "--workers", "--out-dir", "--tag"]
+_MC = ["--model", "--x0", "--T", "--n", "--steps", "--seed", "--scheme",
+       "--workers", "--out-dir", "--tag"]
 FLAGS = {
     "price": [*_MC, "--claim", "--strike", "--dump-samples"],
     "parity": [*_MC, "--strikes"],
@@ -15,14 +15,15 @@ FLAGS = {
     "defect": _MC,
     "lattice-verify": ["--tree", "--strikes", "--out-dir", "--tag"],
     "physical": ["--tree", "--out-dir", "--tag"],
-    "convergence": [*_MC, "--levels"],
-    "catalog": ["--x0", "--T", "--vol", "--out-dir"],
+    "convergence": ["--model", "--x0", "--T", "--n", "--seed", "--workers",
+                    "--out-dir", "--tag", "--levels"],
+    "catalog": [],
 }
 # a valid value of every flag (None: the flag takes none) and what it parses to
 VALUES = {
     "--model": ("recip_bessel", "model", "recip_bessel"),
     "--x0": ("1.5", "x0", 1.5), "--T": ("2", "horizon", 2.0),
-    "--vol": ("0.25", "vol", 0.25), "--n": ("10", "n", 10),
+    "--n": ("10", "n", 10),
     "--steps": ("4", "steps", 4), "--seed": ("3", "seed", 3),
     "--scheme": ("exact", "scheme", "exact"),
     "--workers": ("2", "workers", 2), "--out-dir": ("d", "out_dir", "d"),
@@ -32,6 +33,8 @@ VALUES = {
     "--strikes": ("0.5,2", "strikes", [0.5, 2.0]),
     "--tree": ("t.json", "tree", "t.json"),
     "--levels": ("8,16", "levels", [8, 16]),
+    # no command takes it: a lognormal of volatility b is qnv(0,b,0)
+    "--vol": ("0.25", None, None),
 }
 
 

@@ -370,6 +370,17 @@ def test_scheme_convergence_euler_exact_for_bm():
         assert r.abs_diff <= 4 * math.hypot(r.stderr, ref.stderr)
 
 
+def test_scheme_convergence_sets_its_own_scheme_and_steps():
+    """Each Euler level runs at its own step count and the reference runs
+    exact, so the config's scheme and steps change no bit of the study."""
+    model = get_model("recip_bessel").model
+    want = repr(scheme_convergence(model, [4, 16], MCConfig(n=500, seed=3)))
+    for scheme in ("auto", "exact", "euler_absorbed"):
+        for steps in (1, 64):
+            cfg = MCConfig(n=500, steps=steps, seed=3, scheme=scheme)
+            assert repr(scheme_convergence(model, [4, 16], cfg)) == want
+
+
 def _fresh_batches(model, cfg):
     """The pair make_batches simulates afresh, with no pair kept."""
     engine._last_pair = None

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Collection
 
 from .pricing import TreeClaim
-from .tree import DualTree, build_dual_tree
+from .tree import DualTree, _first_stops, build_dual_tree
 
 
 def _weights(rng: random.Random, k: int, total: Fraction) -> list[Fraction]:
@@ -125,20 +125,17 @@ def _random_rule(tree: DualTree, seed: int,
     probability 0.3; when `within` is given, the rule refines it (stops at or
     after it path by path)."""
     rng = random.Random(seed)
-    stop: set[str] = set()
-    below: set[str] = set()
     armed: set[str] = set()     # nodes at or after `within`, not stopped
-    for node in tree.nodes.values():
-        if node.parent in stop or node.parent in below:
-            below.add(node.id)
-        elif within is None or node.id in within or node.parent in armed:
+
+    def stops(node) -> bool:
+        if within is None or node.id in within or node.parent in armed:
             if node.is_terminal or rng.random() < 0.3:
-                stop.add(node.id)
-            else:
-                armed.add(node.id)
-        elif node.is_terminal:
-            stop.add(node.id)
-    return frozenset(stop)
+                return True
+            armed.add(node.id)
+            return False
+        return node.is_terminal
+
+    return _first_stops(tree, stops)
 
 
 def random_rule_pair(tree: DualTree, seed: int

@@ -139,7 +139,7 @@ class DualTree:
     denominators: tuple[int, int, int, int]     # (D$, De, Dx, D1/x)
     leaves: tuple[str, ...]     # the leaf ids, in tree order
     supported: frozenset[str]   # nodes with positive mass under either measure
-    # stop_map's results, by rule; only valid rules are kept
+    # the stopping rules' maps, by rule; only valid rules are kept
     _stop_maps: dict[frozenset[str], dict[str, str | None]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -434,6 +434,23 @@ def verify_tree_invariants(tree: DualTree) -> None:
 # stopping rules
 # ---------------------------------------------------------------------------
 
+def _first_stops(tree: DualTree, stops) -> frozenset[str]:
+    """The rule that stops each path at its first node where stops(node)
+    holds, asking `stops` only about nodes above the rule, in tree order.
+    Its map (None above it, else the rule node at or above) is kept."""
+    at: dict[str, str | None] = {}
+    get, rule = at.get, []
+    for nid, node in tree.nodes.items():
+        above = get(node.parent)
+        if above is None and stops(node):
+            above = nid
+            rule.append(nid)
+        at[nid] = above
+    stop = frozenset(rule)
+    tree._stop_maps.setdefault(stop, at)
+    return stop
+
+
 def stop_map(tree: DualTree, rule: Iterable[str]) -> dict[str, str | None]:
     """The rule node at or above each node (None above the rule), in tree order.
 
@@ -447,49 +464,28 @@ def stop_map(tree: DualTree, rule: Iterable[str]) -> dict[str, str | None]:
     unknown = stop - tree.nodes.keys()
     if unknown:
         raise MeasurabilityError(f"unknown nodes in stopping rule: {sorted(unknown)}")
-    at: dict[str, str | None] = {}
-    for node in tree.nodes.values():
-        above = at.get(node.parent)
-        if node.id in stop:
-            if above is not None:
-                raise MeasurabilityError(
-                    f"path to {node.id!r} crosses the stopping rule twice")
-            above = node.id
-        elif above is None and node.is_terminal:
-            raise MeasurabilityError(
-                f"path to {node.id!r} never crosses the stopping rule")
-        at[node.id] = above
-    tree._stop_maps[stop] = at
-    return at
+    # stopping in the rule, else at a leaf, finds the rule iff it is valid;
+    # else the first node in one set only is crossed twice or never
+    found = _first_stops(tree, lambda n: n.id in stop or n.is_terminal)
+    if found != stop:
+        nid = next(n for n in tree.nodes if (n in stop) != (n in found))
+        raise MeasurabilityError(f"path to {nid!r} crosses the stopping rule twice"
+                                 if nid in stop else
+                                 f"path to {nid!r} never crosses the stopping rule")
+    return tree._stop_maps[stop]
 
 
 def period_rule(tree: DualTree, t: int) -> frozenset[str]:
     """Deterministic rule: stop at period t.  Absorbed states chain to the
-    horizon, so every path meets t once: the walk forms the `stop_map` too."""
+    horizon, so every path meets t once."""
     if not 0 <= t <= tree.periods:
         raise MeasurabilityError(f"period {t} outside [0, {tree.periods}]")
-    at, ids = {}, []    # the map: None before t, the parent's entry after
-    for n in tree.nodes.values():
-        if n.time_index == t:
-            ids.append(n.id)
-            at[n.id] = n.id
-        else:
-            at[n.id] = at.get(n.parent)
-    rule = frozenset(ids)
-    tree._stop_maps.setdefault(rule, at)
-    return rule
+    return _first_stops(tree, lambda n: n.time_index == t)
 
 
 def first_hit_rule(tree: DualTree, predicate) -> frozenset[str]:
     """Stop at the first node satisfying predicate(node), else at the leaf."""
-    stop: set[str] = set()
-    below: set[str] = set()
-    for node in tree.nodes.values():
-        if node.parent in stop or node.parent in below:
-            below.add(node.id)
-        elif predicate(node) or node.is_terminal:
-            stop.add(node.id)
-    return frozenset(stop)
+    return _first_stops(tree, lambda n: predicate(n) or n.is_terminal)
 
 
 # ---------------------------------------------------------------------------

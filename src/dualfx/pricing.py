@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericalBlowup
+from .errors import ConfigError
 # CLAIM_KINDS is also read from here, by the benchmark
 from .inputs import CLAIM_KINDS, MCConfig, payoff_row
 from .sde.engine import (Estimate, TerminalBatch, _rounding, _run_blocks,
@@ -235,14 +235,7 @@ def intl_equivalence_table(model: DiffusionModel, strikes: Sequence[float],
                             + float(b_dev.mean()) * (1.0 / x0))
         dollar = estimate_from_values(a_dollar - k * b_dev, primal.seed)
         euro = estimate_from_values(x0 * (k * b_euro - a_expl), dual.seed)
-        try:
-            rounding = _rounding(lhs, rhs, x0, k)
-        except OverflowError:   # fsum of finite sides past the float range
-            rounding = math.inf
-        # a side overflowed: to inf, or to nan as inf * 0 or inf - inf
-        if not rounding < math.inf:
-            raise NumericalBlowup(f"intl sides at strike {k!r} overflowed")
-        se = max(combined_stderr(dollar, euro), rounding)
+        se = max(combined_stderr(dollar, euro), _rounding(lhs, rhs, x0, k))
         sides.append((lhs, rhs, z_score(replace(dollar, stderr=se),
                                         replace(euro, stderr=0.0))))
     return [EquivalenceRow(float(k), *call, *put)

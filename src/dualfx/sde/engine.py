@@ -84,8 +84,15 @@ def combined_stderr(*estimates: Estimate) -> float:
 
 
 def _rounding(*terms: float) -> float:
-    """64 ulps of the terms' magnitudes, the floor of an identity's stderr."""
-    return 2.0 ** -46 * math.fsum(map(abs, terms))
+    """64 ulps of the terms' magnitudes, the floor of an identity's stderr.
+    Raises NumericalBlowup where the terms leave the float range."""
+    try:
+        floor = 2.0 ** -46 * math.fsum(map(abs, terms))
+    except OverflowError:       # finite terms that sum past the float range
+        floor = math.inf
+    if not floor < math.inf:    # or nan, from inf * 0 or inf - inf
+        raise NumericalBlowup(f"identity terms {terms} left the float range")
+    return floor
 
 
 def z_score(lhs: Estimate, rhs: Estimate) -> float:

@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +52,19 @@ def test_catalog_listing(capsys):
         "qnv(a,b,c): quadratic diffusion family, exact samplers for "
         "(a,0,0), (0,b,0) and (0,0,c), euler scheme otherwise",
     ]
+
+
+def test_readme_cli_lines_parse():
+    """Every `dualfx` line of README.md's bash blocks parses, comments
+    stripped, and together they show every command: the docs name no
+    removed command or option."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    lines = [shlex.split(line, comments=True)[1:]
+             for block in re.findall(r"```bash\n(.*?)```", readme, re.S)
+             for line in block.splitlines() if line.startswith("dualfx ")]
+    assert {argv[0] for argv in lines} == {*COMMANDS, "run"}
+    for argv in lines:
+        cli.build_parser().parse_args(argv)
 
 
 def test_unknown_model_is_usage_error(tmp_path):
@@ -678,6 +693,10 @@ def _configs(draw):
               "x0": 8e307, "strikes": [1], "n": 1})
 @example(cfg={"command": "defect", "model": "qnv(0,40,0)", "tree": "example",
               "n": 1000})
+@example(cfg={"command": "parity", "model": "qnv(0,0,0)", "tree": "example",
+              "x0": 1e308, "strikes": [1], "n": 1})
+@example(cfg={"command": "defect", "model": "qnv(0,0,0)", "tree": "example",
+              "x0": 1e308, "n": 1})
 def test_any_config_runs_or_exits_1_with_an_error_line(cfg, tmp_path):
     tree = tmp_path / "example.json"
     if not tree.exists():

@@ -446,6 +446,17 @@ def test_stopping_rules():
         period_rule(t, 9)
 
 
+@pytest.mark.parametrize("rule, message", [
+    ({"r", "dn"}, "path to 'dn' crosses the stopping rule twice"),
+    ({"up"}, "path to 'dn_up' never crosses the stopping rule"),
+    # both defects: the first node in tree order is named
+    ({"dn", "dn_dn"}, "path to 'up~2' never crosses the stopping rule"),
+])
+def test_stop_map_refusals_name_the_first_bad_node(rule, message):
+    with pytest.raises(MeasurabilityError, match=f"^{re.escape(message)}$"):
+        stop_map(two_period_example(), rule)
+
+
 def test_stop_map_names_the_rule_node_above_each_node():
     t = two_period_example()
     assert stop_map(t, {"up", "dn"}) == {
@@ -483,15 +494,24 @@ def test_stop_map_is_kept_per_valid_rule():
 @pytest.mark.parametrize("generate", [random_dual_tree,
                                       random_complete_dual_tree])
 def test_a_period_rule_keeps_the_map_stop_map_would_form(generate):
-    """The walk that finds a period rule keeps its map unchecked: it equals
-    the map `stop_map`'s checked walk forms on a tree with no kept map, value
-    for value and in key order."""
+    """Every rule builder keeps its map unchecked: period rules, the first-hit
+    rule and both rules of `random_rule_pair`.  Each kept map names, for each
+    node, the nearest rule node on its parent chain (None above the rule),
+    value for value and in tree order."""
+
+    def climb(t, rule, nid):
+        while nid is not None and nid not in rule:
+            nid = t.nodes[nid].parent
+        return nid
+
     for seed in range(150):
         t = generate(seed, 1 + seed % 6)
-        for k in range(t.periods + 1):
-            rule = period_rule(t, k)
-            want = stop_map(dataclasses.replace(t), rule)
-            assert list(t._stop_maps[rule].items()) == list(want.items())
+        rules = [period_rule(t, k) for k in range(t.periods + 1)]
+        rules.append(first_hit_rule(t, lambda n: not n.x.is_finite))
+        rules.extend(random_rule_pair(t, seed))
+        for rule in rules:
+            want = [(nid, climb(t, rule, nid)) for nid in t.nodes]
+            assert list(t._stop_maps[rule].items()) == want
 
 
 @pytest.mark.parametrize("generate", [random_dual_tree,
